@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     CapExceededError,
@@ -29,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "log_factorial",
     "WeightSequence",
     "OnesSequence",
     "FactorialInverseSequence",
@@ -61,6 +61,70 @@ def logsumexp(a: np.ndarray) -> float:
     if not math.isfinite(m):
         return m  # all -inf (empty sum) or an infinite term
     return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+# ---------------------------------------------------------------------------
+# log-factorial
+
+
+_LOG_FACTORIAL_CAP = 1 << 16  # table entries; 512 KiB of float64
+_STIRLING_FROM = 15
+# log i! for i < len, grown by doubling; the first entries are exact (math.lgamma
+# is off by an ulp at some small integers), the rest come from the Stirling series
+_log_factorial_table = np.array([math.log(math.factorial(i)) for i in range(_STIRLING_FROM)])
+
+
+def _log_factorial_upto(n: int) -> np.ndarray:
+    """The table of log i!, grown to cover index n (n < _LOG_FACTORIAL_CAP)."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n >= len(table):
+        size = min(max(2 * len(table), 1 << n.bit_length()), _LOG_FACTORIAL_CAP)
+        # build the whole table before publishing it, so concurrent readers
+        # only ever see a complete one
+        table = np.concatenate([table, _stirling_log_gamma(np.arange(len(table) + 1.0, size + 1.0))])
+        _log_factorial_table = table
+    return table
+
+
+def _stirling_log_gamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) by the Stirling series; accurate to rounding for x >= 16."""
+    r = 1.0 / x
+    r2 = r * r
+    series = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188))))
+    return (x - 0.5) * (np.log(x) - 1.0) + (0.5 * math.log(2.0 * math.pi) - 0.5) + series
+
+
+def log_factorial(n):
+    """log n! = log Gamma(n + 1), elementwise.
+
+    Whole n below 2^16 are read from a cached table; larger n, and
+    non-integers from 15 on, take the Stirling series; the remaining small
+    non-integers call ``math.lgamma``, which raises ValueError at the poles
+    (negative whole n).
+    """
+    x = np.asarray(n)
+    if x.ndim == 0:
+        v = float(x)
+        if v.is_integer() and 0 <= v < _LOG_FACTORIAL_CAP:
+            return _log_factorial_upto(int(v))[int(v)]
+        return log_factorial(x.reshape(1))[0]
+    if x.dtype.kind in "iu":
+        whole = (x >= 0) & (x < _LOG_FACTORIAL_CAP)
+    else:
+        x = x.astype(float)
+        whole = (x >= 0) & (x < _LOG_FACTORIAL_CAP) & (x == np.floor(x))
+    if whole.all():
+        idx = x.astype(np.intp)
+        return _log_factorial_upto(int(idx.max(initial=0)))[idx]
+    out = np.empty(x.shape)
+    idx = x[whole].astype(np.intp)
+    out[whole] = _log_factorial_upto(int(idx.max(initial=0)))[idx]
+    big = ~whole & (x >= _STIRLING_FROM)
+    out[big] = _stirling_log_gamma(x[big] + 1.0)
+    small = ~(whole | big)
+    out[small] = [math.lgamma(v + 1.0) for v in x[small].tolist()]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +177,9 @@ class OnesSequence(WeightSequence):
     def __eq__(self, other):
         return isinstance(other, OnesSequence)
 
+    def __hash__(self):
+        return hash(OnesSequence)
+
     def __repr__(self):
         return "OnesSequence()"
 
@@ -123,13 +190,16 @@ class FactorialInverseSequence(WeightSequence):
     tail_ratio = 0.0
 
     def log_value(self, n):
-        return -gammaln(np.asarray(n, dtype=float) + 1.0)
+        return -log_factorial(n)
 
     def to_json(self):
         return {"kind": "preset", "name": "mminf"}
 
     def __eq__(self, other):
         return isinstance(other, FactorialInverseSequence)
+
+    def __hash__(self):
+        return hash(FactorialInverseSequence)
 
     def __repr__(self):
         return "FactorialInverseSequence()"
@@ -145,9 +215,9 @@ class MultiServerSequence(WeightSequence):
         self.tail_ratio = 1.0 / self.s
 
     def log_value(self, n):
-        n = np.asarray(n, dtype=float)
-        head = -gammaln(n + 1.0)
-        tail = (self.s - n) * math.log(self.s) - gammaln(self.s + 1.0)
+        n = np.asarray(n)
+        head = -log_factorial(np.minimum(n, self.s))  # only read where n <= s
+        tail = (self.s - n.astype(float)) * math.log(self.s) - log_factorial(self.s)
         return np.where(n <= self.s, head, tail)
 
     def to_json(self):
@@ -155,6 +225,9 @@ class MultiServerSequence(WeightSequence):
 
     def __eq__(self, other):
         return isinstance(other, MultiServerSequence) and other.s == self.s
+
+    def __hash__(self):
+        return hash((MultiServerSequence, self.s))
 
     def __repr__(self):
         return f"MultiServerSequence(s={self.s})"
@@ -232,6 +305,9 @@ class TableSequence(WeightSequence):
             and other.poly_degree == self.poly_degree
         )
 
+    def __hash__(self):
+        return hash((TableSequence, self.values, self.tail_ratio, self.poly_degree))
+
     def __repr__(self):
         return (
             f"TableSequence(len={len(self.values)}, tail_ratio={self.tail_ratio}, "
@@ -252,7 +328,10 @@ class CallableSequence(WeightSequence):
         self.tail_bounds = tail_bounds
 
     def log_value(self, n):
-        return np.asarray(self._log_fn(np.asarray(n)), dtype=float)
+        out = np.asarray(self._log_fn(np.asarray(n)), dtype=float)
+        if np.isnan(out).any():
+            raise SpecFormatError("log_fn returned NaN")
+        return out
 
 
 class ReciprocalSequence(WeightSequence):
@@ -273,6 +352,9 @@ class ReciprocalSequence(WeightSequence):
 
     def __eq__(self, other):
         return isinstance(other, ReciprocalSequence) and other.base == self.base
+
+    def __hash__(self):
+        return hash((ReciprocalSequence, self.base))
 
     def __repr__(self):
         return f"ReciprocalSequence({self.base!r})"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import zeta
 
 from .bdp import BirthDeathSpec, Classification, classify, mm1
 from .errors import FitFailedError, NotApplicableError, NotStableError, NotTransientError
@@ -86,6 +85,9 @@ class CycleMaxDistribution:
 
     def _checked(self, n) -> np.ndarray:
         n = np.asarray(n)
+        if n.dtype.kind not in "iu":
+            got = repr(n.item()) if n.ndim == 0 else f"an array of dtype {n.dtype}"
+            raise ValueError(f"level n must be an integer, got {got}")
         if np.any(n < 0):
             raise ValueError("level must be non-negative")
         if self.spec.cap is not None:
@@ -393,7 +395,7 @@ def tail_asymptotics(
 
     else:
         # S converges like a p-series; close it with the fitted Hurwitz tail
-        log_tail = math.log(float(zeta(p, n_probe + 1))) - math.log(alpha)
+        log_tail = math.log(_hurwitz_zeta(p, n_probe + 1.0)) - math.log(alpha)
         log_s_inf = float(np.logaddexp(dist.log_cumulative(n_probe), log_tail))
         scale, gamma = "(1 - F(n))", math.exp(-log_s_inf)
 
@@ -413,6 +415,29 @@ def tail_asymptotics(
         empirical_extrapolated=extr,
         empirical_residual=resid,
     )
+
+
+# B_2j / (2j)! for j = 1..6
+_EM_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
+_EM_DIRECT = 16
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta sum_{k>=0} (a + k)^-s for s > 1, a > 0, by Euler-Maclaurin.
+
+    Sums the first 16 terms directly and closes the rest with the integral,
+    the half end term and six Bernoulli corrections; the remainder is at
+    rounding level for a >= 1 and moderate s.
+    """
+    x = a + _EM_DIRECT
+    head = math.fsum((a + k) ** -s for k in range(_EM_DIRECT))
+    tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s
+    # term j carries s (s+1) ... (s+2j-2) x^(-s-2j+1)
+    factor = s * x ** (-s - 1.0)
+    for j, coef in enumerate(_EM_BERNOULLI):
+        tail += coef * factor
+        factor *= (s + 2 * j + 1) * (s + 2 * j + 2) / (x * x)
+    return head + tail
 
 
 def _t_ratio(dist: CycleMaxDistribution, n: int) -> float:

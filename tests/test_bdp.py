@@ -6,6 +6,7 @@ import pytest
 
 from cyclemax import (
     BirthDeathSpec,
+    CallableSequence,
     FactorialInverseSequence,
     MultiServerSequence,
     OnesSequence,
@@ -24,7 +25,23 @@ from cyclemax import (
     spec_to_dict,
     stationary_distribution,
 )
+from cyclemax.bdp import log_factorial
 from cyclemax.errors import SpecFormatError
+
+# log n! from scipy.special.gammaln(n + 1.0), computed once and pinned here
+LOG_FACTORIAL_REFERENCE = [
+    (0, 0.0),
+    (1, 0.0),
+    (2, 0.6931471805599453),
+    (10, 15.104412573075516),
+    (170, 706.5730622457875),
+    (10000, 82108.92783681436),
+    (65535, 661276.8717651855),
+    (65536, 661287.9621200745),
+    (1000000, 12815518.384658169),
+    (2.5, 1.2009736023470743),
+    (17.3, 34.366330679679024),
+]
 
 
 def test_ones_sequence_is_flat():
@@ -84,6 +101,46 @@ def test_log_value_matches_scalar_values():
         logs = np.asarray(seq.log_value(n), dtype=float)
         direct = np.array([seq.value(int(i)) for i in n])
         assert np.allclose(np.exp(logs), direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, expected", LOG_FACTORIAL_REFERENCE)
+def test_log_factorial_reference_values(n, expected):
+    assert log_factorial(n) == pytest.approx(expected, rel=2e-15, abs=0.0)
+
+
+def test_log_factorial_array_matches_scalars():
+    points = [n for n, _ in LOG_FACTORIAL_REFERENCE]
+    expected = [v for _, v in LOG_FACTORIAL_REFERENCE]
+    assert np.allclose(log_factorial(np.array(points, dtype=float)), expected, rtol=2e-15, atol=0.0)
+    whole = np.array([n for n in points if isinstance(n, int)])
+    assert np.array_equal(log_factorial(whole), [log_factorial(int(n)) for n in whole])
+    assert log_factorial(np.array([], dtype=int)).shape == (0,)
+
+
+def test_nan_weights_raise_spec_format_error():
+    nan_seq = CallableSequence(lambda n: np.full(np.shape(n), np.nan))
+    with pytest.raises(SpecFormatError, match="NaN"):
+        nan_seq.log_value(np.arange(4))
+    with pytest.raises(SpecFormatError):
+        classify(BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0))
+
+
+def test_equal_sequences_and_specs_hash_alike():
+    pairs = [
+        (OnesSequence(), OnesSequence()),
+        (FactorialInverseSequence(), FactorialInverseSequence()),
+        (MultiServerSequence(3), MultiServerSequence(3)),
+        (TableSequence((1.0, 0.3), tail_ratio=0.3), TableSequence((1.0, 0.3), tail_ratio=0.3)),
+        (MultiServerSequence(2).reciprocal(), MultiServerSequence(2).reciprocal()),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert MultiServerSequence(2) != MultiServerSequence(3)
+    for make in (lambda: mm1(0.5, 1.0), lambda: mms(3, 2.0, 1.0, cap=40), lambda: mminf(5.0, 1.0).dual()):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+        assert {a: "value"}[b] == "value"
+    assert len({mm1(0.5, 1.0), mm1(0.5, 1.0), mm1(0.6, 1.0)}) == 2
 
 
 def test_spec_rejects_bad_rates():

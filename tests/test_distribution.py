@@ -11,6 +11,7 @@ from cyclemax import (
     mms,
     tail_asymptotics,
 )
+from cyclemax.distribution import _hurwitz_zeta
 from cyclemax.errors import NotApplicableError, NotTransientError
 
 
@@ -147,3 +148,32 @@ def test_transient_only_fields_absent_when_recurrent():
     deep = CycleMaxDistribution(mm1(0.99, 1.0))
     with pytest.raises(NotTransientError):
         deep.log_tail_sum(10)
+
+
+def test_non_integer_levels_raise_value_error():
+    dist = CycleMaxDistribution(mm1(0.5, 1.0))
+    with pytest.raises(ValueError, match="level n must be an integer, got 2.5"):
+        dist.cdf(2.5)
+    with pytest.raises(ValueError, match="float64"):
+        dist.failure_rate(np.array([1.0, 2.5]))
+    with pytest.raises(ValueError, match="level n"):
+        dist.blocking_prob(3.0)
+    assert dist.cdf(3) == dist.cdf(np.int64(3)) == dist.cdf(np.array([3]))[0]
+    assert dist.cdf(3) == pytest.approx(single_server_cdf(0.5, 3), rel=1e-12)
+
+
+# (s, a, zeta(s, a)) from scipy.special.zeta, computed once and pinned here
+@pytest.mark.parametrize(
+    "s, a, expected",
+    [
+        (1.01, 1.0, 100.5779433384968),
+        (1.5, 1.0, 2.612375348685488),
+        (2.0, 1.0, 1.6449340668482266),
+        (2.0, 401.0, 0.0024968776041634114),
+        (3.5, 101.0, 3.950291654636813e-06),
+        (7.5, 2.0, 0.005826727536522808),
+        (1.2, 5001.0, 0.9102638965992362),
+    ],
+)
+def test_hurwitz_zeta_reference_values(s, a, expected):
+    assert _hurwitz_zeta(s, a) == pytest.approx(expected, rel=1e-15, abs=0.0)
