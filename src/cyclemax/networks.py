@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig
+from .simulate import CycleSample, SimConfig, _retire
 
 __all__ = [
     "Station",
@@ -413,16 +413,8 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
         state[rows[entering], dest[entering] - 1] += 1
         total += entering.astype(np.int64) - leaving.astype(np.int64)
         np.maximum(peak, total, out=peak)
-        done = total == 0
-        gone = total >= horizon
-        if done.any():
-            out[slot[done]] = peak[done]
-        if gone.any():
-            escaped += int(gone.sum())
-            out[slot[gone]] = -1
-        live = ~(done | gone)
-        if not live.all():
-            state, total, peak, slot = state[live], total[live], peak[live], slot[live]
+        gone, (total, peak, slot, state) = _retire(total, peak, slot, out, horizon, state)
+        escaped += gone
     return CycleSample(maxima=out[out > 0], escaped=escaped)
 
 

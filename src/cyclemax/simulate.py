@@ -2,21 +2,18 @@
 
 A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
-holding times are never sampled.  Replications draw from substreams keyed by
-(seed, replication index), which makes results independent of execution
-order and safe to run concurrently.
+holding times are never sampled.  Every call draws from one generator seeded
+by ``SimConfig.seed``, so equal seeds give equal results.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, classify
+from .bdp import BirthDeathSpec
 from .distribution import CycleMaxDistribution
 from .errors import EscapedCycleError, NotApplicableError
 from .extremes import as_limit_constant
@@ -32,10 +29,15 @@ __all__ = [
     "verify_as_convergence",
     "empirical_cdf",
     "ks_two_sample",
-    "KS_CRIT_1PCT",
 ]
 
-KS_CRIT_1PCT = 1.628  # two-sample Kolmogorov-Smirnov c(alpha) at alpha = 0.01
+# Most cells (jumps x live cycles) in one multi-jump pass.  Each (d, live)
+# array then stays within 32 KiB, and passes with more than half this many
+# live cycles take one jump: there the cumulative sum costs more per jump
+# than the single-jump step.
+_BLOCK_CELLS = 1 << 12
+# Most cycles one jump-mode batch simulates at once.
+_JUMP_CHUNK = 1 << 17
 
 
 class _Escaped:
@@ -55,13 +57,12 @@ class SimConfig:
     seed: int = 0
     cycles: int = 10_000
     escape_horizon: int = 1_000
-    replications: int = 1
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.cycles < 1 or self.replications < 1:
-            raise ValueError("cycles and replications must be positive")
+        if self.cycles < 1:
+            raise ValueError("cycles must be positive")
         if self.escape_horizon < 10:
             raise ValueError("escape_horizon must be at least 10")
 
@@ -80,14 +81,6 @@ class CycleSample:
     @property
     def escaped_fraction(self) -> float:
         return self.escaped / self.cycles
-
-
-def _threads() -> int:
-    raw = os.environ.get("CYCLEMAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _up_probabilities(spec: BirthDeathSpec, horizon: int) -> np.ndarray:
@@ -120,34 +113,78 @@ def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizo
     return peak
 
 
+def _flat_start(p_up: np.ndarray, horizon: int) -> int | None:
+    """Lowest state n_flat with p_up constant on n_flat..horizon-1, or None.
+
+    None when the run is too short for two jumps in one pass, or when it
+    cannot be entered because its up-step probability is 0 (a cap).
+    Equality is exact, so a multi-jump pass compares with the very value a
+    single pass would look up.
+    """
+    varying = np.flatnonzero(p_up != p_up[-1])
+    n_flat = int(varying[-1]) + 2 if varying.size else 1
+    if n_flat > horizon - 3 or p_up[-1] == 0.0:
+        return None
+    return n_flat
+
+
+def _retire(level, peak, slot, out, horizon, *rest):
+    """Record cycles that returned (level 0) or escaped (level >= horizon).
+
+    Writes the peak of a returned cycle, or -1 for an escaped one, to
+    ``out[slot]`` and drops both from ``level``, ``peak``, ``slot`` and the
+    arrays in ``rest``, whose first axis runs over the same cycles.  Returns
+    (number escaped, the live arrays in the order given).
+    """
+    arrays = (level, peak, slot, *rest)
+    live = (level > 0) & (level < horizon)
+    if live.all():
+        return 0, arrays
+    done = level == 0
+    gone = ~(live | done)
+    out[slot[done]] = peak[done]
+    out[slot[gone]] = -1
+    return int(gone.sum()), tuple(a[live] for a in arrays)
+
+
 def _simulate_batch(
     spec: BirthDeathSpec, n_cycles: int, rng: np.random.Generator, horizon: int
 ) -> tuple[np.ndarray, int]:
     """Vectorised cycles; returns (maxima of returned cycles, escaped count).
 
     All live cycles advance one jump per pass; finished ones are compacted
-    out so late stragglers do not drag full-width arrays along.
+    out so late stragglers do not drag full-width arrays along.  Once every
+    live cycle sits above the state n_flat from which the up-step
+    probability is constant, a pass takes d jumps at once, with d small
+    enough that no cycle can return, escape or leave that run before its
+    last jump.  No cycle retires in between, so the (d, live) draws are
+    exactly the ones d single passes would make, in the same order.
     """
     p_up = _up_probabilities(spec, horizon)
+    n_flat = _flat_start(p_up, horizon)
+    p_flat = p_up[-1]
     state = np.ones(n_cycles, dtype=np.int64)
     peak = np.ones(n_cycles, dtype=np.int64)
     out = np.empty(n_cycles, dtype=np.int64)
     slot = np.arange(n_cycles)
     escaped = 0
     while state.size:
-        up = rng.random(state.size) < p_up[state - 1]
-        np.add(state, np.where(up, 1, -1), out=state)
-        np.maximum(peak, state, out=peak)
-        done = state == 0
-        gone = state >= horizon
-        if done.any():
-            out[slot[done]] = peak[done]
-        if gone.any():
-            escaped += int(gone.sum())
-            out[slot[gone]] = -1
-        live = ~(done | gone)
-        if not live.all():
-            state, peak, slot = state[live], peak[live], slot[live]
+        live = state.size
+        jumps = 1
+        if n_flat is not None and live <= _BLOCK_CELLS // 2:
+            low = int(state.min())
+            if low > n_flat:
+                jumps = min(low - n_flat + 1, horizon - int(state.max()), _BLOCK_CELLS // live)
+        if jumps > 1:
+            path = np.where(rng.random((jumps, live)) < p_flat, 1, -1).cumsum(axis=0)
+            np.maximum(peak, state + path.max(axis=0), out=peak)
+            state += path[-1]
+        else:
+            up = rng.random(live) < p_up[state - 1]
+            np.add(state, np.where(up, 1, -1), out=state)
+            np.maximum(peak, state, out=peak)
+        gone, (state, peak, slot) = _retire(state, peak, slot, out, horizon)
+        escaped += gone
     return out[out > 0], escaped
 
 
@@ -213,21 +250,26 @@ def sample_maxima(
     if mode != "jump":
         raise ValueError(f"unknown mode {mode!r}")
 
-    def one(rep: int) -> int:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep]))
-        maxima, escaped = _simulate_batch(spec, k, rng, cfg.escape_horizon)
+    # Row r holds cycles r*k .. r*k + k - 1 of one stream.  A batch holds
+    # whole rows, or part of one row when k exceeds _JUMP_CHUNK.
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    total = reps * k
+    batch = (_JUMP_CHUNK // k) * k if k <= _JUMP_CHUNK else _JUMP_CHUNK
+    best = np.zeros(reps, dtype=np.int64)
+    for start in range(0, total, batch):
+        n = min(batch, total - start)
+        maxima, escaped = _simulate_batch(spec, n, rng, cfg.escape_horizon)
         if escaped:
             raise EscapedCycleError(
-                f"replication {rep}: {escaped} of {k} cycles escaped; "
+                f"{escaped} of {n} cycles escaped at horizon {cfg.escape_horizon}; "
                 "sample maxima need a recurrent chain"
             )
-        return int(maxima.max())
-
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.fromiter(pool.map(one, range(reps)), dtype=np.int64, count=reps)
-    return np.fromiter((one(r) for r in range(reps)), dtype=np.int64, count=reps)
+        first = start // k
+        cuts = np.arange(first, (start + n - 1) // k + 1) * k - start
+        cuts[0] = 0
+        rows = best[first : first + cuts.size]
+        np.maximum(rows, np.maximum.reduceat(maxima, cuts), out=rows)
+    return best
 
 
 @dataclass(frozen=True)
@@ -248,7 +290,6 @@ def verify_as_convergence(
 ) -> list[ConvergenceRow]:
     """Summaries of Y^(k)/b_k per k; the band should tighten around 1."""
     cfg = cfg if cfg is not None else SimConfig()
-    cls = classify(spec)
     rows = []
     for i, k in enumerate(int(k) for k in k_grid):
         if spec.cap is not None:
@@ -263,7 +304,6 @@ def verify_as_convergence(
             seed=cfg.seed + i,
             cycles=cfg.cycles,
             escape_horizon=cfg.escape_horizon,
-            replications=cfg.replications,
         )
         ratios = sample_maxima(spec, k, reps, sub, mode="inversion") / b_k
         rows.append(
@@ -276,7 +316,6 @@ def verify_as_convergence(
                 q95=float(np.quantile(ratios, 0.95)),
             )
         )
-    _ = cls
     return rows
 
 

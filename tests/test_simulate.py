@@ -1,15 +1,16 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
+import cyclemax.simulate as simulate_module
 from cyclemax import (
     CycleMaxDistribution,
     SimConfig,
     empirical_cdf,
     ks_two_sample,
     mm1,
+    mminf,
     mms,
     sample_maxima,
     simulate_cycle,
@@ -17,6 +18,7 @@ from cyclemax import (
     verify_as_convergence,
 )
 from cyclemax.errors import EscapedCycleError, NotApplicableError
+from cyclemax.simulate import _simulate_batch, _up_probabilities
 
 
 def test_config_validation():
@@ -113,13 +115,100 @@ def test_jump_mode_refuses_escaping_chains():
         sample_maxima(mm1(2.0, 1.0), 20, 10, SimConfig(seed=1), mode="jump")
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_jump_mode_is_reproducible():
     spec = mm1(0.5, 1.0)
-    monkeypatch.setenv("CYCLEMAX_THREADS", "1")
     one = sample_maxima(spec, 25, 60, SimConfig(seed=8), mode="jump")
-    monkeypatch.setenv("CYCLEMAX_THREADS", "4")
-    four = sample_maxima(spec, 25, 60, SimConfig(seed=8), mode="jump")
-    assert np.array_equal(one, four)
+    again = sample_maxima(spec, 25, 60, SimConfig(seed=8), mode="jump")
+    assert np.array_equal(one, again)
+    other = sample_maxima(spec, 25, 60, SimConfig(seed=9), mode="jump")
+    assert not np.array_equal(one, other)
+
+
+@pytest.mark.parametrize("chunk", [24, 100])
+def test_jump_mode_in_small_batches_agrees_with_inversion(monkeypatch, chunk):
+    # k = 40 > 24 splits rows across batches; 100 holds two whole rows
+    monkeypatch.setattr(simulate_module, "_JUMP_CHUNK", chunk)
+    spec = mm1(0.6, 1.0)
+    inv = sample_maxima(spec, 40, 400, SimConfig(seed=17), mode="inversion")
+    jump = sample_maxima(spec, 40, 400, SimConfig(seed=18), mode="jump")
+    crit = 1.628 * math.sqrt(2.0 / 400.0)
+    assert ks_two_sample(inv.astype(float), jump.astype(float)) < crit
+
+
+def test_jump_mode_raises_on_escape_in_a_later_batch(monkeypatch):
+    batches = []
+
+    def counted(*args):
+        result = _simulate_batch(*args)
+        batches.append(result[1])
+        return result
+
+    monkeypatch.setattr(simulate_module, "_JUMP_CHUNK", 16)
+    monkeypatch.setattr(simulate_module, "_simulate_batch", counted)
+    # about one cycle in 1023 reaches the horizon 10 at rho = 0.5
+    with pytest.raises(EscapedCycleError):
+        sample_maxima(mm1(0.5, 1.0), 8, 500, SimConfig(seed=1, escape_horizon=10), mode="jump")
+    assert len(batches) > 1 and batches[0] == 0 and batches[-1] > 0
+
+
+def _one_jump_per_pass(spec, cycles, seed, horizon):
+    """Reference driver: every live cycle takes exactly one jump per pass."""
+    p_up = _up_probabilities(spec, horizon)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    state = np.ones(cycles, dtype=np.int64)
+    peak = state.copy()
+    out = np.empty(cycles, dtype=np.int64)
+    slot = np.arange(cycles)
+    escaped = 0
+    while state.size:
+        state = state + np.where(rng.random(state.size) < p_up[state - 1], 1, -1)
+        peak = np.maximum(peak, state)
+        done, gone = state == 0, state >= horizon
+        out[slot[done]] = peak[done]
+        out[slot[gone]] = -1
+        escaped += int(gone.sum())
+        live = ~(done | gone)
+        state, peak, slot = state[live], peak[live], slot[live]
+    return out[out > 0], escaped
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, escapes",
+    [
+        (mm1(0.95, 1.0), 1_000, False),
+        (mm1(1.0, 1.0), 200, True),
+        (mm1(1.5, 1.0), 600, True),
+        (mms(3, 2.0, 1.0), 1_000, False),
+        (mminf(2.0, 1.0), 1_000, False),
+        (mm1(0.9, 1.0, cap=5), 1_000, False),
+    ],
+    ids=["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped"],
+)
+def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
+    cfg = SimConfig(seed=31, cycles=1_000, escape_horizon=horizon)
+    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, horizon)
+    sample = simulate_cycles(spec, cfg)
+    assert np.array_equal(sample.maxima, maxima)
+    assert sample.escaped == escaped
+    assert (escaped > 0) == escapes
+
+
+def test_multi_jump_passes_run_on_a_constant_up_probability():
+    class Recording:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(np.random.SeedSequence([seed]))
+            self.blocks = 0
+
+        def random(self, size):
+            self.blocks += isinstance(size, tuple)
+            return self.rng.random(size)
+
+    spec = mm1(1.0, 1.0)
+    rng = Recording(31)
+    got = _simulate_batch(spec, 1_000, rng, 200)
+    want = _one_jump_per_pass(spec, 1_000, 31, 200)
+    assert rng.blocks > 0
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_convergence_table_centres_on_one():
