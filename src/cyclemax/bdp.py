@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,6 @@ __all__ = [
     "classify",
     "stationary_distribution",
     "palm_distribution",
-    "birth_rate",
-    "death_rate",
     "mm1",
     "mms",
     "mminf",
@@ -137,10 +136,23 @@ class WeightSequence:
     ``tail_ratio`` is the exact limit of w(n+1)/w(n) when the representation
     pins it down (0.0 and inf are legal limits); ``tail_bounds`` gives
     (liminf, limsup) when only bounds are known.  Either may be None.
+
+    Sequences are immutable: a spec caches its classification, which must
+    not go stale.
     """
 
     tail_ratio: float | None = None
     tail_bounds: tuple[float, float] | None = None
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def log_value(self, n):
         raise NotImplementedError
@@ -211,14 +223,17 @@ class MultiServerSequence(WeightSequence):
     def __init__(self, s: int):
         if not (isinstance(s, (int, np.integer)) and s >= 1):
             raise SpecFormatError(f"server count must be a positive integer, got {s!r}")
-        self.s = int(s)
-        self.tail_ratio = 1.0 / self.s
+        self._set(s=int(s), tail_ratio=1.0 / int(s))
 
     def log_value(self, n):
         n = np.asarray(n)
         head = -log_factorial(np.minimum(n, self.s))  # only read where n <= s
         tail = (self.s - n.astype(float)) * math.log(self.s) - log_factorial(self.s)
         return np.where(n <= self.s, head, tail)
+
+    def log_ratio(self, n):
+        """-log min(n + 1, s): exactly -log s from n = s - 1 on."""
+        return -np.log(np.minimum(np.asarray(n) + 1, self.s).astype(float))
 
     def to_json(self):
         return {"kind": "preset", "name": "mms", "s": self.s}
@@ -247,33 +262,32 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("table needs at least one value")
         if any(not math.isfinite(v) or v <= 0.0 for v in vals):
             raise SpecFormatError("table values must be finite and positive")
-        if not (math.isfinite(tail_ratio) and tail_ratio > 0.0):
-            raise SpecFormatError("tail_ratio must be finite and positive")
-        if poly_degree != 0 and len(vals) < 2:
-            raise SpecFormatError("polynomial tail needs a table of length >= 2")
-        self.values = vals
-        self.tail_ratio = float(tail_ratio)
-        self.poly_degree = int(poly_degree)
-        self._log_values = np.log(np.asarray(vals))
+        self._fill(vals, np.log(np.asarray(vals)), tail_ratio, poly_degree)
 
     @classmethod
     def from_log(cls, log_values, tail_ratio: float, poly_degree: int = 0) -> "TableSequence":
         """Build from log-scale values; sidesteps linear underflow for long tables."""
-        logs = np.asarray(log_values, dtype=float)
+        logs = np.array(log_values, dtype=float)  # a private copy, made read-only in _fill
         if logs.ndim != 1 or logs.size == 0:
             raise SpecFormatError("table needs at least one value")
         if not np.all(np.isfinite(logs)):
             raise SpecFormatError("log table values must be finite")
+        seq = cls.__new__(cls)
+        seq._fill(tuple(float(v) for v in np.exp(logs)), logs, tail_ratio, poly_degree)
+        return seq
+
+    def _fill(self, values: tuple, logs: np.ndarray, tail_ratio: float, poly_degree: int):
         if not (math.isfinite(tail_ratio) and tail_ratio > 0.0):
             raise SpecFormatError("tail_ratio must be finite and positive")
-        if poly_degree != 0 and logs.size < 2:
+        if poly_degree != 0 and len(values) < 2:
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
-        seq = cls.__new__(cls)
-        seq.values = tuple(float(v) for v in np.exp(logs))
-        seq.tail_ratio = float(tail_ratio)
-        seq.poly_degree = int(poly_degree)
-        seq._log_values = logs
-        return seq
+        logs.flags.writeable = False
+        self._set(
+            values=values,
+            tail_ratio=float(tail_ratio),
+            poly_degree=int(poly_degree),
+            _log_values=logs,
+        )
 
     def log_value(self, n):
         scalar = np.ndim(n) == 0
@@ -323,9 +337,7 @@ class CallableSequence(WeightSequence):
     """
 
     def __init__(self, log_fn, tail_ratio=None, tail_bounds=None):
-        self._log_fn = log_fn
-        self.tail_ratio = tail_ratio
-        self.tail_bounds = tail_bounds
+        self._set(_log_fn=log_fn, tail_ratio=tail_ratio, tail_bounds=tail_bounds)
 
     def log_value(self, n):
         out = np.asarray(self._log_fn(np.asarray(n)), dtype=float)
@@ -338,11 +350,10 @@ class ReciprocalSequence(WeightSequence):
     """w(n) = 1 / base(n); used to build dual chains."""
 
     def __init__(self, base: WeightSequence):
-        self.base = base
-        self.tail_ratio = _invert_limit(base.tail_ratio)
+        self._set(base=base, tail_ratio=_invert_limit(base.tail_ratio))
         if base.tail_bounds is not None:
             lo, hi = base.tail_bounds
-            self.tail_bounds = (_invert_limit(hi), _invert_limit(lo))
+            self._set(tail_bounds=(_invert_limit(hi), _invert_limit(lo)))
 
     def log_value(self, n):
         return -self.base.log_value(n)
@@ -376,7 +387,10 @@ def _invert_limit(r):
 
 @dataclass(frozen=True)
 class BirthDeathSpec:
-    """Immutable description of a birth-death chain."""
+    """Immutable description of a birth-death chain.
+
+    Its classification is computed on first use and kept on the object.
+    """
 
     psi: WeightSequence
     phi: WeightSequence
@@ -395,6 +409,10 @@ class BirthDeathSpec:
     @property
     def rho(self) -> float:
         return self.lam / self.mu
+
+    @cached_property
+    def _classification(self) -> "Classification":
+        return _classify(self)
 
     # log psi(n) rho^n, scaled so the n = 0 term is exactly 1.  Hitting
     # probabilities from state 1 depend on the weights only through
@@ -437,14 +455,6 @@ class BirthDeathSpec:
             cap=self.cap,
             label=f"dual({self.label})" if self.label else "dual",
         )
-
-
-def birth_rate(spec: BirthDeathSpec, n: int) -> float:
-    return spec.birth_rate(n)
-
-
-def death_rate(spec: BirthDeathSpec, n: int) -> float:
-    return spec.death_rate(n)
 
 
 def mm1(lam: float, mu: float, cap: int | None = None, label: str | None = None) -> BirthDeathSpec:
@@ -528,11 +538,17 @@ class Classification:
         return 1.0 / self.b_star_inv
 
 
-def _tail_geometry(seq: WeightSequence, trunc: int):
+# the series are summed over 0.._TRUNC and their tails probed on the window
+# [_TRUNC/2, _TRUNC]; term ratios within _TOL of 1 are left to the probes
+_TRUNC = 10_000
+_TOL = 1e-9
+
+
+def _tail_geometry(seq: WeightSequence):
     """(liminf, limsup, limit-or-None) of w(n+1)/w(n).
 
     Declared tail behaviour (presets, tables) is used directly; otherwise the
-    window [trunc/2, trunc] supplies empirical bounds.
+    window [_TRUNC/2, _TRUNC] supplies empirical bounds.
     """
     if seq.tail_ratio is not None:
         r = float(seq.tail_ratio)
@@ -540,7 +556,7 @@ def _tail_geometry(seq: WeightSequence, trunc: int):
     if seq.tail_bounds is not None:
         lo, hi = (float(b) for b in seq.tail_bounds)
         return lo, hi, (lo if lo == hi else None)
-    win = np.arange(max(1, trunc // 2), trunc)
+    win = np.arange(_TRUNC // 2, _TRUNC)
     with np.errstate(over="ignore"):
         # an overflowing ratio is a valid (divergent) bound, not an error
         ratios = np.exp(seq.log_ratio(win))
@@ -562,25 +578,25 @@ _P_MARGIN = 1e-2
 _FIT_RESID_TOL = 1e-3
 
 
-def _judge_series(log_term_fn, q_lo: float, q_hi: float, trunc: int, tol: float) -> _SeriesJudgement:
+def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
     Ratio test first; near the boundary a power-law probe of the terms over
-    the window [trunc/2, trunc] decides; as a last resort, non-decreasing
-    terms with partial sums past 1/tol are called divergent.
+    the window [_TRUNC/2, _TRUNC] decides; as a last resort, non-decreasing
+    terms with partial sums past 1/_TOL are called divergent.
     """
-    idx = np.arange(trunc + 1)
+    idx = np.arange(_TRUNC + 1)
     log_t = np.asarray(log_term_fn(idx), dtype=float)
     log_partial = logsumexp(log_t)
 
-    if q_hi < 1.0 - tol:
+    if q_hi < 1.0 - _TOL:
         log_tail = log_t[-1] + math.log(q_hi) - math.log1p(-q_hi) if q_hi > 0.0 else -math.inf
         log_total = np.logaddexp(log_partial, log_tail)
         return _SeriesJudgement(float(np.exp(log_total)), float(log_total), True, True)
-    if q_lo > 1.0 + tol:
+    if q_lo > 1.0 + _TOL:
         return _SeriesJudgement(math.inf, math.inf, False, False)
 
-    win = idx[max(1, trunc // 2):]
+    win = idx[_TRUNC // 2:]
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
         if p < -1.0 - _P_MARGIN:
@@ -588,24 +604,28 @@ def _judge_series(log_term_fn, q_lo: float, q_hi: float, trunc: int, tol: float)
         if p > -1.0 + _P_MARGIN:
             return _SeriesJudgement(math.inf, math.inf, False, False)
 
-    if log_partial > -math.log(tol) and np.all(np.diff(log_t[win]) >= -1e-12):
+    if log_partial > -math.log(_TOL) and np.all(np.diff(log_t[win]) >= -1e-12):
         return _SeriesJudgement(math.inf, math.inf, False, False)
     return _SeriesJudgement(float(np.exp(log_partial)), float(log_partial), None, False)
 
 
-def classify(spec: BirthDeathSpec, trunc: int = 10_000, tol: float = 1e-9) -> Classification:
-    """Recurrence classification via the three governing series."""
-    if trunc < 10:
-        raise ValueError("trunc must be at least 10")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
+def classify(spec: BirthDeathSpec) -> Classification:
+    """Recurrence classification via the three governing series.
 
+    Computed on the first call for a spec object and cached on it; a call
+    that raises caches nothing.
+    """
+    return spec._classification
+
+
+def _classify(spec: BirthDeathSpec) -> Classification:
+    """The series tests behind ``classify``; run once per spec object."""
     if spec.cap is not None:
         return _classify_finite(spec)
 
     log_rho = math.log(spec.rho)
-    b_lo, b_hi, beta = _tail_geometry(spec.psi, trunc)
-    p_lo, p_hi, _ = _tail_geometry(spec.phi, trunc)
+    b_lo, b_hi, beta = _tail_geometry(spec.psi)
+    p_lo, p_hi, _ = _tail_geometry(spec.phi)
 
     def phi_terms(idx):
         return spec.phi.log_value(idx) + idx * log_rho
@@ -617,14 +637,12 @@ def classify(spec: BirthDeathSpec, trunc: int = 10_000, tol: float = 1e-9) -> Cl
         return -psi_terms(idx)
 
     rho = spec.rho
-    s_phi = _judge_series(phi_terms, p_lo * rho, p_hi * rho, trunc, tol)
-    s_psi = _judge_series(psi_terms, b_lo * rho, b_hi * rho, trunc, tol)
+    s_phi = _judge_series(phi_terms, p_lo * rho, p_hi * rho)
+    s_psi = _judge_series(psi_terms, b_lo * rho, b_hi * rho)
     s_star = _judge_series(
         star_terms,
         _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
         _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
-        trunc,
-        tol,
     )
 
     if s_phi.convergent is True:
@@ -636,7 +654,7 @@ def classify(spec: BirthDeathSpec, trunc: int = 10_000, tol: float = 1e-9) -> Cl
     else:
         verdict = Verdict.UNDETERMINED
 
-    regularity_ok = _regularity(spec, trunc, tol)
+    regularity_ok = _regularity(spec)
 
     flags = frozenset(
         name
@@ -687,7 +705,7 @@ def _classify_finite(spec: BirthDeathSpec) -> Classification:
     )
 
 
-def _regularity(spec: BirthDeathSpec, trunc: int, tol: float) -> bool:
+def _regularity(spec: BirthDeathSpec) -> bool:
     """Heuristic divergence check of sum phi(n)/(psi(n) + psi(n-1)).
 
     Divergence rules out explosion; treated as diagnostic only, so the series
@@ -699,7 +717,7 @@ def _regularity(spec: BirthDeathSpec, trunc: int, tol: float) -> bool:
         denom = np.logaddexp(spec.psi.log_value(idx), spec.psi.log_value(idx - 1))
         return spec.phi.log_value(idx) - denom
 
-    win = np.arange(max(1, trunc // 2), trunc)
+    win = np.arange(_TRUNC // 2, _TRUNC)
     lt = np.asarray(u_terms(win), dtype=float)
     ratios = np.exp(np.diff(lt))
     q_lo = float(np.min(ratios))
@@ -712,7 +730,7 @@ def _regularity(spec: BirthDeathSpec, trunc: int, tol: float) -> bool:
         q_hi = max(q_hi, 1.0)
     elif drift < -1e-12:
         q_lo = min(q_lo, 1.0)
-    judgement = _judge_series(u_terms, q_lo, q_hi, trunc, tol)
+    judgement = _judge_series(u_terms, q_lo, q_hi)
     return judgement.convergent is not True
 
 
@@ -720,13 +738,9 @@ def _regularity(spec: BirthDeathSpec, trunc: int, tol: float) -> bool:
 # stationary laws
 
 
-def stationary_distribution(
-    spec: BirthDeathSpec,
-    n_max: int,
-    classification: Classification | None = None,
-) -> np.ndarray:
+def stationary_distribution(spec: BirthDeathSpec, n_max: int) -> np.ndarray:
     """P(X = n) for n = 0..n_max under the phi-weighted stationary law."""
-    cls = classification if classification is not None else classify(spec)
+    cls = classify(spec)
     if cls.verdict is not Verdict.POSITIVE_RECURRENT:
         raise NotPositiveRecurrentError(f"verdict is {cls.verdict.value}")
     hi = n_max if spec.cap is None else min(n_max, spec.cap)
@@ -737,13 +751,9 @@ def stationary_distribution(
     return pi
 
 
-def palm_distribution(
-    spec: BirthDeathSpec,
-    n_max: int,
-    classification: Classification | None = None,
-) -> np.ndarray:
+def palm_distribution(spec: BirthDeathSpec, n_max: int) -> np.ndarray:
     """The psi-weighted companion law, defined when sum(psi(n) rho^n) is finite."""
-    cls = classification if classification is not None else classify(spec)
+    cls = classify(spec)
     if cls.b_psi_convergent is not True:
         raise PalmUndefinedError("sum(psi(n) rho^n) does not converge")
     hi = n_max if spec.cap is None else min(n_max, spec.cap)
@@ -822,17 +832,21 @@ def spec_to_dict(spec: BirthDeathSpec) -> dict:
     }
 
 
-def _reject_constant(s: str):
-    raise SpecFormatError(f"non-finite number {s!r} not permitted in spec files")
+def _load_json(path, what: str):
+    """Parse a JSON file; non-finite constants and syntax errors raise SpecFormatError."""
+
+    def reject_constant(s: str):
+        raise SpecFormatError(f"non-finite number {s!r} not permitted in {what} files")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=reject_constant)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"{path}: {exc}") from None
 
 
 def load_spec(path) -> BirthDeathSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: {exc}") from None
-    return spec_from_dict(d)
+    return spec_from_dict(_load_json(path, "spec"))
 
 
 def save_spec(spec: BirthDeathSpec, path) -> None:

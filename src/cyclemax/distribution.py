@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, Classification, classify, mm1
+from .bdp import _TOL, BirthDeathSpec, classify, mm1
 from .errors import FitFailedError, NotApplicableError, NotStableError, NotTransientError
 
 __all__ = [
@@ -43,21 +43,14 @@ class CycleMaxDistribution:
     readers never index past a partially extended pair.
     """
 
-    def __init__(self, spec: BirthDeathSpec, classification: Classification | None = None):
+    def __init__(self, spec: BirthDeathSpec):
         self.spec = spec
-        self._cls = classification
         self._lock = threading.Lock()
         self._log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
         self._log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
         self._log_p_finite: float | None = None
         self._log_s_inf: float | None = None
         self._ensure(min(64, spec.cap) if spec.cap is not None else 64)
-
-    @property
-    def classification(self) -> Classification:
-        if self._cls is None:
-            self._cls = classify(self.spec)
-        return self._cls
 
     def _ensure(self, n: int) -> None:
         """Grow tables to cover index n (clipped to the cap)."""
@@ -132,8 +125,7 @@ class CycleMaxDistribution:
     @property
     def log_p_finite(self) -> float:
         if self._log_p_finite is None:
-            cls = self.classification
-            if cls.b_star_convergent is not True or self.spec.cap is not None:
+            if classify(self.spec).b_star_convergent is not True or self.spec.cap is not None:
                 self._log_p_finite = 0.0
             else:
                 self._log_p_finite = float(np.log(-np.expm1(-self.log_s_limit())))
@@ -193,7 +185,7 @@ class CycleMaxDistribution:
         Summed afresh as positive terms, so large n costs no cancellation.
         Needs the reciprocal-weight series to converge at a geometric rate.
         """
-        cls = self.classification
+        cls = classify(self.spec)
         if cls.b_star_convergent is not True:
             raise NotTransientError("reciprocal-weight series diverges")
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
@@ -300,26 +292,24 @@ def _aitken(x1: float, x2: float, x3: float) -> tuple[float, float]:
     return extr, abs(extr - x3)
 
 
-def tail_asymptotics(
-    spec: BirthDeathSpec,
-    n_probe: int = 400,
-    classification: Classification | None = None,
-    tol: float = 1e-9,
-) -> TailAsymptotics:
-    """Identify the tail regime of P(Y > n) and its normalising constant."""
+def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotics:
+    """Identify the tail regime of P(Y > n) and its normalising constant.
+
+    beta rho within bdp's ratio-test tolerance of 1 counts as critical.
+    """
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
     if spec.cap is not None:
         raise NotApplicableError("finite chains have no tail regime")
-    cls = classification if classification is not None else classify(spec)
-    dist = CycleMaxDistribution(spec, cls)
+    cls = classify(spec)
+    dist = CycleMaxDistribution(spec)
     rho = spec.rho
     h = max(n_probe // 4, 2)
     probes = (n_probe - 2 * h, n_probe - h, n_probe)
 
     if cls.beta is None:
         q_lo, q_hi = cls.beta_lower * rho, cls.beta_upper * rho
-        if q_hi < 1.0 - tol:
+        if q_hi < 1.0 - _TOL:
             vals = [_t_ratio(dist, n) for n in probes]
             extr, resid = _aitken(*vals)
             return TailAsymptotics(
@@ -336,7 +326,7 @@ def tail_asymptotics(
         raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
 
     q = cls.beta * rho
-    if q < 1.0 - tol:
+    if q < 1.0 - _TOL:
         vals = [_t_ratio(dist, n) for n in probes]
         extr, resid = _aitken(*vals)
         return TailAsymptotics(
@@ -351,7 +341,7 @@ def tail_asymptotics(
             empirical_residual=resid,
         )
 
-    if q > 1.0 + tol:
+    if q > 1.0 + _TOL:
         b_star = 1.0 - dist.p_finite
         vals = [_escape_ratio(dist, n) for n in probes]
         extr, resid = _aitken(*vals)

@@ -15,13 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bdp import (
-    BirthDeathSpec,
-    Classification,
-    FactorialInverseSequence,
-    TableSequence,
-    classify,
-)
+from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, classify
 from .distribution import CycleMaxDistribution
 from .errors import (
     KindMismatchError,
@@ -169,19 +163,10 @@ class GumbelBounds:
     y_upper: float
 
 
-def gumbel_bounds(
-    spec: BirthDeathSpec,
-    x: float,
-    k: int,
-    n_max: int = 400,
-    classification: Classification | None = None,
-    tail: TailFunction | None = None,
-) -> GumbelBounds:
+def gumbel_bounds(spec: BirthDeathSpec, x: float, k: int) -> GumbelBounds:
     """Envelope thresholds and values for P(Y^(k) <= y) at Gumbel coordinate x."""
-    cls = classification if classification is not None else classify(spec)
-    if not cls.beta_upper * spec.rho < 1.0:
-        raise NotSubcriticalError("needs beta_upper * rho < 1")
-    f = tail if tail is not None else build_tail_function(spec, n_max)
+    cls = classify(spec)
+    f = build_tail_function(spec)  # raises NotSubcriticalError unless beta_upper * rho < 1
     q_lo = cls.beta_lower * spec.rho
     q_hi = cls.beta_upper * spec.rho
     ex = math.exp(-x)
@@ -362,16 +347,14 @@ def norming_constants(
     return NormingConstants(kind=kind, k=tuple(ks), a=tuple(a), b=tuple(b))
 
 
-def default_norming_kind(
-    spec: BirthDeathSpec, classification: Classification | None = None
-) -> NormingKind:
+def default_norming_kind(spec: BirthDeathSpec) -> NormingKind:
     """Pick the norming recipe the spec's tail geometry supports.
 
     Polynomially corrected geometric tables invert through Lambert W, clean
     geometric tails take the closed form, factorial tails the Stirling
     inversion; anything else falls back to the interpolated numeric fit.
     """
-    cls = classification if classification is not None else classify(spec)
+    cls = classify(spec)
     psi = spec.psi
     if isinstance(psi, TableSequence) and psi.poly_degree >= 1:
         if 0.0 < psi.tail_ratio * spec.rho < 1.0:
@@ -465,10 +448,7 @@ def _step_integrals(surv: np.ndarray, x: float, delta: float, tail_q: float) -> 
 
 
 def compactness_diagnostic(
-    spec: BirthDeathSpec,
-    delta: float = 2.0,
-    x_grid=None,
-    n_max: int | None = None,
+    spec: BirthDeathSpec, delta: float = 2.0, x_grid=None
 ) -> CompactnessReport:
     """Evaluate the compactness conditions on a grid of tail positions."""
     if not delta > 1.0:
@@ -478,9 +458,9 @@ def compactness_diagnostic(
     grid = tuple(float(x) for x in x_grid)
     cls = classify(spec)
     rho = spec.rho
-    dist = CycleMaxDistribution(spec, cls)
+    dist = CycleMaxDistribution(spec)
     top = int(max(grid))
-    m_hi = n_max if n_max is not None else top + 600
+    m_hi = top + 600
 
     if cls.beta == 0.0:
         # factorial tail: hazard ratio diverges, law is not compact
@@ -545,7 +525,7 @@ def compactness_diagnostic(
 def _conditional_log_survival(dist: CycleMaxDistribution, m_hi: int) -> np.ndarray:
     """log P(Y > m | Y < inf) for m = 0..m_hi, via exact tail margins."""
     spec = dist.spec
-    cls = dist.classification
+    cls = classify(spec)
     q = 1.0 / (cls.beta_lower * spec.rho)
     span = max(int(60.0 / -math.log(q)), 8)
     lt = -np.asarray(spec.log_psi_rho(np.arange(m_hi + 1 + span)), dtype=float)

@@ -24,6 +24,8 @@ from .bdp import (
     MultiServerSequence,
     OnesSequence,
     TableSequence,
+    _load_json,
+    _require_number,
     logsumexp,
 )
 from .errors import (
@@ -422,13 +424,6 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
 # file format
 
 
-def _require_number(d: dict, key: str, where: str) -> float:
-    v = d.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecFormatError(f"{where}: {key!r} must be a number")
-    return float(v)
-
-
 def network_from_dict(d: dict) -> NetworkSpec:
     if not isinstance(d, dict):
         raise SpecFormatError("network must be a JSON object")
@@ -474,17 +469,8 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
-def _reject_constant(s: str):
-    raise SpecFormatError(f"non-finite number {s!r} not permitted in network files")
-
-
 def load_network(path) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: {exc}") from None
-    return network_from_dict(d)
+    return network_from_dict(_load_json(path, "network"))
 
 
 def save_network(net: NetworkSpec, path) -> None:

@@ -90,8 +90,8 @@ def _up_probabilities(spec: BirthDeathSpec, horizon: int) -> np.ndarray:
     the psi ratio and the intensity ratio enter.
     """
     n = np.arange(1, horizon)
-    log_psi = np.asarray(spec.psi.log_value(np.arange(horizon)), dtype=float)
-    logit = math.log(spec.lam) - math.log(spec.mu) + (log_psi[1:] - log_psi[:-1])
+    log_psi_ratio = np.asarray(spec.psi.log_ratio(n - 1), dtype=float)  # log psi(n)/psi(n-1)
+    logit = math.log(spec.lam) - math.log(spec.mu) + log_psi_ratio
     p = 1.0 / (1.0 + np.exp(-logit))
     if spec.cap is not None:
         p[n >= spec.cap] = 0.0

@@ -4,26 +4,34 @@ import math
 import numpy as np
 import pytest
 
+import cyclemax.bdp as bdp_module
 from cyclemax import (
     BirthDeathSpec,
     CallableSequence,
+    CycleMaxDistribution,
     FactorialInverseSequence,
     MultiServerSequence,
+    NormingKind,
     OnesSequence,
     TableSequence,
     Verdict,
     classify,
+    compactness_diagnostic,
+    default_norming_kind,
     dual_process,
     duality_check,
+    gumbel_bounds,
     load_spec,
     mm1,
     mminf,
     mms,
+    norming_constants,
     palm_distribution,
     save_spec,
     spec_from_dict,
     spec_to_dict,
     stationary_distribution,
+    tail_asymptotics,
 )
 from cyclemax.bdp import log_factorial
 from cyclemax.errors import SpecFormatError
@@ -123,6 +131,83 @@ def test_nan_weights_raise_spec_format_error():
         nan_seq.log_value(np.arange(4))
     with pytest.raises(SpecFormatError):
         classify(BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0))
+
+
+def test_failed_classification_is_not_cached():
+    nan_seq = CallableSequence(lambda n: np.full(np.shape(n), np.nan))
+    spec = BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0)
+    for _ in range(2):
+        with pytest.raises(SpecFormatError, match="NaN"):
+            classify(spec)
+
+
+def test_series_tests_run_once_per_spec(monkeypatch):
+    calls = []
+    series_tests = bdp_module._classify
+
+    def counted(spec):
+        calls.append(spec)
+        return series_tests(spec)
+
+    monkeypatch.setattr(bdp_module, "_classify", counted)
+    spec = mm1(0.5, 1.0)
+    cls = classify(spec)
+    dist = CycleMaxDistribution(spec)
+    dist.cdf(np.arange(1, 30))
+    dist.p_finite
+    tail_asymptotics(spec)
+    assert default_norming_kind(spec) is NormingKind.GEOMETRIC
+    norming_constants(spec, NormingKind.NUMERIC, [10, 1000])
+    compactness_diagnostic(spec)
+    for x in (-1.0, 0.0, 1.0, 2.0):
+        gumbel_bounds(spec, x, 1000)
+    stationary_distribution(spec, 20)
+    assert classify(spec) is cls
+    assert calls == [spec]
+    # an equal but distinct spec object runs the tests again
+    assert classify(mm1(0.5, 1.0)) == cls
+    assert len(calls) == 2
+
+
+def test_weight_sequences_are_immutable():
+    sequences = [
+        OnesSequence(),
+        FactorialInverseSequence(),
+        MultiServerSequence(3),
+        TableSequence((1.0, 0.5), tail_ratio=0.5),
+        TableSequence.from_log([0.0, -1.0], tail_ratio=0.5, poly_degree=1),
+        CallableSequence(lambda n: -np.asarray(n, dtype=float), tail_ratio=math.exp(-1.0)),
+        MultiServerSequence(2).reciprocal(),
+    ]
+    for seq in sequences:
+        with pytest.raises(AttributeError):
+            seq.tail_ratio = 0.25
+        with pytest.raises(AttributeError):
+            seq.extra = 1
+        with pytest.raises(AttributeError):
+            del seq.tail_ratio
+    table = sequences[3]
+    with pytest.raises(AttributeError):
+        table.values = (1.0, 0.9)
+    assert table.values == (1.0, 0.5) and table.tail_ratio == 0.5
+    # the log table is a read-only copy, so the caller's array can change freely
+    logs = np.array([0.0, -1.0, -2.0])
+    from_log = TableSequence.from_log(logs, tail_ratio=0.5)
+    logs[1] = 5.0
+    assert from_log.log_value(1) == -1.0
+    for seq in (table, from_log):
+        with pytest.raises(ValueError):
+            seq._log_values[0] = 1.0
+
+
+def test_multi_server_log_ratio_is_exact_beyond_s():
+    for s in (1, 2, 3, 8):
+        seq = MultiServerSequence(s)
+        n = np.arange(0, 2000)
+        got = seq.log_ratio(n)
+        assert np.all(got[s - 1:] == -math.log(s))
+        assert np.array_equal(got[: s - 1], -np.log(np.arange(1, s)))
+        assert np.allclose(got, seq.log_value(n + 1) - seq.log_value(n), rtol=0.0, atol=1e-12)
 
 
 def test_equal_sequences_and_specs_hash_alike():

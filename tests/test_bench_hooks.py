@@ -1,0 +1,29 @@
+"""The benchmark tracer finds every public name it wraps.
+
+``perfbench/tracing.py`` looks up cyclemax functions and methods by name;
+installing and undoing it here fails fast when one is renamed or deleted.
+"""
+
+import pathlib
+import sys
+
+import cyclemax
+import cyclemax.bdp as bdp
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    classify = bdp.classify
+    log_value = bdp.OnesSequence.__dict__["log_value"]
+    restore = tracing.install(tracing.Tracer())
+    try:
+        assert bdp.classify is not classify and cyclemax.classify is not classify
+    finally:
+        restore()
+    assert bdp.classify is classify and cyclemax.classify is classify
+    assert bdp.OnesSequence.__dict__["log_value"] is log_value

@@ -21,7 +21,7 @@ from cyclemax import (
     partial_limit_envelope,
     stirling_tail,
 )
-from cyclemax.errors import NotApplicableError
+from cyclemax.errors import NotApplicableError, NotSubcriticalError
 
 
 def poly_geometric_spec():
@@ -99,6 +99,12 @@ def test_gumbel_bounds_at_origin():
     assert gb.upper == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert gb.y_upper == pytest.approx(12.3616, abs=1e-3)
     assert gb.lower < gb.upper
+
+
+def test_gumbel_bounds_need_a_subcritical_tail():
+    for spec in (mm1(1.0, 1.0), mm1(2.0, 1.0)):
+        with pytest.raises(NotSubcriticalError, match="not below 1"):
+            gumbel_bounds(spec, 0.0, 100)
 
 
 def test_partial_limit_envelope_closed_form():

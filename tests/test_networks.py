@@ -321,6 +321,21 @@ def test_network_dict_rejects_bad_entries():
         network_from_dict({"mu0": 0.3, "stations": [{"kind": "ss", "mu": float("nan")}], "routing": [[0.0, 1.0], [1.0, 0.0]]})
 
 
+def test_network_file_errors_are_spec_format_errors(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"mu0": NaN, "stations": [{"kind": "ss", "mu": 1.0}], "routing": [[0, 1], [1, 0]]}')
+    with pytest.raises(SpecFormatError, match="not permitted in network files"):
+        load_network(bad)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"mu0": 0.3,')
+    with pytest.raises(SpecFormatError):
+        load_network(broken)
+    with pytest.raises(SpecFormatError, match="missing field 'mu0'"):
+        network_from_dict({"stations": [{"kind": "ss", "mu": 1.0}], "routing": [[0.0, 1.0], [1.0, 0.0]]})
+    with pytest.raises(SpecFormatError, match="station 0: missing field 'mu'"):
+        network_from_dict({"mu0": 0.3, "stations": [{"kind": "ss"}], "routing": [[0.0, 1.0], [1.0, 0.0]]})
+
+
 def test_network_simulation_reproducible():
     a = simulate_network_cycles(twin(), SimConfig(seed=2, cycles=400))
     b = simulate_network_cycles(twin(), SimConfig(seed=2, cycles=400))

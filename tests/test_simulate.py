@@ -18,7 +18,7 @@ from cyclemax import (
     verify_as_convergence,
 )
 from cyclemax.errors import EscapedCycleError, NotApplicableError
-from cyclemax.simulate import _simulate_batch, _up_probabilities
+from cyclemax.simulate import _flat_start, _simulate_batch, _up_probabilities
 
 
 def test_config_validation():
@@ -203,12 +203,18 @@ def test_multi_jump_passes_run_on_a_constant_up_probability():
             self.blocks += isinstance(size, tuple)
             return self.rng.random(size)
 
-    spec = mm1(1.0, 1.0)
-    rng = Recording(31)
-    got = _simulate_batch(spec, 1_000, rng, 200)
-    want = _one_jump_per_pass(spec, 1_000, 31, 200)
-    assert rng.blocks > 0
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    for spec in (mm1(1.0, 1.0), mms(2, 2.0, 1.0)):
+        rng = Recording(31)
+        got = _simulate_batch(spec, 1_000, rng, 200)
+        want = _one_jump_per_pass(spec, 1_000, 31, 200)
+        assert rng.blocks > 0
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("s", [2, 3, 8])
+def test_multi_server_up_probability_is_flat_from_s(s):
+    p_up = _up_probabilities(mms(s, 0.8 * s, 1.0), 1_000)
+    assert _flat_start(p_up, 1_000) == s
 
 
 def test_convergence_table_centres_on_one():
