@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
+    NotApplicableError,
     NotPositiveRecurrentError,
     PalmUndefinedError,
     SpecFormatError,
@@ -590,6 +591,10 @@ def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     log_partial = logsumexp(log_t)
 
     if q_hi < 1.0 - _TOL:
+        if log_t[-1] >= log_t[-2]:
+            raise NotApplicableError(
+                f"series terms still rise at n = {_TRUNC}; the truncated sum is not the series"
+            )
         log_tail = log_t[-1] + math.log(q_hi) - math.log1p(-q_hi) if q_hi > 0.0 else -math.inf
         log_total = np.logaddexp(log_partial, log_tail)
         return _SeriesJudgement(float(np.exp(log_total)), float(log_total), True, True)

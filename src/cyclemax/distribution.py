@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bdp import _TOL, BirthDeathSpec, classify, mm1
+from .bdp import _FIT_RESID_TOL, _TOL, BirthDeathSpec, _power_fit, classify, mm1
 from .errors import FitFailedError, NotApplicableError, NotStableError, NotTransientError
 
 __all__ = [
@@ -360,16 +360,13 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
 
     # critical growth: psi(n) rho^n ~ alpha n^p over the probe window
     win = np.arange(max(1, n_probe // 2), n_probe + 1)
-    log_t = spec.log_psi_rho(win)
-    design = np.column_stack([np.log(win.astype(float)), np.ones(len(win))])
-    coef, *_ = np.linalg.lstsq(design, log_t, rcond=None)
-    resid_fit = float(np.max(np.abs(design @ coef - log_t)))
-    if resid_fit > 1e-3:
+    p, log_alpha, resid_fit = _power_fit(win, spec.log_psi_rho(win))
+    if resid_fit > _FIT_RESID_TOL:
         raise FitFailedError(
-            f"power-law fit residual {resid_fit:.2e} exceeds 1e-3 on window "
+            f"power-law fit residual {resid_fit:.2e} exceeds {_FIT_RESID_TOL:g} on window "
             f"[{win[0]}, {win[-1]}]"
         )
-    p, alpha = float(coef[0]), float(math.exp(coef[1]))
+    alpha = math.exp(log_alpha)
 
     if p < 1.0 - 1e-6:
         scale, gamma = "n^(1-p) * (1 - F(n))", alpha * (1.0 - p)

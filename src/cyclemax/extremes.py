@@ -62,10 +62,6 @@ class TailFunction:
     def n_max(self) -> int:
         return len(self.log_knots) - 1
 
-    @property
-    def prefix_slope(self) -> float:
-        return -1.0
-
     def value(self, y: float) -> float:
         """f(y); defined for 0 <= y <= n_max."""
         if not 0.0 <= y <= self.n_max:
@@ -77,9 +73,6 @@ class TailFunction:
         return (1.0 - t) * math.exp(self.log_knots[n]) + t * math.exp(self.log_knots[n + 1])
 
     __call__ = value
-
-    def log_knot(self, n: int) -> float:
-        return float(self.log_knots[n])
 
 
 def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:

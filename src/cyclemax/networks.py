@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig, _retire
+from .simulate import CycleSample, SimConfig, _run_cycles
 
 __all__ = [
     "Station",
@@ -386,19 +386,14 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     s_vec = np.array([st.servers for st in net.stations])
     entry = routing[0, 1:] / routing[0, 1:].sum()
     entry_cdf = np.cumsum(entry)
-    n_cycles, horizon = cfg.cycles, cfg.escape_horizon
-    j_count = net.J
+    n_cycles, j_count = cfg.cycles, net.J
 
     state = np.zeros((n_cycles, j_count), dtype=np.int64)
     first = np.minimum((entry_cdf < rng.random((n_cycles, 1))).sum(axis=1), j_count - 1)
     state[np.arange(n_cycles), first] = 1
-    total = np.ones(n_cycles, dtype=np.int64)
-    peak = np.ones(n_cycles, dtype=np.int64)
-    out = np.empty(n_cycles, dtype=np.int64)
-    slot = np.arange(n_cycles)
-    escaped = 0
-    while state.shape[0]:
-        alive = state.shape[0]
+
+    def advance(total, peak, state):
+        alive = total.size
         rates = np.empty((alive, j_count + 1))
         rates[:, 0] = net.mu0
         rates[:, 1:] = mu_vec * np.minimum(state, s_vec)
@@ -415,9 +410,9 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
         state[rows[entering], dest[entering] - 1] += 1
         total += entering.astype(np.int64) - leaving.astype(np.int64)
         np.maximum(peak, total, out=peak)
-        gone, (total, peak, slot, state) = _retire(total, peak, slot, out, horizon, state)
-        escaped += gone
-    return CycleSample(maxima=out[out > 0], escaped=escaped)
+
+    maxima, escaped = _run_cycles(n_cycles, cfg.escape_horizon, advance, state)
+    return CycleSample(maxima=maxima, escaped=escaped)
 
 
 # ---------------------------------------------------------------------------

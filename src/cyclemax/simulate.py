@@ -38,6 +38,8 @@ __all__ = [
 _BLOCK_CELLS = 1 << 12
 # Most cycles one jump-mode batch simulates at once.
 _JUMP_CHUNK = 1 << 17
+# Most levels an inversion table may hold (8 MiB of float64).
+_INVERSION_LEVELS = 1 << 20
 
 
 class _Escaped:
@@ -100,17 +102,10 @@ def _up_probabilities(spec: BirthDeathSpec, horizon: int) -> np.ndarray:
 
 def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizon: int = 1_000):
     """One busy cycle; returns the maximum level or ESCAPED at the horizon."""
-    p_up = _up_probabilities(spec, escape_horizon)
-    state, peak = 1, 1
-    while state:
-        if state >= escape_horizon:
-            return ESCAPED
-        if rng.random() < p_up[state - 1]:
-            state += 1
-            peak = max(peak, state)
-        else:
-            state -= 1
-    return peak
+    if escape_horizon < 10:
+        raise ValueError("escape_horizon must be at least 10")
+    maxima, escaped = _simulate_batch(spec, 1, rng, escape_horizon)
+    return ESCAPED if escaped else int(maxima[0])
 
 
 def _flat_start(p_up: np.ndarray, horizon: int) -> int | None:
@@ -128,23 +123,32 @@ def _flat_start(p_up: np.ndarray, horizon: int) -> int | None:
     return n_flat
 
 
-def _retire(level, peak, slot, out, horizon, *rest):
-    """Record cycles that returned (level 0) or escaped (level >= horizon).
+def _run_cycles(n_cycles: int, horizon: int, advance, *rest) -> tuple[np.ndarray, int]:
+    """Run n_cycles busy cycles from level 1; returns (returned maxima, escaped).
 
-    Writes the peak of a returned cycle, or -1 for an escaped one, to
-    ``out[slot]`` and drops both from ``level``, ``peak``, ``slot`` and the
-    arrays in ``rest``, whose first axis runs over the same cycles.  Returns
-    (number escaped, the live arrays in the order given).
+    Each pass calls ``advance(level, peak, *rest)``, which moves every live
+    cycle in place.  A cycle that returns to 0 records its peak; one that
+    reaches ``horizon`` counts as escaped.  Finished cycles are dropped from
+    ``level``, ``peak`` and the arrays in ``rest`` (whose first axis runs over
+    the same cycles), so late stragglers do not drag full-width arrays along.
+    Maxima come back in cycle order.
     """
-    arrays = (level, peak, slot, *rest)
-    live = (level > 0) & (level < horizon)
-    if live.all():
-        return 0, arrays
-    done = level == 0
-    gone = ~(live | done)
-    out[slot[done]] = peak[done]
-    out[slot[gone]] = -1
-    return int(gone.sum()), tuple(a[live] for a in arrays)
+    level = np.ones(n_cycles, dtype=np.int64)
+    peak = np.ones(n_cycles, dtype=np.int64)
+    out = np.zeros(n_cycles, dtype=np.int64)
+    slot = np.arange(n_cycles)
+    escaped = 0
+    while level.size:
+        advance(level, peak, *rest)
+        live = (level > 0) & (level < horizon)
+        if live.all():
+            continue
+        done = level == 0
+        out[slot[done]] = peak[done]
+        escaped += int((level >= horizon).sum())
+        level, peak, slot = level[live], peak[live], slot[live]
+        rest = tuple(a[live] for a in rest)
+    return out[out > 0], escaped
 
 
 def _simulate_batch(
@@ -152,23 +156,18 @@ def _simulate_batch(
 ) -> tuple[np.ndarray, int]:
     """Vectorised cycles; returns (maxima of returned cycles, escaped count).
 
-    All live cycles advance one jump per pass; finished ones are compacted
-    out so late stragglers do not drag full-width arrays along.  Once every
-    live cycle sits above the state n_flat from which the up-step
-    probability is constant, a pass takes d jumps at once, with d small
-    enough that no cycle can return, escape or leave that run before its
-    last jump.  No cycle retires in between, so the (d, live) draws are
-    exactly the ones d single passes would make, in the same order.
+    All live cycles advance one jump per pass.  Once every live cycle sits
+    above the state n_flat from which the up-step probability is constant,
+    a pass takes d jumps at once, with d small enough that no cycle can
+    return, escape or leave that run before its last jump.  No cycle
+    retires in between, so the (d, live) draws are exactly the ones d
+    single passes would make, in the same order.
     """
     p_up = _up_probabilities(spec, horizon)
     n_flat = _flat_start(p_up, horizon)
     p_flat = p_up[-1]
-    state = np.ones(n_cycles, dtype=np.int64)
-    peak = np.ones(n_cycles, dtype=np.int64)
-    out = np.empty(n_cycles, dtype=np.int64)
-    slot = np.arange(n_cycles)
-    escaped = 0
-    while state.size:
+
+    def advance(state, peak):
         live = state.size
         jumps = 1
         if n_flat is not None and live <= _BLOCK_CELLS // 2:
@@ -180,12 +179,10 @@ def _simulate_batch(
             np.maximum(peak, state + path.max(axis=0), out=peak)
             state += path[-1]
         else:
-            up = rng.random(live) < p_up[state - 1]
-            np.add(state, np.where(up, 1, -1), out=state)
+            state += np.where(rng.random(live) < p_up[state - 1], 1, -1)
             np.maximum(peak, state, out=peak)
-        gone, (state, peak, slot) = _retire(state, peak, slot, out, horizon)
-        escaped += gone
-    return out[out > 0], escaped
+
+    return _run_cycles(n_cycles, horizon, advance)
 
 
 def simulate_cycles(spec: BirthDeathSpec, cfg: SimConfig) -> CycleSample:
@@ -203,26 +200,32 @@ def empirical_cdf(maxima: np.ndarray, levels) -> np.ndarray:
 
 
 def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.ndarray:
-    """H(n) = -k log F(n) for n = 1.., extended until it falls below g_min.
+    """H(n) = -k log F(n) for n = 1.., extended until it falls to g_min.
 
     A draw G ~ Exp(1) maps to the smallest n with H(n) <= G, which realises
-    the max of k cycles in one uniform.  Survival enters through log1p of
+    the max of k cycles in one uniform; g_min is the least draw, so every
+    draw finds its level in the table.  Survival enters through log1p of
     the exact log-scale CDF, so no near-one cancellation occurs.
     """
-    floor = min(g_min, 1e-12)
-    n_hi = 64
+    cap = dist.spec.cap
+    if cap is None and dist.log_p_finite < 0.0:
+        raise NotApplicableError(
+            "transient chain: the k-cycle maximum is infinite with positive probability"
+        )
+    n_hi = 64 if cap is None else cap
     while True:
-        if dist.spec.cap is not None:
-            n_hi = dist.spec.cap
-            levels = np.arange(1, n_hi + 1)
-            h = -k * np.log1p(-np.exp(-np.asarray(dist.log_cumulative(levels), dtype=float)))
-            h[-1] = 0.0  # the cap is reached with the remaining mass
-            return h
+        if n_hi > _INVERSION_LEVELS:
+            raise NotApplicableError(
+                f"the k = {k} record needs an inversion table beyond {_INVERSION_LEVELS} levels"
+            )
         levels = np.arange(1, n_hi + 1)
         h = -k * np.log1p(-np.exp(-np.asarray(dist.log_cumulative(levels), dtype=float)))
-        if h[-1] <= floor:
-            return h
+        if cap is not None or h[-1] <= g_min:
+            break
         n_hi *= 2
+    if cap is not None:
+        h[-1] = 0.0  # the cap is reached with the remaining mass
+    return h
 
 
 def sample_maxima(

@@ -34,7 +34,7 @@ from cyclemax import (
     tail_asymptotics,
 )
 from cyclemax.bdp import log_factorial
-from cyclemax.errors import SpecFormatError
+from cyclemax.errors import NotApplicableError, SpecFormatError
 
 # log n! from scipy.special.gammaln(n + 1.0), computed once and pinned here
 LOG_FACTORIAL_REFERENCE = [
@@ -342,3 +342,10 @@ def test_preset_labels_round_trip():
     assert d["psi"] == {"kind": "preset", "name": "mm1"}
     back = spec_from_dict(d)
     assert isinstance(back.psi, OnesSequence)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_still_rising_at_the_truncation_raises():
+    # rho^n / n! peaks near n = 1e6, far past the 10,000 terms summed
+    with pytest.raises(NotApplicableError, match="still rise"):
+        classify(mminf(1e6, 1.0))

@@ -340,3 +340,54 @@ def test_network_simulation_reproducible():
     a = simulate_network_cycles(twin(), SimConfig(seed=2, cycles=400))
     b = simulate_network_cycles(twin(), SimConfig(seed=2, cycles=400))
     assert np.array_equal(a.maxima, b.maxima)
+
+
+def _one_jump_per_pass(net, cfg):
+    """Reference network loop: one event per live cycle per pass."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    routing = net.routing_matrix
+    routing_cdf = np.cumsum(routing, axis=1)
+    mu_vec = np.array([st.mu for st in net.stations])
+    s_vec = np.array([st.servers for st in net.stations])
+    entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())
+    n, j = cfg.cycles, net.J
+    state = np.zeros((n, j), dtype=np.int64)
+    first = np.minimum((entry_cdf < rng.random((n, 1))).sum(axis=1), j - 1)
+    state[np.arange(n), first] = 1
+    total = np.ones(n, dtype=np.int64)
+    peak = total.copy()
+    out = np.empty(n, dtype=np.int64)
+    slot = np.arange(n)
+    escaped = 0
+    while total.size:
+        alive = total.size
+        rates = np.column_stack([np.full(alive, net.mu0), mu_vec * np.minimum(state, s_vec)])
+        cum = np.cumsum(rates, axis=1)
+        actor = (cum < (rng.random(alive) * cum[:, -1])[:, None]).sum(axis=1)
+        dest = np.minimum((routing_cdf[actor] < rng.random((alive, 1))).sum(axis=1), j)
+        rows = np.arange(alive)
+        leaving, entering = actor >= 1, dest >= 1
+        state[rows[leaving], actor[leaving] - 1] -= 1
+        state[rows[entering], dest[entering] - 1] += 1
+        total = total + entering - leaving
+        peak = np.maximum(peak, total)
+        done, gone = total == 0, total >= cfg.escape_horizon
+        out[slot[done]] = peak[done]
+        out[slot[gone]] = -1
+        escaped += int(gone.sum())
+        live = ~(done | gone)
+        total, peak, slot, state = total[live], peak[live], slot[live], state[live]
+    return out[out > 0], escaped
+
+
+@pytest.mark.parametrize("horizon, escapes", [(1_000, False), (12, True)])
+def test_network_simulation_equals_one_jump_per_pass(horizon, escapes):
+    # the mixed routing under heavier traffic, so some cycles reach 12
+    stations = (Station("ss", 2.0), Station("ms", 1.0, s=2), Station("is", 0.5))
+    net = NetworkSpec(mu0=1.0, stations=stations, routing=mixed().routing)
+    cfg = SimConfig(seed=23, cycles=2_000, escape_horizon=horizon)
+    maxima, escaped = _one_jump_per_pass(net, cfg)
+    sample = simulate_network_cycles(net, cfg)
+    assert np.array_equal(sample.maxima, maxima)
+    assert sample.escaped == escaped
+    assert (escaped > 0) == escapes

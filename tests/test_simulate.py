@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclemax.simulate as simulate_module
 from cyclemax import (
@@ -18,7 +20,19 @@ from cyclemax import (
     verify_as_convergence,
 )
 from cyclemax.errors import EscapedCycleError, NotApplicableError
-from cyclemax.simulate import _flat_start, _simulate_batch, _up_probabilities
+from cyclemax.simulate import ESCAPED, _flat_start, _simulate_batch, _up_probabilities
+
+
+# (spec, escape horizon, whether 1,000 cycles under seed 31 see an escape)
+_CHAINS = [
+    (mm1(0.95, 1.0), 1_000, False),
+    (mm1(1.0, 1.0), 200, True),
+    (mm1(1.5, 1.0), 600, True),
+    (mms(3, 2.0, 1.0), 1_000, False),
+    (mminf(2.0, 1.0), 1_000, False),
+    (mm1(0.9, 1.0, cap=5), 1_000, False),
+]
+_CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped"]
 
 
 def test_config_validation():
@@ -37,6 +51,39 @@ def test_single_cycle_maximum_is_positive():
     for _ in range(50):
         m = simulate_cycle(mm1(0.5, 1.0), rng)
         assert m >= 1
+
+
+def test_single_cycle_needs_a_horizon_of_ten():
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError, match="at least 10"):
+        simulate_cycle(mm1(0.5, 1.0), rng, escape_horizon=9)
+    assert simulate_cycle(mm1(0.5, 1.0), rng, escape_horizon=10) >= 1
+
+
+def _scalar_cycle(spec, rng, horizon):
+    """Reference single cycle: one scalar draw per jump."""
+    p_up = _up_probabilities(spec, horizon)
+    state, peak = 1, 1
+    while state:
+        if state >= horizon:
+            return ESCAPED
+        if rng.random() < p_up[state - 1]:
+            state += 1
+            peak = max(peak, state)
+        else:
+            state -= 1
+    return peak
+
+
+@pytest.mark.parametrize("spec, horizon", [c[:2] for c in _CHAINS], ids=_CHAIN_IDS)
+def test_single_cycles_equal_the_scalar_loop(spec, horizon):
+    # successive calls share the generator, so each must use the draws of
+    # exactly one scalar cycle
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = [simulate_cycle(spec, got_rng, horizon) for _ in range(200)]
+    want = [_scalar_cycle(spec, want_rng, horizon) for _ in range(200)]
+    assert got == want
+    assert all(isinstance(m, int) for m in got if m is not ESCAPED)
 
 
 def test_simulation_is_reproducible():
@@ -172,18 +219,7 @@ def _one_jump_per_pass(spec, cycles, seed, horizon):
     return out[out > 0], escaped
 
 
-@pytest.mark.parametrize(
-    "spec, horizon, escapes",
-    [
-        (mm1(0.95, 1.0), 1_000, False),
-        (mm1(1.0, 1.0), 200, True),
-        (mm1(1.5, 1.0), 600, True),
-        (mms(3, 2.0, 1.0), 1_000, False),
-        (mminf(2.0, 1.0), 1_000, False),
-        (mm1(0.9, 1.0, cap=5), 1_000, False),
-    ],
-    ids=["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped"],
-)
+@pytest.mark.parametrize("spec, horizon, escapes", _CHAINS, ids=_CHAIN_IDS)
 def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
     cfg = SimConfig(seed=31, cycles=1_000, escape_horizon=horizon)
     maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, horizon)
@@ -191,6 +227,31 @@ def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
     assert np.array_equal(sample.maxima, maxima)
     assert sample.escaped == escaped
     assert (escaped > 0) == escapes
+
+
+_PRESETS = {
+    "mm1": lambda rho, cap: mm1(rho, 1.0, cap=cap),
+    "mms2": lambda rho, cap: mms(2, 2.0 * rho, 1.0, cap=cap),
+    "mms3": lambda rho, cap: mms(3, 3.0 * rho, 1.0, cap=cap),
+    "mminf": lambda rho, cap: mminf(3.0 * rho, 1.0, cap=cap),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.floats(0.2, 1.6),
+    preset=st.sampled_from(sorted(_PRESETS)),
+    cap=st.none() | st.integers(2, 12),
+    horizon=st.integers(10, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulation_equals_one_jump_per_pass_on_generated_chains(rho, preset, cap, horizon, seed):
+    spec = _PRESETS[preset](rho, cap)
+    cfg = SimConfig(seed=seed, cycles=300, escape_horizon=horizon)
+    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, horizon)
+    sample = simulate_cycles(spec, cfg)
+    assert np.array_equal(sample.maxima, maxima)
+    assert sample.escaped == escaped
 
 
 def test_multi_jump_passes_run_on_a_constant_up_probability():
@@ -215,6 +276,22 @@ def test_multi_jump_passes_run_on_a_constant_up_probability():
 def test_multi_server_up_probability_is_flat_from_s(s):
     p_up = _up_probabilities(mms(s, 0.8 * s, 1.0), 1_000)
     assert _flat_start(p_up, 1_000) == s
+
+
+def test_inversion_sampler_reaches_deep_critical_records():
+    # H(n) falls like k/n, so the least of ten draws needs a deep table
+    draws = sample_maxima(mm1(1.0, 1.0), 1000, 10, SimConfig(seed=0))
+    assert draws.shape == (10,) and draws.min() >= 1
+
+
+def test_inversion_sampler_refuses_transient_chains():
+    with pytest.raises(NotApplicableError, match="transient"):
+        sample_maxima(mm1(2.0, 1.0), 10, 10, SimConfig(seed=0))
+
+
+def test_inversion_table_has_a_ceiling():
+    with pytest.raises(NotApplicableError, match="inversion table"):
+        sample_maxima(mm1(1.0, 1.0), 10**7, 1000, SimConfig(seed=0))
 
 
 def test_convergence_table_centres_on_one():
