@@ -80,8 +80,6 @@ def _log_factorial_upto(n: int) -> np.ndarray:
     table = _log_factorial_table
     if n >= len(table):
         size = min(max(2 * len(table), 1 << n.bit_length()), _LOG_FACTORIAL_CAP)
-        # build the whole table before publishing it, so concurrent readers
-        # only ever see a complete one
         table = np.concatenate([table, _stirling_log_gamma(np.arange(len(table) + 1.0, size + 1.0))])
         _log_factorial_table = table
     return table
@@ -390,7 +388,8 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification is computed on first use and kept on the object.
+    Its classification and its cycle-maximum law are computed on first use
+    and kept on the object.
     """
 
     psi: WeightSequence
@@ -414,6 +413,12 @@ class BirthDeathSpec:
     @cached_property
     def _classification(self) -> "Classification":
         return _classify(self)
+
+    @cached_property
+    def _law(self) -> "CycleMaxDistribution":
+        from .distribution import CycleMaxDistribution  # distribution imports this module
+
+        return CycleMaxDistribution(self)
 
     # log psi(n) rho^n, scaled so the n = 0 term is exactly 1.  Hitting
     # probabilities from state 1 depend on the weights only through
@@ -579,6 +584,12 @@ _P_MARGIN = 1e-2
 _FIT_RESID_TOL = 1e-3
 
 
+def _linear(log_value) -> float:
+    """exp(log_value); inf past the float range, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
 def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
@@ -597,7 +608,7 @@ def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
             )
         log_tail = log_t[-1] + math.log(q_hi) - math.log1p(-q_hi) if q_hi > 0.0 else -math.inf
         log_total = np.logaddexp(log_partial, log_tail)
-        return _SeriesJudgement(float(np.exp(log_total)), float(log_total), True, True)
+        return _SeriesJudgement(_linear(log_total), float(log_total), True, True)
     if q_lo > 1.0 + _TOL:
         return _SeriesJudgement(math.inf, math.inf, False, False)
 
@@ -605,13 +616,13 @@ def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
         if p < -1.0 - _P_MARGIN:
-            return _SeriesJudgement(float(np.exp(log_partial)), float(log_partial), True, False)
+            return _SeriesJudgement(_linear(log_partial), float(log_partial), True, False)
         if p > -1.0 + _P_MARGIN:
             return _SeriesJudgement(math.inf, math.inf, False, False)
 
     if log_partial > -math.log(_TOL) and np.all(np.diff(log_t[win]) >= -1e-12):
         return _SeriesJudgement(math.inf, math.inf, False, False)
-    return _SeriesJudgement(float(np.exp(log_partial)), float(log_partial), None, False)
+    return _SeriesJudgement(_linear(log_partial), float(log_partial), None, False)
 
 
 def classify(spec: BirthDeathSpec) -> Classification:
@@ -694,9 +705,9 @@ def _classify_finite(spec: BirthDeathSpec) -> Classification:
     lstar = logsumexp(-(spec.psi.log_value(idx) + idx * log_rho))
     return Classification(
         verdict=Verdict.POSITIVE_RECURRENT,
-        b_phi_inv=float(np.exp(lp)),
-        b_psi_inv=float(np.exp(ls)),
-        b_star_inv=float(np.exp(lstar)),
+        b_phi_inv=_linear(lp),
+        b_psi_inv=_linear(ls),
+        b_star_inv=_linear(lstar),
         beta_upper=0.0,
         beta_lower=0.0,
         beta=0.0,

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .bdp import TableSequence, classify, load_spec, spec_to_dict
-from .distribution import CycleMaxDistribution, tail_asymptotics
-from .errors import CycleMaxError, NotIrreducibleError, SpecFormatError
+from .distribution import _as_dist, tail_asymptotics
+from .errors import CycleMaxError
 from .extremes import (
     compactness_diagnostic,
     default_norming_kind,
@@ -110,7 +110,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cdf(args) -> int:
     spec = load_spec(args.spec)
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     rows = []
     top = args.nmax if spec.cap is None else min(args.nmax, spec.cap)
     for n in range(1, top + 1):
@@ -185,7 +185,7 @@ def _cmd_simulate(args) -> int:
         _emit(args, ["k", "mean_ratio", "median_ratio", "q05", "q95"], rows, "convergence")
         return 0
     sample = simulate_cycles(spec, SimConfig(seed=args.seed, cycles=args.reps))
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     levels = np.arange(1, args.nmax + 1)
     emp = empirical_cdf(sample.maxima, levels)
     rows = []
@@ -295,23 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # input errors first: several CycleMaxError subclasses are ValueErrors
     try:
         return args.func(args)
-    except (SpecFormatError, NotIrreducibleError) as exc:
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 2
-    except CycleMaxError as exc:
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 1
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 1
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        err, code = exc, 2
+    except (CycleMaxError, ArithmeticError) as exc:
+        err, code = exc, 1
+    sys.stderr.write(f"ERROR {type(err).__name__}: {err}\n")
+    return code
 
 
 if __name__ == "__main__":

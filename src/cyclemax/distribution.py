@@ -12,9 +12,9 @@ law stays computable when the weights grow or decay factorially.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -38,43 +38,31 @@ __all__ = [
 class CycleMaxDistribution:
     """Lazily extended table of the cycle-maximum law.
 
-    The internal cumulative tables grow on demand; extension is serialised by
-    a lock and the reciprocal-sum table is published last, so concurrent
-    readers never index past a partially extended pair.
+    The internal cumulative tables grow on demand.  Every package function
+    handed a spec uses the one law cached on that spec; constructing the
+    class directly gives a fresh, independent table.
     """
 
     def __init__(self, spec: BirthDeathSpec):
         self.spec = spec
-        self._lock = threading.Lock()
         self._log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
         self._log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
-        self._log_p_finite: float | None = None
         self._log_s_inf: float | None = None
-        self._ensure(min(64, spec.cap) if spec.cap is not None else 64)
+        self._ensure(64)
 
     def _ensure(self, n: int) -> None:
         """Grow tables to cover index n (clipped to the cap)."""
         if self.spec.cap is not None:
             n = min(n, self.spec.cap)
-        if n < len(self._log_S):
+        cur = len(self._log_S)
+        if n < cur:
             return
-        with self._lock:
-            cur = len(self._log_S)
-            if n < cur:
-                return
-            hi = max(n + 1, 2 * cur, 64)
-            lt = self.spec.log_psi_rho(np.arange(cur, hi))
-            if cur:
-                new_W = np.logaddexp.accumulate(np.concatenate([[self._log_W[-1]], lt]))[1:]
-                new_S = np.logaddexp.accumulate(np.concatenate([[self._log_S[-1]], -lt]))[1:]
-                new_W = np.concatenate([self._log_W, new_W])
-                new_S = np.concatenate([self._log_S, new_S])
-            else:
-                new_W = np.logaddexp.accumulate(lt)
-                new_S = np.logaddexp.accumulate(-lt)
-            # readers gate on len(_log_S), so publish _log_W first
-            self._log_W = new_W
-            self._log_S = new_S
+        lt = self.spec.log_psi_rho(np.arange(cur, max(n + 1, 2 * cur, 64)))
+        # a left fold resumed from the last entry: growing in steps changes no bit
+        new_W = np.logaddexp.accumulate(np.concatenate([self._log_W[-1:], lt]))
+        new_S = np.logaddexp.accumulate(np.concatenate([self._log_S[-1:], -lt]))
+        self._log_W = np.concatenate([self._log_W[:-1], new_W])
+        self._log_S = np.concatenate([self._log_S[:-1], new_S])
 
     def _checked(self, n) -> np.ndarray:
         n = np.asarray(n)
@@ -122,14 +110,11 @@ class CycleMaxDistribution:
         """Total mass P(Y < inf); below 1 exactly when the chain escapes."""
         return float(np.exp(self.log_p_finite))
 
-    @property
+    @cached_property
     def log_p_finite(self) -> float:
-        if self._log_p_finite is None:
-            if classify(self.spec).b_star_convergent is not True or self.spec.cap is not None:
-                self._log_p_finite = 0.0
-            else:
-                self._log_p_finite = float(np.log(-np.expm1(-self.log_s_limit())))
-        return self._log_p_finite
+        if classify(self.spec).b_star_convergent is not True or self.spec.cap is not None:
+            return 0.0
+        return float(np.log(-np.expm1(-self.log_s_limit())))
 
     def log_s_limit(self) -> float:
         """log S(inf) when the reciprocal-weight series converges."""
@@ -201,9 +186,10 @@ class CycleMaxDistribution:
 
 
 def _as_dist(obj) -> CycleMaxDistribution:
+    """``obj`` itself if it is a law, else the law cached on the spec."""
     if isinstance(obj, CycleMaxDistribution):
         return obj
-    return CycleMaxDistribution(obj)
+    return obj._law
 
 
 def cycle_max_cdf(dist, n):
@@ -263,11 +249,10 @@ class TailAsymptotics:
     ``limit_constant`` is the closed-form constant for the regime and
     ``empirical_*`` report the normalised quantity at the probe index, its
     accelerated extrapolation, and the gap between the two.  In the
-    supercritical regime ``limit_constant`` carries the textbook closed
-    form unchanged, even though its product of factors turns negative when
-    the escape series sums below one, while ``fixed_point_constant`` is the
-    fixed point of the tail recursion, which is what the sequence
-    demonstrably approaches; the two disagree in exactly that case.
+    supercritical regime the constant is b*^2 / ((q - 1)(1 - b*)), with
+    q = beta rho and b* = P(Y = inf), the fixed point of the tail recursion;
+    ``fixed_point_constant`` repeats it there and is None in the other
+    regimes.
     """
 
     regime: TailRegime
@@ -292,6 +277,12 @@ def _aitken(x1: float, x2: float, x3: float) -> tuple[float, float]:
     return extr, abs(extr - x3)
 
 
+def _require_uncapped(spec: BirthDeathSpec) -> None:
+    """A capped chain's record never passes the cap, so it has no tail regime."""
+    if spec.cap is not None:
+        raise NotApplicableError("finite chains have no tail regime")
+
+
 def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotics:
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
@@ -299,10 +290,9 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
     """
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
-    if spec.cap is not None:
-        raise NotApplicableError("finite chains have no tail regime")
+    _require_uncapped(spec)
     cls = classify(spec)
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     rho = spec.rho
     h = max(n_probe // 4, 2)
     probes = (n_probe - 2 * h, n_probe - h, n_probe)
@@ -343,19 +333,20 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
 
     if q > 1.0 + _TOL:
         b_star = 1.0 - dist.p_finite
+        constant = b_star * b_star / ((q - 1.0) * (1.0 - b_star))
         vals = [_escape_ratio(dist, n) for n in probes]
         extr, resid = _aitken(*vals)
         return TailAsymptotics(
             regime=TailRegime.SUPERCRITICAL,
             scale="psi(n) rho^n * (1 - F(n | finite))",
-            limit_constant=1.0 / ((q - 1.0) * b_star * (b_star - 1.0)),
+            limit_constant=constant,
             limit_interval=None,
             alpha=None,
             p_exponent=None,
             empirical_value=vals[-1],
             empirical_extrapolated=extr,
             empirical_residual=resid,
-            fixed_point_constant=b_star * b_star / ((q - 1.0) * (1.0 - b_star)),
+            fixed_point_constant=constant,
         )
 
     # critical growth: psi(n) rho^n ~ alpha n^p over the probe window

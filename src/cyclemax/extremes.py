@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, classify
-from .distribution import CycleMaxDistribution
+from .distribution import CycleMaxDistribution, _as_dist, _require_uncapped
 from .errors import (
     KindMismatchError,
     NoMonotoneTailError,
@@ -82,6 +82,7 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     all; the start y0 of the monotone regime is located by scanning the
     knots, and the scan must confirm monotonicity strictly inside n_max.
     """
+    _require_uncapped(spec)
     cls = classify(spec)
     if not cls.beta_upper * spec.rho < 1.0:
         raise NotSubcriticalError(
@@ -294,6 +295,7 @@ def norming_constants(
     ks = [int(k) for k in k_list]
     if any(k < 2 for k in ks):
         raise ValueError("k values must be at least 2")
+    _require_uncapped(spec)
     cls = classify(spec)
     rho = spec.rho
     a: list[float] = []
@@ -370,6 +372,7 @@ def as_limit_constant(spec: BirthDeathSpec, k: float | None = None):
     which requires k.  When only distinct lower/upper ratio bounds exist the
     bracket pair is returned instead of a single value.
     """
+    _require_uncapped(spec)
     cls = classify(spec)
     rho = spec.rho
     if cls.beta is not None and 0.0 < cls.beta * rho < 1.0:
@@ -449,9 +452,10 @@ def compactness_diagnostic(
     if x_grid is None:
         x_grid = [float(x) for x in range(10, 41, 5)]
     grid = tuple(float(x) for x in x_grid)
+    _require_uncapped(spec)
     cls = classify(spec)
     rho = spec.rho
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     top = int(max(grid))
     m_hi = top + 600
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdp import BirthDeathSpec
-from .distribution import CycleMaxDistribution
+from .distribution import CycleMaxDistribution, _as_dist
 from .errors import EscapedCycleError, NotApplicableError
 from .extremes import as_limit_constant
 
@@ -247,7 +247,7 @@ def sample_maxima(
     if mode == "inversion":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
         g = rng.standard_exponential(reps)
-        dist = CycleMaxDistribution(spec)
+        dist = _as_dist(spec)
         h = _inversion_table(dist, k, float(np.min(g)))
         return 1 + np.searchsorted(-h, -g, side="left").astype(np.int64)
     if mode != "jump":

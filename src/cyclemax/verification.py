@@ -20,8 +20,8 @@ import numpy as np
 
 from .bdp import BirthDeathSpec, classify, mm1, mminf, mms, stationary_distribution
 from .distribution import (
-    CycleMaxDistribution,
     TailRegime,
+    _as_dist,
     duality_check,
     tail_asymptotics,
 )
@@ -89,7 +89,7 @@ def exact_cdf_oracle(suite: str = "full", seed: int = 47) -> CriterionResult:
     worst_at = ""
     ok = True
     for i, spec in enumerate(_exact_cdf_specs()):
-        dist = CycleMaxDistribution(spec)
+        dist = _as_dist(spec)
         exact = np.array([dist.cdf(int(n)) for n in levels])
         sample = simulate_cycles(spec, SimConfig(seed=seed + i, cycles=cycles))
         emp = empirical_cdf(sample.maxima, levels)
@@ -118,7 +118,7 @@ def _survival_ratio_recursion_gap(spec: BirthDeathSpec, n_hi: int) -> float:
     u satisfies u(n+1) = u(n) * rho * psi(n+1)/psi(n) + 1 with u(0) = 1,
     which stays order-1 even when psihat(n) rho^n under- or overflows.
     """
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     n = np.arange(n_hi + 1)
     direct = np.exp(np.asarray(dist.log_cumulative(n)) + np.asarray(spec.log_psi_rho(n)))
     log_psi = np.asarray(spec.psi.log_value(n), dtype=float)
@@ -134,7 +134,7 @@ def multi_server_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
     """(s/rho)^n (1-F(n)) tends to (s^s/s!)(1-rho/s); recursion oracle everywhere."""
     start = time.perf_counter()
     spec = mms(3, 1.5, 1.0)
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     n = 60
     value = math.exp(dist.log_survival(n) + n * math.log(3.0 / 1.5))
     target = (27.0 / 6.0) * (1.0 - 1.5 / 3.0)
@@ -150,9 +150,9 @@ def multi_server_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
 def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
     """n(1-F(n)) approaches 1 for the critical single server, s^s/s! for s servers."""
     start = time.perf_counter()
-    d1 = CycleMaxDistribution(mm1(1.0, 1.0))
+    d1 = _as_dist(mm1(1.0, 1.0))
     v1 = 100 * math.exp(d1.log_survival(100))
-    d2 = CycleMaxDistribution(mms(2, 2.0, 1.0))
+    d2 = _as_dist(mms(2, 2.0, 1.0))
     target2 = 4.0 / 2.0
     v2 = 200 * math.exp(d2.log_survival(200))
     ok = abs(v1 - 1.0) < 0.02 and abs(v2 - target2) < 0.05 * target2
@@ -162,16 +162,14 @@ def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
 
 # Converged value of psihat(n) rho^n (1 - P(Y<=n | Y finite)) for lam=2, mu=1,
 # frozen from the Cauchy sequence below and from independent brute-force
-# hitting-probability evaluation.  The closed-form candidate printed by
-# tail_asymptotics as limit_constant disagrees in sign; fixed_point_constant
-# matches this oracle.
+# hitting-probability evaluation.
 ESCAPE_PRODUCT_ORACLE = 0.5
 
 
 def transient_escape_constant(suite: str = "full", seed: int = 0) -> CriterionResult:
     start = time.perf_counter()
     spec = mm1(2.0, 1.0)
-    dist = CycleMaxDistribution(spec)
+    dist = _as_dist(spec)
     base = dist.log_s_limit() + dist.log_p_finite
     seq = []
     for n in range(1, 81):
@@ -192,11 +190,12 @@ def transient_escape_constant(suite: str = "full", seed: int = 0) -> CriterionRe
         cauchy_by_60
         and abs(converged - ESCAPE_PRODUCT_ORACLE) < 1e-8
         and ta.regime is TailRegime.SUPERCRITICAL
+        and abs(ta.limit_constant - ESCAPE_PRODUCT_ORACLE) < 1e-9
         and abs(ta.fixed_point_constant - ESCAPE_PRODUCT_ORACLE) < 1e-9
     )
     detail = (
         f"converged {converged:.12f} vs oracle {ESCAPE_PRODUCT_ORACLE}; "
-        f"printed closed form {ta.limit_constant:g} (documented discrepancy), "
+        f"limit constant {ta.limit_constant:.12f}, "
         f"fixed point {ta.fixed_point_constant:.12f}"
     )
     return _result("transient-escape-constant", start, ok, detail)
@@ -370,7 +369,7 @@ def norton_consistency(suite: str = "full", seed: int = 6) -> CriterionResult:
     pi_net = weights[:21] / weights.sum()
     stat_err = float(np.max(np.abs(pi_induced / pi_net - 1.0)))
 
-    dist = CycleMaxDistribution(reduction.induced)
+    dist = _as_dist(reduction.induced)
     sample = simulate_network_cycles(net, SimConfig(seed=seed, cycles=cycles))
     levels = np.arange(1, 16)
     exact = np.array([dist.cdf(int(n)) for n in levels])

@@ -349,3 +349,13 @@ def test_series_still_rising_at_the_truncation_raises():
     # rho^n / n! peaks near n = 1e6, far past the 10,000 terms summed
     with pytest.raises(NotApplicableError, match="still rise"):
         classify(mminf(1e6, 1.0))
+
+
+@pytest.mark.parametrize(
+    "spec", [mminf(1e3, 1.0), mminf(1e4, 1.0), mminf(1e3, 1.0, cap=2000)], ids=["1e3", "1e4", "1e3-cap"]
+)
+def test_series_summing_past_the_float_range_classify_quietly(spec):
+    cls = classify(spec)
+    assert cls.verdict is Verdict.POSITIVE_RECURRENT
+    assert math.isfinite(cls.log_b_phi_inv)
+    assert cls.b_phi_inv == math.inf

@@ -185,6 +185,24 @@ def test_malformed_spec_exits_two(capsys, tmp_path):
     assert "ERROR" in err
 
 
+def test_supercritical_norming_exits_one(capsys, tmp_path):
+    path = tmp_path / "over.json"
+    save_spec(mm1(2.0, 1.0), path)
+    code, out, err = run(capsys, "extremes", "--spec", str(path), "--table", "norming")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR NotSubcriticalError:")
+
+
+def test_tail_of_a_capped_chain_exits_one(capsys, tmp_path):
+    path = tmp_path / "capped.json"
+    save_spec(mm1(0.5, 1.0, cap=5), path)
+    code, out, err = run(capsys, "tail", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "ERROR NotApplicableError: finite chains have no tail regime\n"
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

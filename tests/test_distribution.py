@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from cyclemax import (
+    BirthDeathSpec,
     CycleMaxDistribution,
+    TableSequence,
     TailRegime,
+    blocking_prob,
+    compactness_diagnostic,
+    cycle_max_cdf,
+    failure_rate,
     mm1,
     mminf,
     mms,
+    sample_maxima,
     tail_asymptotics,
 )
 from cyclemax.distribution import _hurwitz_zeta
@@ -132,9 +139,16 @@ def test_tail_asymptotics_critical():
 def test_tail_asymptotics_supercritical():
     ta = tail_asymptotics(mm1(2.0, 1.0))
     assert ta.regime is TailRegime.SUPERCRITICAL
-    assert ta.limit_constant == pytest.approx(-4.0, rel=1e-9)
+    assert ta.limit_constant == pytest.approx(0.5, rel=1e-9)
     assert ta.fixed_point_constant == pytest.approx(0.5, rel=1e-9)
     assert ta.empirical_value == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", [mm1(1.25, 1.0), mms(3, 4.0, 1.0)], ids=["mm1-1.25", "mms3-4"])
+def test_supercritical_constant_is_the_limit(spec):
+    ta = tail_asymptotics(spec)
+    assert ta.limit_constant == pytest.approx(ta.empirical_extrapolated, rel=1e-9)
+    assert ta.fixed_point_constant == ta.limit_constant
 
 
 def test_tail_asymptotics_probe_floor():
@@ -177,3 +191,47 @@ def test_non_integer_levels_raise_value_error():
 )
 def test_hurwitz_zeta_reference_values(s, a, expected):
     assert _hurwitz_zeta(s, a) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_spec_functions_share_one_law(monkeypatch):
+    calls = []
+    init = CycleMaxDistribution.__init__
+
+    def counting(self, spec):
+        calls.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(CycleMaxDistribution, "__init__", counting)
+    spec = mm1(0.5, 1.0)
+    tail_asymptotics(spec)
+    compactness_diagnostic(spec)
+    sample_maxima(spec, 1000, 50)
+    sample_maxima(spec, 10**6, 50)
+    cycle_max_cdf(spec, 7)
+    failure_rate(spec, 7)
+    blocking_prob(spec, 7)
+    assert calls == [spec]
+    # the public constructor still builds a fresh, independent table
+    assert CycleMaxDistribution(spec) is not CycleMaxDistribution(spec)
+
+
+_WAVY = TableSequence(np.exp(np.sin(np.arange(1000))), 1.0)  # 1,000 entries, not monotone
+_GROWN_SPECS = [
+    mm1(0.5, 1.0),
+    mm1(1.0, 1.0),
+    mm1(2.0, 1.0),
+    mms(3, 2.1, 1.0),
+    mminf(3.0, 1.0),
+    BirthDeathSpec(_WAVY, _WAVY, 0.8, 1.0),
+]
+
+
+@pytest.mark.parametrize("spec", _GROWN_SPECS, ids=["mm1-0.5", "mm1-1", "mm1-2", "mms3", "mminf3", "table"])
+def test_step_grown_table_equals_a_fresh_one(spec):
+    grown = CycleMaxDistribution(spec)
+    for n in (3, 70, 130, 700, 5000):
+        grown.log_cumulative(n)
+    fresh = CycleMaxDistribution(spec)
+    n = np.arange(5001)
+    assert grown.log_cumulative(n).tobytes() == fresh.log_cumulative(n).tobytes()
+    assert grown.log_weight_cumulative(n).tobytes() == fresh.log_weight_cumulative(n).tobytes()

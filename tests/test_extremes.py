@@ -155,3 +155,34 @@ def test_as_limit_constant_values():
     assert stirling_tail(b, 1.0) * 10**4 == pytest.approx(1.0, rel=1e-6)
     with pytest.raises(NotApplicableError):
         as_limit_constant(mm1(1.0, 1.0))
+
+
+# a capped record never passes the cap, so no tail level applies
+CAPPED = (mm1(0.5, 1.0, cap=5), mminf(2.0, 1.0, cap=5))
+
+
+@pytest.mark.parametrize("spec", CAPPED, ids=["mm1", "mminf"])
+def test_build_tail_function_rejects_a_cap(spec):
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        build_tail_function(spec)
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        gumbel_bounds(spec, 0.0, 1000)
+
+
+@pytest.mark.parametrize("spec", CAPPED, ids=["mm1", "mminf"])
+def test_norming_constants_reject_a_cap(spec):
+    # Numeric for mm1, StirlingFactorial for mminf
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        norming_constants(spec, default_norming_kind(spec), [1000])
+
+
+@pytest.mark.parametrize("spec", CAPPED, ids=["mm1", "mminf"])
+def test_as_limit_constant_rejects_a_cap(spec):
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        as_limit_constant(spec, 1000)
+
+
+@pytest.mark.parametrize("spec", CAPPED, ids=["mm1", "mminf"])
+def test_compactness_diagnostic_rejects_a_cap(spec):
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        compactness_diagnostic(spec)
