@@ -256,12 +256,18 @@ class TableSequence(WeightSequence):
     """
 
     def __init__(self, values, tail_ratio: float, poly_degree: int = 0):
-        vals = tuple(float(v) for v in values)
-        if not vals:
+        try:
+            vals = np.asarray(values)
+        except ValueError:  # ragged nesting
+            raise SpecFormatError("table values must be a list of numbers") from None
+        if vals.ndim != 1 or vals.dtype.kind not in "iuf":
+            raise SpecFormatError("table values must be a list of numbers")
+        vals = vals.astype(float)
+        if not vals.size:
             raise SpecFormatError("table needs at least one value")
-        if any(not math.isfinite(v) or v <= 0.0 for v in vals):
+        if not np.all(np.isfinite(vals) & (vals > 0.0)):
             raise SpecFormatError("table values must be finite and positive")
-        self._fill(vals, np.log(np.asarray(vals)), tail_ratio, poly_degree)
+        self._fill(tuple(vals.tolist()), np.log(vals), tail_ratio, poly_degree)
 
     @classmethod
     def from_log(cls, log_values, tail_ratio: float, poly_degree: int = 0) -> "TableSequence":
@@ -272,7 +278,7 @@ class TableSequence(WeightSequence):
         if not np.all(np.isfinite(logs)):
             raise SpecFormatError("log table values must be finite")
         seq = cls.__new__(cls)
-        seq._fill(tuple(float(v) for v in np.exp(logs)), logs, tail_ratio, poly_degree)
+        seq._fill(tuple(_linear(logs).tolist()), logs, tail_ratio, poly_degree)
         return seq
 
     def _fill(self, values: tuple, logs: np.ndarray, tail_ratio: float, poly_degree: int):
@@ -308,6 +314,8 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("polynomial tails have no file representation")
         if any(v <= 0.0 for v in self.values):
             raise SpecFormatError("table values underflow the linear file representation")
+        if any(v == math.inf for v in self.values):
+            raise SpecFormatError("table values overflow the linear file representation")
         return {"kind": "table", "values": list(self.values), "tail_ratio": self.tail_ratio}
 
     def __eq__(self, other):
@@ -584,10 +592,12 @@ _P_MARGIN = 1e-2
 _FIT_RESID_TOL = 1e-3
 
 
-def _linear(log_value) -> float:
-    """exp(log_value); inf past the float range, without an overflow warning."""
+def _linear(log_value):
+    """exp(log_value), a float for a scalar and an array for an array; inf
+    past the float range, without an overflow warning."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_value))
+        out = np.exp(log_value)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:

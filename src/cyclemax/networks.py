@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .bdp import (
     MultiServerSequence,
     OnesSequence,
     TableSequence,
+    _linear,
     _load_json,
     _require_number,
-    logsumexp,
 )
 from .errors import (
     CoincidentLoadsError,
@@ -167,6 +168,12 @@ class NetworkSpec:
     def separable(self) -> bool:
         return self.psi is None
 
+    @cached_property
+    def _loads(self) -> np.ndarray:
+        loads = solve_traffic(self.routing_matrix) / np.array([st.mu for st in self.stations])
+        loads.flags.writeable = False
+        return loads
+
 
 def solve_traffic(routing) -> np.ndarray:
     """Relative throughputs lambda_j = p_0j + sum_i lambda_i p_ij, j = 1..J."""
@@ -186,22 +193,56 @@ def solve_traffic(routing) -> np.ndarray:
 
 
 def station_loads(net: NetworkSpec) -> np.ndarray:
-    """rho_j = lambda_j / mu_j from the traffic solution."""
-    lam = solve_traffic(net.routing_matrix)
-    return lam / np.array([st.mu for st in net.stations])
+    """rho_j = lambda_j / mu_j from the traffic solution, solved once per
+    network and returned read-only."""
+    return net._loads
+
+
+_CONV_BLOCK = 64  # output rows per block: working memory is _CONV_BLOCK * la.size floats
+# shifted log terms are clamped here before exp: a row sums to at least 1 after
+# the shift, so terms below e^-700 cannot change it, and exp stays off its slow
+# underflow path
+_EXP_FLOOR = -700.0
 
 
 def _log_convolve(la: np.ndarray, lb: np.ndarray, n_hi: int) -> np.ndarray:
-    """Log-scale linear convolution, truncated to indices 0..n_hi.
+    """Log-scale linear convolution of finite log sequences, truncated to 0..n_hi.
 
-    Each output coefficient is a max-shifted sum, so widely scaled
-    station sequences combine without overflow or underflow.
+    Each output coefficient is a max-shifted sum, so widely scaled station
+    sequences combine without overflow or underflow.  Output rows are taken
+    a block at a time: row k holds la[i] + lb[k - i] in column i + 1 and -inf
+    in column 0, read through a window over the reversed lb padded with -inf.
     """
-    out = np.empty(min(la.size + lb.size - 1, n_hi + 1))
-    for k in range(out.size):
-        lo = max(0, k - lb.size + 1)
-        hi = min(k, la.size - 1)
-        out[k] = logsumexp(la[lo : hi + 1] + lb[k - lo : k - hi - 1 if k > hi else None : -1])
+    na, nb = la.size, lb.size
+    size = min(na + nb - 1, n_hi + 1)
+    # column i + 1 of row k reads padded[top - k + i + 1], which is lb[k - i]
+    left = max(0, size - nb) + 1
+    padded = np.full(left + nb + na, -np.inf)
+    padded[left : left + nb] = lb[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, na + 1)
+    top = left + nb - 2
+    head = np.concatenate(([-np.inf], la))
+    # zeros, so the parts of buf that reduceat adds up and drops are always finite
+    buf = np.zeros(_CONV_BLOCK * (na + 1) + 1)
+    out = np.empty(size)
+    for k0 in range(0, size, _CONV_BLOCK):
+        k = np.arange(k0, min(k0 + _CONV_BLOCK, size))
+        cols = min(k0 + k.size, na) + 1
+        block = buf[: k.size * cols].reshape(k.size, cols)
+        np.add(head[:cols], windows[top - k[-1] : top - k0 + 1, :cols][::-1], out=block)
+        peak = block.max(axis=1)
+        block -= peak[:, None]
+        np.maximum(block, _EXP_FLOOR, out=block)
+        np.exp(block, out=block)
+        # row k sums columns lo + 1 .. hi + 1 after a zero put in column lo:
+        # reduceat adds its first element to a pairwise sum of the rest, so each
+        # row adds up exactly as a 1-d sum over its own terms would
+        first = np.arange(k.size) * cols
+        zero = first + np.maximum(k - nb + 1, 0)
+        buf[zero] = 0.0
+        bounds = np.stack([zero, first + np.minimum(k, na - 1) + 2], axis=1).ravel()
+        sums = np.add.reduceat(buf[: block.size + 1], bounds)[::2]
+        out[k0 : k0 + k.size] = peak + np.log(sums)
     return out
 
 
@@ -224,17 +265,16 @@ def log_aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, n
 def aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Psi(N), Phi(N) on the linear scale; see log_aggregate_constants for long tails."""
     log_psi, log_phi = log_aggregate_constants(net, n_max)
-    return np.exp(log_psi), np.exp(log_phi)
+    return _linear(log_psi), _linear(log_phi)
 
 
-def _compositions(total: int, parts: int):
-    """All non-negative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _occupancies(n_max: int, parts: int) -> np.ndarray:
+    """Occupancy vectors with totals 0..n_max as rows, ordered by total and
+    lexicographically within a total."""
+    grid = np.indices((n_max + 1,) * parts).reshape(parts, -1).T
+    totals = grid.sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    return grid[order[totals[order] <= n_max]]
 
 
 def _lattice_log_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,37 +283,42 @@ def _lattice_log_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np
             "explicit lattice summation supports J <= 3 and n_max <= 20; "
             "larger networks need separable stations"
         )
-    rho = station_loads(net)
-    log_rho = np.log(rho)
-    psi_fn = net.psi
-    phi_fn = net.phi
-    if psi_fn is None:
-        seqs = [st.weight_sequence() for st in net.stations]
+    occ = _occupancies(n_max, net.J)
+    totals = occ.sum(axis=1)
+    log_weight = occ @ np.log(station_loads(net))
+    if net.separable:
+        n = np.arange(n_max + 1)
+        log_psi = sum(st.weight_sequence().log_value(n)[occ[:, j]] for j, st in enumerate(net.stations))
+        log_psi = _log_group_sums(log_psi + log_weight, totals)
+        return log_psi, log_psi.copy()
+    points = [tuple(row) for row in occ.tolist()]
+    psi = np.array([float(net.psi(x)) for x in points])
+    phi = psi if net.phi is net.psi else np.array([float(net.phi(x)) for x in points])
+    bad = np.flatnonzero(~((psi > 0) & (phi > 0) & np.isfinite(psi) & np.isfinite(phi)))
+    if bad.size:
+        i = bad[0]
+        raise SpecFormatError(
+            f"network weights must be finite and positive, got {float(psi[i])!r}, "
+            f"{float(phi[i])!r} at {points[i]}"
+        )
+    return (
+        _log_group_sums(np.log(psi) + log_weight, totals),
+        _log_group_sums(np.log(phi) + log_weight, totals),
+    )
 
-        def psi_fn(occ):
-            return math.exp(sum(float(s.log_value(k)) for s, k in zip(seqs, occ)))
 
-        phi_fn = psi_fn
-    log_psi = np.empty(n_max + 1)
-    log_phi = np.empty(n_max + 1)
-    for total in range(n_max + 1):
-        terms_psi, terms_phi = [], []
-        for occ in _compositions(total, net.J):
-            weight = float(np.dot(occ, log_rho))
-            p, q = float(psi_fn(occ)), float(phi_fn(occ))
-            if p <= 0 or q <= 0:
-                raise SpecFormatError(f"network weights must be positive, got {p!r}, {q!r} at {occ}")
-            terms_psi.append(math.log(p) + weight)
-            terms_phi.append(math.log(q) + weight)
-        log_psi[total] = logsumexp(np.array(terms_psi))
-        log_phi[total] = logsumexp(np.array(terms_phi))
-    return log_psi, log_phi
+def _log_group_sums(terms: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum of the terms of each total; totals are sorted and
+    take every value from 0 to their maximum."""
+    starts = np.flatnonzero(np.diff(totals, prepend=-1))
+    peak = np.maximum.reduceat(terms, starts)
+    return peak + np.log(np.add.reduceat(np.exp(terms - peak[totals]), starts))
 
 
 def lattice_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Psi, Phi by explicit summation over the occupancy lattice (slow oracle path)."""
     log_psi, log_phi = _lattice_log_constants(net, n_max)
-    return np.exp(log_psi), np.exp(log_phi)
+    return _linear(log_psi), _linear(log_phi)
 
 
 def harrison_closed_form(rho, n: int) -> float:
@@ -360,8 +405,8 @@ def norton_reduce(net: NetworkSpec, n_max: int = 500) -> NortonReduction:
             label=f"norton(J={net.J})",
         )
     return NortonReduction(
-        psi=np.exp(log_psi),
-        phi=np.exp(log_phi),
+        psi=_linear(log_psi),
+        phi=_linear(log_phi),
         log_psi=log_psi,
         log_phi=log_phi,
         rho=tuple(float(r) for r in rho),

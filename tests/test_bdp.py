@@ -359,3 +359,22 @@ def test_series_summing_past_the_float_range_classify_quietly(spec):
     assert cls.verdict is Verdict.POSITIVE_RECURRENT
     assert math.isfinite(cls.log_b_phi_inv)
     assert cls.b_phi_inv == math.inf
+
+
+def test_malformed_table_values_are_spec_format_errors(tmp_path):
+    path = tmp_path / "table.json"
+    for values in ([1.0, None, 0.5], [1.0, "0.5"], [True, False], [[1.0, 0.5]], [[1.0], [0.5, 0.2]], 7, "abc"):
+        doc = {"lambda": 0.5, "mu": 1.0, "psi": {"kind": "table", "values": values, "tail_ratio": 0.5},
+               "phi": {"kind": "preset", "name": "mm1"}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpecFormatError):
+            load_spec(path)
+    assert TableSequence(np.array([1.0, 0.5]), 0.5).values == (1.0, 0.5)
+    assert TableSequence([1, np.float32(0.5)], 0.5).values == (1.0, 0.5)
+
+
+def test_table_to_json_refuses_overflowed_values():
+    seq = TableSequence.from_log([0.0, 800.0], tail_ratio=0.5)
+    assert seq.values == (1.0, math.inf)
+    with pytest.raises(SpecFormatError, match="overflow"):
+        seq.to_json()

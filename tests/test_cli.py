@@ -214,3 +214,36 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, cyclemax.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_network_reduce_refuses_tables_past_the_float_range(capsys, tmp_path):
+    # loads 2 and 2.5: Psi(N) passes the float range near N = 770
+    net = NetworkSpec(
+        mu0=0.1,
+        stations=(Station("ss", 0.5), Station("ss", 0.4)),
+        routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    )
+    path = tmp_path / "heavy.json"
+    save_network(net, path)
+    out_path = tmp_path / "induced.json"
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "1000", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("ERROR SpecFormatError:") and "overflow" in err
+    assert not out_path.exists()
+    code, out, _ = run(capsys, "network-reduce", "--in", str(path), "--nmax", "700")
+    assert code == 0
+    values = json.loads(out)["psi"]["values"]
+    assert len(values) == 701 and all(isinstance(v, float) for v in values)
+
+
+def test_null_table_value_exits_two(capsys, tmp_path):
+    bad = tmp_path / "null.json"
+    bad.write_text(json.dumps({
+        "lambda": 0.25, "mu": 1.0,
+        "psi": {"kind": "table", "values": [1.0, None], "tail_ratio": 0.5},
+        "phi": {"kind": "table", "values": [1.0, 0.5], "tail_ratio": 0.5},
+    }))
+    code, out, err = run(capsys, "classify", "--spec", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR SpecFormatError:")

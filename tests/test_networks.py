@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from cyclemax import networks
 from cyclemax import (
     CycleMaxDistribution,
     NetworkSpec,
@@ -391,3 +394,167 @@ def test_network_simulation_equals_one_jump_per_pass(horizon, escapes):
     assert np.array_equal(sample.maxima, maxima)
     assert sample.escaped == escaped
     assert (escaped > 0) == escapes
+
+
+def per_index_log_convolve(la, lb, n_hi):
+    # the per-coefficient loop the block kernel replaced, kept as its reference
+    out = np.empty(min(la.size + lb.size - 1, n_hi + 1))
+    for k in range(out.size):
+        lo = max(0, k - lb.size + 1)
+        hi = min(k, la.size - 1)
+        terms = la[lo : hi + 1] + lb[k - lo : k - hi - 1 if k > hi else None : -1]
+        peak = terms.max()
+        out[k] = peak + math.log(float(np.sum(np.exp(terms - peak))))
+    return out
+
+
+def test_log_convolve_matches_per_index_loop():
+    rng = np.random.default_rng(11)
+    n = np.arange(2001)
+    infinite_server = -np.array([math.lgamma(k + 1) for k in n]) + n * math.log(0.7)
+    growing = n * math.log(1.8)
+    flat = n * math.log(0.6)
+
+    def walk(size):
+        return rng.normal(size=size).cumsum()
+
+    cases = [
+        (walk(1), walk(1), 5),
+        (walk(2), walk(1), 5),
+        (walk(1), walk(2), 0),
+        (walk(2), walk(2), 10),
+        (walk(5), walk(300), 1000),  # n_hi above la.size + lb.size - 2
+        (walk(300), walk(5), 1000),
+        (walk(300), walk(5), 100),  # n_hi below it
+        (walk(700), walk(130), 2000),
+        (walk(130), walk(700), 500),
+        (walk(64), walk(64), 126),  # two full blocks exactly
+        (walk(65), walk(63), 200),
+        (flat, flat, 2000),  # equal loads: every row is flat
+        (infinite_server, growing, 2000),
+        (growing, infinite_server, 2000),
+    ]
+    assert infinite_server.min() < -1.3e4
+    for la, lb, n_hi in cases:
+        got = networks._log_convolve(la, lb, n_hi)
+        want = per_index_log_convolve(la, lb, n_hi)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+def per_point_lattice(net, n_max):
+    # the scalar lattice summation the array oracle replaced, kept as its reference
+    log_rho = np.log(station_loads(net))
+    psi_fn, phi_fn = net.psi, net.phi
+    if psi_fn is None:
+        seqs = [st.weight_sequence() for st in net.stations]
+
+        def psi_fn(occ):
+            return math.exp(sum(float(s.log_value(k)) for s, k in zip(seqs, occ)))
+
+        phi_fn = psi_fn
+    log_psi, log_phi = np.empty(n_max + 1), np.empty(n_max + 1)
+    for total in range(n_max + 1):
+        points = list(compositions(total, net.J))
+        weight = np.array([float(np.dot(occ, log_rho)) for occ in points])
+        terms_psi = np.log([float(psi_fn(occ)) for occ in points]) + weight
+        terms_phi = np.log([float(phi_fn(occ)) for occ in points]) + weight
+        log_psi[total] = np.logaddexp.reduce(terms_psi)
+        log_phi[total] = np.logaddexp.reduce(terms_phi)
+    return log_psi, log_phi
+
+
+def explicit(psi, phi):
+    base = mixed()
+    return NetworkSpec(mu0=base.mu0, stations=base.stations, routing=base.routing, psi=psi, phi=phi)
+
+
+def test_lattice_oracle_matches_per_point_loop():
+    def psi(occ):
+        return 1.0 / (1.0 + occ[0] * occ[1]) + math.exp(-sum(occ))
+
+    def phi(occ):
+        return 1.0 + 0.1 * occ[2]
+
+    for net in (mixed(), ring([5.0, 2.0]), explicit(psi, phi), explicit(psi, psi)):
+        for n_max in (0, 1, 7, 20):
+            got = networks._lattice_log_constants(net, n_max)
+            want = per_point_lattice(net, n_max)
+            for g, w in zip(got, want):
+                assert np.allclose(g, w, rtol=0.0, atol=1e-13)
+
+
+def test_lattice_oracle_calls_each_weight_once_per_point():
+    calls = []
+
+    def psi(occ):
+        calls.append(occ)
+        return 1.0 + occ[0]
+
+    networks._lattice_log_constants(explicit(psi, psi), 20)
+    assert len(calls) == math.comb(20 + 3, 3)
+    assert len(set(calls)) == len(calls) and all(type(k) is int for k in calls[-1])
+
+
+def test_lattice_oracle_rejects_a_zero_weight():
+    def psi(occ):
+        return 0.0 if occ == (1, 0, 2) else 1.0
+
+    with pytest.raises(SpecFormatError, match=r"\(1, 0, 2\)"):
+        lattice_constants(explicit(psi, lambda occ: 1.0), 5)
+    with pytest.raises(SpecFormatError, match=r"\(0, 0, 0\)"):
+        lattice_constants(explicit(lambda occ: 1.0, lambda occ: math.inf), 3)
+
+
+def test_log_aggregate_constants_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    routing = np.zeros((4, 4))
+    routing[0, 1:] = rng.dirichlet(np.ones(3))
+    for i in range(1, 4):
+        routing[i, 0] = 0.4
+        routing[i, 1:] = 0.6 * rng.dirichlet(np.ones(3))
+    net = NetworkSpec(
+        mu0=0.25,
+        stations=(Station("ss", 1.0), Station("ms", 1.0, s=2), Station("is", 0.5)),
+        routing=tuple(map(tuple, routing)),
+    )
+    station_loads(net)
+    tracemalloc.start()
+    try:
+        networks.log_aggregate_constants(net, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_station_loads_are_solved_once_and_read_only(monkeypatch):
+    solves = []
+    real = networks.solve_traffic
+
+    def counting(routing):
+        solves.append(1)
+        return real(routing)
+
+    monkeypatch.setattr(networks, "solve_traffic", counting)
+    net = mixed()
+    red = norton_reduce(net, 60)
+    assert len(solves) == 1
+    loads = station_loads(net)
+    assert loads is station_loads(net)
+    assert red.rho == tuple(float(r) for r in loads)
+    with pytest.raises(ValueError):
+        loads[0] = 1.0
+
+
+def test_reduction_past_the_float_range_warns_nothing():
+    net = ring([0.5, 0.4])  # loads 2 and 2.5: log Psi(1000) is about 916
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        red = norton_reduce(net, 1000)
+        psi, _ = aggregate_constants(net, 1000)
+    assert red.log_psi[-1] > 900 and np.all(np.isfinite(red.log_psi))
+    assert np.isinf(red.psi[-1]) and np.isinf(psi[-1]) and np.isfinite(red.psi[300])
+    assert math.isinf(red.induced.psi.values[-1])
+    with pytest.raises(SpecFormatError, match="overflow"):
+        red.induced.psi.to_json()
