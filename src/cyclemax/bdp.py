@@ -556,6 +556,9 @@ class Classification:
 # [_TRUNC/2, _TRUNC]; term ratios within _TOL of 1 are left to the probes
 _TRUNC = 10_000
 _TOL = 1e-9
+# most terms the ratio test sums when the term ratio at _TRUNC is still far
+# from its declared limit
+_TRUNC_MAX = 8 * _TRUNC
 
 
 def _tail_geometry(seq: WeightSequence):
@@ -600,6 +603,40 @@ def _linear(log_value):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: float):
+    """log of the series sum, its tail past the last term closed with ratio q < 1.
+
+    log_t holds the log terms for n = 0..N and log_partial their log-sum.
+    The closed tail is exact once the term ratio has come down to q.  While
+    the terms still fall by only r > q per step, it can miss up to
+    t_N (r - q) / ((1 - r)(1 - q)); the sum then runs on, doubling its
+    length up to _TRUNC_MAX terms, until that is below _TOL of the total.
+    """
+    n_end = log_t.size - 1
+    while True:
+        log_step = log_t[-1] - log_t[-2]
+        if log_step >= 0.0:
+            raise NotApplicableError(
+                f"series terms still rise at n = {n_end}; the truncated sum is not the series"
+            )
+        log_tail = log_t[-1] + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
+        log_total = np.logaddexp(log_partial, log_tail)
+        r = math.exp(log_step)
+        if r <= q:
+            return log_total
+        log_miss = log_t[-1] + math.log(r - q) - math.log(-math.expm1(log_step)) - math.log1p(-q)
+        if log_miss <= log_total + math.log(_TOL):
+            return log_total
+        if n_end >= _TRUNC_MAX:
+            raise NotApplicableError(
+                f"series term ratio at n = {n_end} is {r:.6g}, not yet near its limit {q:.6g}; "
+                "the truncated sum is not the series"
+            )
+        log_t = np.asarray(log_term_fn(np.arange(n_end, 2 * n_end + 1)), dtype=float)
+        log_partial = np.logaddexp(log_partial, logsumexp(log_t[1:]))
+        n_end *= 2
+
+
 def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
@@ -612,12 +649,7 @@ def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     log_partial = logsumexp(log_t)
 
     if q_hi < 1.0 - _TOL:
-        if log_t[-1] >= log_t[-2]:
-            raise NotApplicableError(
-                f"series terms still rise at n = {_TRUNC}; the truncated sum is not the series"
-            )
-        log_tail = log_t[-1] + math.log(q_hi) - math.log1p(-q_hi) if q_hi > 0.0 else -math.inf
-        log_total = np.logaddexp(log_partial, log_tail)
+        log_total = _ratio_test_total(log_term_fn, log_t, log_partial, q_hi)
         return _SeriesJudgement(_linear(log_total), float(log_total), True, True)
     if q_lo > 1.0 + _TOL:
         return _SeriesJudgement(math.inf, math.inf, False, False)

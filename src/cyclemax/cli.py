@@ -206,8 +206,8 @@ def _cmd_network_reduce(args) -> int:
             "the spec file format only carries a constant ratio\n"
         )
         induced = type(induced)(
-            psi=TableSequence(induced.psi.values, induced.psi.tail_ratio),
-            phi=TableSequence(induced.phi.values, induced.phi.tail_ratio),
+            psi=TableSequence.from_log(reduction.log_psi, induced.psi.tail_ratio),
+            phi=TableSequence.from_log(reduction.log_phi, induced.phi.tail_ratio),
             lam=induced.lam,
             mu=induced.mu,
             cap=induced.cap,

@@ -429,34 +429,42 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     routing_cdf = np.cumsum(routing, axis=1)
     mu_vec = np.array([st.mu for st in net.stations])
     s_vec = np.array([st.servers for st in net.stations])
-    entry = routing[0, 1:] / routing[0, 1:].sum()
-    entry_cdf = np.cumsum(entry)
+    entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())
     n_cycles, j_count = cfg.cycles, net.J
+    mu0 = net.mu0
+    # P(route to a node at or below j | actor), one contiguous column per j.
+    # Leaving out the last column caps the count at J: the cdf rises along a
+    # row, so that column's comparison can only hold when all others do.
+    route_cols = [routing_cdf[:, j].copy() for j in range(j_count)]
 
-    state = np.zeros((n_cycles, j_count), dtype=np.int64)
     first = np.minimum((entry_cdf < rng.random((n_cycles, 1))).sum(axis=1), j_count - 1)
-    state[np.arange(n_cycles), first] = 1
+    occupancy = [(first == j).astype(np.int64) for j in range(j_count)]
 
-    def advance(total, peak, state):
-        alive = total.size
-        rates = np.empty((alive, j_count + 1))
-        rates[:, 0] = net.mu0
-        rates[:, 1:] = mu_vec * np.minimum(state, s_vec)
-        cum = np.cumsum(rates, axis=1)
-        draw = rng.random(alive) * cum[:, -1]
-        actor = (cum < draw[:, None]).sum(axis=1)
-        dest = np.minimum(
-            (routing_cdf[actor] < rng.random((alive, 1))).sum(axis=1), j_count
-        )
-        rows = np.arange(alive)
-        leaving = actor >= 1
-        state[rows[leaving], actor[leaving] - 1] -= 1
-        entering = dest >= 1
-        state[rows[entering], dest[entering] - 1] += 1
-        total += entering.astype(np.int64) - leaving.astype(np.int64)
+    def advance(total, peak, *occupancy):
+        # The cumulative rates are built in the order np.cumsum adds them, so
+        # every sum and comparison equals its row-wise counterpart.  The last
+        # one is never exceeded by the draw, a fraction of it.
+        cum, acc = [], mu0
+        for n_j, mu_j, s_j in zip(occupancy, mu_vec, s_vec):
+            acc = np.minimum(n_j, s_j) * mu_j + acc
+            cum.append(acc)
+        draw = rng.random(total.size)
+        draw *= acc
+        actor = (draw > mu0).astype(np.intp)
+        for c in cum[:-1]:
+            actor += c < draw
+        u = rng.random(total.size)
+        dest = np.zeros(total.size, dtype=np.intp)
+        for col in route_cols:
+            dest += col.take(actor) < u
+        for j, n_j in enumerate(occupancy, start=1):
+            n_j -= actor == j
+            n_j += dest == j
+        total -= actor > 0
+        total += dest > 0
         np.maximum(peak, total, out=peak)
 
-    maxima, escaped = _run_cycles(n_cycles, cfg.escape_horizon, advance, state)
+    maxima, escaped = _run_cycles(n_cycles, cfg.escape_horizon, advance, *occupancy)
     return CycleSample(maxima=maxima, escaped=escaped)
 
 

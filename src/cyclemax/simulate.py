@@ -71,7 +71,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CycleSample:
-    """Recorded maxima of returned cycles plus the count that escaped."""
+    """Recorded maxima of finished cycles plus the count that escaped.
+
+    A cycle finishes when it returns to 0, or when it reaches a cap below
+    the escape horizon, which is then its maximum.
+    """
 
     maxima: np.ndarray
     escaped: int
@@ -85,19 +89,16 @@ class CycleSample:
         return self.escaped / self.cycles
 
 
-def _up_probabilities(spec: BirthDeathSpec, horizon: int) -> np.ndarray:
-    """P(step up | leave n) for n = 1..horizon-1; 0 at and beyond any cap.
+def _up_probabilities(spec: BirthDeathSpec, top: int) -> np.ndarray:
+    """P(step up | leave n) for n = 1..top-1.
 
     phi cancels between the birth and death rate at the same state, so only
     the psi ratio and the intensity ratio enter.
     """
-    n = np.arange(1, horizon)
+    n = np.arange(1, top)
     log_psi_ratio = np.asarray(spec.psi.log_ratio(n - 1), dtype=float)  # log psi(n)/psi(n-1)
     logit = math.log(spec.lam) - math.log(spec.mu) + log_psi_ratio
-    p = 1.0 / (1.0 + np.exp(-logit))
-    if spec.cap is not None:
-        p[n >= spec.cap] = 0.0
-    return p
+    return 1.0 / (1.0 + np.exp(-logit))
 
 
 def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizon: int = 1_000):
@@ -108,29 +109,29 @@ def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizo
     return ESCAPED if escaped else int(maxima[0])
 
 
-def _flat_start(p_up: np.ndarray, horizon: int) -> int | None:
-    """Lowest state n_flat with p_up constant on n_flat..horizon-1, or None.
+def _flat_start(p_up: np.ndarray, top: int) -> int | None:
+    """Lowest state n_flat with p_up constant on n_flat..top-1, or None.
 
-    None when the run is too short for two jumps in one pass, or when it
-    cannot be entered because its up-step probability is 0 (a cap).
-    Equality is exact, so a multi-jump pass compares with the very value a
-    single pass would look up.
+    None when the run is too short for two jumps in one pass.  Equality is
+    exact, so a pass that compares with the constant uses the very value a
+    lookup by level would give.
     """
     varying = np.flatnonzero(p_up != p_up[-1])
     n_flat = int(varying[-1]) + 2 if varying.size else 1
-    if n_flat > horizon - 3 or p_up[-1] == 0.0:
-        return None
-    return n_flat
+    return None if n_flat > top - 3 else n_flat
 
 
-def _run_cycles(n_cycles: int, horizon: int, advance, *rest) -> tuple[np.ndarray, int]:
-    """Run n_cycles busy cycles from level 1; returns (returned maxima, escaped).
+def _run_cycles(
+    n_cycles: int, top: int, advance, *rest, escapes: bool = True
+) -> tuple[np.ndarray, int]:
+    """Run n_cycles busy cycles from level 1; returns (recorded maxima, escaped).
 
     Each pass calls ``advance(level, peak, *rest)``, which moves every live
-    cycle in place.  A cycle that returns to 0 records its peak; one that
-    reaches ``horizon`` counts as escaped.  Finished cycles are dropped from
-    ``level``, ``peak`` and the arrays in ``rest`` (whose first axis runs over
-    the same cycles), so late stragglers do not drag full-width arrays along.
+    cycle in place.  A cycle that returns to 0 records its peak.  One that
+    reaches ``top`` counts as escaped, or, with ``escapes`` false (``top`` is
+    a cap), records its peak, which is then ``top``.  Finished cycles are
+    dropped from ``level``, ``peak`` and the arrays in ``rest`` (one entry
+    per cycle each), so late stragglers do not drag full-width arrays along.
     Maxima come back in cycle order.
     """
     level = np.ones(n_cycles, dtype=np.int64)
@@ -140,49 +141,69 @@ def _run_cycles(n_cycles: int, horizon: int, advance, *rest) -> tuple[np.ndarray
     escaped = 0
     while level.size:
         advance(level, peak, *rest)
-        live = (level > 0) & (level < horizon)
+        live = (level - 1).view(np.uint64) < top - 1  # 0 < level < top
         if live.all():
             continue
-        done = level == 0
-        out[slot[done]] = peak[done]
-        escaped += int((level >= horizon).sum())
-        level, peak, slot = level[live], peak[live], slot[live]
-        rest = tuple(a[live] for a in rest)
+        gone = np.flatnonzero(~live)
+        if escapes:
+            back = level[gone] == 0
+            escaped += gone.size - int(np.count_nonzero(back))
+            gone = gone[back]
+        out[slot[gone]] = peak[gone]
+        keep = np.flatnonzero(live)
+        level, peak, slot = level.take(keep), peak.take(keep), slot.take(keep)
+        rest = tuple(a.take(keep) for a in rest)
     return out[out > 0], escaped
 
 
 def _simulate_batch(
     spec: BirthDeathSpec, n_cycles: int, rng: np.random.Generator, horizon: int
 ) -> tuple[np.ndarray, int]:
-    """Vectorised cycles; returns (maxima of returned cycles, escaped count).
+    """Vectorised cycles; returns (recorded maxima, escaped count).
 
-    All live cycles advance one jump per pass.  Once every live cycle sits
-    above the state n_flat from which the up-step probability is constant,
-    a pass takes d jumps at once, with d small enough that no cycle can
-    return, escape or leave that run before its last jump.  No cycle
+    All live cycles advance one jump per pass.  The up-step probability is
+    looked up by level, or is the constant itself when every live cycle sits
+    at or above the state n_flat from which it is constant.  Once every live
+    cycle sits above n_flat, a pass takes d jumps at once, with d small enough that no cycle can
+    return, finish or leave that run before its last jump.  No cycle
     retires in between, so the (d, live) draws are exactly the ones d
-    single passes would make, in the same order.
+    single passes would make, in the same order.  A cycle that reaches a
+    cap below the horizon has its maximum and retires there.
     """
-    p_up = _up_probabilities(spec, horizon)
-    n_flat = _flat_start(p_up, horizon)
+    capped = spec.cap is not None and spec.cap < horizon
+    top = spec.cap if capped else horizon
+    if top == 1:
+        return np.ones(n_cycles, dtype=np.int64), 0
+    p_up = _up_probabilities(spec, top)
+    p_at = np.concatenate(([0.0], p_up))  # indexed by level
+    n_flat = _flat_start(p_up, top)
     p_flat = p_up[-1]
+    half = _BLOCK_CELLS // 2
+    steps = np.arange(1, _BLOCK_CELLS + 1, dtype=np.int32)[:, None]
 
     def advance(state, peak):
         live = state.size
-        jumps = 1
-        if n_flat is not None and live <= _BLOCK_CELLS // 2:
+        flat = n_flat == 1  # every live cycle is in the constant run
+        if n_flat is not None and (n_flat > 1 or live <= half):
             low = int(state.min())
-            if low > n_flat:
-                jumps = min(low - n_flat + 1, horizon - int(state.max()), _BLOCK_CELLS // live)
-        if jumps > 1:
-            path = np.where(rng.random((jumps, live)) < p_flat, 1, -1).cumsum(axis=0)
-            np.maximum(peak, state + path.max(axis=0), out=peak)
-            state += path[-1]
-        else:
-            state += np.where(rng.random(live) < p_up[state - 1], 1, -1)
-            np.maximum(peak, state, out=peak)
+            flat = low >= n_flat
+            if live <= half and low > n_flat:
+                jumps = min(low - n_flat + 1, top - int(state.max()), _BLOCK_CELLS // live)
+                if jumps > 1:
+                    # up-steps after t jumps, as int32; the path is 2 ups - t
+                    path = (rng.random((jumps, live)) < p_flat).cumsum(axis=0, dtype=np.int32)
+                    path *= 2
+                    path -= steps[:jumps]
+                    np.maximum(peak, state + path.max(axis=0), out=peak)
+                    state += path[-1]
+                    return
+        up = rng.random(live) < (p_flat if flat else p_at.take(state))
+        state += up
+        state += up
+        state -= 1
+        np.maximum(peak, state, out=peak)
 
-    return _run_cycles(n_cycles, horizon, advance)
+    return _run_cycles(n_cycles, top, advance, escapes=not capped)
 
 
 def simulate_cycles(spec: BirthDeathSpec, cfg: SimConfig) -> CycleSample:

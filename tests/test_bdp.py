@@ -267,6 +267,33 @@ def test_classify_multi_server_and_infinite_server():
     assert inf.regularity_ok
 
 
+@pytest.mark.parametrize("lam", [9_000.0, 9_500.0, 1e4])
+def test_slowly_falling_series_are_summed_past_the_truncation(lam):
+    # the terms of mminf(lam) still fall only by lam/(n+1) per step at
+    # n = 10,000, far from the limit ratio 0, so closing the tail with that
+    # ratio there dropped half the mass at lam = 1e4 (9999.312 for 10000)
+    cls = classify(mminf(lam, 1.0))
+    assert abs(cls.log_b_phi_inv - lam) <= 1e-9  # the sum e^lam to 1e-9 relative
+    assert cls.log_b_psi_inv == cls.log_b_phi_inv
+
+
+def test_a_tail_that_never_nears_its_declared_ratio_is_refused():
+    # declared ratio 0.5, but the terms fall by e^-1e-5 per step throughout
+    seq = CallableSequence(lambda n: -1e-5 * np.asarray(n, dtype=float), tail_ratio=0.5)
+    with pytest.raises(NotApplicableError, match="not yet near its limit"):
+        classify(BirthDeathSpec(psi=seq, phi=seq, lam=1.0, mu=1.0))
+
+
+@pytest.mark.parametrize(
+    "lam, log_b",
+    [(1.0, 1.0), (5.0, 4.999999999999999), (20.0, 19.999999999999996), (1e3, 999.9999999999997)],
+)
+def test_infinite_server_sums_keep_their_bits(lam, log_b):
+    # values before the tail-closing check was added, to the last bit
+    cls = classify(mminf(lam, 1.0))
+    assert cls.log_b_phi_inv == cls.log_b_psi_inv == log_b
+
+
 def test_regularity_flags_explosive_rates():
     # birth rate ~ e^{2n}: the non-explosion series converges, so the
     # classification must flag the chain; slowly varying rates must not trip it

@@ -236,6 +236,24 @@ def test_network_reduce_refuses_tables_past_the_float_range(capsys, tmp_path):
     assert len(values) == 701 and all(isinstance(v, float) for v in values)
 
 
+def test_network_reduce_names_the_overflow_of_coincident_loads(capsys, tmp_path):
+    # two single servers of rate 0.5 in tandem: loads 2 and 2, so the
+    # reduction carries an N^1 tail that the file format drops
+    net = NetworkSpec(
+        mu0=0.1,
+        stations=(Station("ss", 0.5), Station("ss", 0.5)),
+        routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    )
+    path = tmp_path / "tied.json"
+    save_network(net, path)
+    out_path = tmp_path / "induced.json"
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "1100", "--out", str(out_path))
+    assert code == 2
+    assert "dropping the N^1 tail correction" in err
+    assert "ERROR SpecFormatError: table values overflow the linear file representation" in err
+    assert not out_path.exists()
+
+
 def test_null_table_value_exits_two(capsys, tmp_path):
     bad = tmp_path / "null.json"
     bad.write_text(json.dumps({

@@ -396,6 +396,32 @@ def test_network_simulation_equals_one_jump_per_pass(horizon, escapes):
     assert (escaped > 0) == escapes
 
 
+def _five_stations():
+    rng = np.random.default_rng(5)
+    kinds = [Station("ss", 1.5), Station("ms", 0.8, s=2), Station("is", 0.6), Station("ms", 1.0, s=3)]
+    stations = tuple(kinds[i] for i in rng.integers(0, 4, size=5))
+    routing = rng.uniform(size=(6, 6))
+    routing[1:, 0] += 0.5  # every station routes outside
+    routing /= routing.sum(axis=1, keepdims=True)
+    return NetworkSpec(mu0=0.5, stations=stations, routing=routing)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))),
+        _five_stations(),
+    ],
+    ids=["one-station", "five-stations"],
+)
+def test_network_simulation_equals_one_jump_per_pass_on_other_shapes(net):
+    cfg = SimConfig(seed=29, cycles=2_000, escape_horizon=12)
+    maxima, escaped = _one_jump_per_pass(net, cfg)
+    sample = simulate_network_cycles(net, cfg)
+    assert np.array_equal(sample.maxima, maxima)
+    assert sample.escaped == escaped
+
+
 def per_index_log_convolve(la, lb, n_hi):
     # the per-coefficient loop the block kernel replaced, kept as its reference
     out = np.empty(min(la.size + lb.size - 1, n_hi + 1))

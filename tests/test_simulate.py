@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import cyclemax.simulate as simulate_module
 from cyclemax import (
+    BirthDeathSpec,
     CycleMaxDistribution,
     SimConfig,
+    TableSequence,
     empirical_cdf,
     ks_two_sample,
     mm1,
@@ -31,8 +33,11 @@ _CHAINS = [
     (mms(3, 2.0, 1.0), 1_000, False),
     (mminf(2.0, 1.0), 1_000, False),
     (mm1(0.9, 1.0, cap=5), 1_000, False),
+    # up-step odds 3, 2/3, 2, 1/4 below 5 and 0.7 from 5 on
+    (BirthDeathSpec(TableSequence([1.0, 3.0, 2.0, 4.0, 1.0], 0.7), TableSequence([1.0], 0.5), 1.0, 1.0),
+     1_000, False),
 ]
-_CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped"]
+_CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped", "table"]
 
 
 def test_config_validation():
@@ -61,12 +66,15 @@ def test_single_cycle_needs_a_horizon_of_ten():
 
 
 def _scalar_cycle(spec, rng, horizon):
-    """Reference single cycle: one scalar draw per jump."""
+    """Reference single cycle: one scalar draw per jump; a cycle that
+    reaches a cap below the horizon has its maximum and ends there."""
     p_up = _up_probabilities(spec, horizon)
     state, peak = 1, 1
     while state:
         if state >= horizon:
             return ESCAPED
+        if state == spec.cap:
+            return peak
         if rng.random() < p_up[state - 1]:
             state += 1
             peak = max(peak, state)
@@ -198,10 +206,16 @@ def test_jump_mode_raises_on_escape_in_a_later_batch(monkeypatch):
     assert len(batches) > 1 and batches[0] == 0 and batches[-1] > 0
 
 
-def _one_jump_per_pass(spec, cycles, seed, horizon):
-    """Reference driver: every live cycle takes exactly one jump per pass."""
+def _one_jump_per_pass(spec, cycles, seed, horizon, rng=None):
+    """Reference driver: every live cycle takes exactly one jump per pass; a
+    cycle that reaches a cap below the horizon has its maximum and ends there.
+
+    Draws from ``rng`` when given, else from a generator seeded with ``seed``.
+    """
     p_up = _up_probabilities(spec, horizon)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    cap = spec.cap if spec.cap is not None and spec.cap < horizon else 0
     state = np.ones(cycles, dtype=np.int64)
     peak = state.copy()
     out = np.empty(cycles, dtype=np.int64)
@@ -210,7 +224,7 @@ def _one_jump_per_pass(spec, cycles, seed, horizon):
     while state.size:
         state = state + np.where(rng.random(state.size) < p_up[state - 1], 1, -1)
         peak = np.maximum(peak, state)
-        done, gone = state == 0, state >= horizon
+        done, gone = (state == 0) | (state == cap), state >= horizon
         out[slot[done]] = peak[done]
         out[slot[gone]] = -1
         escaped += int(gone.sum())
@@ -227,6 +241,65 @@ def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
     assert np.array_equal(sample.maxima, maxima)
     assert sample.escaped == escaped
     assert (escaped > 0) == escapes
+
+
+def test_capped_overloaded_chain_retires_at_the_cap():
+    # overloaded below its cap: a cycle that bounced at the cap would need
+    # about 1.5^40 jumps to return
+    spec = mms(3, 4.5, 1.0, cap=40)
+    cfg = SimConfig(seed=1, cycles=10)
+
+    class Bounded:
+        def __init__(self):
+            self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+            self.calls = 0
+
+        def random(self, size):
+            self.calls += 1
+            assert self.calls < 10_000, "the cycles did not finish"
+            return self.rng.random(size)
+
+    got = _simulate_batch(spec, cfg.cycles, Bounded(), cfg.escape_horizon)
+    sample = simulate_cycles(spec, cfg)
+    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, cfg.escape_horizon)
+    assert np.array_equal(got[0], maxima) and np.array_equal(sample.maxima, maxima)
+    assert got[1] == sample.escaped == escaped == 0
+    assert maxima.max() == 40
+
+
+def test_cycles_start_at_a_cap_of_one_and_draw_nothing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert [simulate_cycle(mm1(2.0, 1.0, cap=1), rng) for _ in range(3)] == [1, 1, 1]
+    assert rng.bit_generator.state == before
+    assert _scalar_cycle(mm1(2.0, 1.0, cap=1), rng, 1_000) == 1
+
+
+def _jump_mode_reference(spec, k, reps, cfg, chunk):
+    """Row maxima of reps * k one-jump-per-pass cycles drawn from one
+    generator, in batches of whole rows, or of chunk cycles when k > chunk."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    total = reps * k
+    batch = (chunk // k) * k if k <= chunk else chunk
+    maxima = []
+    for start in range(0, total, batch):
+        got, escaped = _one_jump_per_pass(spec, min(batch, total - start), None, cfg.escape_horizon, rng)
+        assert escaped == 0
+        maxima.append(got)
+    return np.concatenate(maxima).reshape(reps, k).max(axis=1)
+
+
+@pytest.mark.parametrize("chunk", [16, 100, None])
+@pytest.mark.parametrize("spec", [mm1(0.6, 1.0), mms(3, 2.1, 1.0)], ids=["mm1", "mms3"])
+def test_jump_mode_equals_one_jump_per_pass(monkeypatch, spec, chunk):
+    # k = 40 > 16 splits rows across batches; 100 holds two whole rows; the
+    # default holds them all
+    if chunk is not None:
+        monkeypatch.setattr(simulate_module, "_JUMP_CHUNK", chunk)
+    cfg = SimConfig(seed=18)
+    got = sample_maxima(spec, 40, 60, cfg, mode="jump")
+    want = _jump_mode_reference(spec, 40, 60, cfg, simulate_module._JUMP_CHUNK)
+    assert np.array_equal(got, want)
 
 
 _PRESETS = {
