@@ -396,8 +396,8 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification and its cycle-maximum law are computed on first use
-    and kept on the object.
+    Its classification, its cycle-maximum law and its tail functions are
+    computed on first use and kept on the object.
     """
 
     psi: WeightSequence
@@ -426,7 +426,12 @@ class BirthDeathSpec:
     def _law(self) -> "CycleMaxDistribution":
         from .distribution import CycleMaxDistribution  # distribution imports this module
 
-        return CycleMaxDistribution(self)
+        return CycleMaxDistribution._cached_for(self)
+
+    @cached_property
+    def _tail_functions(self) -> dict:
+        """Interpolated tail functions built for this spec, by n_max."""
+        return {}
 
     # log psi(n) rho^n, scaled so the n = 0 term is exactly 1.  Hitting
     # probabilities from state 1 depend on the weights only through

@@ -12,6 +12,7 @@ law stays computable when the weights grow or decay factorially.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -40,15 +41,29 @@ class CycleMaxDistribution:
 
     The internal cumulative tables grow on demand.  Every package function
     handed a spec uses the one law cached on that spec; constructing the
-    class directly gives a fresh, independent table.
+    class directly gives a fresh, independent table.  The cached law holds
+    its spec by a weak reference, so the pair forms no reference cycle and
+    is freed as soon as the spec is dropped.
     """
 
     def __init__(self, spec: BirthDeathSpec):
-        self.spec = spec
+        self._spec_ref = weakref.ref(spec)
+        self._spec_hold = spec
         self._log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
         self._log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
         self._log_s_inf: float | None = None
         self._ensure(64)
+
+    @classmethod
+    def _cached_for(cls, spec: BirthDeathSpec) -> "CycleMaxDistribution":
+        """The law a spec caches on itself; it holds the spec only weakly."""
+        law = cls(spec)
+        law._spec_hold = None
+        return law
+
+    @property
+    def spec(self) -> BirthDeathSpec:
+        return self._spec_ref()
 
     def _ensure(self, n: int) -> None:
         """Grow tables to cover index n (clipped to the cap)."""
@@ -225,8 +240,8 @@ def duality_check(lam: float, mu: float, n_max: int = 100) -> float:
     """
     if not lam < mu:
         raise NotStableError(f"needs lam < mu, got lam={lam}, mu={mu}")
-    stable = _as_dist(mm1(lam, mu))
-    swapped = _as_dist(mm1(mu, lam))
+    stable = CycleMaxDistribution(mm1(lam, mu))
+    swapped = CycleMaxDistribution(mm1(mu, lam))
     n = np.arange(1, n_max + 1)
     return float(np.max(np.abs(swapped.failure_rate(n) - stable.blocking_prob(n))))
 

@@ -81,7 +81,12 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     Requires a subcritical upper ratio so that a decreasing tail exists at
     all; the start y0 of the monotone regime is located by scanning the
     knots, and the scan must confirm monotonicity strictly inside n_max.
+    The result is cached on the spec by n_max; a build that raises caches
+    nothing.
     """
+    cached = spec._tail_functions.get(n_max)
+    if cached is not None:
+        return cached
     _require_uncapped(spec)
     cls = classify(spec)
     if not cls.beta_upper * spec.rho < 1.0:
@@ -93,7 +98,9 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     y0 = int(rising[-1]) + 1 if len(rising) else 0
     if y0 >= n_max:
         raise NoMonotoneTailError(f"no strictly decreasing tail within {n_max} knots")
-    return TailFunction(log_knots=log_g, y0=y0)
+    log_g.flags.writeable = False
+    f = spec._tail_functions[n_max] = TailFunction(log_knots=log_g, y0=y0)
+    return f
 
 
 def invert_tail(f: TailFunction, v: float, tol: float = 1e-10) -> float:

@@ -8,6 +8,11 @@ level probabilities exactly.  Cycle-maximum laws are exact for J = 1 (the
 total is then itself Markov) and approximate otherwise; the discrepancy is
 small when every station routes to the outside and grows for feed-forward
 topologies where the total's drift depends strongly on the configuration.
+
+For separable stations the constants cost O(n_max (J + sum s)) time and
+O(n_max) memory: the infinite-server stations merge into one Poisson weight
+and every single- or multi-server station enters as a geometric filter.
+Explicit weights take the lattice sum, limited to small networks.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .bdp import (
     _linear,
     _load_json,
     _require_number,
+    log_factorial,
 )
 from .errors import (
     CoincidentLoadsError,
@@ -198,66 +204,51 @@ def station_loads(net: NetworkSpec) -> np.ndarray:
     return net._loads
 
 
-_CONV_BLOCK = 64  # output rows per block: working memory is _CONV_BLOCK * la.size floats
-# shifted log terms are clamped here before exp: a row sums to at least 1 after
-# the shift, so terms below e^-700 cannot change it, and exp stays off its slow
-# underflow path
-_EXP_FLOOR = -700.0
+def _log_station_filter(la: np.ndarray, log_w: np.ndarray, t0: int, log_q: float) -> np.ndarray:
+    """Log-scale convolution of la with one station's weight w, truncated to la.size.
 
-
-def _log_convolve(la: np.ndarray, lb: np.ndarray, n_hi: int) -> np.ndarray:
-    """Log-scale linear convolution of finite log sequences, truncated to 0..n_hi.
-
-    Each output coefficient is a max-shifted sum, so widely scaled station
-    sequences combine without overflow or underflow.  Output rows are taken
-    a block at a time: row k holds la[i] + lb[k - i] in column i + 1 and -inf
-    in column 0, read through a window over the reversed lb padded with -inf.
+    w(t) = w(t0) q^(t - t0) from t = t0 on, and log_w holds w(0..min(t0, la.size - 1)).
+    The geometric part is the recurrence g(n) = q g(n - 1) + a(n), taken as
+    n log q plus a left fold of log a(n) - n log q; the head terms t < t0 are
+    added as shifted copies of la.
     """
-    na, nb = la.size, lb.size
-    size = min(na + nb - 1, n_hi + 1)
-    # column i + 1 of row k reads padded[top - k + i + 1], which is lb[k - i]
-    left = max(0, size - nb) + 1
-    padded = np.full(left + nb + na, -np.inf)
-    padded[left : left + nb] = lb[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, na + 1)
-    top = left + nb - 2
-    head = np.concatenate(([-np.inf], la))
-    # zeros, so the parts of buf that reduceat adds up and drops are always finite
-    buf = np.zeros(_CONV_BLOCK * (na + 1) + 1)
-    out = np.empty(size)
-    for k0 in range(0, size, _CONV_BLOCK):
-        k = np.arange(k0, min(k0 + _CONV_BLOCK, size))
-        cols = min(k0 + k.size, na) + 1
-        block = buf[: k.size * cols].reshape(k.size, cols)
-        np.add(head[:cols], windows[top - k[-1] : top - k0 + 1, :cols][::-1], out=block)
-        peak = block.max(axis=1)
-        block -= peak[:, None]
-        np.maximum(block, _EXP_FLOOR, out=block)
-        np.exp(block, out=block)
-        # row k sums columns lo + 1 .. hi + 1 after a zero put in column lo:
-        # reduceat adds its first element to a pairwise sum of the rest, so each
-        # row adds up exactly as a 1-d sum over its own terms would
-        first = np.arange(k.size) * cols
-        zero = first + np.maximum(k - nb + 1, 0)
-        buf[zero] = 0.0
-        bounds = np.stack([zero, first + np.minimum(k, na - 1) + 2], axis=1).ravel()
-        sums = np.add.reduceat(buf[: block.size + 1], bounds)[::2]
-        out[k0 : k0 + k.size] = peak + np.log(sums)
+    size = la.size
+    out = np.full(size, -np.inf)
+    if t0 < size:
+        shift = np.arange(size - t0) * log_q
+        out[t0:] = log_w[t0] + shift + np.logaddexp.accumulate(la[: size - t0] - shift)
+    for t in range(min(t0, size)):
+        np.logaddexp(out[t:], log_w[t] + la[: size - t], out=out[t:])
     return out
 
 
 def log_aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """log Psi(N) and log Phi(N) for N = 0..n_max."""
+    """log Psi(N) and log Phi(N) for N = 0..n_max.
+
+    The infinite-server stations merge into one Poisson weight with the sum
+    of their loads.  Each single- or multi-server station is then applied as
+    a filter: its weight rho^t psi(t) is geometric with ratio q = rho / s from
+    t = s - 1 on, so it costs one log-scale recurrence (Buzen's algorithm)
+    plus s - 1 head terms.  Stations go in increasing q, so each fold runs at
+    the growth rate of its own result and cancels no large logs.
+    """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if not net.separable:
         return _lattice_log_constants(net, n_max)
-    rho = station_loads(net)
+    loads = list(zip(net.stations, station_loads(net).tolist()))
     n = np.arange(n_max + 1)
-    log_psi = None
-    for st, r in zip(net.stations, rho):
-        seq = np.asarray(st.weight_sequence().log_value(n), dtype=float) + n * math.log(r)
-        log_psi = seq if log_psi is None else _log_convolve(log_psi, seq, n_max)
+    poisson = sum(r for st, r in loads if st.kind == "is")
+    if poisson > 0.0:
+        log_psi = n * math.log(poisson) - log_factorial(n)
+    else:
+        log_psi = np.where(n == 0, 0.0, -np.inf)
+    queues = [(st, r) for st, r in loads if st.kind != "is"]
+    for st, r in sorted(queues, key=lambda queue: queue[1] / queue[0].servers):
+        s = int(st.servers)
+        t = np.arange(min(s - 1, n_max) + 1)
+        log_w = st.weight_sequence().log_value(t) + t * math.log(r)
+        log_psi = _log_station_filter(log_psi, log_w, s - 1, math.log(r / s))
     # the standard kinds all have phi_i = psi_i, hence Phi = Psi
     return log_psi, log_psi.copy()
 

@@ -3,7 +3,8 @@
 A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
 holding times are never sampled.  Every call draws from one generator seeded
-by ``SimConfig.seed``, so equal seeds give equal results.
+by ``SimConfig.seed``, so equal seeds give equal results.  A call expected to
+take more than _MAX_JUMPS jumps raises before its first draw.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ _BLOCK_CELLS = 1 << 12
 _JUMP_CHUNK = 1 << 17
 # Most levels an inversion table may hold (8 MiB of float64).
 _INVERSION_LEVELS = 1 << 20
+# Most jumps a call may expect to simulate: 10-400 ns a jump on a 2-vCPU
+# host, so about 40 s at most.  A pass over a few live cycles costs about as
+# much as one over 256, so a call is charged for at least _PASS_CYCLES cycles.
+_MAX_JUMPS = 1e8
+_PASS_CYCLES = 256
 
 
 class _Escaped:
@@ -101,10 +107,38 @@ def _up_probabilities(spec: BirthDeathSpec, top: int) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logit))
 
 
+def _log_expected_jumps(spec: BirthDeathSpec, top: int) -> float:
+    """log E_1[min(T_0, T_top)], the mean jump count of one cycle run to ``top``.
+
+    With w(m) = psihat(m) rho^m and S(n) = sum_{i<=n} 1/w(i), a cycle visits
+    level m on average (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times, and
+    w(m) / p_up(m) = w(m) + w(m-1).  The margin S(top-1) - S(m-1) is summed
+    afresh from its positive terms, so a converging S costs no cancellation.
+    """
+    log_w = np.asarray(spec.log_psi_rho(np.arange(top)), dtype=float)
+    margin = np.logaddexp.accumulate(-log_w[::-1])[::-1]  # log (S(top-1) - S(m-1))
+    log_visits = margin[1:] + np.logaddexp(log_w[1:], log_w[:-1]) - margin[0]
+    return float(np.logaddexp.reduce(log_visits))
+
+
+def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
+    """Raise before the first draw when n_cycles cycles are expected to take
+    more than _MAX_JUMPS jumps, counting at least _PASS_CYCLES cycles."""
+    top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    log_per_cycle = _log_expected_jumps(spec, top)
+    if math.log(max(n_cycles, _PASS_CYCLES)) + log_per_cycle > math.log(_MAX_JUMPS):
+        raise NotApplicableError(
+            f"a cycle to horizon {horizon} is expected to take "
+            f"{math.exp(min(log_per_cycle, 700.0)):.3g} jumps; {n_cycles} cycles "
+            f"(counted as at least {_PASS_CYCLES}) pass the budget of {_MAX_JUMPS:.3g} jumps"
+        )
+
+
 def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizon: int = 1_000):
     """One busy cycle; returns the maximum level or ESCAPED at the horizon."""
     if escape_horizon < 10:
         raise ValueError("escape_horizon must be at least 10")
+    _refuse_long_runs(spec, 1, escape_horizon)
     maxima, escaped = _simulate_batch(spec, 1, rng, escape_horizon)
     return ESCAPED if escaped else int(maxima[0])
 
@@ -207,7 +241,10 @@ def _simulate_batch(
 
 
 def simulate_cycles(spec: BirthDeathSpec, cfg: SimConfig) -> CycleSample:
-    """cfg.cycles independent busy cycles under cfg.seed."""
+    """cfg.cycles independent busy cycles under cfg.seed; raises
+    NotApplicableError before the first draw if they are expected to pass
+    the jump budget."""
+    _refuse_long_runs(spec, cfg.cycles, cfg.escape_horizon)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     maxima, escaped = _simulate_batch(spec, cfg.cycles, rng, cfg.escape_horizon)
     return CycleSample(maxima=maxima, escaped=escaped)
@@ -260,7 +297,8 @@ def sample_maxima(
 
     mode "inversion" samples from the exact law (fast path, any k); mode
     "jump" simulates every cycle and raises if one escapes, since the sample
-    maximum is then unbounded.
+    maximum is then unbounded, or if its reps*k cycles are expected to pass
+    the jump budget.
     """
     cfg = cfg if cfg is not None else SimConfig()
     if k < 1 or reps < 1:
@@ -278,6 +316,7 @@ def sample_maxima(
     # whole rows, or part of one row when k exceeds _JUMP_CHUNK.
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     total = reps * k
+    _refuse_long_runs(spec, total, cfg.escape_horizon)
     batch = (_JUMP_CHUNK // k) * k if k <= _JUMP_CHUNK else _JUMP_CHUNK
     best = np.zeros(reps, dtype=np.int64)
     for start in range(0, total, batch):

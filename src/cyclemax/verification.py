@@ -20,6 +20,7 @@ import numpy as np
 
 from .bdp import BirthDeathSpec, classify, mm1, mminf, mms, stationary_distribution
 from .distribution import (
+    CycleMaxDistribution,
     TailRegime,
     _as_dist,
     duality_check,
@@ -150,9 +151,9 @@ def multi_server_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
 def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
     """n(1-F(n)) approaches 1 for the critical single server, s^s/s! for s servers."""
     start = time.perf_counter()
-    d1 = _as_dist(mm1(1.0, 1.0))
+    d1 = CycleMaxDistribution(mm1(1.0, 1.0))
     v1 = 100 * math.exp(d1.log_survival(100))
-    d2 = _as_dist(mms(2, 2.0, 1.0))
+    d2 = CycleMaxDistribution(mms(2, 2.0, 1.0))
     target2 = 4.0 / 2.0
     v2 = 200 * math.exp(d2.log_survival(200))
     ok = abs(v1 - 1.0) < 0.02 and abs(v2 - target2) < 0.05 * target2

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,19 +8,23 @@ import pytest
 from cyclemax import (
     BirthDeathSpec,
     CycleMaxDistribution,
+    NetworkSpec,
+    Station,
     TableSequence,
     TailRegime,
     blocking_prob,
+    classify,
     compactness_diagnostic,
     cycle_max_cdf,
     failure_rate,
     mm1,
     mminf,
     mms,
+    norton_reduce,
     sample_maxima,
     tail_asymptotics,
 )
-from cyclemax.distribution import _hurwitz_zeta
+from cyclemax.distribution import _as_dist, _hurwitz_zeta
 from cyclemax.errors import NotApplicableError, NotTransientError
 
 
@@ -213,6 +219,34 @@ def test_spec_functions_share_one_law(monkeypatch):
     assert calls == [spec]
     # the public constructor still builds a fresh, independent table
     assert CycleMaxDistribution(spec) is not CycleMaxDistribution(spec)
+
+
+def test_a_spec_and_its_cached_law_are_freed_without_the_cycle_collector():
+    net = NetworkSpec(
+        mu0=0.25,
+        stations=(Station("ss", 1.0), Station("is", 0.5)),
+        routing=((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec = mm1(0.5, 1.0)
+        assert cycle_max_cdf(spec, 5) == _as_dist(spec).cdf(5)
+        classify(spec)
+        ref = weakref.ref(spec)
+        del spec
+        assert ref() is None
+        induced = norton_reduce(net, 400).induced
+        cycle_max_cdf(induced, 5)
+        ref = weakref.ref(induced)
+        del induced
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # a law built directly keeps its spec alive
+    dist = CycleMaxDistribution(mm1(0.5, 1.0))
+    assert dist.cdf(5) == pytest.approx(single_server_cdf(0.5, 5), rel=1e-12)
 
 
 _WAVY = TableSequence(np.exp(np.sin(np.arange(1000))), 1.0)  # 1,000 entries, not monotone

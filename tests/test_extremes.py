@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclemax import extremes
 from cyclemax import (
     BirthDeathSpec,
     NormingKind,
@@ -186,3 +187,32 @@ def test_as_limit_constant_rejects_a_cap(spec):
 def test_compactness_diagnostic_rejects_a_cap(spec):
     with pytest.raises(NotApplicableError, match="finite chains"):
         compactness_diagnostic(spec)
+
+
+def test_one_tail_function_per_spec_and_n_max(monkeypatch):
+    builds = []
+    real = extremes.TailFunction
+
+    def counting(**fields):
+        builds.append(len(fields["log_knots"]) - 1)
+        return real(**fields)
+
+    monkeypatch.setattr(extremes, "TailFunction", counting)
+    spec = mms(3, 2.1, 1.0)
+    first = gumbel_bounds(spec, 0.5, 100)
+    for x, k in ((0.5, 100), (-1.0, 1000), (2.0, 10)):
+        gumbel_bounds(spec, x, k)
+    norming_constants(spec, "Numeric", [10, 100])
+    assert builds == [400]
+    assert gumbel_bounds(spec, 0.5, 100) == first
+    assert build_tail_function(spec) is build_tail_function(spec, 400)
+    norming_constants(spec, "Numeric", [10], n_max=300)
+    assert builds == [400, 300]
+    with pytest.raises(ValueError):  # the shared knots are read-only
+        build_tail_function(spec).log_knots[0] = 0.0
+    # a build that raises caches nothing
+    transient = mm1(2.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(NotSubcriticalError):
+            gumbel_bounds(transient, 0.5, 100)
+    assert transient._tail_functions == {}

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -220,10 +221,10 @@ def test_harrison_closed_form_agrees():
 
 def test_all_infinite_server_product_form():
     net = ring([2.0, 1.0, 2.0 / 3.0], kinds=["is"] * 3)
-    psi, _ = aggregate_constants(net, 12)
+    psi, _ = aggregate_constants(net, 150)
     total = 0.5 + 1.0 + 1.5
-    for n in range(13):
-        assert psi[n] == pytest.approx(total**n / math.factorial(n), rel=1e-12)
+    for n in range(151):
+        assert psi[n] == pytest.approx(total**n / math.factorial(n), rel=1e-13)
     assert network_beta(net) == (0.0, 3)
 
 
@@ -423,7 +424,7 @@ def test_network_simulation_equals_one_jump_per_pass_on_other_shapes(net):
 
 
 def per_index_log_convolve(la, lb, n_hi):
-    # the per-coefficient loop the block kernel replaced, kept as its reference
+    # the per-coefficient convolution loop, kept as the reference of the aggregation
     out = np.empty(min(la.size + lb.size - 1, n_hi + 1))
     for k in range(out.size):
         lo = max(0, k - lb.size + 1)
@@ -434,37 +435,92 @@ def per_index_log_convolve(la, lb, n_hi):
     return out
 
 
-def test_log_convolve_matches_per_index_loop():
+def per_index_fold(net, n_max):
+    # log Psi as a left fold of the per-index convolution over the station sequences
+    n = np.arange(n_max + 1)
+    out = None
+    for st, r in zip(net.stations, station_loads(net)):
+        seq = np.asarray(st.weight_sequence().log_value(n), dtype=float) + n * math.log(r)
+        out = seq if out is None else per_index_log_convolve(out, seq, n_max)
+    return out
+
+
+def loaded(*stations):
+    """A ring of stations given as (kind, load, servers); each is visited once."""
+    net = ring([1.0 / load for _, load, _ in stations])
+    kinds = tuple(Station(kind, st.mu, s=s) for (kind, _, s), st in zip(stations, net.stations))
+    return NetworkSpec(mu0=net.mu0, stations=kinds, routing=net.routing)
+
+
+def random_network(rng, J):
+    # every station routes outside with probability 0.3-0.6; per-server loads in [0.3, 0.7]
+    routing = np.zeros((J + 1, J + 1))
+    routing[0, 1:] = rng.dirichlet(np.ones(J))
+    for i in range(1, J + 1):
+        out = rng.uniform(0.3, 0.6)
+        routing[i, 0] = out
+        routing[i, 1:] = (1.0 - out) * rng.dirichlet(np.ones(J))
+    throughput = solve_traffic(routing)
+    stations = []
+    for i in range(J):
+        kind = ("ss", "ms", "is")[i % 3]
+        s = 2 + i % 2 if kind == "ms" else None
+        load = rng.uniform(0.3, 0.7) * (s or 1)
+        stations.append(Station(kind, float(throughput[i] / load), s=s))
+    return NetworkSpec(mu0=0.25, stations=tuple(stations), routing=routing)
+
+
+def test_log_aggregate_constants_matches_per_index_fold():
     rng = np.random.default_rng(11)
-    n = np.arange(2001)
-    infinite_server = -np.array([math.lgamma(k + 1) for k in n]) + n * math.log(0.7)
-    growing = n * math.log(1.8)
-    flat = n * math.log(0.6)
-
-    def walk(size):
-        return rng.normal(size=size).cumsum()
-
-    cases = [
-        (walk(1), walk(1), 5),
-        (walk(2), walk(1), 5),
-        (walk(1), walk(2), 0),
-        (walk(2), walk(2), 10),
-        (walk(5), walk(300), 1000),  # n_hi above la.size + lb.size - 2
-        (walk(300), walk(5), 1000),
-        (walk(300), walk(5), 100),  # n_hi below it
-        (walk(700), walk(130), 2000),
-        (walk(130), walk(700), 500),
-        (walk(64), walk(64), 126),  # two full blocks exactly
-        (walk(65), walk(63), 200),
-        (flat, flat, 2000),  # equal loads: every row is flat
-        (infinite_server, growing, 2000),
-        (growing, infinite_server, 2000),
+    cases = [(random_network(rng, J), n_max) for J, n_max in ((2, 2000), (3, 500), (6, 500), (8, 500))]
+    cases += [
+        (loaded(("ss", 0.6, None), ("ss", 0.6, None)), 2000),  # coincident loads
+        (loaded(("ss", 1.8, None), ("ms", 3.0, 2), ("ss", 0.5, None)), 2000),  # loads above 1 per server
+        (loaded(("is", 0.7, None), ("ss", 1.8, None)), 2000),
+        (loaded(("is", 700.0, None), ("ss", 1.8, None)), 2000),  # a large infinite-server load
+        (loaded(("ms", 5.0, 8), ("is", 2.0, None), ("ss", 0.9, None)), 300),
+        (loaded(("ms", 30.0, 400), ("is", 3.0, None)), 300),  # s > n_max + 1: all head terms
+        (loaded(("ms", 0.6, 2), ("ss", 0.01, None), ("ss", 0.999, None)), 2000),  # widely spread loads
+        (mixed(), 0),
+        (mixed(), 1),
+        (mixed(), 2000),
     ]
-    assert infinite_server.min() < -1.3e4
-    for la, lb, n_hi in cases:
-        got = networks._log_convolve(la, lb, n_hi)
-        want = per_index_log_convolve(la, lb, n_hi)
-        assert got.shape == want.shape
+    for net, n_max in cases:
+        got, got_phi = networks.log_aggregate_constants(net, n_max)
+        want = per_index_fold(net, n_max)
+        assert got.shape == want.shape == (n_max + 1,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+        assert np.array_equal(got, got_phi)
+
+
+def decimal_log_constants(net, n_max):
+    # 60-digit convolution of the station weights rho^t psi(t), from their float loads
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        psi = [decimal.Decimal(1)] + [decimal.Decimal(0)] * n_max
+        for st, r in zip(net.stations, station_loads(net)):
+            w = [decimal.Decimal(1)]
+            for t in range(1, n_max + 1):
+                w.append(w[-1] * decimal.Decimal(float(r)) / decimal.Decimal(min(t, st.servers)))
+            psi = [sum(psi[i] * w[k - i] for i in range(k + 1)) for k in range(n_max + 1)]
+        return np.array([float(v.ln()) for v in psi])
+
+
+def test_log_aggregate_constants_match_a_decimal_reference():
+    # rounding in float64 grows with the magnitude of the logs it combines; 1e-13
+    # relative to max(|log Psi|, 1) is about 450 ulps, far above it and far below
+    # any error in the method
+    rng = np.random.default_rng(17)
+    for net, n_max in (
+        (mixed(), 300),
+        (random_network(rng, 4), 300),
+        (loaded(("ss", 1.0, None), ("ss", 0.01, None)), 300),
+        (loaded(("ss", 1.3, None), ("ms", 2.6, 2)), 300),
+        (loaded(("ms", 0.6, 400), ("is", 40.0, None)), 300),
+        (loaded(("ss", 1.8, None), ("ss", 1.5, None), ("is", 700.0, None)), 200),
+    ):
+        want = decimal_log_constants(net, n_max)
+        got, _ = networks.log_aggregate_constants(net, n_max)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 

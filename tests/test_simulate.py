@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -379,3 +380,59 @@ def test_convergence_table_centres_on_one():
 def test_convergence_table_needs_a_normaliser():
     with pytest.raises(NotApplicableError):
         verify_as_convergence(mm1(1.0, 1.0), [100], reps=10, cfg=SimConfig(seed=2))
+
+
+def _jump_counts(spec, cycles, horizon, seed):
+    # one jump per pass, with up-step odds from the rates; returns the mean
+    # jump count of a cycle and its standard error
+    top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    rates = [(spec.birth_rate(n), spec.death_rate(n)) for n in range(1, top)]
+    p_up = np.array([0.0] + [b / (b + d) for b, d in rates])
+    rng = np.random.default_rng(seed)
+    state = np.ones(cycles, dtype=np.int64)
+    jumps = np.zeros(cycles)
+    live = np.arange(cycles)
+    while live.size:
+        state[live] += np.where(rng.random(live.size) < p_up[state[live]], 1, -1)
+        jumps[live] += 1
+        live = live[(state[live] > 0) & (state[live] < top)]
+    return jumps.mean(), jumps.std(ddof=1) / math.sqrt(cycles)
+
+
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(mm1(0.95, 1.0), 1_000), (mms(3, 2.1, 1.0), 1_000), (mminf(2.0, 1.0), 1_000),
+     (mms(3, 4.5, 1.0, cap=40), 1_000), (mm1(1.0, 1.0), 200)],
+    ids=["mm1-0.95", "mms3", "mminf", "mms3-capped", "mm1-critical"],
+)
+def test_expected_jumps_match_a_simulated_mean(spec, horizon):
+    top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    want = math.exp(simulate_module._log_expected_jumps(spec, top))
+    mean, err = _jump_counts(spec, 20_000, horizon, 41)
+    assert abs(mean - want) <= 3.0 * err
+
+
+def test_long_cycles_are_refused_before_the_first_draw():
+    spec = mminf(20.0, 1.0)  # a busy cycle lasts about e^20 / 20 jumps
+    start = time.perf_counter()
+    with pytest.raises(NotApplicableError, match="budget"):
+        simulate_cycles(spec, SimConfig(seed=109, cycles=3_000, escape_horizon=200))
+    with pytest.raises(NotApplicableError, match="budget"):
+        simulate_cycle(spec, np.random.default_rng(1), 200)
+    with pytest.raises(NotApplicableError, match="budget"):
+        sample_maxima(spec, 10, 10, SimConfig(escape_horizon=200), mode="jump")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
+    spec = mm1(0.5, 1.0)  # 3 jumps per cycle on average
+    simulate_cycles(spec, SimConfig(seed=1, cycles=1_000))
+    sample_maxima(spec, 10, 100, SimConfig(seed=1), mode="jump")
+    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 500.0)
+    with pytest.raises(NotApplicableError):
+        simulate_cycles(spec, SimConfig(seed=1, cycles=1_000))
+    with pytest.raises(NotApplicableError):
+        sample_maxima(spec, 10, 100, SimConfig(seed=1), mode="jump")
+    with pytest.raises(NotApplicableError):  # a call is charged for at least 256 cycles
+        simulate_cycle(spec, np.random.default_rng(1))
+    sample_maxima(spec, 10, 100, SimConfig(seed=1))  # inversion draws no jumps
