@@ -267,7 +267,7 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("table needs at least one value")
         if not np.all(np.isfinite(vals) & (vals > 0.0)):
             raise SpecFormatError("table values must be finite and positive")
-        self._fill(tuple(vals.tolist()), np.log(vals), tail_ratio, poly_degree)
+        self._fill(vals, np.log(vals), tail_ratio, poly_degree)
 
     @classmethod
     def from_log(cls, log_values, tail_ratio: float, poly_degree: int = 0) -> "TableSequence":
@@ -278,26 +278,32 @@ class TableSequence(WeightSequence):
         if not np.all(np.isfinite(logs)):
             raise SpecFormatError("log table values must be finite")
         seq = cls.__new__(cls)
-        seq._fill(tuple(_linear(logs).tolist()), logs, tail_ratio, poly_degree)
+        seq._fill(_linear(logs), logs, tail_ratio, poly_degree)
         return seq
 
-    def _fill(self, values: tuple, logs: np.ndarray, tail_ratio: float, poly_degree: int):
+    def _fill(self, values: np.ndarray, logs: np.ndarray, tail_ratio: float, poly_degree: int):
         if not (math.isfinite(tail_ratio) and tail_ratio > 0.0):
             raise SpecFormatError("tail_ratio must be finite and positive")
         if poly_degree != 0 and len(values) < 2:
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
+        values.flags.writeable = False
         logs.flags.writeable = False
         self._set(
-            values=values,
+            _values=values,
             tail_ratio=float(tail_ratio),
             poly_degree=int(poly_degree),
             _log_values=logs,
         )
 
+    @property
+    def values(self) -> tuple:
+        """The linear table as a tuple of floats, built on each access."""
+        return tuple(self._values.tolist())
+
     def log_value(self, n):
         scalar = np.ndim(n) == 0
         n = np.atleast_1d(np.asarray(n))
-        last = len(self.values) - 1
+        last = len(self._values) - 1
         inside = np.clip(n, 0, last)
         out = self._log_values[inside].astype(float)
         over = n > last
@@ -312,26 +318,27 @@ class TableSequence(WeightSequence):
     def to_json(self):
         if self.poly_degree:
             raise SpecFormatError("polynomial tails have no file representation")
-        if any(v <= 0.0 for v in self.values):
+        if np.any(self._values <= 0.0):
             raise SpecFormatError("table values underflow the linear file representation")
-        if any(v == math.inf for v in self.values):
+        if np.any(self._values == math.inf):
             raise SpecFormatError("table values overflow the linear file representation")
-        return {"kind": "table", "values": list(self.values), "tail_ratio": self.tail_ratio}
+        return {"kind": "table", "values": self._values.tolist(), "tail_ratio": self.tail_ratio}
 
     def __eq__(self, other):
         return (
             isinstance(other, TableSequence)
-            and other.values == self.values
+            and np.array_equal(other._values, self._values)
             and other.tail_ratio == self.tail_ratio
             and other.poly_degree == self.poly_degree
         )
 
     def __hash__(self):
-        return hash((TableSequence, self.values, self.tail_ratio, self.poly_degree))
+        # consistent with __eq__: the values are never NaN or -0.0
+        return hash((TableSequence, self._values.tobytes(), self.tail_ratio, self.poly_degree))
 
     def __repr__(self):
         return (
-            f"TableSequence(len={len(self.values)}, tail_ratio={self.tail_ratio}, "
+            f"TableSequence(len={len(self._values)}, tail_ratio={self.tail_ratio}, "
             f"poly_degree={self.poly_degree})"
         )
 
@@ -396,8 +403,8 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification, its cycle-maximum law and its tail functions are
-    computed on first use and kept on the object.
+    Its classification, its cycle-maximum law with the law's tables and its
+    tail functions are computed on first use and kept on the object.
     """
 
     psi: WeightSequence
@@ -427,6 +434,13 @@ class BirthDeathSpec:
         from .distribution import CycleMaxDistribution  # distribution imports this module
 
         return CycleMaxDistribution._cached_for(self)
+
+    @cached_property
+    def _law_tables(self) -> "_LawTables":
+        """The cumulative tables every cycle-maximum law of this spec grows."""
+        from .distribution import _LawTables
+
+        return _LawTables()
 
     @cached_property
     def _tail_functions(self) -> dict:
@@ -566,11 +580,12 @@ _TOL = 1e-9
 _TRUNC_MAX = 8 * _TRUNC
 
 
-def _tail_geometry(seq: WeightSequence):
+def _tail_geometry(seq: WeightSequence, log_head: np.ndarray):
     """(liminf, limsup, limit-or-None) of w(n+1)/w(n).
 
     Declared tail behaviour (presets, tables) is used directly; otherwise the
-    window [_TRUNC/2, _TRUNC] supplies empirical bounds.
+    ratios over the window [_TRUNC/2, _TRUNC] of ``log_head``, the log
+    weights on 0.._TRUNC, supply empirical bounds.
     """
     if seq.tail_ratio is not None:
         r = float(seq.tail_ratio)
@@ -578,10 +593,9 @@ def _tail_geometry(seq: WeightSequence):
     if seq.tail_bounds is not None:
         lo, hi = (float(b) for b in seq.tail_bounds)
         return lo, hi, (lo if lo == hi else None)
-    win = np.arange(_TRUNC // 2, _TRUNC)
     with np.errstate(over="ignore"):
         # an overflowing ratio is a valid (divergent) bound, not an error
-        ratios = np.exp(seq.log_ratio(win))
+        ratios = np.exp(np.diff(log_head[_TRUNC // 2:]))
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     limit = float(np.mean(ratios)) if hi - lo <= 1e-9 * max(1.0, abs(hi)) else None
     return lo, hi, limit
@@ -642,24 +656,23 @@ def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: flo
         n_end *= 2
 
 
-def _judge_series(log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
+def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
-    Ratio test first; near the boundary a power-law probe of the terms over
-    the window [_TRUNC/2, _TRUNC] decides; as a last resort, non-decreasing
-    terms with partial sums past 1/_TOL are called divergent.
+    ``log_t`` holds the log terms for n = 0.._TRUNC; ``log_term_fn`` gives
+    them past _TRUNC, where the ratio test may extend the sum.  Ratio test
+    first; near the boundary a power-law probe of the terms over the window
+    [_TRUNC/2, _TRUNC] decides; as a last resort, non-decreasing terms with
+    partial sums past 1/_TOL are called divergent.
     """
-    idx = np.arange(_TRUNC + 1)
-    log_t = np.asarray(log_term_fn(idx), dtype=float)
-    log_partial = logsumexp(log_t)
-
     if q_hi < 1.0 - _TOL:
-        log_total = _ratio_test_total(log_term_fn, log_t, log_partial, q_hi)
+        log_total = _ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)
         return _SeriesJudgement(_linear(log_total), float(log_total), True, True)
     if q_lo > 1.0 + _TOL:
         return _SeriesJudgement(math.inf, math.inf, False, False)
 
-    win = idx[_TRUNC // 2:]
+    log_partial = logsumexp(log_t)
+    win = np.arange(_TRUNC // 2, _TRUNC + 1)
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
         if p < -1.0 - _P_MARGIN:
@@ -682,27 +695,41 @@ def classify(spec: BirthDeathSpec) -> Classification:
 
 
 def _classify(spec: BirthDeathSpec) -> Classification:
-    """The series tests behind ``classify``; run once per spec object."""
+    """The series tests behind ``classify``; run once per spec object.
+
+    Each weight sequence is evaluated once on 0.._TRUNC, and phi not at all
+    when it equals psi; every series head is built from those evaluations.
+    """
     if spec.cap is not None:
         return _classify_finite(spec)
 
-    log_rho = math.log(spec.rho)
-    b_lo, b_hi, beta = _tail_geometry(spec.psi)
-    p_lo, p_hi, _ = _tail_geometry(spec.phi)
-
-    def phi_terms(idx):
-        return spec.phi.log_value(idx) + idx * log_rho
-
-    def psi_terms(idx):
-        return spec.psi.log_value(idx) + idx * log_rho
-
-    def star_terms(idx):
-        return -psi_terms(idx)
-
     rho = spec.rho
-    s_phi = _judge_series(phi_terms, p_lo * rho, p_hi * rho)
-    s_psi = _judge_series(psi_terms, b_lo * rho, b_hi * rho)
+    log_rho = math.log(rho)
+    idx = np.arange(_TRUNC + 1)
+    same = spec.phi == spec.psi
+    log_phi = np.asarray(spec.phi.log_value(idx), dtype=float)
+    log_psi = log_phi if same else np.asarray(spec.psi.log_value(idx), dtype=float)
+    b_lo, b_hi, beta = _tail_geometry(spec.psi, log_psi)
+    p_lo, p_hi, _ = _tail_geometry(spec.phi, log_phi)
+
+    def psi_terms(n):
+        return spec.psi.log_value(n) + n * log_rho
+
+    def phi_terms(n):
+        return spec.phi.log_value(n) + n * log_rho
+
+    def star_terms(n):
+        return -psi_terms(n)
+
+    # judged in the order phi, psi, star, so a spec that fails raises as before
+    psi_head = log_psi + idx * log_rho
+    if not same:
+        s_phi = _judge_series(log_phi + idx * log_rho, phi_terms, p_lo * rho, p_hi * rho)
+    s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho)
+    if same:
+        s_phi = s_psi
     s_star = _judge_series(
+        -psi_head,
         star_terms,
         _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
         _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
@@ -717,7 +744,7 @@ def _classify(spec: BirthDeathSpec) -> Classification:
     else:
         verdict = Verdict.UNDETERMINED
 
-    regularity_ok = _regularity(spec)
+    regularity_ok = _regularity(spec, log_psi, log_phi)
 
     flags = frozenset(
         name
@@ -747,9 +774,11 @@ def _classify_finite(spec: BirthDeathSpec) -> Classification:
     # Finite state space: every series is a finite sum and the chain is ergodic.
     idx = np.arange(spec.cap + 1)
     log_rho = math.log(spec.rho)
-    lp = logsumexp(spec.phi.log_value(idx) + idx * log_rho)
-    ls = logsumexp(spec.psi.log_value(idx) + idx * log_rho)
-    lstar = logsumexp(-(spec.psi.log_value(idx) + idx * log_rho))
+    psi_terms = spec.psi.log_value(idx) + idx * log_rho
+    phi_terms = psi_terms if spec.phi == spec.psi else spec.phi.log_value(idx) + idx * log_rho
+    lp = logsumexp(phi_terms)
+    ls = logsumexp(psi_terms)
+    lstar = logsumexp(-psi_terms)
     return Classification(
         verdict=Verdict.POSITIVE_RECURRENT,
         b_phi_inv=_linear(lp),
@@ -768,9 +797,10 @@ def _classify_finite(spec: BirthDeathSpec) -> Classification:
     )
 
 
-def _regularity(spec: BirthDeathSpec) -> bool:
+def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray) -> bool:
     """Heuristic divergence check of sum phi(n)/(psi(n) + psi(n-1)).
 
+    ``log_psi`` and ``log_phi`` are the log weights on 0.._TRUNC.
     Divergence rules out explosion; treated as diagnostic only, so the series
     is flagged non-regular only when conclusively convergent.
     """
@@ -780,9 +810,9 @@ def _regularity(spec: BirthDeathSpec) -> bool:
         denom = np.logaddexp(spec.psi.log_value(idx), spec.psi.log_value(idx - 1))
         return spec.phi.log_value(idx) - denom
 
-    win = np.arange(_TRUNC // 2, _TRUNC)
-    lt = np.asarray(u_terms(win), dtype=float)
-    ratios = np.exp(np.diff(lt))
+    m = np.maximum(np.arange(_TRUNC + 1), 1)
+    log_u = log_phi[m] - np.logaddexp(log_psi[m], log_psi[m - 1])
+    ratios = np.exp(np.diff(log_u[_TRUNC // 2:_TRUNC]))
     q_lo = float(np.min(ratios))
     q_hi = float(np.max(ratios))
     # a window extremum only bounds the tail ratio when the ratios are not
@@ -793,7 +823,7 @@ def _regularity(spec: BirthDeathSpec) -> bool:
         q_hi = max(q_hi, 1.0)
     elif drift < -1e-12:
         q_lo = min(q_lo, 1.0)
-    judgement = _judge_series(u_terms, q_lo, q_hi)
+    judgement = _judge_series(log_u, u_terms, q_lo, q_hi)
     return judgement.convergent is not True
 
 

@@ -36,22 +36,37 @@ __all__ = [
 ]
 
 
+class _LawTables:
+    """The cumulative tables of one spec's law, grown on demand.
+
+    A spec keeps one, and every law of that spec reads and grows it.  It
+    holds no reference to the spec, so the pair forms no reference cycle.
+    """
+
+    __slots__ = ("log_S", "log_W", "log_s_inf")
+
+    def __init__(self):
+        self.log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
+        self.log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
+        self.log_s_inf: float | None = None
+
+
 class CycleMaxDistribution:
     """Lazily extended table of the cycle-maximum law.
 
-    The internal cumulative tables grow on demand.  Every package function
-    handed a spec uses the one law cached on that spec; constructing the
-    class directly gives a fresh, independent table.  The cached law holds
-    its spec by a weak reference, so the pair forms no reference cycle and
-    is freed as soon as the spec is dropped.
+    The cumulative tables grow on demand and belong to the spec: every law
+    of one spec object, the one cached on it and each built by this
+    constructor, reads and grows the same tables, which live as long as the
+    spec at 16 bytes per level.  Every package function handed a spec uses
+    the law cached on that spec.  The cached law holds its spec by a weak
+    reference, so the pair forms no reference cycle and is freed as soon as
+    the spec is dropped.
     """
 
     def __init__(self, spec: BirthDeathSpec):
         self._spec_ref = weakref.ref(spec)
         self._spec_hold = spec
-        self._log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
-        self._log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
-        self._log_s_inf: float | None = None
+        self._tables = spec._law_tables
         self._ensure(64)
 
     @classmethod
@@ -65,19 +80,28 @@ class CycleMaxDistribution:
     def spec(self) -> BirthDeathSpec:
         return self._spec_ref()
 
+    @property
+    def _log_S(self) -> np.ndarray:
+        return self._tables.log_S
+
+    @property
+    def _log_W(self) -> np.ndarray:
+        return self._tables.log_W
+
     def _ensure(self, n: int) -> None:
         """Grow tables to cover index n (clipped to the cap)."""
         if self.spec.cap is not None:
             n = min(n, self.spec.cap)
-        cur = len(self._log_S)
+        tables = self._tables
+        cur = len(tables.log_S)
         if n < cur:
             return
         lt = self.spec.log_psi_rho(np.arange(cur, max(n + 1, 2 * cur, 64)))
         # a left fold resumed from the last entry: growing in steps changes no bit
-        new_W = np.logaddexp.accumulate(np.concatenate([self._log_W[-1:], lt]))
-        new_S = np.logaddexp.accumulate(np.concatenate([self._log_S[-1:], -lt]))
-        self._log_W = np.concatenate([self._log_W[:-1], new_W])
-        self._log_S = np.concatenate([self._log_S[:-1], new_S])
+        new_W = np.logaddexp.accumulate(np.concatenate([tables.log_W[-1:], lt]))
+        new_S = np.logaddexp.accumulate(np.concatenate([tables.log_S[-1:], -lt]))
+        tables.log_W = np.concatenate([tables.log_W[:-1], new_W])
+        tables.log_S = np.concatenate([tables.log_S[:-1], new_S])
 
     def _checked(self, n) -> np.ndarray:
         n = np.asarray(n)
@@ -133,8 +157,8 @@ class CycleMaxDistribution:
 
     def log_s_limit(self) -> float:
         """log S(inf) when the reciprocal-weight series converges."""
-        if self._log_s_inf is not None:
-            return self._log_s_inf
+        if self._tables.log_s_inf is not None:
+            return self._tables.log_s_inf
         n = 256
         while True:
             a = float(self.log_cumulative(n // 2))
@@ -148,7 +172,7 @@ class CycleMaxDistribution:
         if q < 1.0:
             # geometric bound on the dropped tail from the last term ratio
             out = float(np.logaddexp(out, t_n + math.log(q) - math.log1p(-q)))
-        self._log_s_inf = out
+        self._tables.log_s_inf = out
         return out
 
     def conditional_cdf(self, n):

@@ -272,10 +272,10 @@ def _poly_geometric_params(spec: BirthDeathSpec) -> tuple[float, int, float]:
     if not 0.0 < q < 1.0:
         raise KindMismatchError(f"tail slope {q} must lie in (0, 1)")
     m = seq.poly_degree
-    last = len(seq.values) - 1
+    last = len(seq._values) - 1
     log_amp = (
-        math.log(seq.values[last])
-        - math.log(seq.values[0])
+        math.log(seq._values[last])
+        - math.log(seq._values[0])
         - m * math.log(last)
         - last * math.log(seq.tail_ratio)
     )

@@ -42,7 +42,7 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig, _run_cycles
+from .simulate import CycleSample, SimConfig, _refuse_long_runs, _run_cycles
 
 __all__ = [
     "Station",
@@ -414,7 +414,16 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     (mu0 for arrivals, mu_i * min(n_i, s_i) for service) and route by the
     matrix row; self-routing leaves the state unchanged and is kept as a
     no-op step, which preserves the path law of the recorded maxima.
+
+    A one-station network raises ``NotApplicableError`` before the first draw
+    when its induced chain, whose jumps are the events that change the total,
+    is expected to pass the simulators' jump budget.
     """
+    if net.J == 1:
+        # the simulator reads only the station rates, never explicit weights
+        rates_only = NetworkSpec(net.mu0, net.stations, net.routing)
+        induced = norton_reduce(rates_only, cfg.escape_horizon).induced
+        _refuse_long_runs(induced, cfg.cycles, cfg.escape_horizon)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     routing = net.routing_matrix
     routing_cdf = np.cumsum(routing, axis=1)

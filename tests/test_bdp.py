@@ -11,8 +11,10 @@ from cyclemax import (
     CycleMaxDistribution,
     FactorialInverseSequence,
     MultiServerSequence,
+    NetworkSpec,
     NormingKind,
     OnesSequence,
+    Station,
     TableSequence,
     Verdict,
     classify,
@@ -26,6 +28,7 @@ from cyclemax import (
     mminf,
     mms,
     norming_constants,
+    norton_reduce,
     palm_distribution,
     save_spec,
     spec_from_dict,
@@ -198,6 +201,11 @@ def test_weight_sequences_are_immutable():
     for seq in (table, from_log):
         with pytest.raises(ValueError):
             seq._log_values[0] = 1.0
+        with pytest.raises(ValueError):
+            seq._values[0] = 1.0
+    same = TableSequence([1, 0.5], tail_ratio=0.5)
+    assert same == table and hash(same) == hash(table)
+    assert TableSequence((1.0, 0.25), tail_ratio=0.5) != table
 
 
 def test_multi_server_log_ratio_is_exact_beyond_s():
@@ -405,3 +413,165 @@ def test_table_to_json_refuses_overflowed_values():
     assert seq.values == (1.0, math.inf)
     with pytest.raises(SpecFormatError, match="overflow"):
         seq.to_json()
+
+
+def _per_series_judgements(spec):
+    """(head, q_lo, q_hi) of the phi, psi, star and regularity series, each
+    head evaluated through its own term function: the reference for the
+    shared weight evaluations of _classify.  Also returns the psi tail
+    geometry."""
+    trunc = bdp_module._TRUNC
+    idx = np.arange(trunc + 1)
+    win = np.arange(trunc // 2, trunc)
+    log_rho = math.log(spec.rho)
+
+    def geometry(seq):
+        if seq.tail_ratio is not None or seq.tail_bounds is not None:
+            return bdp_module._tail_geometry(seq, None)
+        with np.errstate(over="ignore"):
+            ratios = np.exp(seq.log_ratio(win))
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        return lo, hi, float(np.mean(ratios)) if hi - lo <= 1e-9 * max(1.0, abs(hi)) else None
+
+    def psi_terms(n):
+        return spec.psi.log_value(n) + n * log_rho
+
+    def u_terms(n):
+        n = np.maximum(n, 1)
+        return spec.phi.log_value(n) - np.logaddexp(spec.psi.log_value(n), spec.psi.log_value(n - 1))
+
+    b_lo, b_hi, beta = geometry(spec.psi)
+    p_lo, p_hi, _ = geometry(spec.phi)
+    rho = spec.rho
+    ratios = np.exp(np.diff(np.asarray(u_terms(win), dtype=float)))
+    q_lo, q_hi = float(np.min(ratios)), float(np.max(ratios))
+    drift = float(ratios[-1] - ratios[0])
+    if drift > 1e-12:
+        q_hi = max(q_hi, 1.0)
+    elif drift < -1e-12:
+        q_lo = min(q_lo, 1.0)
+    judged = {
+        "phi": (spec.phi.log_value(idx) + idx * log_rho, p_lo * rho, p_hi * rho),
+        "psi": (psi_terms(idx), b_lo * rho, b_hi * rho),
+        "star": (
+            -psi_terms(idx),
+            bdp_module._invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
+            bdp_module._invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
+        ),
+        "u": (u_terms(idx), q_lo, q_hi),
+    }
+    return judged, (b_lo, b_hi, beta)
+
+
+def _classified_specs():
+    wavy = TableSequence(np.exp(np.sin(np.arange(1000))), 1.0)
+    noisy = TableSequence(np.exp(np.random.default_rng(3).uniform(-0.05, 0.05, 10**5)), 1.0)
+    power = CallableSequence(lambda n: 1.5 * np.log1p(n))
+    harmonic = CallableSequence(lambda n: -np.log1p(n))
+    explosive = CallableSequence(lambda n: np.asarray(n, dtype=float) ** 2)
+    wobbly = CallableSequence(
+        lambda n: -0.5 * n.astype(float) + np.sin(n), tail_bounds=(math.exp(-1.5), math.exp(0.5))
+    )
+    mixed = NetworkSpec(
+        mu0=0.3,
+        stations=(Station("ss", 1.0), Station("ms", 0.5, s=3), Station("is", 0.7)),
+        routing=((0, 0.3, 0.3, 0.4), (0.5, 0, 0.25, 0.25), (0.4, 0.3, 0, 0.3), (0.6, 0.2, 0.2, 0)),
+    )
+    tandem = NetworkSpec(
+        mu0=0.5, stations=(Station("ss", 1.0), Station("ss", 1.0)), routing=((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    )
+    return {
+        "mm1-0.5": mm1(0.5, 1.0),
+        "mm1-1-1e-12": mm1(1.0 - 1e-12, 1.0),
+        "mm1-1": mm1(1.0, 1.0),
+        "mm1-1+1e-12": mm1(1.0 + 1e-12, 1.0),
+        "mm1-2": mm1(2.0, 1.0),
+        "mms3": mms(3, 2.1, 1.0),
+        "mms2-critical": mms(2, 2.0, 1.0),
+        "mminf5": mminf(5.0, 1.0),
+        "capped-mms3": mms(3, 4.5, 1.0, cap=40),
+        "capped-table": BirthDeathSpec(wavy, noisy, 0.5, 1.0, cap=700),
+        "wavy": BirthDeathSpec(wavy, wavy, 0.8, 1.0),
+        "noisy-1e5": BirthDeathSpec(noisy, noisy, 0.5, 1.0),
+        "table-pair": BirthDeathSpec(noisy, wavy, 0.5, 1.0),
+        "power": BirthDeathSpec(power, power, 0.6, 1.0),
+        "power-critical": BirthDeathSpec(power, power, 1.0, 1.0),
+        "harmonic-phi": BirthDeathSpec(OnesSequence(), harmonic, 1.0, 1.0),
+        "harmonic-psi": BirthDeathSpec(harmonic, OnesSequence(), 1.0, 1.0),
+        "wobbly": BirthDeathSpec(wobbly, wobbly, 1.0, 1.0),
+        "ones-factorial": BirthDeathSpec(OnesSequence(), FactorialInverseSequence(), 2.0, 1.0),
+        "explosive": BirthDeathSpec(explosive, OnesSequence(), 1.0, 1.0),
+        "dual-mms3": mms(3, 2.1, 1.0).dual(),
+        "induced-mixed": norton_reduce(mixed, 2000).induced,
+        "induced-tandem": norton_reduce(tandem, 500).induced,
+    }
+
+
+_CLASSIFIED = _classified_specs()
+
+
+@pytest.mark.parametrize("spec", _CLASSIFIED.values(), ids=_CLASSIFIED.keys())
+def test_classify_equals_the_per_series_reference(spec, monkeypatch):
+    if spec.cap is not None:
+        cls = bdp_module._classify(spec)
+        idx = np.arange(spec.cap + 1)
+        log_rho = math.log(spec.rho)
+        want = [
+            bdp_module.logsumexp(spec.phi.log_value(idx) + idx * log_rho),
+            bdp_module.logsumexp(spec.psi.log_value(idx) + idx * log_rho),
+            bdp_module.logsumexp(-(spec.psi.log_value(idx) + idx * log_rho)),
+        ]
+        assert [cls.log_b_phi_inv, cls.log_b_psi_inv, cls.log_b_star_inv] == want
+        return
+    judged, geometry = _per_series_judgements(spec)
+    calls = []
+    judge = bdp_module._judge_series
+
+    def recorded(log_t, log_term_fn, q_lo, q_hi):
+        out = judge(log_t, log_term_fn, q_lo, q_hi)
+        calls.append((np.asarray(log_t, dtype=float).tobytes(), q_lo, q_hi, out))
+        return out
+
+    monkeypatch.setattr(bdp_module, "_judge_series", recorded)
+    cls = bdp_module._classify(spec)
+    names = ["psi", "star", "u"] if spec.phi == spec.psi else ["phi", "psi", "star", "u"]
+    assert len(calls) == len(names)
+    for (head, q_lo, q_hi, out), name in zip(calls, names):
+        want_head, want_lo, want_hi = judged[name]
+        assert head == np.asarray(want_head, dtype=float).tobytes(), name
+        assert (q_lo, q_hi) == (want_lo, want_hi), name
+        assert out == judge(np.asarray(want_head, dtype=float), None, want_lo, want_hi), name
+    by_name = dict(zip(names, (out for *_, out in calls)))
+    s_phi = by_name.get("phi", by_name["psi"])
+    assert (cls.log_b_phi_inv, cls.b_phi_convergent) == (s_phi.log_value, s_phi.convergent)
+    assert (cls.beta_lower, cls.beta_upper, cls.beta) == geometry
+    assert cls.regularity_ok is (by_name["u"].convergent is not True)
+
+
+def test_classify_evaluates_each_weight_sequence_once(monkeypatch):
+    trunc = bdp_module._TRUNC
+    calls = []
+
+    def counted(name, fn):
+        def log_fn(n):
+            if np.min(n, initial=trunc + 1) <= trunc:  # reads some of 0.._TRUNC
+                calls.append(name)
+            return fn(n)
+
+        return log_fn
+
+    def run(psi, phi):
+        calls.clear()
+        bdp_module._classify(BirthDeathSpec(psi, phi, 1.0, 1.0))
+        return sorted(calls)
+
+    hinted_psi = CallableSequence(counted("psi", lambda n: -0.5 * n), tail_ratio=math.exp(-0.5))
+    hinted_phi = CallableSequence(counted("phi", lambda n: -0.7 * n), tail_ratio=math.exp(-0.7))
+    assert run(hinted_psi, hinted_phi) == ["phi", "psi"]
+    # without hints the tail ratios come from the same evaluations
+    psi = CallableSequence(counted("psi", lambda n: 1.5 * np.log1p(n)))
+    phi = CallableSequence(counted("phi", lambda n: -2.0 * np.log1p(n)))
+    assert run(psi, phi) == ["phi", "psi"]
+    # phi equal to psi is not evaluated at all
+    assert run(psi, psi) == ["psi"]
+    assert run(hinted_psi, hinted_psi) == ["psi"]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -217,8 +218,24 @@ def test_spec_functions_share_one_law(monkeypatch):
     failure_rate(spec, 7)
     blocking_prob(spec, 7)
     assert calls == [spec]
-    # the public constructor still builds a fresh, independent table
+    # the public constructor builds a new law object over the spec's tables
     assert CycleMaxDistribution(spec) is not CycleMaxDistribution(spec)
+
+
+def test_every_law_of_a_spec_grows_one_table():
+    spec = mms(3, 2.1, 1.0)
+    cycle_max_cdf(spec, 5000)
+    direct = CycleMaxDistribution(spec)
+    assert len(direct._log_S) >= 5001 and len(direct._log_W) >= 5001
+    direct.log_cumulative(30_000)
+    assert len(_as_dist(spec)._log_S) >= 30_001
+    assert CycleMaxDistribution(spec)._log_S is direct._log_S
+    transient = mm1(2.0, 1.0)
+    assert CycleMaxDistribution(transient).log_s_limit() == _as_dist(transient)._tables.log_s_inf
+    # an equal spec object has tables of its own, which hold no spec
+    other = dataclasses.replace(spec)
+    assert len(CycleMaxDistribution(other)._log_S) < 5001
+    assert not any(isinstance(x, type(spec)) for x in gc.get_referents(other._law_tables))
 
 
 def test_a_spec_and_its_cached_law_are_freed_without_the_cycle_collector():
@@ -265,7 +282,7 @@ def test_step_grown_table_equals_a_fresh_one(spec):
     grown = CycleMaxDistribution(spec)
     for n in (3, 70, 130, 700, 5000):
         grown.log_cumulative(n)
-    fresh = CycleMaxDistribution(spec)
+    fresh = CycleMaxDistribution(dataclasses.replace(spec))
     n = np.arange(5001)
     assert grown.log_cumulative(n).tobytes() == fresh.log_cumulative(n).tobytes()
     assert grown.log_weight_cumulative(n).tobytes() == fresh.log_weight_cumulative(n).tobytes()

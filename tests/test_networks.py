@@ -1,5 +1,6 @@
 import decimal
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -31,6 +32,7 @@ from cyclemax import (
 from cyclemax.errors import (
     CoincidentLoadsError,
     NonSeparableError,
+    NotApplicableError,
     NotIrreducibleError,
     SpecFormatError,
 )
@@ -421,6 +423,34 @@ def test_network_simulation_equals_one_jump_per_pass_on_other_shapes(net):
     sample = simulate_network_cycles(net, cfg)
     assert np.array_equal(sample.maxima, maxima)
     assert sample.escaped == escaped
+
+
+def test_long_one_station_cycles_are_refused_before_the_first_draw():
+    # the total of one infinite-server station at load 20 is mminf(20, 1)
+    net = NetworkSpec(mu0=20.0, stations=(Station("is", 1.0),), routing=((0.0, 1.0), (1.0, 0.0)))
+    start = time.perf_counter()
+    with pytest.raises(NotApplicableError, match="budget"):
+        simulate_network_cycles(net, SimConfig(seed=1, cycles=100, escape_horizon=200))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "net, cfg, want",
+    [
+        (NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))),
+         SimConfig(seed=31, cycles=3_000), (6540, [1, 1, 1, 1, 2, 5, 2, 1])),
+        (NetworkSpec(mu0=2.0, stations=(Station("is", 1.0),), routing=((0.0, 1.0), (0.5, 0.5))),
+         SimConfig(seed=32, cycles=3_000), (18429, [10, 11, 10, 2, 12, 1, 10, 10])),
+        (NetworkSpec(mu0=1.5, stations=(Station("ms", 1.0, s=2),), routing=((0.0, 1.0), (1.0, 0.0))),
+         SimConfig(seed=33, cycles=3_000, escape_horizon=50), (8940, [3, 2, 3, 1, 1, 3, 2, 2])),
+    ],
+    ids=["ss", "is", "ms"],
+)
+def test_one_station_budget_leaves_the_draws_unchanged(net, cfg, want):
+    # sums and first maxima recorded before the one-station budget existed
+    sample = simulate_network_cycles(net, cfg)
+    assert sample.escaped == 0 and len(sample.maxima) == cfg.cycles
+    assert (int(sample.maxima.sum()), sample.maxima[:8].tolist()) == want
 
 
 def per_index_log_convolve(la, lb, n_hi):
