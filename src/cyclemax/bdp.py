@@ -351,6 +351,14 @@ class CallableSequence(WeightSequence):
     """
 
     def __init__(self, log_fn, tail_ratio=None, tail_bounds=None):
+        if tail_bounds is not None:
+            try:
+                lo, hi = (float(b) for b in tail_bounds)
+            except (TypeError, ValueError):
+                raise SpecFormatError(f"tail_bounds must be a pair of numbers, got {tail_bounds!r}") from None
+            if not 0.0 <= lo <= hi:  # NaN fails every comparison
+                raise SpecFormatError(f"tail_bounds must satisfy 0 <= lo <= hi, got {tail_bounds!r}")
+            tail_bounds = (lo, hi)
         self._set(_log_fn=log_fn, tail_ratio=tail_ratio, tail_bounds=tail_bounds)
 
     def log_value(self, n):

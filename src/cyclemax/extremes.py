@@ -43,6 +43,10 @@ __all__ = [
     "partial_limit_envelope",
 ]
 
+# Most levels past m_hi that the conditional survival may sum before closing
+# its tail in closed form (8 MiB of float64).
+_WINDOW_LEVELS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class TailFunction:
@@ -531,7 +535,13 @@ def _conditional_log_survival(dist: CycleMaxDistribution, m_hi: int) -> np.ndarr
     spec = dist.spec
     cls = classify(spec)
     q = 1.0 / (cls.beta_lower * spec.rho)
-    span = max(int(60.0 / -math.log(q)), 8)
+    decay = -math.log(q)  # the window holds terms down to e^-60 of its first
+    if not decay * _WINDOW_LEVELS > 60.0:
+        raise NotApplicableError(
+            f"the tail ratio {q!r} is too close to 1: the conditional survival "
+            f"needs a window beyond {_WINDOW_LEVELS} levels"
+        )
+    span = max(int(60.0 / decay), 8)
     lt = -np.asarray(spec.log_psi_rho(np.arange(m_hi + 1 + span)), dtype=float)
     rev = np.logaddexp.accumulate(lt[::-1])[::-1]
     bound = lt[-1] + math.log(q) - math.log1p(-q)

@@ -67,6 +67,10 @@ _KINDS = ("ss", "ms", "is")
 
 # loads closer than this (relatively) count as coincident
 COINCIDENCE_GAP = 1e-9
+# The network step takes one jump per pass for every live cycle, so a pass
+# over a few live cycles costs about as much as one over 256: a one-station
+# call is charged for at least this many cycles against the jump budget.
+_MIN_CHARGED_CYCLES = 256
 
 
 @dataclass(frozen=True)
@@ -417,13 +421,14 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
 
     A one-station network raises ``NotApplicableError`` before the first draw
     when its induced chain, whose jumps are the events that change the total,
-    is expected to pass the simulators' jump budget.
+    is expected to pass the simulators' jump budget, counting at least
+    _MIN_CHARGED_CYCLES cycles.
     """
     if net.J == 1:
         # the simulator reads only the station rates, never explicit weights
         rates_only = NetworkSpec(net.mu0, net.stations, net.routing)
         induced = norton_reduce(rates_only, cfg.escape_horizon).induced
-        _refuse_long_runs(induced, cfg.cycles, cfg.escape_horizon)
+        _refuse_long_runs(induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), cfg.escape_horizon)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     routing = net.routing_matrix
     routing_cdf = np.cumsum(routing, axis=1)

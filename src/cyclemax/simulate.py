@@ -3,8 +3,11 @@
 A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
 holding times are never sampled.  Every call draws from one generator seeded
-by ``SimConfig.seed``, so equal seeds give equal results.  A call expected to
-take more than _MAX_JUMPS jumps raises before its first draw.
+by ``SimConfig.seed``, so equal seeds give equal results.  Late passes with
+few live cycles draw blocks of uniforms for many jumps at once, and a cycle
+that finishes inside its block leaves the rest of it unused; which uniforms a
+cycle uses is set out in ``_simulate_batch``.  A call expected to take more
+than _MAX_JUMPS jumps raises before its first draw.
 """
 
 from __future__ import annotations
@@ -32,20 +35,29 @@ __all__ = [
     "ks_two_sample",
 ]
 
-# Most cells (jumps x live cycles) in one multi-jump pass.  Each (d, live)
-# array then stays within 32 KiB, and passes with more than half this many
-# live cycles take one jump: there the cumulative sum costs more per jump
-# than the single-jump step.
-_BLOCK_CELLS = 1 << 12
+# Most cells (jumps x live cycles) in one block of uniforms: with the int32
+# path of a block in the constant run that is about 1 MiB.  Half or twice as
+# many cells ran critical mm1 and mm1(0.95) 3-12 % slower.
+_BLOCK_CELLS = 1 << 16
+# Most live cycles a block serves; with more, a single-jump pass costs less
+# per jump (about 12 ns: mm1(1.5) ran 17 % slower with blocks up to 8192).
+_BLOCK_LIVE = 1 << 11
+# Most live cycles stepped one by one in Python in a level-dependent run, at
+# about 100 ns a jump; a vectorised pass costs about 10 us, so over fewer
+# cycles it costs more per jump.
+_TAIL_CYCLES = 128
+# Rows of the first Python-stepped block of a batch; each later one has twice
+# as many, within _BLOCK_CELLS, so a short cycle draws little it does not use.
+_TAIL_ROWS = 64
 # Most cycles one jump-mode batch simulates at once.
 _JUMP_CHUNK = 1 << 17
 # Most levels an inversion table may hold (8 MiB of float64).
 _INVERSION_LEVELS = 1 << 20
 # Most jumps a call may expect to simulate: 10-400 ns a jump on a 2-vCPU
-# host, so about 40 s at most.  A pass over a few live cycles costs about as
-# much as one over 256, so a call is charged for at least _PASS_CYCLES cycles.
+# host, so about 40 s at most.  That cost holds however few cycles are live,
+# since those are stepped in blocks or in Python, so one cycle is charged
+# for its own jumps only.
 _MAX_JUMPS = 1e8
-_PASS_CYCLES = 256
 
 
 class _Escaped:
@@ -123,14 +135,14 @@ def _log_expected_jumps(spec: BirthDeathSpec, top: int) -> float:
 
 def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
     """Raise before the first draw when n_cycles cycles are expected to take
-    more than _MAX_JUMPS jumps, counting at least _PASS_CYCLES cycles."""
+    more than _MAX_JUMPS jumps."""
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
     log_per_cycle = _log_expected_jumps(spec, top)
-    if math.log(max(n_cycles, _PASS_CYCLES)) + log_per_cycle > math.log(_MAX_JUMPS):
+    if math.log(n_cycles) + log_per_cycle > math.log(_MAX_JUMPS):
         raise NotApplicableError(
             f"a cycle to horizon {horizon} is expected to take "
-            f"{math.exp(min(log_per_cycle, 700.0)):.3g} jumps; {n_cycles} cycles "
-            f"(counted as at least {_PASS_CYCLES}) pass the budget of {_MAX_JUMPS:.3g} jumps"
+            f"{math.exp(min(log_per_cycle, 700.0)):.3g} jumps; a call charged for "
+            f"{n_cycles} cycles passes the budget of {_MAX_JUMPS:.3g} jumps"
         )
 
 
@@ -190,19 +202,68 @@ def _run_cycles(
     return out[out > 0], escaped
 
 
+def _exit_times(p: float, low: int, top: int) -> np.ndarray:
+    """Expected jumps of a walk with up-step probability p to leave [low, top),
+    from each level low..top-1.
+
+    This is gambler's ruin on 0..n with n = top - low + 1, started at k: with
+    r = (1 - p) / p, E_k = (k - n (1 - r^k) / (1 - r^n)) / (1 - 2p), and
+    k (n - k) when r is within rounding of 1.  The ratio is taken in the form
+    whose powers stay at or below 1, so no exponent overflows.
+    """
+    n = top - low + 1
+    k = np.arange(1, n, dtype=float)
+    p = min(max(p, 2.0**-60), 1.0 - 2.0**-53)  # keeps both logarithms finite
+    log_r = math.log1p(-p) - math.log(p)
+    if abs(n * log_r) < 1e-6:
+        return k * (n - k)
+    if log_r > 0.0:
+        ratio = np.exp((k - n) * log_r) * np.expm1(-k * log_r) / math.expm1(-n * log_r)
+    else:
+        ratio = np.expm1(k * log_r) / math.expm1(n * log_r)
+    return (k - n * ratio) / (1.0 - 2.0 * p)
+
+
+def _walk(draws: list, level: int, peak: int, p_at: list, top: int) -> tuple[int, int]:
+    """Step one cycle through ``draws`` until it leaves (0, top) or they run out."""
+    for u in draws:
+        if u < p_at[level]:
+            level += 1
+            if level > peak:
+                peak = level
+                if level == top:
+                    break
+        else:
+            level -= 1
+            if level == 0:
+                break
+    return level, peak
+
+
 def _simulate_batch(
     spec: BirthDeathSpec, n_cycles: int, rng: np.random.Generator, horizon: int
 ) -> tuple[np.ndarray, int]:
     """Vectorised cycles; returns (recorded maxima, escaped count).
 
-    All live cycles advance one jump per pass.  The up-step probability is
-    looked up by level, or is the constant itself when every live cycle sits
-    at or above the state n_flat from which it is constant.  Once every live
-    cycle sits above n_flat, a pass takes d jumps at once, with d small enough that no cycle can
-    return, finish or leave that run before its last jump.  No cycle
-    retires in between, so the (d, live) draws are exactly the ones d
-    single passes would make, in the same order.  A cycle that reaches a
-    cap below the horizon has its maximum and retires there.
+    Each pass makes one draw from ``rng`` for the live cycles, in cycle
+    order, and the draw's shape says how it is used:
+    - A 1-D draw, made by every pass not listed below, moves each live cycle
+      one jump.  The up-step probability is looked up by level, or is the
+      constant p_flat itself when every live cycle sits at or above the
+      state n_flat from which it is constant.
+    - A (B, live) draw with every live cycle at or above n_flat moves column
+      j's cycle until it leaves [n_flat, top) or the column ends.  It is made
+      when at most _BLOCK_LIVE cycles are live.  B is the largest expected
+      exit time of the live levels (gambler's ruin under p_flat), within
+      _BLOCK_CELLS cells, so short cycles draw short blocks.  Each column
+      is cut at its own first exit, so one cycle near n_flat does not
+      shorten every other cycle's block.
+    - A (B, live) draw with a live cycle below n_flat (or no constant run)
+      moves column j's cycle, stepped in Python, until it leaves (0, top) or
+      the column ends.  It is made when at most _TAIL_CYCLES cycles are live;
+      B starts at _TAIL_ROWS and doubles with each such draw of the batch.
+    A cycle that reaches a cap below the horizon has its maximum and retires
+    there.
     """
     capped = spec.cap is not None and spec.cap < horizon
     top = spec.cap if capped else horizon
@@ -212,25 +273,50 @@ def _simulate_batch(
     p_at = np.concatenate(([0.0], p_up))  # indexed by level
     n_flat = _flat_start(p_up, top)
     p_flat = p_up[-1]
-    half = _BLOCK_CELLS // 2
-    steps = np.arange(1, _BLOCK_CELLS + 1, dtype=np.int32)[:, None]
+    if n_flat is not None:
+        exit_time = _exit_times(p_flat, n_flat, top)  # indexed by level - n_flat
+        width = top - n_flat  # the run's levels, counted from n_flat
+
+    def block(state, peak):
+        live = state.size
+        rows = min(_BLOCK_CELLS // live, math.ceil(exit_time.take(state - n_flat).max()))
+        # level - n_flat after t jumps, as int32: its start + 2 ups - t
+        path = (rng.random((rows, live)) < p_flat).cumsum(axis=0, dtype=np.int32)
+        path *= 2
+        steps = np.arange(1, rows + 1, dtype=np.int32)[:, None]
+        path -= steps
+        path += (state - n_flat).astype(np.int32)
+        cols = np.arange(live)
+        out = path.view(np.uint32) >= width  # below n_flat, or at top
+        cut = out.argmax(axis=0)  # each column's first exit, or its last row
+        cut[~out[cut, cols]] = rows - 1
+        state[:] = path[cut, cols] + n_flat
+        path *= steps <= cut + 1  # past its exit a column reads 0, not above its start
+        np.maximum(peak, path.max(axis=0) + n_flat, out=peak)
+
+    p_list = p_at.tolist() if n_flat != 1 else None  # the tail runs where p_up varies
+    tail_rows = _TAIL_ROWS
+
+    def tail(state, peak):
+        nonlocal tail_rows
+        live = state.size
+        rows = min(tail_rows, _BLOCK_CELLS // live)
+        tail_rows *= 2  # a cycle still live has outlasted the last block
+        draws = rng.random((rows, live))
+        for j in range(live):
+            state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, top)
 
     def advance(state, peak):
         live = state.size
         flat = n_flat == 1  # every live cycle is in the constant run
-        if n_flat is not None and (n_flat > 1 or live <= half):
-            low = int(state.min())
-            flat = low >= n_flat
-            if live <= half and low > n_flat:
-                jumps = min(low - n_flat + 1, top - int(state.max()), _BLOCK_CELLS // live)
-                if jumps > 1:
-                    # up-steps after t jumps, as int32; the path is 2 ups - t
-                    path = (rng.random((jumps, live)) < p_flat).cumsum(axis=0, dtype=np.int32)
-                    path *= 2
-                    path -= steps[:jumps]
-                    np.maximum(peak, state + path.max(axis=0), out=peak)
-                    state += path[-1]
-                    return
+        if n_flat is not None and (n_flat > 1 or live <= _BLOCK_LIVE):
+            flat = int(state.min()) >= n_flat
+        if flat and live <= _BLOCK_LIVE:
+            block(state, peak)
+            return
+        if live <= _TAIL_CYCLES:
+            tail(state, peak)
+            return
         up = rng.random(live) < (p_flat if flat else p_at.take(state))
         state += up
         state += up

@@ -136,6 +136,18 @@ def test_nan_weights_raise_spec_format_error():
         classify(BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0))
 
 
+@pytest.mark.parametrize("bounds", [(2.0, 0.5), (-1.0, 1.0), (math.nan, 1.0)], ids=["reversed", "negative", "nan"])
+def test_tail_bounds_are_checked_when_built(bounds):
+    with pytest.raises(SpecFormatError, match="tail_bounds"):
+        CallableSequence(lambda n: -0.5 * np.asarray(n, dtype=float), tail_bounds=bounds)
+
+
+def test_reciprocal_sequence_inverts_valid_tail_bounds():
+    seq = CallableSequence(lambda n: -0.5 * np.asarray(n, dtype=float), tail_bounds=(0.0, 2.0))
+    assert seq.tail_bounds == (0.0, 2.0)
+    assert seq.reciprocal().tail_bounds == (0.5, math.inf)
+
+
 def test_failed_classification_is_not_cached():
     nan_seq = CallableSequence(lambda n: np.full(np.shape(n), np.nan))
     spec = BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ def test_as_limit_constant_rejects_a_cap(spec):
 def test_compactness_diagnostic_rejects_a_cap(spec):
     with pytest.raises(NotApplicableError, match="finite chains"):
         compactness_diagnostic(spec)
+
+
+@pytest.mark.parametrize("spec", [mm1(1.0 + 1e-12, 1.0), mms(3, 3.0 + 3e-12, 1.0)], ids=["mm1", "mms3"])
+def test_near_critical_conditional_compactness_is_refused_at_once(spec):
+    # the tail window 60 / -log q would pass 10^13 levels
+    start = time.perf_counter()
+    with pytest.raises(NotApplicableError, match="window"):
+        compactness_diagnostic(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_one_tail_function_per_spec_and_n_max(monkeypatch):

@@ -66,33 +66,69 @@ def test_single_cycle_needs_a_horizon_of_ten():
     assert simulate_cycle(mm1(0.5, 1.0), rng, escape_horizon=10) >= 1
 
 
-def _scalar_cycle(spec, rng, horizon):
-    """Reference single cycle: one scalar draw per jump; a cycle that
-    reaches a cap below the horizon has its maximum and ends there."""
-    p_up = _up_probabilities(spec, horizon)
-    state, peak = 1, 1
-    while state:
-        if state >= horizon:
-            return ESCAPED
-        if state == spec.cap:
-            return peak
-        if rng.random() < p_up[state - 1]:
-            state += 1
-            peak = max(peak, state)
-        else:
-            state -= 1
-    return peak
+class Recording:
+    """Generator wrapper that keeps every array of uniforms it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, size):
+        u = self.rng.random(size)
+        self.draws.append(u)
+        return u
+
+
+def _replay(spec, cycles, horizon, draws):
+    """Reference: the (maxima, escaped) that ``draws`` give when each
+    cycle is stepped alone in a Python loop.
+
+    Each draw is for the live cycles in cycle order.  A 1-D draw moves each
+    one jump.  A 2-D (B, live) draw moves column j's cycle until it leaves
+    [n_flat, top) when every live level is at least n_flat, and otherwise
+    until it leaves (0, top), or until the column ends.  A cycle that
+    reaches a cap below the horizon has its maximum and ends there.
+    """
+    capped = spec.cap is not None and spec.cap < horizon
+    top = spec.cap if capped else horizon
+    level, peak = [1] * cycles, [1] * cycles
+    if top == 1:
+        assert not draws
+        return np.array(peak, dtype=np.int64), 0
+    p_up = _up_probabilities(spec, top)
+    p_at = [0.0] + p_up.tolist()
+    n_flat = _flat_start(p_up, top)
+    live = list(range(cycles))
+    for u in draws:
+        cols = u.reshape(u.shape[0], -1) if u.ndim == 2 else u[None, :]
+        assert cols.shape[1] == len(live)
+        lo = 1
+        if u.ndim == 2 and n_flat is not None and min(level[i] for i in live) >= n_flat:
+            lo = n_flat
+        for j, i in enumerate(live):
+            for x in cols[:, j].tolist():
+                level[i] += 1 if x < p_at[level[i]] else -1
+                peak[i] = max(peak[i], level[i])
+                if not lo <= level[i] < top:
+                    break
+        live = [i for i in live if 0 < level[i] < top]
+    assert not live, "the draws ran out before every cycle finished"
+    escaped = 0 if capped else sum(lv == top for lv in level)
+    maxima = [pk for pk, lv in zip(peak, level) if lv == 0 or capped]
+    return np.array(maxima, dtype=np.int64), escaped
 
 
 @pytest.mark.parametrize("spec, horizon", [c[:2] for c in _CHAINS], ids=_CHAIN_IDS)
 def test_single_cycles_equal_the_scalar_loop(spec, horizon):
-    # successive calls share the generator, so each must use the draws of
-    # exactly one scalar cycle
-    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = [simulate_cycle(spec, got_rng, horizon) for _ in range(200)]
-    want = [_scalar_cycle(spec, want_rng, horizon) for _ in range(200)]
-    assert got == want
-    assert all(isinstance(m, int) for m in got if m is not ESCAPED)
+    # successive calls share the generator, so each call's own draws must
+    # give its result
+    rng = Recording(np.random.default_rng(7))
+    for _ in range(200):
+        before = len(rng.draws)
+        got = simulate_cycle(spec, rng, horizon)
+        maxima, escaped = _replay(spec, 1, horizon, rng.draws[before:])
+        assert got == (ESCAPED if escaped else int(maxima[0]))
+        assert got is ESCAPED or isinstance(got, int)
 
 
 def test_simulation_is_reproducible():
@@ -207,40 +243,21 @@ def test_jump_mode_raises_on_escape_in_a_later_batch(monkeypatch):
     assert len(batches) > 1 and batches[0] == 0 and batches[-1] > 0
 
 
-def _one_jump_per_pass(spec, cycles, seed, horizon, rng=None):
-    """Reference driver: every live cycle takes exactly one jump per pass; a
-    cycle that reaches a cap below the horizon has its maximum and ends there.
-
-    Draws from ``rng`` when given, else from a generator seeded with ``seed``.
-    """
-    p_up = _up_probabilities(spec, horizon)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    cap = spec.cap if spec.cap is not None and spec.cap < horizon else 0
-    state = np.ones(cycles, dtype=np.int64)
-    peak = state.copy()
-    out = np.empty(cycles, dtype=np.int64)
-    slot = np.arange(cycles)
-    escaped = 0
-    while state.size:
-        state = state + np.where(rng.random(state.size) < p_up[state - 1], 1, -1)
-        peak = np.maximum(peak, state)
-        done, gone = (state == 0) | (state == cap), state >= horizon
-        out[slot[done]] = peak[done]
-        out[slot[gone]] = -1
-        escaped += int(gone.sum())
-        live = ~(done | gone)
-        state, peak, slot = state[live], peak[live], slot[live]
-    return out[out > 0], escaped
+def _recorded_batch(spec, cycles, seed, horizon):
+    """_simulate_batch under the generator ``simulate_cycles`` makes from seed,
+    with the maxima and escapes its draws give under the replay reference."""
+    rng = Recording(np.random.default_rng(np.random.SeedSequence([seed])))
+    got = _simulate_batch(spec, cycles, rng, horizon)
+    return got, _replay(spec, cycles, horizon, rng.draws)
 
 
 @pytest.mark.parametrize("spec, horizon, escapes", _CHAINS, ids=_CHAIN_IDS)
 def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
     cfg = SimConfig(seed=31, cycles=1_000, escape_horizon=horizon)
-    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, horizon)
+    got, (maxima, escaped) = _recorded_batch(spec, cfg.cycles, cfg.seed, horizon)
     sample = simulate_cycles(spec, cfg)
-    assert np.array_equal(sample.maxima, maxima)
-    assert sample.escaped == escaped
+    assert np.array_equal(sample.maxima, maxima) and np.array_equal(got[0], maxima)
+    assert sample.escaped == got[1] == escaped
     assert (escaped > 0) == escapes
 
 
@@ -250,19 +267,15 @@ def test_capped_overloaded_chain_retires_at_the_cap():
     spec = mms(3, 4.5, 1.0, cap=40)
     cfg = SimConfig(seed=1, cycles=10)
 
-    class Bounded:
-        def __init__(self):
-            self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-            self.calls = 0
-
+    class Bounded(Recording):
         def random(self, size):
-            self.calls += 1
-            assert self.calls < 10_000, "the cycles did not finish"
-            return self.rng.random(size)
+            assert len(self.draws) < 10_000, "the cycles did not finish"
+            return super().random(size)
 
-    got = _simulate_batch(spec, cfg.cycles, Bounded(), cfg.escape_horizon)
+    rng = Bounded(np.random.default_rng(np.random.SeedSequence([cfg.seed])))
+    got = _simulate_batch(spec, cfg.cycles, rng, cfg.escape_horizon)
     sample = simulate_cycles(spec, cfg)
-    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, cfg.escape_horizon)
+    maxima, escaped = _replay(spec, cfg.cycles, cfg.escape_horizon, rng.draws)
     assert np.array_equal(got[0], maxima) and np.array_equal(sample.maxima, maxima)
     assert got[1] == sample.escaped == escaped == 0
     assert maxima.max() == 40
@@ -273,18 +286,19 @@ def test_cycles_start_at_a_cap_of_one_and_draw_nothing():
     before = rng.bit_generator.state
     assert [simulate_cycle(mm1(2.0, 1.0, cap=1), rng) for _ in range(3)] == [1, 1, 1]
     assert rng.bit_generator.state == before
-    assert _scalar_cycle(mm1(2.0, 1.0, cap=1), rng, 1_000) == 1
+    maxima, escaped = _replay(mm1(2.0, 1.0, cap=1), 3, 1_000, [])
+    assert maxima.tolist() == [1, 1, 1] and escaped == 0
 
 
-def _jump_mode_reference(spec, k, reps, cfg, chunk):
-    """Row maxima of reps * k one-jump-per-pass cycles drawn from one
-    generator, in batches of whole rows, or of chunk cycles when k > chunk."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+def _jump_mode_reference(spec, k, reps, cfg, chunk, batches):
+    """Row maxima of the replayed batches of reps * k cycles, after checking
+    that they hold whole rows, or chunk cycles when k > chunk."""
     total = reps * k
     batch = (chunk // k) * k if k <= chunk else chunk
+    assert [n for n, _ in batches] == [min(batch, total - start) for start in range(0, total, batch)]
     maxima = []
-    for start in range(0, total, batch):
-        got, escaped = _one_jump_per_pass(spec, min(batch, total - start), None, cfg.escape_horizon, rng)
+    for n, draws in batches:
+        got, escaped = _replay(spec, n, cfg.escape_horizon, draws)
         assert escaped == 0
         maxima.append(got)
     return np.concatenate(maxima).reshape(reps, k).max(axis=1)
@@ -297,9 +311,17 @@ def test_jump_mode_equals_one_jump_per_pass(monkeypatch, spec, chunk):
     # default holds them all
     if chunk is not None:
         monkeypatch.setattr(simulate_module, "_JUMP_CHUNK", chunk)
+    batches = []
+
+    def recorded(spec, n_cycles, rng, horizon):
+        rng = Recording(rng)
+        batches.append((n_cycles, rng.draws))
+        return _simulate_batch(spec, n_cycles, rng, horizon)
+
+    monkeypatch.setattr(simulate_module, "_simulate_batch", recorded)
     cfg = SimConfig(seed=18)
     got = sample_maxima(spec, 40, 60, cfg, mode="jump")
-    want = _jump_mode_reference(spec, 40, 60, cfg, simulate_module._JUMP_CHUNK)
+    want = _jump_mode_reference(spec, 40, 60, cfg, simulate_module._JUMP_CHUNK, batches)
     assert np.array_equal(got, want)
 
 
@@ -322,28 +344,77 @@ _PRESETS = {
 def test_simulation_equals_one_jump_per_pass_on_generated_chains(rho, preset, cap, horizon, seed):
     spec = _PRESETS[preset](rho, cap)
     cfg = SimConfig(seed=seed, cycles=300, escape_horizon=horizon)
-    maxima, escaped = _one_jump_per_pass(spec, cfg.cycles, cfg.seed, horizon)
+    got, (maxima, escaped) = _recorded_batch(spec, cfg.cycles, cfg.seed, horizon)
     sample = simulate_cycles(spec, cfg)
-    assert np.array_equal(sample.maxima, maxima)
-    assert sample.escaped == escaped
+    assert np.array_equal(sample.maxima, maxima) and np.array_equal(got[0], maxima)
+    assert sample.escaped == got[1] == escaped
 
 
 def test_multi_jump_passes_run_on_a_constant_up_probability():
-    class Recording:
-        def __init__(self, seed):
-            self.rng = np.random.default_rng(np.random.SeedSequence([seed]))
-            self.blocks = 0
-
-        def random(self, size):
-            self.blocks += isinstance(size, tuple)
-            return self.rng.random(size)
-
     for spec in (mm1(1.0, 1.0), mms(2, 2.0, 1.0)):
-        rng = Recording(31)
+        rng = Recording(np.random.default_rng(np.random.SeedSequence([31])))
         got = _simulate_batch(spec, 1_000, rng, 200)
-        want = _one_jump_per_pass(spec, 1_000, 31, 200)
-        assert rng.blocks > 0
+        want = _replay(spec, 1_000, 200, rng.draws)
+        assert any(u.ndim == 2 for u in rng.draws)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+_LAW_CHAINS = [
+    (mm1(1.0, 1.0), 200),
+    (mm1(0.95, 1.0), 1_000),
+    (mm1(1.5, 1.0), 600),
+    (mms(2, 2.0, 1.0), 200),  # its constant run starts at 2, so blocks are cut at 1
+    (mm1(1.3, 1.0, cap=60), 1_000),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, horizon", _LAW_CHAINS, ids=["mm1-critical", "mm1-0.95", "mm1-transient", "mms2-critical", "mm1-capped"]
+)
+def test_block_passes_follow_the_exact_law(spec, horizon):
+    cycles = 20_000
+    sample = simulate_cycles(spec, SimConfig(seed=47, cycles=cycles, escape_horizon=horizon))
+    assert sample.cycles == cycles
+    top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    dist = CycleMaxDistribution(spec)
+    f_all = dist.cdf(np.arange(1, top))
+    # the levels where the cdf first reaches each quantile, and the last level
+    # below the horizon or cap, whose cdf counts every escape or capped cycle
+    levels = {int(np.searchsorted(f_all, q)) + 1 for q in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99) if q <= f_all[-1]}
+    levels = np.array(sorted(levels | {top - 1}))
+    f = dist.cdf(levels)
+    emp = np.searchsorted(np.sort(sample.maxima), levels, side="right") / cycles  # escapes lie above
+    sigma = np.sqrt(f * (1 - f) / cycles)
+    assert np.all(np.abs(emp - f) <= 3 * sigma + 1e-12)
+
+
+def test_one_level_dependent_cycle_takes_a_handful_of_draws():
+    # one mminf(8, 1) cycle to horizon 1000 is expected to take about 5,960
+    # jumps, each a pass of its own without the scalar tail
+    spec = mminf(8.0, 1.0)
+    assert 5_900 < math.exp(simulate_module._log_expected_jumps(spec, 1_000)) < 6_000
+    for seed in range(5):
+        rng = Recording(np.random.default_rng(seed))
+        assert simulate_cycle(spec, rng, 1_000) >= 1
+        assert 1 <= len(rng.draws) <= 12
+
+
+@pytest.mark.parametrize("p, low, top", [(0.3, 3, 40), (0.5, 1, 25), (0.7, 2, 30)])
+def test_exit_times_solve_the_ruin_equations(p, low, top):
+    # E = 1 + p E(up) + (1 - p) E(down) on low..top-1, with E = 0 at low - 1 and top
+    size = top - low
+    a = np.eye(size) - p * np.eye(size, k=1) - (1 - p) * np.eye(size, k=-1)
+    want = np.linalg.solve(a, np.ones(size))
+    assert np.allclose(simulate_module._exit_times(p, low, top), want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.05, 1 - 1e-12, 1 + 1e-12, 3.0], ids=["0.05", "below-1", "above-1", "3"])
+def test_block_sizer_is_total(rho):
+    # RuntimeWarnings are errors here, so an overflow or a division by zero fails
+    exit_time = simulate_module._exit_times(rho / (1 + rho), 1, 2_000)
+    assert np.all(np.isfinite(exit_time)) and np.all(exit_time > 0)
+    sample = simulate_cycles(mm1(rho, 1.0), SimConfig(seed=5, cycles=300, escape_horizon=2_000))
+    assert sample.cycles == 300
 
 
 @pytest.mark.parametrize("s", [2, 3, 8])
@@ -433,6 +504,8 @@ def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
         simulate_cycles(spec, SimConfig(seed=1, cycles=1_000))
     with pytest.raises(NotApplicableError):
         sample_maxima(spec, 10, 100, SimConfig(seed=1), mode="jump")
-    with pytest.raises(NotApplicableError):  # a call is charged for at least 256 cycles
+    assert simulate_cycle(spec, np.random.default_rng(1)) >= 1  # one cycle's 3 jumps fit
+    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 2.0)
+    with pytest.raises(NotApplicableError):
         simulate_cycle(spec, np.random.default_rng(1))
     sample_maxima(spec, 10, 100, SimConfig(seed=1))  # inversion draws no jumps
