@@ -411,8 +411,9 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification, its cycle-maximum law with the law's tables and its
-    tail functions are computed on first use and kept on the object.
+    Its classification, its cycle-maximum law with the law's tables, its
+    tail functions and its simulator tables are computed on first use and
+    kept on the object.
     """
 
     psi: WeightSequence
@@ -453,6 +454,11 @@ class BirthDeathSpec:
     @cached_property
     def _tail_functions(self) -> dict:
         """Interpolated tail functions built for this spec, by n_max."""
+        return {}
+
+    @cached_property
+    def _walk_tables(self) -> dict:
+        """The simulator's jump-chain tables for this spec, by top level."""
         return {}
 
     # log psi(n) rho^n, scaled so the n = 0 term is exactly 1.  Hitting
@@ -810,8 +816,14 @@ def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray) 
 
     ``log_psi`` and ``log_phi`` are the log weights on 0.._TRUNC.
     Divergence rules out explosion; treated as diagnostic only, so the series
-    is flagged non-regular only when conclusively convergent.
+    is flagged non-regular only when conclusively convergent.  With phi = psi
+    the terms are 1/(1 + psi(n-1)/psi(n)); a declared lower ratio bound
+    b_lo > 0 keeps them at or above b_lo/(1 + b_lo) in the tail, so the
+    series diverges without being summed.
     """
+    declared = spec.psi.tail_ratio is not None or spec.psi.tail_bounds is not None
+    if spec.phi == spec.psi and declared and _tail_geometry(spec.psi, log_psi)[0] > 0.0:
+        return True
 
     def u_terms(idx):
         idx = np.maximum(idx, 1)  # the n = 0 term is irrelevant for divergence

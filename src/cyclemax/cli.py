@@ -27,7 +27,7 @@ from .extremes import (
     partial_limit_envelope,
 )
 from .networks import load_network, norton_reduce
-from .simulate import SimConfig, empirical_cdf, sample_maxima, simulate_cycles, verify_as_convergence
+from .simulate import SimConfig, empirical_cdf, simulate_cycles, verify_as_convergence
 from .verification import run_all
 
 __all__ = ["main"]

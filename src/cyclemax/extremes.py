@@ -107,18 +107,18 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     return f
 
 
-def invert_tail(f: TailFunction, v: float, tol: float = 1e-10) -> float:
-    """The unique y with f(y) = v, bisected to absolute tolerance on y.
+def invert_tail(f: TailFunction, v: float) -> float:
+    """The unique y with f(y) = v, the root of the chord between two knots.
 
-    The knot bracket is found in log space and the bisection runs on
-    exponent-shifted values, so targets far below double-precision underflow
-    of the raw weights still invert cleanly.
+    The knot bracket is found in log space and the chord is scaled by its
+    upper knot, so targets far below double-precision underflow of the raw
+    weights, and head knots past the float range, still invert cleanly.
     """
     if not (v > 0.0 and math.isfinite(v)):
         raise OutOfRangeError(f"target {v} must be a positive real")
     log_v = math.log(v)
     log_g0 = float(f.log_knots[f.y0])
-    if v >= math.exp(log_g0):
+    if log_v >= log_g0:
         y = f.y0 + math.exp(log_g0) - v
         if y < 0.0:
             raise OutOfRangeError(f"target {v} exceeds f(0)")
@@ -131,21 +131,11 @@ def invert_tail(f: TailFunction, v: float, tol: float = 1e-10) -> float:
     tail = -f.log_knots[f.y0:]
     n = f.y0 + int(np.searchsorted(tail, -log_v, side="right")) - 1
     n = min(max(n, f.y0), f.n_max - 1)
+    # on [n, n + 1], f / g(n) = (1 - t) + t r with r = g(n + 1) / g(n) in (0, 1),
+    # so t = (1 - v / g(n)) / (1 - r), each difference taken by expm1
     shift = float(f.log_knots[n])
-    r = math.exp(float(f.log_knots[n + 1]) - shift)  # in (0, 1)
-    target = math.exp(log_v - shift)
-
-    def chord(t: float) -> float:
-        return (1.0 - t) + t * r - target
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if chord(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return n + 0.5 * (lo + hi)
+    t = math.expm1(log_v - shift) / math.expm1(float(f.log_knots[n + 1]) - shift)
+    return n + min(max(t, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -133,11 +133,50 @@ def _log_expected_jumps(spec: BirthDeathSpec, top: int) -> float:
     return float(np.logaddexp.reduce(log_visits))
 
 
+@dataclass(frozen=True)
+class _WalkTables:
+    """What a walk from level 1 to ``top`` reads, read-only.
+
+    ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
+    the same values for the Python-stepped walk where they vary; ``n_flat``
+    is ``_flat_start``'s state and ``exit_time`` the gambler's-ruin exit
+    times from n_flat..top-1 (None without a constant run).
+    """
+
+    log_jumps: float
+    p_at: np.ndarray
+    p_list: tuple | None
+    n_flat: int | None
+    exit_time: np.ndarray | None
+
+
+def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
+    """The tables for (spec, top), built on first use and kept on the spec."""
+    tables = spec._walk_tables.get(top)
+    if tables is not None:
+        return tables
+    p_up = _up_probabilities(spec, top)
+    p_at = np.concatenate(([0.0], p_up))  # indexed by level
+    n_flat = _flat_start(p_up, top) if p_up.size else None
+    exit_time = None if n_flat is None else _exit_times(p_at[-1], n_flat, top)
+    p_at.flags.writeable = False
+    if exit_time is not None:
+        exit_time.flags.writeable = False
+    tables = spec._walk_tables[top] = _WalkTables(
+        log_jumps=_log_expected_jumps(spec, top),
+        p_at=p_at,
+        p_list=tuple(p_at.tolist()) if n_flat != 1 else None,  # the tail runs where p_up varies
+        n_flat=n_flat,
+        exit_time=exit_time,
+    )
+    return tables
+
+
 def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
     """Raise before the first draw when n_cycles cycles are expected to take
     more than _MAX_JUMPS jumps."""
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
-    log_per_cycle = _log_expected_jumps(spec, top)
+    log_per_cycle = _walk_tables(spec, top).log_jumps
     if math.log(n_cycles) + log_per_cycle > math.log(_MAX_JUMPS):
         raise NotApplicableError(
             f"a cycle to horizon {horizon} is expected to take "
@@ -269,12 +308,11 @@ def _simulate_batch(
     top = spec.cap if capped else horizon
     if top == 1:
         return np.ones(n_cycles, dtype=np.int64), 0
-    p_up = _up_probabilities(spec, top)
-    p_at = np.concatenate(([0.0], p_up))  # indexed by level
-    n_flat = _flat_start(p_up, top)
-    p_flat = p_up[-1]
+    tables = _walk_tables(spec, top)
+    p_at, n_flat, p_list = tables.p_at, tables.n_flat, tables.p_list
+    exit_time = tables.exit_time  # indexed by level - n_flat
+    p_flat = p_at[-1]
     if n_flat is not None:
-        exit_time = _exit_times(p_flat, n_flat, top)  # indexed by level - n_flat
         width = top - n_flat  # the run's levels, counted from n_flat
 
     def block(state, peak):
@@ -294,7 +332,6 @@ def _simulate_batch(
         path *= steps <= cut + 1  # past its exit a column reads 0, not above its start
         np.maximum(peak, path.max(axis=0) + n_flat, out=peak)
 
-    p_list = p_at.tolist() if n_flat != 1 else None  # the tail runs where p_up varies
     tail_rows = _TAIL_ROWS
 
     def tail(state, peak):

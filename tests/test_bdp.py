@@ -546,7 +546,11 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
 
     monkeypatch.setattr(bdp_module, "_judge_series", recorded)
     cls = bdp_module._classify(spec)
-    names = ["psi", "star", "u"] if spec.phi == spec.psi else ["phi", "psi", "star", "u"]
+    # phi = psi with a declared positive lower ratio bound is regular in closed form
+    declared = spec.psi.tail_ratio is not None or spec.psi.tail_bounds is not None
+    closed_form = spec.phi == spec.psi and declared and geometry[0] > 0.0
+    names = ["psi", "star"] if spec.phi == spec.psi else ["phi", "psi", "star"]
+    names += [] if closed_form else ["u"]
     assert len(calls) == len(names)
     for (head, q_lo, q_hi, out), name in zip(calls, names):
         want_head, want_lo, want_hi = judged[name]
@@ -557,7 +561,9 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
     s_phi = by_name.get("phi", by_name["psi"])
     assert (cls.log_b_phi_inv, cls.b_phi_convergent) == (s_phi.log_value, s_phi.convergent)
     assert (cls.beta_lower, cls.beta_upper, cls.beta) == geometry
-    assert cls.regularity_ok is (by_name["u"].convergent is not True)
+    u_head, u_lo, u_hi = judged["u"]
+    s_u = judge(np.asarray(u_head, dtype=float), None, u_lo, u_hi)
+    assert cls.regularity_ok is (s_u.convergent is not True)
 
 
 def test_classify_evaluates_each_weight_sequence_once(monkeypatch):

@@ -95,6 +95,67 @@ def test_invert_tail_round_trip():
         assert f(y) == pytest.approx(v, rel=1e-6)
 
 
+def _bisected_inverse(f, v):
+    """The inverse by bisection of the chord to 1e-10 on y: the reference."""
+    log_v = math.log(v)
+    g0 = math.exp(f.log_knots[f.y0])
+    if v >= g0:
+        return f.y0 + g0 - v
+    n = f.y0 + int(np.searchsorted(-f.log_knots[f.y0:], -log_v, side="right")) - 1
+    n = min(max(n, f.y0), f.n_max - 1)
+    shift = float(f.log_knots[n])
+    r = math.exp(float(f.log_knots[n + 1]) - shift)
+    target = math.exp(log_v - shift)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid) + mid * r - target >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return n + 0.5 * (lo + hi)
+
+
+def _log_f(f, y):
+    """log f(y), with the chord scaled by its upper knot so it never underflows."""
+    if y <= f.y0:
+        return math.log(f.y0 - y + math.exp(f.log_knots[f.y0]))
+    n = min(int(y), f.n_max - 1)
+    t = y - n
+    a, b = float(f.log_knots[n]), float(f.log_knots[n + 1])
+    return a + math.log((1.0 - t) + t * math.exp(b - a))
+
+
+@pytest.mark.parametrize(
+    "spec, n_max, targets",
+    [
+        # on knots and between them
+        (mm1(0.5, 1.0), 400, [0.5**10, 0.5**10.3, 0.5**57.999, 0.5**200.5]),
+        # on the linear head 31.04 - y before y0 = 5, and on the knots past it
+        (mminf(5.0, 1.0), 400, [31.0, 28.5, 26.5, 20.0, 1e-3, 1e-40]),
+        # below double-precision underflow of the knots
+        (mm1(0.05, 1.0), 300, [1e-305, 1e-310, 1e-318]),
+        (mm1(0.5, 1.0), 1100, [1e-300, 1e-315, 5e-323]),
+    ],
+)
+def test_invert_tail_is_the_chord_root(spec, n_max, targets):
+    f = build_tail_function(spec, n_max)
+    for v in targets:
+        y = invert_tail(f, v)
+        assert abs(y - _bisected_inverse(f, v)) <= 1e-10, v
+        assert _log_f(f, y) == pytest.approx(math.log(v), rel=0.0, abs=1e-12), v
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_invert_tail_with_a_head_knot_past_the_float_range():
+    spec = mminf(800.0, 1.0)
+    f = build_tail_function(spec, 4000)
+    assert f.log_knots[f.y0] > math.log(np.finfo(float).max)
+    assert invert_tail(f, 1e300) == pytest.approx(1242.98, abs=0.01)
+    nc = norming_constants(spec, NormingKind.NUMERIC, [1000], n_max=4000)
+    assert nc.b[0] == pytest.approx(2176.85, abs=0.01)
+
+
 def test_gumbel_bounds_at_origin():
     gb = gumbel_bounds(mm1(0.5, 1.0), 0.0, 10**4)
     assert gb.lower == pytest.approx(math.exp(-2.0), rel=1e-12)

@@ -509,3 +509,25 @@ def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
     with pytest.raises(NotApplicableError):
         simulate_cycle(spec, np.random.default_rng(1))
     sample_maxima(spec, 10, 100, SimConfig(seed=1))  # inversion draws no jumps
+
+
+def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
+    builds = []
+    for name in ("_up_probabilities", "_log_expected_jumps", "_flat_start", "_exit_times"):
+        def counted(*args, _fn=getattr(simulate_module, name), _name=name):
+            builds.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(simulate_module, name, counted)
+    spec = mms(3, 2.1, 1.0)  # a varying head and a constant run, so every table is built
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        simulate_cycle(spec, rng)
+    simulate_cycles(spec, SimConfig(seed=5, cycles=100))
+    sample_maxima(spec, 10, 10, SimConfig(seed=5), mode="jump")
+    assert sorted(builds) == ["_exit_times", "_flat_start", "_log_expected_jumps", "_up_probabilities"]
+    tables = spec._walk_tables[1_000]
+    assert tables.n_flat == 3 and tables.p_list is not None
+    assert not tables.p_at.flags.writeable and not tables.exit_time.flags.writeable
+    simulate_cycle(spec, rng, 200)  # another horizon builds its own tables
+    assert len(builds) == 8 and set(spec._walk_tables) == {200, 1_000}
