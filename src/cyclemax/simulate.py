@@ -2,12 +2,15 @@
 
 A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
-holding times are never sampled.  Every call draws from one generator seeded
-by ``SimConfig.seed``, so equal seeds give equal results.  Late passes with
-few live cycles draw blocks of uniforms for many jumps at once, and a cycle
-that finishes inside its block leaves the rest of it unused; which uniforms a
-cycle uses is set out in ``_simulate_batch``.  A call expected to take more
-than _MAX_JUMPS jumps raises before its first draw.
+holding times are never sampled.  From a state n_flat on, the up-step
+probability of most chains is constant (n_flat = 1 for M/M/1, s for M/M/s),
+so there a cycle is a simple random walk, and the maximum of each of its
+excursions above n_flat - 1 is drawn from one uniform by the gambler's-ruin
+law instead of being stepped.  Every call draws from one generator seeded by
+``SimConfig.seed``, so equal seeds give equal results; which uniforms a cycle
+uses is set out in ``_simulate_batch``.  A call expected to take more than
+_MAX_JUMPS jumps raises before its first draw; the count includes the jumps
+of the excursions, although they are not stepped.
 """
 
 from __future__ import annotations
@@ -35,28 +38,25 @@ __all__ = [
     "ks_two_sample",
 ]
 
-# Most cells (jumps x live cycles) in one block of uniforms: with the int32
-# path of a block in the constant run that is about 1 MiB.  Half or twice as
-# many cells ran critical mm1 and mm1(0.95) 3-12 % slower.
-_BLOCK_CELLS = 1 << 16
-# Most live cycles a block serves; with more, a single-jump pass costs less
-# per jump (about 12 ns: mm1(1.5) ran 17 % slower with blocks up to 8192).
-_BLOCK_LIVE = 1 << 11
-# Most live cycles stepped one by one in Python in a level-dependent run, at
+# Most live cycles stepped one by one in Python below the constant run, at
 # about 100 ns a jump; a vectorised pass costs about 10 us, so over fewer
 # cycles it costs more per jump.
 _TAIL_CYCLES = 128
-# Rows of the first Python-stepped block of a batch; each later one has twice
-# as many, within _BLOCK_CELLS, so a short cycle draws little it does not use.
+# Rows of the first Python-stepped block of a batch; each later one that
+# follows a block some cycle used up has twice as many, within _TAIL_CELLS,
+# so a short cycle draws little it does not use.
 _TAIL_ROWS = 64
+# Most uniforms (rows x live cycles) in one Python-stepped block: 512 KiB.
+_TAIL_CELLS = 1 << 16
 # Most cycles one jump-mode batch simulates at once.
 _JUMP_CHUNK = 1 << 17
 # Most levels an inversion table may hold (8 MiB of float64).
 _INVERSION_LEVELS = 1 << 20
 # Most jumps a call may expect to simulate: 10-400 ns a jump on a 2-vCPU
 # host, so about 40 s at most.  That cost holds however few cycles are live,
-# since those are stepped in blocks or in Python, so one cycle is charged
-# for its own jumps only.
+# since those are stepped in Python, so one cycle is charged for its own
+# jumps only.  Jumps in the constant run are charged too, although each
+# excursion there is drawn whole from one uniform.
 _MAX_JUMPS = 1e8
 
 
@@ -139,15 +139,13 @@ class _WalkTables:
 
     ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
     the same values for the Python-stepped walk where they vary; ``n_flat``
-    is ``_flat_start``'s state and ``exit_time`` the gambler's-ruin exit
-    times from n_flat..top-1 (None without a constant run).
+    is ``_flat_start``'s state.
     """
 
     log_jumps: float
     p_at: np.ndarray
     p_list: tuple | None
     n_flat: int | None
-    exit_time: np.ndarray | None
 
 
 def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
@@ -158,16 +156,12 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     p_up = _up_probabilities(spec, top)
     p_at = np.concatenate(([0.0], p_up))  # indexed by level
     n_flat = _flat_start(p_up, top) if p_up.size else None
-    exit_time = None if n_flat is None else _exit_times(p_at[-1], n_flat, top)
     p_at.flags.writeable = False
-    if exit_time is not None:
-        exit_time.flags.writeable = False
     tables = spec._walk_tables[top] = _WalkTables(
         log_jumps=_log_expected_jumps(spec, top),
         p_at=p_at,
         p_list=tuple(p_at.tolist()) if n_flat != 1 else None,  # the tail runs where p_up varies
         n_flat=n_flat,
-        exit_time=exit_time,
     )
     return tables
 
@@ -197,13 +191,14 @@ def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizo
 def _flat_start(p_up: np.ndarray, top: int) -> int | None:
     """Lowest state n_flat with p_up constant on n_flat..top-1, or None.
 
-    None when the run is too short for two jumps in one pass.  Equality is
-    exact, so a pass that compares with the constant uses the very value a
-    lookup by level would give.
+    None when that is the level top - 1 alone, as it is for every chain whose
+    p_up varies up to the top (mminf): such a chain is stepped at every level.
+    Equality is exact, so the excursions drawn from n_flat follow the very
+    walk that stepping by level would.
     """
     varying = np.flatnonzero(p_up != p_up[-1])
     n_flat = int(varying[-1]) + 2 if varying.size else 1
-    return None if n_flat > top - 3 else n_flat
+    return None if n_flat == top - 1 else n_flat
 
 
 def _run_cycles(
@@ -241,37 +236,42 @@ def _run_cycles(
     return out[out > 0], escaped
 
 
-def _exit_times(p: float, low: int, top: int) -> np.ndarray:
-    """Expected jumps of a walk with up-step probability p to leave [low, top),
-    from each level low..top-1.
+def _excursion_peaks(u: np.ndarray, low: int, top: int, p: float) -> np.ndarray:
+    """The peaks low + J of walks from low + 1 with up-step probability p that
+    stop on leaving (low, top), one per uniform in u, computed in place in u.
 
-    This is gambler's ruin on 0..n with n = top - low + 1, started at k: with
-    r = (1 - p) / p, E_k = (k - n (1 - r^k) / (1 - r^n)) / (1 - 2p), and
-    k (n - k) when r is within rounding of 1.  The ratio is taken in the form
-    whose powers stay at or below 1, so no exponent overflows.
+    By gambler's ruin such a walk reaches low + j before low with probability
+    1 / sum_{i<j} r^i, r = (1 - p) / p, so J, the largest j with that
+    probability at least 1 - u, is floor(log1p(expm1(log r) / (1 - u)) / log r),
+    or floor(1 / (1 - u)) at r = 1.  Where the log1p argument is at most -1
+    the walk may never come back and J is unbounded.  J is capped at
+    top - low, where the walk leaves at the top.
     """
-    n = top - low + 1
-    k = np.arange(1, n, dtype=float)
-    p = min(max(p, 2.0**-60), 1.0 - 2.0**-53)  # keeps both logarithms finite
+    p = min(max(p, 2.0**-60), 1.0 - 2.0**-53)  # log r finite; changes no draw with u > 0
     log_r = math.log1p(-p) - math.log(p)
-    if abs(n * log_r) < 1e-6:
-        return k * (n - k)
-    if log_r > 0.0:
-        ratio = np.exp((k - n) * log_r) * np.expm1(-k * log_r) / math.expm1(-n * log_r)
+    np.subtract(1.0, u, out=u)
+    if log_r == 0.0:
+        np.divide(1.0, u, out=u)
     else:
-        ratio = np.expm1(k * log_r) / math.expm1(n * log_r)
-    return (k - n * ratio) / (1.0 - 2.0 * p)
+        np.divide(math.expm1(log_r), u, out=u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(u, out=u)  # -inf or nan where J is unbounded
+        u *= 1.0 / log_r
+    np.floor(u, out=u)
+    np.fmin(u, top - low, out=u)  # also replaces nan by the cap
+    u += low
+    return u
 
 
-def _walk(draws: list, level: int, peak: int, p_at: list, top: int) -> tuple[int, int]:
-    """Step one cycle through ``draws`` until it leaves (0, top) or they run out."""
+def _walk(draws: list, level: int, peak: int, p_at: list, stop: int) -> tuple[int, int]:
+    """Step one cycle through ``draws`` until it reaches 0 or ``stop``, or they run out."""
     for u in draws:
         if u < p_at[level]:
             level += 1
             if level > peak:
                 peak = level
-                if level == top:
-                    break
+            if level == stop:
+                break
         else:
             level -= 1
             if level == 0:
@@ -287,20 +287,18 @@ def _simulate_batch(
     Each pass makes one draw from ``rng`` for the live cycles, in cycle
     order, and the draw's shape says how it is used:
     - A 1-D draw, made by every pass not listed below, moves each live cycle
-      one jump.  The up-step probability is looked up by level, or is the
-      constant p_flat itself when every live cycle sits at or above the
-      state n_flat from which it is constant.
-    - A (B, live) draw with every live cycle at or above n_flat moves column
-      j's cycle until it leaves [n_flat, top) or the column ends.  It is made
-      when at most _BLOCK_LIVE cycles are live.  B is the largest expected
-      exit time of the live levels (gambler's ruin under p_flat), within
-      _BLOCK_CELLS cells, so short cycles draw short blocks.  Each column
-      is cut at its own first exit, so one cycle near n_flat does not
-      shorten every other cycle's block.
-    - A (B, live) draw with a live cycle below n_flat (or no constant run)
-      moves column j's cycle, stepped in Python, until it leaves (0, top) or
-      the column ends.  It is made when at most _TAIL_CYCLES cycles are live;
-      B starts at _TAIL_ROWS and doubles with each such draw of the batch.
+      below n_flat one jump, with the up-step probability of its level.  For
+      a cycle at n_flat its uniform draws the whole excursion above
+      a = n_flat - 1 (``_excursion_peaks``): the cycle ends the pass at a
+      with its peak raised to the excursion's, or, if the excursion reaches
+      the top, at the top with peak top.  A cycle enters the constant run
+      only at n_flat, at the start when n_flat = 1 or by a step up from a,
+      so no cycle is stepped in the run, and an M/M/1 batch is one pass.
+    - A (B, live) draw, made when at most _TAIL_CYCLES cycles are live and
+      none is at n_flat, moves column j's cycle, stepped in Python, until it
+      reaches 0 or n_flat (the top, without a constant run) or the column
+      ends.  B starts at _TAIL_ROWS and doubles after each such draw in
+      which some cycle used up its column.
     A cycle that reaches a cap below the horizon has its maximum and retires
     there.
     """
@@ -310,55 +308,50 @@ def _simulate_batch(
         return np.ones(n_cycles, dtype=np.int64), 0
     tables = _walk_tables(spec, top)
     p_at, n_flat, p_list = tables.p_at, tables.n_flat, tables.p_list
-    exit_time = tables.exit_time  # indexed by level - n_flat
-    p_flat = p_at[-1]
-    if n_flat is not None:
-        width = top - n_flat  # the run's levels, counted from n_flat
+    p_flat = float(p_at[-1])
+    stop = top if n_flat is None else n_flat  # where a Python-stepped walk stops
+    none_at = np.empty(0, dtype=np.intp)
 
-    def block(state, peak):
-        live = state.size
-        rows = min(_BLOCK_CELLS // live, math.ceil(exit_time.take(state - n_flat).max()))
-        # level - n_flat after t jumps, as int32: its start + 2 ups - t
-        path = (rng.random((rows, live)) < p_flat).cumsum(axis=0, dtype=np.int32)
-        path *= 2
-        steps = np.arange(1, rows + 1, dtype=np.int32)[:, None]
-        path -= steps
-        path += (state - n_flat).astype(np.int32)
-        cols = np.arange(live)
-        out = path.view(np.uint32) >= width  # below n_flat, or at top
-        cut = out.argmax(axis=0)  # each column's first exit, or its last row
-        cut[~out[cut, cols]] = rows - 1
-        state[:] = path[cut, cols] + n_flat
-        path *= steps <= cut + 1  # past its exit a column reads 0, not above its start
-        np.maximum(peak, path.max(axis=0) + n_flat, out=peak)
+    def excursions(u, state, peak):
+        # every cycle in state is at n_flat; u is its draw, used up in place
+        low = n_flat - 1
+        np.maximum(peak, _excursion_peaks(u, low, top, p_flat), out=peak, casting="unsafe")
+        state.fill(low)
+        np.copyto(state, top, where=peak == top)
 
     tail_rows = _TAIL_ROWS
 
     def tail(state, peak):
         nonlocal tail_rows
         live = state.size
-        rows = min(tail_rows, _BLOCK_CELLS // live)
-        tail_rows *= 2  # a cycle still live has outlasted the last block
-        draws = rng.random((rows, live))
+        draws = rng.random((min(tail_rows, _TAIL_CELLS // live), live))
         for j in range(live):
-            state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, top)
+            state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, stop)
+        if ((state > 0) & (state < stop)).any():  # a cycle used up its column
+            tail_rows *= 2
 
     def advance(state, peak):
         live = state.size
-        flat = n_flat == 1  # every live cycle is in the constant run
-        if n_flat is not None and (n_flat > 1 or live <= _BLOCK_LIVE):
-            flat = int(state.min()) >= n_flat
-        if flat and live <= _BLOCK_LIVE:
-            block(state, peak)
+        # with n_flat = 1 this is the first pass, and it ends every cycle
+        at = none_at if n_flat is None else None if n_flat == 1 else np.flatnonzero(state == n_flat)
+        if at is None or at.size == live:
+            excursions(rng.random(live), state, peak)
             return
-        if live <= _TAIL_CYCLES:
+        if live <= _TAIL_CYCLES and not at.size:
             tail(state, peak)
             return
-        up = rng.random(live) < (p_flat if flat else p_at.take(state))
+        u = rng.random(live)
+        if at.size:
+            at_state, at_peak = state.take(at), peak.take(at)
+            excursions(u.take(at), at_state, at_peak)
+        up = u < p_at.take(state)
         state += up
         state += up
         state -= 1
         np.maximum(peak, state, out=peak)
+        if at.size:
+            state[at] = at_state
+            peak[at] = at_peak
 
     return _run_cycles(n_cycles, top, advance, escapes=not capped)
 

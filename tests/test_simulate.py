@@ -67,7 +67,8 @@ def test_single_cycle_needs_a_horizon_of_ten():
 
 
 class Recording:
-    """Generator wrapper that keeps every array of uniforms it hands out."""
+    """Generator wrapper that keeps a copy of every array of uniforms it
+    hands out (the simulator may overwrite its draws)."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -75,8 +76,24 @@ class Recording:
 
     def random(self, size):
         u = self.rng.random(size)
-        self.draws.append(u)
+        self.draws.append(u.copy())
         return u
+
+
+def _excursion_top(p, x, cap):
+    """J of a walk from 1 under up-step probability p, stopped at 0 or cap:
+    the largest j <= cap whose ruin probability 1 / sum_{i<j} r^i of reaching
+    j before 0 is at least 1 - x, found by summing the powers of r."""
+    r = (1.0 - p) / p
+    v = 1.0 - x
+    j, total, term = 1, 1.0, 1.0
+    while j < cap:
+        term *= r
+        if 1.0 / (total + term) < v:
+            break
+        total += term
+        j += 1
+    return j
 
 
 def _replay(spec, cycles, horizon, draws):
@@ -84,10 +101,11 @@ def _replay(spec, cycles, horizon, draws):
     cycle is stepped alone in a Python loop.
 
     Each draw is for the live cycles in cycle order.  A 1-D draw moves each
-    one jump.  A 2-D (B, live) draw moves column j's cycle until it leaves
-    [n_flat, top) when every live level is at least n_flat, and otherwise
-    until it leaves (0, top), or until the column ends.  A cycle that
-    reaches a cap below the horizon has its maximum and ends there.
+    one jump, except that a cycle at n_flat draws its whole excursion above
+    n_flat - 1 from its uniform (``_excursion_top``).  A 2-D (B, live) draw
+    moves column j's cycle until it reaches 0 or n_flat (or the top, without
+    a constant run), or until the column ends.  A cycle that reaches a cap
+    below the horizon has its maximum and ends there.
     """
     capped = spec.cap is not None and spec.cap < horizon
     top = spec.cap if capped else horizon
@@ -98,18 +116,22 @@ def _replay(spec, cycles, horizon, draws):
     p_up = _up_probabilities(spec, top)
     p_at = [0.0] + p_up.tolist()
     n_flat = _flat_start(p_up, top)
+    stop = top if n_flat is None else n_flat
     live = list(range(cycles))
     for u in draws:
         cols = u.reshape(u.shape[0], -1) if u.ndim == 2 else u[None, :]
         assert cols.shape[1] == len(live)
-        lo = 1
-        if u.ndim == 2 and n_flat is not None and min(level[i] for i in live) >= n_flat:
-            lo = n_flat
         for j, i in enumerate(live):
+            if u.ndim == 1 and level[i] == n_flat:
+                low = n_flat - 1
+                peak[i] = max(peak[i], low + _excursion_top(p_at[-1], float(u[j]), top - low))
+                level[i] = top if peak[i] == top else low
+                continue
+            assert level[i] != n_flat, "a block was drawn for a cycle at n_flat"
             for x in cols[:, j].tolist():
                 level[i] += 1 if x < p_at[level[i]] else -1
                 peak[i] = max(peak[i], level[i])
-                if not lo <= level[i] < top:
+                if level[i] in (0, stop):
                     break
         live = [i for i in live if 0 < level[i] < top]
     assert not live, "the draws ran out before every cycle finished"
@@ -350,26 +372,53 @@ def test_simulation_equals_one_jump_per_pass_on_generated_chains(rho, preset, ca
     assert sample.escaped == got[1] == escaped
 
 
-def test_multi_jump_passes_run_on_a_constant_up_probability():
-    for spec in (mm1(1.0, 1.0), mms(2, 2.0, 1.0)):
-        rng = Recording(np.random.default_rng(np.random.SeedSequence([31])))
-        got = _simulate_batch(spec, 1_000, rng, 200)
-        want = _replay(spec, 1_000, 200, rng.draws)
-        assert any(u.ndim == 2 for u in rng.draws)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+def test_constant_rate_cycles_take_one_draw(monkeypatch):
+    draws = []
+
+    def recorded(seed, _make=np.random.default_rng):
+        rng = Recording(_make(seed))
+        draws.append(rng.draws)
+        return rng
+
+    cfg = SimConfig(seed=31, cycles=1_000, escape_horizon=200)
+    for spec in (mm1(0.3, 1.0), mm1(1.0, 1.0), mm1(1.5, 1.0), mm1(0.9, 1.0, cap=5)):
+        want = simulate_cycles(spec, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", recorded)
+            got = simulate_cycles(spec, cfg)
+        assert [u.shape for u in draws[-1]] == [(1_000,)]  # every cycle ends in the first pass
+        assert np.array_equal(got.maxima, want.maxima) and got.escaped == want.escaped
+    # an M/M/s cycle is stepped in Python below s only: each of its stays
+    # below s takes one block (a stay is short: a step leaves {1, 2} with
+    # probability 0.69 from 2 and 0.18 from 1) and each excursion from s one
+    # uniform
+    spec = mms(3, 4.5, 1.0)
+    for seed in range(5):
+        rng = Recording(np.random.default_rng(seed))
+        got = simulate_cycle(spec, rng, 1_000)
+        assert got is ESCAPED or got >= 1
+        kinds = "".join("E" if u.ndim == 1 else "B" for u in rng.draws)
+        assert kinds == ("BE" * len(kinds))[: len(kinds)]
+        assert all(u.shape == (1,) for u in rng.draws if u.ndim == 1)
+        # no block was used up, so none grew
+        assert all(u.shape == (simulate_module._TAIL_ROWS, 1) for u in rng.draws if u.ndim == 2)
 
 
 _LAW_CHAINS = [
     (mm1(1.0, 1.0), 200),
     (mm1(0.95, 1.0), 1_000),
     (mm1(1.5, 1.0), 600),
-    (mms(2, 2.0, 1.0), 200),  # its constant run starts at 2, so blocks are cut at 1
+    (mms(2, 2.0, 1.0), 200),  # its constant run starts at 2, so excursions end at 1
     (mm1(1.3, 1.0, cap=60), 1_000),
+    (mms(3, 4.5, 1.0), 1_000),
+    _CHAINS[_CHAIN_IDS.index("table")][:2],
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, horizon", _LAW_CHAINS, ids=["mm1-critical", "mm1-0.95", "mm1-transient", "mms2-critical", "mm1-capped"]
+    "spec, horizon",
+    _LAW_CHAINS,
+    ids=["mm1-critical", "mm1-0.95", "mm1-transient", "mms2-critical", "mm1-capped", "mms3-transient", "table"],
 )
 def test_block_passes_follow_the_exact_law(spec, horizon):
     cycles = 20_000
@@ -399,22 +448,44 @@ def test_one_level_dependent_cycle_takes_a_handful_of_draws():
         assert 1 <= len(rng.draws) <= 12
 
 
-@pytest.mark.parametrize("p, low, top", [(0.3, 3, 40), (0.5, 1, 25), (0.7, 2, 30)])
-def test_exit_times_solve_the_ruin_equations(p, low, top):
-    # E = 1 + p E(up) + (1 - p) E(down) on low..top-1, with E = 0 at low - 1 and top
-    size = top - low
-    a = np.eye(size) - p * np.eye(size, k=1) - (1 - p) * np.eye(size, k=-1)
-    want = np.linalg.solve(a, np.ones(size))
-    assert np.allclose(simulate_module._exit_times(p, low, top), want, rtol=1e-9)
+@pytest.mark.parametrize("p, low, top", [(0.3, 3, 40), (0.5, 1, 25), (0.7, 2, 30), (0.5, 3, 40)])
+def test_excursion_maxima_solve_the_ruin_equations(p, low, top):
+    # h(k) = P_k(reach m before low - 1) solves h(k) = p h(k + 1) + (1 - p) h(k - 1)
+    # on low..m-1 with h(low - 1) = 0 and h(m) = 1; an excursion from low
+    # peaks at m or above with probability h(low), and at top it escapes
+    reach = [1.0]
+    for m in range(low + 1, top + 1):
+        size = m - low
+        a = np.eye(size) - p * np.eye(size, k=1) - (1 - p) * np.eye(size, k=-1)
+        b = np.zeros(size)
+        b[-1] = p
+        reach.append(np.linalg.solve(a, b)[0])
+    for m, h in zip(range(low, top + 1), reach):
+        # a draw reaches m exactly when its 1 - u (a multiple of 2^-53 near
+        # 1 - 1e-6 h and 1 + 1e-6 h here) is at most h
+        u = 1.0 - h * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+        u = u[u >= 0.0]  # a uniform lies in [0, 1)
+        v = 1.0 - u
+        peaks = simulate_module._excursion_peaks(u, low - 1, top, p)
+        assert np.all((peaks >= low) & (peaks <= top))
+        for vi, peak in zip(v, peaks):
+            if abs(vi / h - 1.0) > 1e-9:
+                assert (peak >= m) == (vi <= h)
+    # the least 1 - u a draw can give escapes: the walk's peak is capped at top
+    assert simulate_module._excursion_peaks(np.array([1.0 - 2.0**-53]), low - 1, top, p)[0] == top
 
 
-@pytest.mark.parametrize("rho", [0.05, 1 - 1e-12, 1 + 1e-12, 3.0], ids=["0.05", "below-1", "above-1", "3"])
+@pytest.mark.parametrize(
+    "rho", [1e-6, 0.05, 1 - 1e-12, 1 + 1e-12, 3.0, 1e6], ids=["1e-6", "0.05", "below-1", "above-1", "3", "1e6"]
+)
 def test_block_sizer_is_total(rho):
-    # RuntimeWarnings are errors here, so an overflow or a division by zero fails
-    exit_time = simulate_module._exit_times(rho / (1 + rho), 1, 2_000)
-    assert np.all(np.isfinite(exit_time)) and np.all(exit_time > 0)
+    # RuntimeWarnings are errors here, so an overflow, a division by zero or
+    # an invalid logarithm in the excursion sampler fails
     sample = simulate_cycles(mm1(rho, 1.0), SimConfig(seed=5, cycles=300, escape_horizon=2_000))
     assert sample.cycles == 300
+    u = np.concatenate((np.linspace(0.0, 1.0, 1_001)[:-1], [1.0 - 2.0**-53]))
+    peaks = simulate_module._excursion_peaks(u, 0, 2_000, rho / (1 + rho))
+    assert np.all((peaks >= 1) & (peaks <= 2_000)) and np.all(np.diff(peaks) >= 0)
 
 
 @pytest.mark.parametrize("s", [2, 3, 8])
@@ -513,7 +584,7 @@ def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
 
 def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
     builds = []
-    for name in ("_up_probabilities", "_log_expected_jumps", "_flat_start", "_exit_times"):
+    for name in ("_up_probabilities", "_log_expected_jumps", "_flat_start"):
         def counted(*args, _fn=getattr(simulate_module, name), _name=name):
             builds.append(_name)
             return _fn(*args)
@@ -525,9 +596,9 @@ def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
         simulate_cycle(spec, rng)
     simulate_cycles(spec, SimConfig(seed=5, cycles=100))
     sample_maxima(spec, 10, 10, SimConfig(seed=5), mode="jump")
-    assert sorted(builds) == ["_exit_times", "_flat_start", "_log_expected_jumps", "_up_probabilities"]
+    assert sorted(builds) == ["_flat_start", "_log_expected_jumps", "_up_probabilities"]
     tables = spec._walk_tables[1_000]
     assert tables.n_flat == 3 and tables.p_list is not None
-    assert not tables.p_at.flags.writeable and not tables.exit_time.flags.writeable
+    assert not tables.p_at.flags.writeable
     simulate_cycle(spec, rng, 200)  # another horizon builds its own tables
-    assert len(builds) == 8 and set(spec._walk_tables) == {200, 1_000}
+    assert len(builds) == 6 and set(spec._walk_tables) == {200, 1_000}
