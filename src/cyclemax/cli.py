@@ -111,18 +111,9 @@ def _cmd_classify(args) -> int:
 def _cmd_cdf(args) -> int:
     spec = load_spec(args.spec)
     dist = _as_dist(spec)
-    rows = []
-    top = args.nmax if spec.cap is None else min(args.nmax, spec.cap)
-    for n in range(1, top + 1):
-        rows.append(
-            (
-                n,
-                dist.cdf(n),
-                dist.conditional_cdf(n),
-                dist.failure_rate(n),
-                dist.blocking_prob(n),
-            )
-        )
+    n = np.arange(1, (args.nmax if spec.cap is None else min(args.nmax, spec.cap)) + 1)
+    columns = (n, dist.cdf(n), dist.conditional_cdf(n), dist.failure_rate(n), dist.blocking_prob(n))
+    rows = list(zip(*(c.tolist() for c in columns)))
     _emit(args, ["n", "cdf", "conditional_cdf", "failure_rate", "blocking_prob"], rows, "cdf")
     return 0
 
@@ -188,10 +179,8 @@ def _cmd_simulate(args) -> int:
     dist = _as_dist(spec)
     levels = np.arange(1, args.nmax + 1)
     emp = empirical_cdf(sample.maxima, levels)
-    rows = []
-    for n, e in zip(levels, emp):
-        exact = dist.cdf(int(n))
-        rows.append((int(n), float(e), exact, abs(float(e) - exact)))
+    exact = dist.cdf(levels)
+    rows = list(zip(levels.tolist(), emp.tolist(), exact.tolist(), np.abs(emp - exact).tolist()))
     _emit(args, ["n", "empirical_cdf", "exact_cdf", "abs_err"], rows, "simulate")
     return 0
 

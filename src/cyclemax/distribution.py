@@ -35,6 +35,10 @@ __all__ = [
     "tail_asymptotics",
 ]
 
+# Most levels a tail margin may sum before closing its tail in closed form
+# (8 MiB of float64).
+_WINDOW_LEVELS = 1 << 20
+
 
 class _LawTables:
     """The cumulative tables of one spec's law, grown on demand.
@@ -117,13 +121,13 @@ class CycleMaxDistribution:
     def log_cumulative(self, n):
         """log S(n); accepts scalars or integer arrays.  Flat beyond the cap."""
         n = self._checked(n)
-        self._ensure(int(np.max(n)))
+        self._ensure(int(np.max(n, initial=0)))
         return self._log_S[n]
 
     def log_weight_cumulative(self, n):
         """log sum_{i<=n} psihat(i) rho^i, flat beyond the cap."""
         n = self._checked(n)
-        self._ensure(int(np.max(n)))
+        self._ensure(int(np.max(n, initial=0)))
         return self._log_W[n]
 
     def log_survival(self, n):
@@ -203,25 +207,39 @@ class CycleMaxDistribution:
         out = np.exp(self.spec.log_psi_rho(nc) - self.log_weight_cumulative(nc))
         return float(out) if np.ndim(n) == 0 else out
 
-    def log_tail_sum(self, n) -> float:
-        """log sum_{i>n} 1/(psihat(i) rho^i), the exact margin S(inf) - S(n).
+    def log_tail_sum(self, n):
+        """log sum_{i>n} 1/(psihat(i) rho^i), the exact margin S(inf) - S(n),
+        for a level or an integer array of levels.
 
-        Summed afresh as positive terms, so large n costs no cancellation.
-        Needs the reciprocal-weight series to converge at a geometric rate.
+        One reverse log-accumulation over [min n + 1, max n + span] sums the
+        terms afresh, so large n costs no cancellation.  The span reaches
+        e^-60 below each first term at the term bound q = 1/(beta_lower rho),
+        whose geometric series closes the rest, and may not pass
+        _WINDOW_LEVELS levels.
         """
         cls = classify(self.spec)
+        q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
+        # before the series test: a chain this close to critical may classify as recurrent
+        if q < 1.0 and not -math.log(q) * _WINDOW_LEVELS > 60.0:
+            raise NotApplicableError(
+                f"the tail ratio {q!r} is too close to 1: the tail margin "
+                f"needs a window beyond {_WINDOW_LEVELS} levels"
+            )
         if cls.b_star_convergent is not True:
             raise NotTransientError("reciprocal-weight series diverges")
-        q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
         if not q < 1.0:
             raise NotApplicableError("tail sum needs a geometric term bound")
-        n = int(n)
-        span = max(int(60.0 / -math.log(q)), 8)
-        lt = -self.spec.log_psi_rho(np.arange(n + 1, n + span + 1))
-        m = float(np.max(lt))
-        s = m + math.log(float(np.sum(np.exp(lt - m))))
-        bound = float(lt[-1]) + math.log(q) - math.log1p(-q)
-        return float(np.logaddexp(s, bound))
+        n = self._checked(n)
+        lo, span = int(np.min(n)) + 1, max(int(60.0 / -math.log(q)), 8)
+        lt = -self.spec.log_psi_rho(np.arange(lo, int(np.max(n)) + span + 1))
+        # rev[i - lo] = log sum of the terms from i to the end of the window
+        rev = np.logaddexp.accumulate(lt[::-1])[::-1]
+        out = np.logaddexp(rev[n + 1 - lo], lt[-1] + math.log(q) - math.log1p(-q))
+        return float(out) if n.ndim == 0 else out
+
+    def _log_conditional_survival(self, n):
+        """log P(Y > n | Y < inf), from the tail margin without cancellation."""
+        return self.log_tail_sum(n) - self.log_cumulative(n) - self.log_s_limit() - self.log_p_finite
 
 
 def _as_dist(obj) -> CycleMaxDistribution:
@@ -371,9 +389,12 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
         )
 
     if q > 1.0 + _TOL:
+        # psihat(n) rho^n * (1 - F(n | finite)), before p_finite so that the
+        # margin's window check runs before log_s_limit grows the tables
+        at = np.array(probes)
+        vals = np.exp(spec.log_psi_rho(at) + dist._log_conditional_survival(at)).tolist()
         b_star = 1.0 - dist.p_finite
         constant = b_star * b_star / ((q - 1.0) * (1.0 - b_star))
-        vals = [_escape_ratio(dist, n) for n in probes]
         extr, resid = _aitken(*vals)
         return TailAsymptotics(
             regime=TailRegime.SUPERCRITICAL,
@@ -460,15 +481,3 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 def _t_ratio(dist: CycleMaxDistribution, n: int) -> float:
     """(1 - F(n)) / (psihat(n) rho^n)."""
     return float(np.exp(dist.log_survival(n) - dist.spec.log_psi_rho(n)))
-
-
-def _escape_ratio(dist: CycleMaxDistribution, n: int) -> float:
-    """psihat(n) rho^n * (1 - F(n) / p_finite), via the exact tail margin."""
-    log_val = (
-        dist.spec.log_psi_rho(n)
-        + dist.log_tail_sum(n)
-        - float(dist.log_cumulative(n))
-        - dist.log_s_limit()
-        - dist.log_p_finite
-    )
-    return float(np.exp(log_val))

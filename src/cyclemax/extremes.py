@@ -4,7 +4,8 @@ The sample maximum over k cycles concentrates where the tail weight
 psi(n) rho^n crosses 1/k.  A continuous decreasing interpolation f of that
 weight gives thresholds and norming constants; the Gumbel law exp(-e^-x)
 brackets the limit from above, with a matching lower envelope whenever the
-weight ratio has a positive lower limit.
+weight ratio has a positive lower limit.  Laws conditioned on a finite
+maximum come from ``CycleMaxDistribution.log_tail_sum``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, classify
-from .distribution import CycleMaxDistribution, _as_dist, _require_uncapped
+from .distribution import _as_dist, _require_uncapped
 from .errors import (
     KindMismatchError,
     NoMonotoneTailError,
@@ -42,10 +43,6 @@ __all__ = [
     "compactness_diagnostic",
     "partial_limit_envelope",
 ]
-
-# Most levels past m_hi that the conditional survival may sum before closing
-# its tail in closed form (8 MiB of float64).
-_WINDOW_LEVELS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +402,7 @@ class CompactnessReport:
     numerical counterpart of the sufficient conditions for compactness.
     For factorial tails (beta = 0) the hazard ratio diverges instead and the
     law is not compact; transient chains are diagnosed on the distribution
-    conditioned on a finite maximum.
+    conditioned on a finite maximum, read from the law's tail margin.
     """
 
     delta: float
@@ -447,7 +444,11 @@ def _step_integrals(surv: np.ndarray, x: float, delta: float, tail_q: float) -> 
 def compactness_diagnostic(
     spec: BirthDeathSpec, delta: float = 2.0, x_grid=None
 ) -> CompactnessReport:
-    """Evaluate the compactness conditions on a grid of tail positions."""
+    """Evaluate the compactness conditions on a grid of tail positions.
+
+    The conditional law of a transient chain raises NotApplicableError
+    within about 6e-5 of critical, where its tail margin's window is full.
+    """
     if not delta > 1.0:
         raise ValueError("delta must exceed 1")
     if x_grid is None:
@@ -478,8 +479,7 @@ def compactness_diagnostic(
 
     conditional = cls.beta is not None and cls.beta * rho > 1.0
     if conditional:
-        log_surv = _conditional_log_survival(dist, m_hi)
-        surv = np.exp(log_surv)
+        surv = np.exp(dist._log_conditional_survival(np.arange(m_hi + 1)))
         tail_q = 1.0 / (cls.beta * rho)
         eps = (-math.log(cls.beta * rho), 0.0)
     else:
@@ -518,27 +518,6 @@ def compactness_diagnostic(
         conditional=conditional,
         epsilon_range=eps,
     )
-
-
-def _conditional_log_survival(dist: CycleMaxDistribution, m_hi: int) -> np.ndarray:
-    """log P(Y > m | Y < inf) for m = 0..m_hi, via exact tail margins."""
-    spec = dist.spec
-    cls = classify(spec)
-    q = 1.0 / (cls.beta_lower * spec.rho)
-    decay = -math.log(q)  # the window holds terms down to e^-60 of its first
-    if not decay * _WINDOW_LEVELS > 60.0:
-        raise NotApplicableError(
-            f"the tail ratio {q!r} is too close to 1: the conditional survival "
-            f"needs a window beyond {_WINDOW_LEVELS} levels"
-        )
-    span = max(int(60.0 / decay), 8)
-    lt = -np.asarray(spec.log_psi_rho(np.arange(m_hi + 1 + span)), dtype=float)
-    rev = np.logaddexp.accumulate(lt[::-1])[::-1]
-    bound = lt[-1] + math.log(q) - math.log1p(-q)
-    # rev[m+1] = log sum_{i=m+1..end}; append the geometric closure of the end
-    log_tail = np.logaddexp(rev[1 : m_hi + 2], bound)
-    log_s = np.asarray(dist.log_cumulative(np.arange(m_hi + 1)), dtype=float)
-    return log_tail - log_s - dist.log_s_limit() - dist.log_p_finite
 
 
 def partial_limit_envelope(spec: BirthDeathSpec, x: float) -> tuple[float, float]:

@@ -419,15 +419,17 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     matrix row; self-routing leaves the state unchanged and is kept as a
     no-op step, which preserves the path law of the recorded maxima.
 
-    A one-station network raises ``NotApplicableError`` before the first draw
-    when its induced chain, whose jumps are the events that change the total,
-    is expected to pass the simulators' jump budget, counting at least
-    _MIN_CHARGED_CYCLES cycles.
+    The events follow the station rates, so a network with explicit
+    ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
+    draw.  A one-station network raises ``NotApplicableError`` before the
+    first draw when its induced chain, whose jumps are the events that change
+    the total, is expected to pass the simulators' jump budget, counting at
+    least _MIN_CHARGED_CYCLES cycles.
     """
+    if not net.separable:
+        raise NonSeparableError("the network simulator follows station rates, not explicit weights")
     if net.J == 1:
-        # the simulator reads only the station rates, never explicit weights
-        rates_only = NetworkSpec(net.mu0, net.stations, net.routing)
-        induced = norton_reduce(rates_only, cfg.escape_horizon).induced
+        induced = norton_reduce(net, cfg.escape_horizon).induced
         _refuse_long_runs(induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), cfg.escape_horizon)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     routing = net.routing_matrix

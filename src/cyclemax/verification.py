@@ -91,7 +91,7 @@ def exact_cdf_oracle(suite: str = "full", seed: int = 47) -> CriterionResult:
     ok = True
     for i, spec in enumerate(_exact_cdf_specs()):
         dist = _as_dist(spec)
-        exact = np.array([dist.cdf(int(n)) for n in levels])
+        exact = dist.cdf(levels)
         sample = simulate_cycles(spec, SimConfig(seed=seed + i, cycles=cycles))
         emp = empirical_cdf(sample.maxima, levels)
         sigma = np.sqrt(np.maximum(exact * (1.0 - exact), 1e-300) / cycles)
@@ -171,21 +171,12 @@ def transient_escape_constant(suite: str = "full", seed: int = 0) -> CriterionRe
     start = time.perf_counter()
     spec = mm1(2.0, 1.0)
     dist = _as_dist(spec)
-    base = dist.log_s_limit() + dist.log_p_finite
-    seq = []
-    for n in range(1, 81):
-        # psihat(n) rho^n * (1 - P(Y <= n | Y finite)), cancellation-free
-        seq.append(
-            math.exp(
-                float(spec.log_psi_rho(n))
-                + dist.log_tail_sum(n)
-                - float(dist.log_cumulative(n))
-                - base
-            )
-        )
+    n = np.arange(1, 81)
+    # psihat(n) rho^n * (1 - P(Y <= n | Y finite)), cancellation-free
+    seq = np.exp(spec.log_psi_rho(n) + dist._log_conditional_survival(n))
     diffs = np.abs(np.diff(seq))
     cauchy_by_60 = bool(np.all(diffs[58:] < 1e-8))
-    converged = seq[-1]
+    converged = float(seq[-1])
     ta = tail_asymptotics(spec, n_probe=200)
     ok = (
         cauchy_by_60
@@ -373,7 +364,7 @@ def norton_consistency(suite: str = "full", seed: int = 6) -> CriterionResult:
     dist = _as_dist(reduction.induced)
     sample = simulate_network_cycles(net, SimConfig(seed=seed, cycles=cycles))
     levels = np.arange(1, 16)
-    exact = np.array([dist.cdf(int(n)) for n in levels])
+    exact = dist.cdf(levels)
     emp = empirical_cdf(sample.maxima, levels)
     sigma = np.sqrt(np.maximum(exact * (1.0 - exact), 1e-300) / cycles)
     sim_ok = bool(np.all(np.abs(emp - exact) <= 3.0 * sigma + 1e-12))

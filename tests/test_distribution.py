@@ -122,6 +122,26 @@ def test_tail_sum_guards():
         assert transient.log_tail_sum(n) == pytest.approx(-n * math.log(2.0), rel=1e-12)
 
 
+_GROWING = TableSequence((1.0, 0.4, 0.9, 0.3), tail_ratio=1.7)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [mm1(2.0, 1.0), mms(3, 4.5, 1.0), BirthDeathSpec(psi=_GROWING, phi=_GROWING, lam=1.0, mu=1.0)],
+    ids=["mm1-2", "mms3-4.5", "table"],
+)
+def test_tail_sum_of_an_array_equals_scalars_and_a_long_sum(spec):
+    dist = CycleMaxDistribution(spec)
+    n = np.array([40, 0, 7, 300, 7, 1, 150])
+    got = dist.log_tail_sum(n)
+    assert got.shape == n.shape
+    assert [dist.log_tail_sum(int(k)) for k in n] == pytest.approx(got.tolist(), rel=1e-12)
+    # the terms beyond 3000 are below e^-900 of those past n
+    terms = -spec.log_psi_rho(np.arange(3001))
+    brute = [np.logaddexp.reduce(terms[k + 1 :]) for k in n]
+    assert got.tolist() == pytest.approx(brute, rel=1e-12)
+
+
 def test_tail_asymptotics_subcritical():
     ta = tail_asymptotics(mm1(0.4, 1.0))
     assert ta.regime is TailRegime.SUBCRITICAL

@@ -22,6 +22,7 @@ from cyclemax import (
     norming_constants,
     partial_limit_envelope,
     stirling_tail,
+    tail_asymptotics,
 )
 from cyclemax.errors import NotApplicableError, NotSubcriticalError
 
@@ -251,13 +252,31 @@ def test_compactness_diagnostic_rejects_a_cap(spec):
         compactness_diagnostic(spec)
 
 
-@pytest.mark.parametrize("spec", [mm1(1.0 + 1e-12, 1.0), mms(3, 3.0 + 3e-12, 1.0)], ids=["mm1", "mms3"])
-def test_near_critical_conditional_compactness_is_refused_at_once(spec):
-    # the tail window 60 / -log q would pass 10^13 levels
+# The tail window 60 / -log q would pass 10^13 levels on the first two, which
+# classify as null recurrent, and 6e9 and 6e7 on the transient pair.  The first
+# two have a critical tail, which tail_asymptotics reports without the margin.
+_NEAR_CRITICAL = {
+    "mm1": mm1(1.0 + 1e-12, 1.0),
+    "mms3": mms(3, 3.0 + 3e-12, 1.0),
+    "mm1-1e-8": mm1(1.0 + 1e-8, 1.0),
+    "mm1-1e-6": mm1(1.0 + 1e-6, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, spec",
+    [pytest.param(compactness_diagnostic, s, id=k) for k, s in _NEAR_CRITICAL.items()]
+    + [
+        pytest.param(tail_asymptotics, _NEAR_CRITICAL[k], id=f"tail-{k}")
+        for k in ("mm1-1e-8", "mm1-1e-6")
+    ],
+)
+def test_near_critical_conditional_compactness_is_refused_at_once(fn, spec):
     start = time.perf_counter()
     with pytest.raises(NotApplicableError, match="window"):
-        compactness_diagnostic(spec)
+        fn(spec)
     assert time.perf_counter() - start < 1.0
+    assert len(spec._law_tables.log_S) < 1 << 20  # refused before S(inf) grows the tables
 
 
 def test_one_tail_function_per_spec_and_n_max(monkeypatch):

@@ -434,6 +434,16 @@ def test_long_one_station_cycles_are_refused_before_the_first_draw():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("stations", [(Station("ss", 1.0),), mixed().stations], ids=["one", "three"])
+def test_explicit_weight_networks_are_not_simulated(monkeypatch, stations):
+    # the simulator follows station rates; explicit weights would be ignored
+    routing = ((0.0, 1.0), (0.8, 0.2)) if len(stations) == 1 else mixed().routing
+    net = NetworkSpec(0.6, stations, routing, psi=lambda occ: 1.0, phi=lambda occ: 1.0)
+    monkeypatch.setattr(np.random, "default_rng", None)  # no generator may be built
+    with pytest.raises(NonSeparableError, match="explicit weights"):
+        simulate_network_cycles(net, SimConfig(seed=1, cycles=100))
+
+
 @pytest.mark.parametrize(
     "net, cfg, want",
     [
