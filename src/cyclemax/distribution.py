@@ -344,9 +344,15 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
     beta rho within bdp's ratio-test tolerance of 1 counts as critical.
+    A probe past _WINDOW_LEVELS raises NotApplicableError before any table
+    grows.
     """
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
+    if n_probe > _WINDOW_LEVELS:
+        raise NotApplicableError(
+            f"n_probe {n_probe} lies beyond the {_WINDOW_LEVELS} levels a table may hold"
+        )
     _require_uncapped(spec)
     cls = classify(spec)
     dist = _as_dist(spec)

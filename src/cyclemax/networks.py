@@ -423,14 +423,17 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
     draw.  A one-station network raises ``NotApplicableError`` before the
     first draw when its induced chain, whose jumps are the events that change
-    the total, is expected to pass the simulators' jump budget, counting at
-    least _MIN_CHARGED_CYCLES cycles.
+    the total, is expected to pass the simulators' jump budget, counting
+    every jump, since each is a pass here, and at least _MIN_CHARGED_CYCLES
+    cycles.
     """
     if not net.separable:
         raise NonSeparableError("the network simulator follows station rates, not explicit weights")
     if net.J == 1:
         induced = norton_reduce(net, cfg.escape_horizon).induced
-        _refuse_long_runs(induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), cfg.escape_horizon)
+        _refuse_long_runs(
+            induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), cfg.escape_horizon, every_jump=True
+        )
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     routing = net.routing_matrix
     routing_cdf = np.cumsum(routing, axis=1)

@@ -8,9 +8,11 @@ so there a cycle is a simple random walk, and the maximum of each of its
 excursions above n_flat - 1 is drawn from one uniform by the gambler's-ruin
 law instead of being stepped.  Every call draws from one generator seeded by
 ``SimConfig.seed``, so equal seeds give equal results; which uniforms a cycle
-uses is set out in ``_simulate_batch``.  A call expected to take more than
-_MAX_JUMPS jumps raises before its first draw; the count includes the jumps
-of the excursions, although they are not stepped.
+uses is set out in ``_simulate_batch``.  A call charged more than
+_MAX_JUMPS jumps raises before its first draw: it is charged its expected
+stepped jumps plus one per excursion, not the jumps inside the excursions.
+The record of k cycles is also drawn by inversion of its exact law, one
+exponential per record, located in the table by a bucketed search.
 """
 
 from __future__ import annotations
@@ -52,11 +54,15 @@ _TAIL_CELLS = 1 << 16
 _JUMP_CHUNK = 1 << 17
 # Most levels an inversion table may hold (8 MiB of float64).
 _INVERSION_LEVELS = 1 << 20
-# Most jumps a call may expect to simulate: 10-400 ns a jump on a 2-vCPU
-# host, so about 40 s at most.  That cost holds however few cycles are live,
-# since those are stepped in Python, so one cycle is charged for its own
-# jumps only.  Jumps in the constant run are charged too, although each
-# excursion there is drawn whole from one uniform.
+# Most buckets of the inversion search: about 200 a binade over the range
+# of 10^5 exponential draws, so a geometric tail of ratio up to about 0.996
+# puts at most one level in a bucket.
+_BUCKETS = 1 << 12
+# Most jumps a call may be charged: 10-400 ns a jump on a 2-vCPU host, so
+# about 40 s at most.  That cost holds however few cycles are live, since
+# those are stepped in Python, so one cycle is charged for its own jumps
+# only.  An excursion in the constant run is drawn whole from one uniform,
+# so it is charged as one jump.
 _MAX_JUMPS = 1e8
 
 
@@ -119,24 +125,34 @@ def _up_probabilities(spec: BirthDeathSpec, top: int) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _log_expected_jumps(spec: BirthDeathSpec, top: int) -> float:
-    """log E_1[min(T_0, T_top)], the mean jump count of one cycle run to ``top``.
+def _log_expected_jumps(spec: BirthDeathSpec, top: int, n_flat: int | None = None) -> float:
+    """log of the mean jump count of one cycle from level 1 run to ``top``,
+    E_1[min(T_0, T_top)], or with ``n_flat`` its stepped jumps below n_flat
+    plus its excursions above n_flat - 1.
 
     With w(m) = psihat(m) rho^m and S(n) = sum_{i<=n} 1/w(i), a cycle visits
-    level m on average (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times, and
-    w(m) / p_up(m) = w(m) + w(m-1).  The margin S(top-1) - S(m-1) is summed
-    afresh from its positive terms, so a converging S costs no cancellation.
+    level m on average v(m) = (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times,
+    and w(m) / p_up(m) = w(m) + w(m-1).  It enters n_flat from n_flat - 1
+    v(n_flat - 1) p_up(n_flat - 1) = (1 - S(n_flat-2)/S(top-1)) w(n_flat - 1)
+    times, once when n_flat = 1 (w(0) = 1).  The margin S(top-1) - S(m-1) is
+    summed afresh from its positive terms, so a converging S costs no
+    cancellation.
     """
     log_w = np.asarray(spec.log_psi_rho(np.arange(top)), dtype=float)
     margin = np.logaddexp.accumulate(-log_w[::-1])[::-1]  # log (S(top-1) - S(m-1))
     log_visits = margin[1:] + np.logaddexp(log_w[1:], log_w[:-1]) - margin[0]
-    return float(np.logaddexp.reduce(log_visits))
+    if n_flat is None:
+        return float(np.logaddexp.reduce(log_visits))
+    log_entries = margin[n_flat - 1] + log_w[n_flat - 1] - margin[0]
+    return float(np.logaddexp.reduce(log_visits[: n_flat - 1], initial=log_entries))
 
 
 @dataclass(frozen=True)
 class _WalkTables:
     """What a walk from level 1 to ``top`` reads, read-only.
 
+    ``log_jumps`` is the log of the jumps a cycle is charged, its stepped
+    jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
     ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
     the same values for the Python-stepped walk where they vary; ``n_flat``
     is ``_flat_start``'s state.
@@ -158,7 +174,7 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     n_flat = _flat_start(p_up, top) if p_up.size else None
     p_at.flags.writeable = False
     tables = spec._walk_tables[top] = _WalkTables(
-        log_jumps=_log_expected_jumps(spec, top),
+        log_jumps=_log_expected_jumps(spec, top, n_flat),
         p_at=p_at,
         p_list=tuple(p_at.tolist()) if n_flat != 1 else None,  # the tail runs where p_up varies
         n_flat=n_flat,
@@ -166,15 +182,21 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     return tables
 
 
-def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
-    """Raise before the first draw when n_cycles cycles are expected to take
-    more than _MAX_JUMPS jumps."""
+def _refuse_long_runs(
+    spec: BirthDeathSpec, n_cycles: int, horizon: int, every_jump: bool = False
+) -> None:
+    """Raise before the first draw when n_cycles cycles are charged more than
+    _MAX_JUMPS jumps: the stepped ones plus one per excursion drawn whole, or
+    with ``every_jump`` (a simulator that steps the run too) all of them."""
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
-    log_per_cycle = _walk_tables(spec, top).log_jumps
+    if every_jump:
+        log_per_cycle = _log_expected_jumps(spec, top)
+    else:
+        log_per_cycle = _walk_tables(spec, top).log_jumps
     if math.log(n_cycles) + log_per_cycle > math.log(_MAX_JUMPS):
         raise NotApplicableError(
-            f"a cycle to horizon {horizon} is expected to take "
-            f"{math.exp(min(log_per_cycle, 700.0)):.3g} jumps; a call charged for "
+            f"a cycle to horizon {horizon} is charged "
+            f"{math.exp(min(log_per_cycle, 700.0)):.3g} jumps on average; a call of "
             f"{n_cycles} cycles passes the budget of {_MAX_JUMPS:.3g} jumps"
         )
 
@@ -212,28 +234,47 @@ def _run_cycles(
     a cap), records its peak, which is then ``top``.  Finished cycles are
     dropped from ``level``, ``peak`` and the arrays in ``rest`` (one entry
     per cycle each), so late stragglers do not drag full-width arrays along.
-    Maxima come back in cycle order.
+    Maxima come back in cycle order.  Until the first such drop the cycles
+    sit in their own slots, and a run that ends in its first pass (every
+    M/M/1 batch) returns its peaks as they stand.
     """
     level = np.ones(n_cycles, dtype=np.int64)
     peak = np.ones(n_cycles, dtype=np.int64)
-    out = np.zeros(n_cycles, dtype=np.int64)
-    slot = np.arange(n_cycles)
+    out = slot = None  # built at the first drop
     escaped = 0
-    while level.size:
+    while True:
         advance(level, peak, *rest)
         live = (level - 1).view(np.uint64) < top - 1  # 0 < level < top
-        if live.all():
+        n_live = int(np.count_nonzero(live))
+        if n_live == level.size:
             continue
+        if not n_live:  # the last pass: nothing to drop
+            if escapes:
+                back = level == 0
+                n_back = int(np.count_nonzero(back))
+                escaped += level.size - n_back
+                if n_back < level.size:
+                    peak = peak[back]
+                    slot = slot if slot is None else slot[back]
+            if out is None:
+                return peak, escaped
+            out[slot] = peak
+            return out[out > 0], escaped
         gone = np.flatnonzero(~live)
         if escapes:
-            back = level[gone] == 0
+            back = level.take(gone) == 0
             escaped += gone.size - int(np.count_nonzero(back))
             gone = gone[back]
-        out[slot[gone]] = peak[gone]
         keep = np.flatnonzero(live)
-        level, peak, slot = level.take(keep), peak.take(keep), slot.take(keep)
+        if out is None:  # slots were implicit: cycle i sat in slot i
+            out = np.zeros(n_cycles, dtype=np.int64)
+            out[gone] = peak.take(gone)
+            slot = keep
+        else:
+            out[slot.take(gone)] = peak.take(gone)
+            slot = slot.take(keep)
+        level, peak = level.take(keep), peak.take(keep)
         rest = tuple(a.take(keep) for a in rest)
-    return out[out > 0], escaped
 
 
 def _excursion_peaks(u: np.ndarray, low: int, top: int, p: float) -> np.ndarray:
@@ -402,6 +443,43 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
     return h
 
 
+def _bucket_search(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The count of table values above each key: for a non-increasing table h
+    and keys g >= 0, the same int64 array as np.searchsorted(-h, -g, "left").
+
+    An indexed search (Chen and Asau, 1974).  The int64 bit pattern of a
+    non-negative double rises with it, so its top bits split [min g, min(h[0],
+    max g)] into at most _BUCKETS buckets, each a fixed share of a binade.
+    One search of the bucket edges bounds each bucket's answer by the counts
+    at its two edges.  Each key then takes its bucket's lower count and
+    closes the gap, at most the widest bucket's, by a branch-free binary
+    search: one pass when no two table values share a bucket, as on
+    geometric tails.  Keys above the last bucket share its answer, which
+    is 0 there.
+    """
+    lo = int(g.min().view(np.int64))
+    hi = max(int(np.float64(min(h[0], g.max())).view(np.int64)), lo)
+    shift = 0
+    while (hi >> shift) - (lo >> shift) >= _BUCKETS:
+        shift += 1
+    base = lo >> shift
+    n_buckets = (hi >> shift) - base + 1
+    edges = ((base + np.arange(n_buckets + 1, dtype=np.int64)) << shift).view(np.float64)
+    counts = np.searchsorted(-h, -edges, side="left")  # table values above each edge
+    width = int((counts[:-1] - counts[1:]).max())
+    key = g.view(np.int64) >> shift
+    key -= base
+    at = counts[1:].take(key, mode="clip")  # keys above the last bucket share its answer
+    steps = 1 << (width.bit_length() - 1) if width else 0
+    padded = np.concatenate((h, np.full(steps, -1.0)))  # never above a key
+    while steps > 1:
+        at += (padded.take(at + (steps - 1)) > g) * steps
+        steps >>= 1
+    if steps:  # the last pass, and the only one when no bucket holds two values
+        at += padded.take(at) > g
+    return at
+
+
 def sample_maxima(
     spec: BirthDeathSpec,
     k: int,
@@ -424,7 +502,7 @@ def sample_maxima(
         g = rng.standard_exponential(reps)
         dist = _as_dist(spec)
         h = _inversion_table(dist, k, float(np.min(g)))
-        return 1 + np.searchsorted(-h, -g, side="left").astype(np.int64)
+        return 1 + _bucket_search(h, g)
     if mode != "jump":
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -93,6 +93,13 @@ def test_tail_json_only(capsys, half_spec):
     assert "ERROR" in err
 
 
+def test_tail_refuses_a_probe_past_the_table_ceiling(capsys, half_spec):
+    code, out, err = run(capsys, "tail", "--spec", half_spec, "--nmax", "1000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR NotApplicableError: n_probe")
+
+
 def test_extremes_norming_table(capsys, half_spec):
     code, out, _ = run(capsys, "extremes", "--spec", half_spec, "--table", "norming", "--format", "csv")
     assert code == 0

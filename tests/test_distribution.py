@@ -183,6 +183,15 @@ def test_tail_asymptotics_probe_floor():
         tail_asymptotics(mm1(0.5, 1.0), n_probe=50)
 
 
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_tail_asymptotics_probe_ceiling(rho):
+    # a probe at 10^9 would need tables of several GiB
+    spec = mm1(rho, 1.0)
+    with pytest.raises(NotApplicableError, match="n_probe"):
+        tail_asymptotics(spec, n_probe=10**9)
+    assert len(spec._law_tables.log_S) < 10**4  # nothing grew toward the probe
+
+
 def test_transient_only_fields_absent_when_recurrent():
     dist = CycleMaxDistribution(mm1(0.5, 1.0))
     assert dist.p_finite == pytest.approx(1.0, abs=1e-14)

@@ -23,7 +23,16 @@ from cyclemax import (
     verify_as_convergence,
 )
 from cyclemax.errors import EscapedCycleError, NotApplicableError
-from cyclemax.simulate import ESCAPED, _flat_start, _simulate_batch, _up_probabilities
+from cyclemax.distribution import _as_dist
+from cyclemax.simulate import (
+    ESCAPED,
+    _bucket_search,
+    _flat_start,
+    _inversion_table,
+    _run_cycles,
+    _simulate_batch,
+    _up_probabilities,
+)
 
 
 # (spec, escape horizon, whether 1,000 cycles under seed 31 see an escape)
@@ -524,19 +533,27 @@ def test_convergence_table_needs_a_normaliser():
         verify_as_convergence(mm1(1.0, 1.0), [100], reps=10, cfg=SimConfig(seed=2))
 
 
-def _jump_counts(spec, cycles, horizon, seed):
+def _jump_counts(spec, cycles, horizon, seed, n_flat=None):
     # one jump per pass, with up-step odds from the rates; returns the mean
-    # jump count of a cycle and its standard error
+    # jump count of a cycle and its standard error.  With n_flat it counts
+    # what the budget charges instead: the jumps from levels below n_flat
+    # plus the entries to n_flat, each of which starts an excursion (a cycle
+    # starts in one when n_flat = 1).
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    flat = top if n_flat is None else n_flat
     rates = [(spec.birth_rate(n), spec.death_rate(n)) for n in range(1, top)]
     p_up = np.array([0.0] + [b / (b + d) for b, d in rates])
     rng = np.random.default_rng(seed)
     state = np.ones(cycles, dtype=np.int64)
-    jumps = np.zeros(cycles)
+    jumps = np.full(cycles, float(n_flat == 1))
     live = np.arange(cycles)
     while live.size:
-        state[live] += np.where(rng.random(live.size) < p_up[state[live]], 1, -1)
-        jumps[live] += 1
+        at = state[live]
+        up = rng.random(live.size) < p_up[at]
+        jumps[live] += at < flat
+        if n_flat is not None:
+            jumps[live] += up & (at == flat - 1)
+        state[live] = at + np.where(up, 1, -1)
         live = live[(state[live] > 0) & (state[live] < top)]
     return jumps.mean(), jumps.std(ddof=1) / math.sqrt(cycles)
 
@@ -567,19 +584,43 @@ def test_long_cycles_are_refused_before_the_first_draw():
 
 
 def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
-    spec = mm1(0.5, 1.0)  # 3 jumps per cycle on average
+    spec = mm1(0.5, 1.0)  # each cycle is one excursion, drawn whole: charged 1 jump
     simulate_cycles(spec, SimConfig(seed=1, cycles=1_000))
     sample_maxima(spec, 10, 100, SimConfig(seed=1), mode="jump")
-    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 500.0)
+    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 999.0)
     with pytest.raises(NotApplicableError):
         simulate_cycles(spec, SimConfig(seed=1, cycles=1_000))
     with pytest.raises(NotApplicableError):
         sample_maxima(spec, 10, 100, SimConfig(seed=1), mode="jump")
-    assert simulate_cycle(spec, np.random.default_rng(1)) >= 1  # one cycle's 3 jumps fit
-    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 2.0)
+    assert simulate_cycle(spec, np.random.default_rng(1)) >= 1  # one cycle's charge fits
+    monkeypatch.setattr(simulate_module, "_MAX_JUMPS", 0.5)
     with pytest.raises(NotApplicableError):
         simulate_cycle(spec, np.random.default_rng(1))
     sample_maxima(spec, 10, 100, SimConfig(seed=1))  # inversion draws no jumps
+
+
+def test_excursions_are_charged_one_jump_each():
+    # 5e3 jumps a cycle, but each cycle is one excursion drawn from one uniform
+    spec = mm1(1.5, 1.0)
+    assert math.exp(simulate_module._log_expected_jumps(spec, 3_000)) > 4_000
+    start = time.perf_counter()
+    sample = simulate_cycles(spec, SimConfig(seed=3, cycles=10**5, escape_horizon=3_000))
+    assert time.perf_counter() - start < 1.0
+    assert sample.cycles == 10**5 and 0.3 < sample.escaped_fraction < 0.37  # 1/3 escape
+
+
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(mm1(0.95, 1.0), 1_000), (mms(3, 2.1, 1.0), 1_000), (mms(2, 1.9, 1.0), 1_000),
+     (mminf(2.0, 1.0), 1_000), (mms(3, 4.5, 1.0, cap=40), 1_000), _CHAINS[-1][:2]],
+    ids=["mm1-0.95", "mms3", "mms2", "mminf", "mms3-capped", "table"],
+)
+def test_charged_jumps_match_a_simulated_count(spec, horizon):
+    top = min(spec.cap, horizon) if spec.cap is not None else horizon
+    tables = simulate_module._walk_tables(spec, top)
+    mean, err = _jump_counts(spec, 20_000, horizon, 43, tables.n_flat)
+    want = math.exp(tables.log_jumps)
+    assert abs(mean - want) <= 3.0 * err + 1e-12 * want
 
 
 def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
@@ -602,3 +643,102 @@ def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
     assert not tables.p_at.flags.writeable
     simulate_cycle(spec, rng, 200)  # another horizon builds its own tables
     assert len(builds) == 6 and set(spec._walk_tables) == {200, 1_000}
+
+
+@pytest.mark.parametrize("k", [10, 10**3, 10**7])
+@pytest.mark.parametrize(
+    "spec",
+    [mm1(0.5, 1.0), mm1(0.97, 1.0), mms(3, 2.1, 1.0), mminf(2.0, 1.0), mm1(0.9, 1.0, cap=5)],
+    ids=["mm1-0.5", "mm1-0.97", "mms3", "mminf", "mm1-capped"],
+)
+def test_bucket_search_equals_a_sorted_search(spec, k):
+    g = np.random.default_rng(k).standard_exponential(10**5)
+    h = _inversion_table(_as_dist(spec), k, float(g.min()))
+    assert np.all(np.diff(h) <= 0.0)
+    assert np.array_equal(_bucket_search(h, g), np.searchsorted(-h, -g, side="left"))
+
+
+def test_bucket_search_on_wide_buckets():
+    # H(n) ~ k/n on a critical chain: far more levels than buckets fall in
+    # the range of the draws, so buckets hold many levels and the search
+    # inside them runs its binary passes
+    spec = mm1(1.0, 1.0)
+    g = np.random.default_rng(8).standard_exponential(10**3)
+    h = _inversion_table(_as_dist(spec), 100, float(g.min()))
+    assert np.all(np.diff(h) <= 0.0)
+    assert np.count_nonzero((h >= g.min()) & (h <= g.max())) > 2 * simulate_module._BUCKETS
+    keys = np.concatenate((g, h[(h >= g.min()) & (h <= g.max())]))  # ties with the table too
+    assert np.array_equal(_bucket_search(h, keys), np.searchsorted(-h, -keys, side="left"))
+
+
+@pytest.mark.parametrize(
+    "h, g",
+    [([0.5, 0.25, 0.0], [1.0, 2.0, 3.0]),  # every key above the table
+     ([4.0, 2.0, 2.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 2.0 + 1e-15, 3.0, 5.0]),  # ties, a zero key
+     ([7.0, 7.0, 7.0, 0.5], [0.5, 6.0, 7.0, 8.0]),
+     ([1.0, 1.0 - 1e-7, 1.0 - 2e-7, 0.5], [0.25, 1.0 - 1.5e-7, 1.0, 0.75])],  # keys below the table
+    ids=["above", "ties", "flat-head", "below"],
+)
+def test_bucket_search_on_hand_made_tables(h, g):
+    h, g = np.array(h), np.array(g)
+    assert np.array_equal(_bucket_search(h, g), np.searchsorted(-h, -g, side="left"))
+
+
+def _scripted_advance(paths, passes):
+    # pass t moves cycle i, carried in rest with twice its index, to paths[i][t]
+    width = max(map(len, paths))
+    table = np.array([p + p[-1:] * (width - len(p)) for p in paths])
+
+    def advance(level, peak, ids, twice):
+        assert np.array_equal(twice, 2 * ids)
+        passes.append(ids.size)
+        level[:] = table[ids, len(passes) - 1]
+        np.maximum(peak, level, out=peak)
+
+    return advance
+
+
+def _reference_cycles(paths, top, escapes):
+    maxima, escaped = [], 0
+    for path in paths:
+        if path[-1] == 0 or not escapes:
+            maxima.append(max([1] + path))
+        else:
+            escaped += 1
+    return maxima, escaped
+
+
+@pytest.mark.parametrize("escapes", [True, False], ids=["escapes", "cap"])
+@pytest.mark.parametrize("mix", [0.0, 0.2], ids=["all-return", "mixed"])
+def test_run_cycles_ends_a_one_pass_run(escapes, mix):
+    top, rng = 9, np.random.default_rng(5)
+    at_top = rng.random(500) < mix
+    ends = np.where(at_top, top, 0)
+    peaks = np.where(at_top, top, rng.integers(1, top, 500))
+
+    def advance(level, peak):
+        level[:] = ends
+        np.maximum(peak, peaks, out=peak)
+
+    maxima, escaped = _run_cycles(500, top, advance, escapes=escapes)
+    want = _reference_cycles([[int(p), int(e)] for p, e in zip(peaks, ends)], top, escapes)
+    assert maxima.tolist() == want[0] and escaped == want[1]
+    assert maxima.dtype == np.int64
+
+
+@pytest.mark.parametrize("escapes", [True, False], ids=["escapes", "cap"])
+def test_run_cycles_follows_scripted_passes(escapes):
+    top, rng = 12, np.random.default_rng(6)
+    paths = []
+    for _ in range(300):
+        path = rng.integers(1, top, rng.integers(0, 8)).tolist()
+        paths.append(path + [0 if rng.random() < 0.7 else top])
+    passes = []
+    ids = np.arange(300)
+    maxima, escaped = _run_cycles(300, top, _scripted_advance(paths, passes), ids, 2 * ids,
+                                  escapes=escapes)
+    want = _reference_cycles(paths, top, escapes)
+    assert maxima.tolist() == want[0] and escaped == want[1]
+    # each pass moves exactly the cycles whose paths have not ended
+    assert passes == [sum(len(p) > t for p in paths) for t in range(len(passes))]
+    assert len(passes) == max(map(len, paths))
