@@ -543,7 +543,6 @@ class _SeriesJudgement:
     value: float
     log_value: float
     convergent: bool | None  # None = inconclusive
-    tail_bounded: bool
 
 
 @dataclass(frozen=True)
@@ -570,7 +569,6 @@ class Classification:
     b_phi_convergent: bool | None = None
     b_psi_convergent: bool | None = None
     b_star_convergent: bool | None = None
-    no_tail_bound: frozenset = frozenset()
 
     @property
     def B_phi(self) -> float:
@@ -681,22 +679,22 @@ def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float) -> _
     """
     if q_hi < 1.0 - _TOL:
         log_total = _ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)
-        return _SeriesJudgement(_linear(log_total), float(log_total), True, True)
+        return _SeriesJudgement(_linear(log_total), float(log_total), True)
     if q_lo > 1.0 + _TOL:
-        return _SeriesJudgement(math.inf, math.inf, False, False)
+        return _SeriesJudgement(math.inf, math.inf, False)
 
     log_partial = logsumexp(log_t)
     win = np.arange(_TRUNC // 2, _TRUNC + 1)
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
         if p < -1.0 - _P_MARGIN:
-            return _SeriesJudgement(_linear(log_partial), float(log_partial), True, False)
+            return _SeriesJudgement(_linear(log_partial), float(log_partial), True)
         if p > -1.0 + _P_MARGIN:
-            return _SeriesJudgement(math.inf, math.inf, False, False)
+            return _SeriesJudgement(math.inf, math.inf, False)
 
     if log_partial > -math.log(_TOL) and np.all(np.diff(log_t[win]) >= -1e-12):
-        return _SeriesJudgement(math.inf, math.inf, False, False)
-    return _SeriesJudgement(_linear(log_partial), float(log_partial), None, False)
+        return _SeriesJudgement(math.inf, math.inf, False)
+    return _SeriesJudgement(_linear(log_partial), float(log_partial), None)
 
 
 def classify(spec: BirthDeathSpec) -> Classification:
@@ -760,11 +758,6 @@ def _classify(spec: BirthDeathSpec) -> Classification:
 
     regularity_ok = _regularity(spec, log_psi, log_phi)
 
-    flags = frozenset(
-        name
-        for name, s in (("b_phi_inv", s_phi), ("b_psi_inv", s_psi), ("b_star_inv", s_star))
-        if s.convergent is not False and not s.tail_bounded
-    )
     return Classification(
         verdict=verdict,
         b_phi_inv=s_phi.value,
@@ -780,7 +773,6 @@ def _classify(spec: BirthDeathSpec) -> Classification:
         b_phi_convergent=s_phi.convergent,
         b_psi_convergent=s_psi.convergent,
         b_star_convergent=s_star.convergent,
-        no_tail_bound=flags,
     )
 
 

@@ -299,6 +299,24 @@ class TailRegime(str, Enum):
     NO_LIMIT = "NoLimit"
 
 
+def _tail_regime(spec: BirthDeathSpec) -> TailRegime:
+    """Where beta rho sits against 1, from the cached classification.
+
+    beta rho within bdp's ratio-test tolerance _TOL of 1 is critical.
+    ``tail_asymptotics``, ``compactness_diagnostic`` and
+    ``partial_limit_envelope`` all branch on this one answer.
+    """
+    beta = classify(spec).beta
+    if beta is None:
+        return TailRegime.NO_LIMIT
+    q = beta * spec.rho
+    if q < 1.0 - _TOL:
+        return TailRegime.SUBCRITICAL
+    if q > 1.0 + _TOL:
+        return TailRegime.SUPERCRITICAL
+    return TailRegime.CRITICAL
+
+
 @dataclass(frozen=True)
 class TailAsymptotics:
     """Normalised tail limit of the cycle-maximum law.
@@ -343,9 +361,8 @@ def _require_uncapped(spec: BirthDeathSpec) -> None:
 def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotics:
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
-    beta rho within bdp's ratio-test tolerance of 1 counts as critical.
-    A probe past _WINDOW_LEVELS raises NotApplicableError before any table
-    grows.
+    The regime is ``_tail_regime``'s.  A probe past _WINDOW_LEVELS raises
+    NotApplicableError before any table grows.
     """
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
@@ -355,109 +372,67 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
         )
     _require_uncapped(spec)
     cls = classify(spec)
+    regime = _tail_regime(spec)
     dist = _as_dist(spec)
     rho = spec.rho
     h = max(n_probe // 4, 2)
     probes = (n_probe - 2 * h, n_probe - h, n_probe)
+    interval = alpha = p = fixed_point = None
 
-    if cls.beta is None:
+    if regime is TailRegime.NO_LIMIT:
         q_lo, q_hi = cls.beta_lower * rho, cls.beta_upper * rho
-        if q_hi < 1.0 - _TOL:
-            vals = [_t_ratio(dist, n) for n in probes]
-            extr, resid = _aitken(*vals)
-            return TailAsymptotics(
-                regime=TailRegime.NO_LIMIT,
-                scale="(1 - F(n)) / (psi(n) rho^n)",
-                limit_constant=None,
-                limit_interval=(1.0 - q_hi, 1.0 - q_lo),
-                alpha=None,
-                p_exponent=None,
-                empirical_value=vals[-1],
-                empirical_extrapolated=extr,
-                empirical_residual=resid,
-            )
-        raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
-
-    q = cls.beta * rho
-    if q < 1.0 - _TOL:
+        if not q_hi < 1.0 - _TOL:
+            raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
+        scale, constant, interval = "(1 - F(n)) / (psi(n) rho^n)", None, (1.0 - q_hi, 1.0 - q_lo)
         vals = [_t_ratio(dist, n) for n in probes]
-        extr, resid = _aitken(*vals)
-        return TailAsymptotics(
-            regime=TailRegime.SUBCRITICAL,
-            scale="(1 - F(n)) / (psi(n) rho^n)",
-            limit_constant=1.0 - q,
-            limit_interval=None,
-            alpha=None,
-            p_exponent=None,
-            empirical_value=vals[-1],
-            empirical_extrapolated=extr,
-            empirical_residual=resid,
-        )
-
-    if q > 1.0 + _TOL:
+    elif regime is TailRegime.SUBCRITICAL:
+        scale, constant = "(1 - F(n)) / (psi(n) rho^n)", 1.0 - cls.beta * rho
+        vals = [_t_ratio(dist, n) for n in probes]
+    elif regime is TailRegime.SUPERCRITICAL:
         # psihat(n) rho^n * (1 - F(n | finite)), before p_finite so that the
         # margin's window check runs before log_s_limit grows the tables
         at = np.array(probes)
         vals = np.exp(spec.log_psi_rho(at) + dist._log_conditional_survival(at)).tolist()
+        q = cls.beta * rho
         b_star = 1.0 - dist.p_finite
-        constant = b_star * b_star / ((q - 1.0) * (1.0 - b_star))
-        extr, resid = _aitken(*vals)
-        return TailAsymptotics(
-            regime=TailRegime.SUPERCRITICAL,
-            scale="psi(n) rho^n * (1 - F(n | finite))",
-            limit_constant=constant,
-            limit_interval=None,
-            alpha=None,
-            p_exponent=None,
-            empirical_value=vals[-1],
-            empirical_extrapolated=extr,
-            empirical_residual=resid,
-            fixed_point_constant=constant,
-        )
-
-    # critical growth: psi(n) rho^n ~ alpha n^p over the probe window
-    win = np.arange(max(1, n_probe // 2), n_probe + 1)
-    p, log_alpha, resid_fit = _power_fit(win, spec.log_psi_rho(win))
-    if resid_fit > _FIT_RESID_TOL:
-        raise FitFailedError(
-            f"power-law fit residual {resid_fit:.2e} exceeds {_FIT_RESID_TOL:g} on window "
-            f"[{win[0]}, {win[-1]}]"
-        )
-    alpha = math.exp(log_alpha)
-
-    if p < 1.0 - 1e-6:
-        scale, gamma = "n^(1-p) * (1 - F(n))", alpha * (1.0 - p)
-
-        def norm(n: int) -> float:
-            return float(n) ** (1.0 - p)
-
-    elif p <= 1.0 + 1e-6:
-        scale, gamma = "log(n) * (1 - F(n))", alpha
-
-        def norm(n: int) -> float:
-            return math.log(n)
-
+        scale = "psi(n) rho^n * (1 - F(n | finite))"
+        constant = fixed_point = b_star * b_star / ((q - 1.0) * (1.0 - b_star))
     else:
-        # S converges like a p-series; close it with the fitted Hurwitz tail
-        log_tail = math.log(_hurwitz_zeta(p, n_probe + 1.0)) - math.log(alpha)
-        log_s_inf = float(np.logaddexp(dist.log_cumulative(n_probe), log_tail))
-        scale, gamma = "(1 - F(n))", math.exp(-log_s_inf)
+        # critical growth: psi(n) rho^n ~ alpha n^p over the probe window
+        win = np.arange(max(1, n_probe // 2), n_probe + 1)
+        p, log_alpha, resid_fit = _power_fit(win, spec.log_psi_rho(win))
+        if resid_fit > _FIT_RESID_TOL:
+            raise FitFailedError(
+                f"power-law fit residual {resid_fit:.2e} exceeds {_FIT_RESID_TOL:g} on window "
+                f"[{win[0]}, {win[-1]}]"
+            )
+        alpha = math.exp(log_alpha)
+        if p < 1.0 - 1e-6:
+            scale, constant = "n^(1-p) * (1 - F(n))", alpha * (1.0 - p)
+            norms = [float(n) ** (1.0 - p) for n in probes]
+        elif p <= 1.0 + 1e-6:
+            scale, constant = "log(n) * (1 - F(n))", alpha
+            norms = [math.log(n) for n in probes]
+        else:
+            # S converges like a p-series; close it with the fitted Hurwitz tail
+            log_tail = math.log(_hurwitz_zeta(p, n_probe + 1.0)) - math.log(alpha)
+            log_s_inf = float(np.logaddexp(dist.log_cumulative(n_probe), log_tail))
+            scale, constant = "(1 - F(n))", math.exp(-log_s_inf)
+            norms = [1.0] * len(probes)
+        vals = [w * float(dist.survival(n)) for w, n in zip(norms, probes)]
 
-        def norm(n: int) -> float:
-            return 1.0
-
-    vals = [norm(n) * float(dist.survival(n)) for n in probes]
     extr, resid = _aitken(*vals)
     return TailAsymptotics(
-        regime=TailRegime.CRITICAL,
+        regime=regime,
         scale=scale,
-        limit_constant=gamma,
-        limit_interval=None,
+        limit_constant=constant,
+        limit_interval=interval,
         alpha=alpha,
         p_exponent=p,
         empirical_value=vals[-1],
         empirical_extrapolated=extr,
         empirical_residual=resid,
+        fixed_point_constant=fixed_point,
     )
 
 

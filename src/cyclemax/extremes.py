@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, classify
-from .distribution import _as_dist, _require_uncapped
+from .distribution import TailRegime, _as_dist, _require_uncapped, _tail_regime
 from .errors import (
     KindMismatchError,
     NoMonotoneTailError,
@@ -225,8 +225,8 @@ def _invert_stirling(v: float, rho: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def lambert_w(z: float, branch: int = 0, tol: float = 1e-12) -> float:
-    """Real Lambert W via Halley iteration: w e^w = z.
+def lambert_w(z: float, branch: int = 0) -> float:
+    """Real Lambert W via Halley iteration: w e^w = z, to 1e-12 relative.
 
     branch 0 is the principal solution for z >= -1/e; branch -1 is the
     lower solution for -1/e <= z < 0 (the one that diverges as z -> 0-).
@@ -249,7 +249,7 @@ def lambert_w(z: float, branch: int = 0, tol: float = 1e-12) -> float:
         g = w * ew - z
         step = g / (ew * (w + 1.0) - (w + 2.0) * g / (2.0 * w + 2.0))
         w -= step
-        if abs(step) <= tol * (1.0 + abs(w)):
+        if abs(step) <= 1e-12 * (1.0 + abs(w)):
             return w
     raise ArithmeticError(f"Halley iteration stalled at w={w} for z={z}")
 
@@ -393,7 +393,7 @@ def as_limit_constant(spec: BirthDeathSpec, k: float | None = None):
 # stochastic compactness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CompactnessReport:
     """Grid evaluation of the compactness ratio R(x) or its failure mode.
 
@@ -407,13 +407,13 @@ class CompactnessReport:
 
     delta: float
     grid: tuple[float, ...]
-    r_values: tuple[float, ...] | None
-    r_min: float | None
-    r_max: float | None
-    hazard_ratios: tuple[float, ...] | None
+    r_values: tuple[float, ...] | None = None
+    r_min: float | None = None
+    r_max: float | None = None
+    hazard_ratios: tuple[float, ...] | None = None
     verdict: str
-    conditional: bool
-    epsilon_range: tuple[float, float] | None
+    conditional: bool = False
+    epsilon_range: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -441,64 +441,52 @@ def _step_integrals(surv: np.ndarray, x: float, delta: float, tail_q: float) -> 
     return first + body + tail
 
 
-def compactness_diagnostic(
-    spec: BirthDeathSpec, delta: float = 2.0, x_grid=None
-) -> CompactnessReport:
-    """Evaluate the compactness conditions on a grid of tail positions.
+# tail positions at which compactness_diagnostic evaluates R(x)
+_COMPACTNESS_GRID = tuple(float(x) for x in range(10, 41, 5))
 
-    The conditional law of a transient chain raises NotApplicableError
-    within about 6e-5 of critical, where its tail margin's window is full.
+
+def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> CompactnessReport:
+    """Evaluate the compactness conditions on _COMPACTNESS_GRID.
+
+    A critical tail (``_tail_regime``) is Undetermined at once.  The
+    conditional law of a transient chain raises NotApplicableError within
+    about 6e-5 of critical, where its tail margin's window is full.
     """
     if not delta > 1.0:
         raise ValueError("delta must exceed 1")
-    if x_grid is None:
-        x_grid = [float(x) for x in range(10, 41, 5)]
-    grid = tuple(float(x) for x in x_grid)
+    grid = _COMPACTNESS_GRID
     _require_uncapped(spec)
     cls = classify(spec)
+    regime = _tail_regime(spec)
     rho = spec.rho
     dist = _as_dist(spec)
-    top = int(max(grid))
-    m_hi = top + 600
+    top = int(grid[-1])
 
     if cls.beta == 0.0:
         # factorial tail: hazard ratio diverges, law is not compact
-        pts = np.arange(max(int(min(grid)), 2), top + 1)
+        pts = np.arange(int(grid[0]), top + 1)
         ratios = dist.survival(pts - 1) / dist.survival(pts)
         return CompactnessReport(
             delta=delta,
             grid=tuple(float(p) for p in pts),
-            r_values=None,
-            r_min=None,
-            r_max=None,
             hazard_ratios=tuple(float(r) for r in ratios),
             verdict="NotCompact",
-            conditional=False,
-            epsilon_range=None,
         )
+    if regime is TailRegime.CRITICAL:
+        return CompactnessReport(delta=delta, grid=grid, verdict="Undetermined")
 
-    conditional = cls.beta is not None and cls.beta * rho > 1.0
+    conditional = regime is TailRegime.SUPERCRITICAL
+    levels = np.arange(top + 601)
     if conditional:
-        surv = np.exp(dist._log_conditional_survival(np.arange(m_hi + 1)))
+        surv = np.exp(dist._log_conditional_survival(levels))
         tail_q = 1.0 / (cls.beta * rho)
         eps = (-math.log(cls.beta * rho), 0.0)
     else:
-        surv = np.asarray(dist.survival(np.arange(m_hi + 1)), dtype=float)
         tail_q = cls.beta_upper * rho
+        if not tail_q < 1.0:
+            return CompactnessReport(delta=delta, grid=grid, verdict="Undetermined")
+        surv = np.asarray(dist.survival(levels), dtype=float)
         eps = (math.log(cls.beta * rho), 0.0) if cls.beta is not None else None
-
-    if not tail_q < 1.0:
-        return CompactnessReport(
-            delta=delta,
-            grid=grid,
-            r_values=None,
-            r_min=None,
-            r_max=None,
-            hazard_ratios=None,
-            verdict="Undetermined",
-            conditional=conditional,
-            epsilon_range=None,
-        )
 
     r_vals = []
     for x in grid:
@@ -506,15 +494,13 @@ def compactness_diagnostic(
         den = surv[int(math.floor(x))] * _step_integrals(surv, x, delta - 1.0, tail_q)
         r_vals.append(num / den)
     r_min, r_max = min(r_vals), max(r_vals)
-    verdict = "Compact" if 0.0 < r_min and r_max < 1.0 else "Undetermined"
     return CompactnessReport(
         delta=delta,
         grid=grid,
         r_values=tuple(r_vals),
         r_min=r_min,
         r_max=r_max,
-        hazard_ratios=None,
-        verdict=verdict,
+        verdict="Compact" if 0.0 < r_min and r_max < 1.0 else "Undetermined",
         conditional=conditional,
         epsilon_range=eps,
     )
@@ -525,17 +511,16 @@ def partial_limit_envelope(spec: BirthDeathSpec, x: float) -> tuple[float, float
 
     Recurrent subcritical: G values at shifts log(beta rho) and 0; transient
     (conditioned on a finite maximum): shifts -log(beta rho) and 0.  Returned
-    ordered as (lower, upper).
+    ordered as (lower, upper).  The regime is ``_tail_regime``'s.
     """
-    cls = classify(spec)
-    if cls.beta is None or cls.beta == 0.0:
+    regime = _tail_regime(spec)
+    beta = classify(spec).beta
+    if regime is TailRegime.NO_LIMIT or beta == 0.0:
         raise NotApplicableError("needs an existing positive ratio limit")
-    q = cls.beta * spec.rho
-    if q == 1.0:
+    if regime is TailRegime.CRITICAL:
         raise NotApplicableError("critical tail: envelope degenerates")
+    q = beta * spec.rho
     ex = math.exp(-x)
-    if q < 1.0:
-        pair = (math.exp(-ex), math.exp(-q * ex))
-    else:
-        pair = (math.exp(-ex), math.exp(-ex / q))
-    return (min(pair), max(pair))
+    # q ex (q < 1) and ex / q (q > 1) both lie below ex, so the pair is ordered
+    shifted = q * ex if regime is TailRegime.SUBCRITICAL else ex / q
+    return (math.exp(-ex), math.exp(-shifted))

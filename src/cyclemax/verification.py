@@ -225,7 +225,7 @@ def compactness_dichotomy(suite: str = "full", seed: int = 0) -> CriterionResult
     ok = True
     details = []
     for spec in (mms(2, 1.4, 1.0), mms(3, 2.1, 1.0)):
-        report = compactness_diagnostic(spec, delta=2.0, x_grid=range(10, 41, 5))
+        report = compactness_diagnostic(spec, delta=2.0)
         inside = report.r_min > 0.001 and report.r_max < 0.999
         ok = ok and report.verdict == "Compact" and inside
         details.append(f"{spec.label}: R in [{report.r_min:.3f}, {report.r_max:.3f}]")

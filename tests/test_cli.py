@@ -100,6 +100,18 @@ def test_tail_refuses_a_probe_past_the_table_ceiling(capsys, half_spec):
     assert err.startswith("ERROR NotApplicableError: n_probe")
 
 
+@pytest.mark.parametrize("command", ["cdf", "simulate", "network-reduce"])
+def test_table_commands_refuse_levels_past_the_table_ceiling(capsys, half_spec, pool_net, command):
+    # 2^40 levels would ask numpy for 8 TiB before the first value is computed
+    source = ["--in", pool_net] if command == "network-reduce" else ["--spec", half_spec]
+    code, out, err = run(capsys, command, *source, "--nmax", str(1 << 40))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "ERROR NotApplicableError: --nmax 1099511627776 lies beyond the 1048576 levels a table may hold\n"
+    )
+
+
 def test_extremes_norming_table(capsys, half_spec):
     code, out, _ = run(capsys, "extremes", "--spec", half_spec, "--table", "norming", "--format", "csv")
     assert code == 0

@@ -9,6 +9,7 @@ from cyclemax import (
     BirthDeathSpec,
     NormingKind,
     TableSequence,
+    TailRegime,
     as_limit_constant,
     build_tail_function,
     compactness_diagnostic,
@@ -252,12 +253,9 @@ def test_compactness_diagnostic_rejects_a_cap(spec):
         compactness_diagnostic(spec)
 
 
-# The tail window 60 / -log q would pass 10^13 levels on the first two, which
-# classify as null recurrent, and 6e9 and 6e7 on the transient pair.  The first
-# two have a critical tail, which tail_asymptotics reports without the margin.
+# The tail window 60 / -log q would pass 6e9 and 6e7 levels on these transient
+# chains, whose beta rho lies just outside bdp's critical band 1 +- _TOL.
 _NEAR_CRITICAL = {
-    "mm1": mm1(1.0 + 1e-12, 1.0),
-    "mms3": mms(3, 3.0 + 3e-12, 1.0),
     "mm1-1e-8": mm1(1.0 + 1e-8, 1.0),
     "mm1-1e-6": mm1(1.0 + 1e-6, 1.0),
 }
@@ -266,10 +264,7 @@ _NEAR_CRITICAL = {
 @pytest.mark.parametrize(
     "fn, spec",
     [pytest.param(compactness_diagnostic, s, id=k) for k, s in _NEAR_CRITICAL.items()]
-    + [
-        pytest.param(tail_asymptotics, _NEAR_CRITICAL[k], id=f"tail-{k}")
-        for k in ("mm1-1e-8", "mm1-1e-6")
-    ],
+    + [pytest.param(tail_asymptotics, s, id=f"tail-{k}") for k, s in _NEAR_CRITICAL.items()],
 )
 def test_near_critical_conditional_compactness_is_refused_at_once(fn, spec):
     start = time.perf_counter()
@@ -277,6 +272,29 @@ def test_near_critical_conditional_compactness_is_refused_at_once(fn, spec):
         fn(spec)
     assert time.perf_counter() - start < 1.0
     assert len(spec._law_tables.log_S) < 1 << 20  # refused before S(inf) grows the tables
+
+
+# beta rho within _TOL = 1e-9 of 1, on either side: classify calls each null
+# recurrent, and every tail function takes the critical branch
+_CRITICAL_BAND = {
+    "mm1-above": mm1(1.0 + 1e-12, 1.0),
+    "mm1-below": mm1(1.0 - 1e-12, 1.0),
+    "mms3-above": mms(3, 3.0 + 3e-12, 1.0),
+    "mms3-below": mms(3, 3.0 - 3e-12, 1.0),
+}
+
+
+@pytest.mark.parametrize("spec", list(_CRITICAL_BAND.values()), ids=list(_CRITICAL_BAND))
+def test_the_critical_band_is_critical_for_every_tail_function(spec):
+    start = time.perf_counter()
+    assert tail_asymptotics(spec).regime is TailRegime.CRITICAL
+    report = compactness_diagnostic(spec)
+    assert report.verdict == "Undetermined"
+    assert report.conditional is False
+    with pytest.raises(NotApplicableError, match="critical tail"):
+        partial_limit_envelope(spec, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert len(spec._law_tables.log_S) < 1 << 20
 
 
 def test_one_tail_function_per_spec_and_n_max(monkeypatch):
