@@ -54,6 +54,17 @@ __all__ = [
 ]
 
 
+# Most levels a per-level table may hold: 8 MiB of float64 a table.
+_MAX_LEVELS = 1 << 20
+
+
+def _check_levels(name: str, n: int) -> int:
+    """n; NotApplicableError, before the table is sized, for a level n past _MAX_LEVELS."""
+    if n > _MAX_LEVELS:
+        raise NotApplicableError(f"{name} {n} lies beyond the {_MAX_LEVELS} levels a table may hold")
+    return n
+
+
 def logsumexp(a: np.ndarray) -> float:
     """Stable log(sum(exp(a))) for a 1-d array; tolerates -inf entries."""
     a = np.asarray(a, dtype=float)
@@ -778,7 +789,7 @@ def _classify(spec: BirthDeathSpec) -> Classification:
 
 def _classify_finite(spec: BirthDeathSpec) -> Classification:
     # Finite state space: every series is a finite sum and the chain is ergodic.
-    idx = np.arange(spec.cap + 1)
+    idx = np.arange(_check_levels("cap", spec.cap) + 1)
     log_rho = math.log(spec.rho)
     psi_terms = spec.psi.log_value(idx) + idx * log_rho
     phi_terms = psi_terms if spec.phi == spec.psi else spec.phi.log_value(idx) + idx * log_rho
@@ -848,12 +859,7 @@ def stationary_distribution(spec: BirthDeathSpec, n_max: int) -> np.ndarray:
     cls = classify(spec)
     if cls.verdict is not Verdict.POSITIVE_RECURRENT:
         raise NotPositiveRecurrentError(f"verdict is {cls.verdict.value}")
-    hi = n_max if spec.cap is None else min(n_max, spec.cap)
-    idx = np.arange(hi + 1)
-    pi = np.exp(spec.log_phi_rho(idx) - cls.log_b_phi_inv)
-    if hi < n_max:  # states beyond the cap carry no mass
-        pi = np.concatenate([pi, np.zeros(n_max - hi)])
-    return pi
+    return _level_law(spec, n_max, spec.log_phi_rho, cls.log_b_phi_inv)
 
 
 def palm_distribution(spec: BirthDeathSpec, n_max: int) -> np.ndarray:
@@ -861,10 +867,15 @@ def palm_distribution(spec: BirthDeathSpec, n_max: int) -> np.ndarray:
     cls = classify(spec)
     if cls.b_psi_convergent is not True:
         raise PalmUndefinedError("sum(psi(n) rho^n) does not converge")
-    hi = n_max if spec.cap is None else min(n_max, spec.cap)
-    idx = np.arange(hi + 1)
     log_rho = math.log(spec.rho)
-    pi = np.exp(spec.psi.log_value(idx) + idx * log_rho - cls.log_b_psi_inv)
+    return _level_law(spec, n_max, lambda idx: spec.psi.log_value(idx) + idx * log_rho, cls.log_b_psi_inv)
+
+
+def _level_law(spec: BirthDeathSpec, n_max: int, log_terms, log_total: float) -> np.ndarray:
+    """exp(log_terms(n) - log_total) for n = 0..n_max; states beyond the cap carry no mass."""
+    _check_levels("n_max", n_max)
+    hi = n_max if spec.cap is None else min(n_max, spec.cap)
+    pi = np.exp(log_terms(np.arange(hi + 1)) - log_total)
     if hi < n_max:
         pi = np.concatenate([pi, np.zeros(n_max - hi)])
     return pi

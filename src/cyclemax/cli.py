@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .bdp import TableSequence, classify, load_spec, spec_to_dict
-from .distribution import _WINDOW_LEVELS, _as_dist, tail_asymptotics
-from .errors import CycleMaxError, NotApplicableError
+from .bdp import TableSequence, _check_levels, classify, load_spec, spec_to_dict
+from .distribution import _as_dist, tail_asymptotics
+from .errors import CycleMaxError
 from .extremes import (
     compactness_diagnostic,
     default_norming_kind,
@@ -86,13 +86,6 @@ def _parse_k_list(raw: str) -> list[int]:
     return ks
 
 
-def _table_levels(nmax: int) -> int:
-    """--nmax, refused before anything is allocated past the levels a table may hold."""
-    if nmax > _WINDOW_LEVELS:
-        raise NotApplicableError(f"--nmax {nmax} lies beyond the {_WINDOW_LEVELS} levels a table may hold")
-    return nmax
-
-
 def _cmd_classify(args) -> int:
     spec = load_spec(args.spec)
     cls = classify(spec)
@@ -118,7 +111,7 @@ def _cmd_classify(args) -> int:
 def _cmd_cdf(args) -> int:
     spec = load_spec(args.spec)
     dist = _as_dist(spec)
-    n = np.arange(1, _table_levels(args.nmax if spec.cap is None else min(args.nmax, spec.cap)) + 1)
+    n = np.arange(1, _check_levels("--nmax", args.nmax if spec.cap is None else min(args.nmax, spec.cap)) + 1)
     columns = (n, dist.cdf(n), dist.conditional_cdf(n), dist.failure_rate(n), dist.blocking_prob(n))
     rows = list(zip(*(c.tolist() for c in columns)))
     _emit(args, ["n", "cdf", "conditional_cdf", "failure_rate", "blocking_prob"], rows, "cdf")
@@ -182,7 +175,7 @@ def _cmd_simulate(args) -> int:
         ]
         _emit(args, ["k", "mean_ratio", "median_ratio", "q05", "q95"], rows, "convergence")
         return 0
-    levels = np.arange(1, _table_levels(args.nmax) + 1)
+    levels = np.arange(1, _check_levels("--nmax", args.nmax) + 1)
     sample = simulate_cycles(spec, SimConfig(seed=args.seed, cycles=args.reps))
     dist = _as_dist(spec)
     emp = empirical_cdf(sample.maxima, levels)
@@ -194,7 +187,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_network_reduce(args) -> int:
     net = load_network(args.infile)
-    reduction = norton_reduce(net, n_max=_table_levels(args.nmax))
+    reduction = norton_reduce(net, n_max=_check_levels("--nmax", args.nmax))
     induced = reduction.induced
     if isinstance(induced.psi, TableSequence) and induced.psi.poly_degree:
         sys.stderr.write(

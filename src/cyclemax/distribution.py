@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bdp import _FIT_RESID_TOL, _TOL, BirthDeathSpec, _power_fit, classify, mm1
+from .bdp import _FIT_RESID_TOL, _MAX_LEVELS, _TOL, BirthDeathSpec, _check_levels, _power_fit, classify, mm1
 from .errors import FitFailedError, NotApplicableError, NotStableError, NotTransientError
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "TailAsymptotics",
     "tail_asymptotics",
 ]
-
-# Most levels a tail margin may sum before closing its tail in closed form
-# (8 MiB of float64).
-_WINDOW_LEVELS = 1 << 20
 
 
 class _LawTables:
@@ -93,14 +89,15 @@ class CycleMaxDistribution:
         return self._tables.log_W
 
     def _ensure(self, n: int) -> None:
-        """Grow tables to cover index n (clipped to the cap)."""
+        """Grow tables to cover index n (clipped to the cap), within _MAX_LEVELS + 1 entries."""
         if self.spec.cap is not None:
             n = min(n, self.spec.cap)
         tables = self._tables
         cur = len(tables.log_S)
         if n < cur:
             return
-        lt = self.spec.log_psi_rho(np.arange(cur, max(n + 1, 2 * cur, 64)))
+        _check_levels("level", n)
+        lt = self.spec.log_psi_rho(np.arange(cur, min(max(n + 1, 2 * cur, 64), _MAX_LEVELS + 1)))
         # a left fold resumed from the last entry: growing in steps changes no bit
         new_W = np.logaddexp.accumulate(np.concatenate([tables.log_W[-1:], lt]))
         new_S = np.logaddexp.accumulate(np.concatenate([tables.log_S[-1:], -lt]))
@@ -160,14 +157,14 @@ class CycleMaxDistribution:
         return float(np.log(-np.expm1(-self.log_s_limit())))
 
     def log_s_limit(self) -> float:
-        """log S(inf) when the reciprocal-weight series converges."""
+        """log S(inf) when the reciprocal-weight series converges, summed to level _MAX_LEVELS at most."""
         if self._tables.log_s_inf is not None:
             return self._tables.log_s_inf
         n = 256
         while True:
             a = float(self.log_cumulative(n // 2))
             b = float(self.log_cumulative(n))
-            if b - a < 1e-15 or n >= 1 << 22:
+            if b - a < 1e-15 or n >= _MAX_LEVELS:
                 break
             n *= 2
         out = float(self.log_cumulative(n))
@@ -214,16 +211,16 @@ class CycleMaxDistribution:
         One reverse log-accumulation over [min n + 1, max n + span] sums the
         terms afresh, so large n costs no cancellation.  The span reaches
         e^-60 below each first term at the term bound q = 1/(beta_lower rho),
-        whose geometric series closes the rest, and may not pass
-        _WINDOW_LEVELS levels.
+        whose geometric series closes the rest; neither it nor max n - min n
+        may pass _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
         # before the series test: a chain this close to critical may classify as recurrent
-        if q < 1.0 and not -math.log(q) * _WINDOW_LEVELS > 60.0:
+        if q < 1.0 and not -math.log(q) * _MAX_LEVELS > 60.0:
             raise NotApplicableError(
                 f"the tail ratio {q!r} is too close to 1: the tail margin "
-                f"needs a window beyond {_WINDOW_LEVELS} levels"
+                f"needs a window beyond {_MAX_LEVELS} levels"
             )
         if cls.b_star_convergent is not True:
             raise NotTransientError("reciprocal-weight series diverges")
@@ -231,6 +228,7 @@ class CycleMaxDistribution:
             raise NotApplicableError("tail sum needs a geometric term bound")
         n = self._checked(n)
         lo, span = int(np.min(n)) + 1, max(int(60.0 / -math.log(q)), 8)
+        _check_levels("tail sum level spread", int(np.max(n)) + 1 - lo)
         lt = -self.spec.log_psi_rho(np.arange(lo, int(np.max(n)) + span + 1))
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
@@ -284,7 +282,7 @@ def duality_check(lam: float, mu: float, n_max: int = 100) -> float:
         raise NotStableError(f"needs lam < mu, got lam={lam}, mu={mu}")
     stable = CycleMaxDistribution(mm1(lam, mu))
     swapped = CycleMaxDistribution(mm1(mu, lam))
-    n = np.arange(1, n_max + 1)
+    n = np.arange(1, _check_levels("n_max", n_max) + 1)
     return float(np.max(np.abs(swapped.failure_rate(n) - stable.blocking_prob(n))))
 
 
@@ -302,10 +300,11 @@ class TailRegime(str, Enum):
 def _tail_regime(spec: BirthDeathSpec) -> TailRegime:
     """Where beta rho sits against 1, from the cached classification.
 
-    beta rho within bdp's ratio-test tolerance _TOL of 1 is critical.
-    ``tail_asymptotics``, ``compactness_diagnostic`` and
-    ``partial_limit_envelope`` all branch on this one answer.
+    beta rho within bdp's ratio-test tolerance _TOL of 1 is critical; a
+    capped chain has none and raises NotApplicableError.  Every tail
+    function and norming recipe branches on this one answer.
     """
+    _require_uncapped(spec)
     beta = classify(spec).beta
     if beta is None:
         return TailRegime.NO_LIMIT
@@ -361,18 +360,14 @@ def _require_uncapped(spec: BirthDeathSpec) -> None:
 def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotics:
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
-    The regime is ``_tail_regime``'s.  A probe past _WINDOW_LEVELS raises
+    The regime is ``_tail_regime``'s.  A probe past _MAX_LEVELS raises
     NotApplicableError before any table grows.
     """
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
-    if n_probe > _WINDOW_LEVELS:
-        raise NotApplicableError(
-            f"n_probe {n_probe} lies beyond the {_WINDOW_LEVELS} levels a table may hold"
-        )
-    _require_uncapped(spec)
-    cls = classify(spec)
+    _check_levels("n_probe", n_probe)
     regime = _tail_regime(spec)
+    cls = classify(spec)
     dist = _as_dist(spec)
     rho = spec.rho
     h = max(n_probe // 4, 2)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, classify
+from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, _check_levels, classify
 from .distribution import TailRegime, _as_dist, _require_uncapped, _tail_regime
 from .errors import (
     KindMismatchError,
@@ -88,6 +88,7 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     cached = spec._tail_functions.get(n_max)
     if cached is not None:
         return cached
+    _check_levels("n_max", n_max)
     _require_uncapped(spec)
     cls = classify(spec)
     if not cls.beta_upper * spec.rho < 1.0:
@@ -263,10 +264,9 @@ def _poly_geometric_params(spec: BirthDeathSpec) -> tuple[float, int, float]:
     if not 0.0 < q < 1.0:
         raise KindMismatchError(f"tail slope {q} must lie in (0, 1)")
     m = seq.poly_degree
-    last = len(seq._values) - 1
+    last = len(seq._log_values) - 1
     log_amp = (
-        math.log(seq._values[last])
-        - math.log(seq._values[0])
+        float(seq._log_values[last] - seq._log_values[0])
         - m * math.log(last)
         - last * math.log(seq.tail_ratio)
     )
@@ -281,7 +281,7 @@ def norming_constants(
 ) -> NormingConstants:
     """Sequences a_k, b_k matching the tail function of the given spec.
 
-    Geometric needs an existing ratio limit with beta rho in (0, 1);
+    Geometric needs a subcritical tail (``_tail_regime``) with beta > 0;
     StirlingFactorial needs beta = 0 (factorial family) and inverts the
     closed-form Stirling tail; Numeric inverts the interpolated tail
     function directly and fits a_k by least squares; LambertW handles
@@ -293,7 +293,7 @@ def norming_constants(
     ks = [int(k) for k in k_list]
     if any(k < 2 for k in ks):
         raise ValueError("k values must be at least 2")
-    _require_uncapped(spec)
+    regime = _tail_regime(spec)
     cls = classify(spec)
     rho = spec.rho
     a: list[float] = []
@@ -301,8 +301,8 @@ def norming_constants(
 
     if kind is NormingKind.GEOMETRIC:
         q = None if cls.beta is None else cls.beta * rho
-        if q is None or not 0.0 < q < 1.0:
-            raise KindMismatchError(f"Geometric norming needs beta*rho in (0,1), got {q}")
+        if regime is not TailRegime.SUBCRITICAL or q == 0.0:
+            raise KindMismatchError(f"Geometric norming needs a subcritical beta*rho above 0, got {q}")
         a_const = 1.0 / math.log(1.0 / q)
         for k in ks:
             a.append(a_const)
@@ -345,18 +345,18 @@ def default_norming_kind(spec: BirthDeathSpec) -> NormingKind:
 
     Polynomially corrected geometric tables invert through Lambert W, clean
     geometric tails take the closed form, factorial tails the Stirling
-    inversion; anything else falls back to the interpolated numeric fit.
+    inversion; anything else, a critical tail (``_tail_regime``) included,
+    falls back to the interpolated numeric fit.
     """
-    cls = classify(spec)
     psi = spec.psi
     if isinstance(psi, TableSequence) and psi.poly_degree >= 1:
         if 0.0 < psi.tail_ratio * spec.rho < 1.0:
             return NormingKind.LAMBERT_W
-    if cls.beta == 0.0:
+    if classify(spec).beta == 0.0:
         if isinstance(psi, FactorialInverseSequence):
             return NormingKind.STIRLING_FACTORIAL
         return NormingKind.NUMERIC
-    if cls.beta is not None and cls.beta * spec.rho < 1.0:
+    if _tail_regime(spec) is TailRegime.SUBCRITICAL:
         return NormingKind.GEOMETRIC
     return NormingKind.NUMERIC
 
@@ -364,23 +364,26 @@ def default_norming_kind(spec: BirthDeathSpec) -> NormingKind:
 def as_limit_constant(spec: BirthDeathSpec, k: float | None = None):
     """Normaliser for the strong law Y^(k) / b_k -> 1.
 
-    With an existing ratio limit and beta rho in (0, 1): returns the slope
-    1/log(1/(beta rho)) (so b_k = slope * log k), or b_k itself when k is
-    given.  For beta = 0 (factorial family) the Stirling tail is inverted,
-    which requires k.  When only distinct lower/upper ratio bounds exist the
-    bracket pair is returned instead of a single value.
+    With a subcritical tail (``_tail_regime``) and beta > 0: returns the
+    slope 1/log(1/(beta rho)) (so b_k = slope * log k), or b_k itself when k
+    is given.  For beta = 0 b_k needs k: the Stirling tail is inverted for
+    psi = 1/n!, and the Numeric b_k taken for any other weight.  When only
+    distinct lower/upper ratio bounds exist the bracket pair is returned
+    instead of a single value.  Critical and supercritical tails raise.
     """
-    _require_uncapped(spec)
+    regime = _tail_regime(spec)
     cls = classify(spec)
     rho = spec.rho
-    if cls.beta is not None and 0.0 < cls.beta * rho < 1.0:
+    if regime is TailRegime.SUBCRITICAL and cls.beta > 0.0:
         slope = 1.0 / math.log(1.0 / (cls.beta * rho))
         return slope if k is None else slope * math.log(k)
-    if cls.beta == 0.0:
+    if regime is TailRegime.SUBCRITICAL:
         if k is None:
             raise ValueError("factorial-family normaliser needs an explicit k")
-        return _invert_stirling(1.0 / k, rho)
-    if 0.0 < cls.beta_lower < cls.beta_upper and cls.beta_upper * rho < 1.0:
+        if isinstance(spec.psi, FactorialInverseSequence):
+            return _invert_stirling(1.0 / k, rho)
+        return invert_tail(build_tail_function(spec), 1.0 / k)
+    if regime is TailRegime.NO_LIMIT and 0.0 < cls.beta_lower and cls.beta_upper * rho < 1.0:
         lo = 1.0 / math.log(1.0 / (cls.beta_lower * rho))
         hi = 1.0 / math.log(1.0 / (cls.beta_upper * rho))
         if k is None:
@@ -455,9 +458,8 @@ def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> Compactn
     if not delta > 1.0:
         raise ValueError("delta must exceed 1")
     grid = _COMPACTNESS_GRID
-    _require_uncapped(spec)
-    cls = classify(spec)
     regime = _tail_regime(spec)
+    cls = classify(spec)
     rho = spec.rho
     dist = _as_dist(spec)
     top = int(grid[-1])

@@ -30,6 +30,7 @@ from .bdp import (
     MultiServerSequence,
     OnesSequence,
     TableSequence,
+    _check_levels,
     _linear,
     _load_json,
     _require_number,
@@ -241,7 +242,7 @@ def log_aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, n
     if not net.separable:
         return _lattice_log_constants(net, n_max)
     loads = list(zip(net.stations, station_loads(net).tolist()))
-    n = np.arange(n_max + 1)
+    n = np.arange(_check_levels("n_max", n_max) + 1)
     poisson = sum(r for st, r in loads if st.kind == "is")
     if poisson > 0.0:
         log_psi = n * math.log(poisson) - log_factorial(n)

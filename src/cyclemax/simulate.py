@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdp import BirthDeathSpec
+from .bdp import BirthDeathSpec, _check_levels
 from .distribution import CycleMaxDistribution, _as_dist
 from .errors import EscapedCycleError, NotApplicableError
 from .extremes import as_limit_constant
@@ -52,8 +52,6 @@ _TAIL_ROWS = 64
 _TAIL_CELLS = 1 << 16
 # Most cycles one jump-mode batch simulates at once.
 _JUMP_CHUNK = 1 << 17
-# Most levels an inversion table may hold (8 MiB of float64).
-_INVERSION_LEVELS = 1 << 20
 # Most buckets of the inversion search: about 200 a binade over the range
 # of 10^5 exponential draws, so a geometric tail of ratio up to about 0.996
 # puts at most one level in a bucket.
@@ -169,6 +167,7 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     tables = spec._walk_tables.get(top)
     if tables is not None:
         return tables
+    _check_levels("escape horizon or cap", top)
     p_up = _up_probabilities(spec, top)
     p_at = np.concatenate(([0.0], p_up))  # indexed by level
     n_flat = _flat_start(p_up, top) if p_up.size else None
@@ -429,11 +428,7 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
         )
     n_hi = 64 if cap is None else cap
     while True:
-        if n_hi > _INVERSION_LEVELS:
-            raise NotApplicableError(
-                f"the k = {k} record needs an inversion table beyond {_INVERSION_LEVELS} levels"
-            )
-        levels = np.arange(1, n_hi + 1)
+        levels = np.arange(1, _check_levels(f"the k = {k} record's inversion table level", n_hi) + 1)
         h = -k * np.log1p(-np.exp(-np.asarray(dist.log_cumulative(levels), dtype=float)))
         if cap is not None or h[-1] <= g_min:
             break

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from cyclemax import (
     NetworkSpec,
     NormingKind,
     OnesSequence,
+    SimConfig,
     Station,
     TableSequence,
     Verdict,
+    build_tail_function,
     classify,
     compactness_diagnostic,
     default_norming_kind,
@@ -31,6 +35,7 @@ from cyclemax import (
     norton_reduce,
     palm_distribution,
     save_spec,
+    simulate_cycles,
     spec_from_dict,
     spec_to_dict,
     stationary_distribution,
@@ -593,3 +598,31 @@ def test_classify_evaluates_each_weight_sequence_once(monkeypatch):
     # phi equal to psi is not evaluated at all
     assert run(psi, psi) == ["psi"]
     assert run(hinted_psi, hinted_psi) == ["psi"]
+
+
+_ONE_STATION = NetworkSpec(mu0=0.5, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (1.0, 0.0)))
+# each of these would ask numpy for GiB of levels
+_PAST_THE_CEILING = {
+    "cdf": lambda: CycleMaxDistribution(mm1(0.5, 1.0)).cdf(10**8),
+    "classify-cap": lambda: classify(mm1(0.5, 1.0, cap=10**9)),
+    "simulate-horizon": lambda: simulate_cycles(mm1(0.5, 1.0), SimConfig(cycles=10, escape_horizon=10**9)),
+    "tail-function": lambda: build_tail_function(mm1(0.5, 1.0), 10**9),
+    "norton": lambda: norton_reduce(_ONE_STATION, 10**9),
+    "stationary": lambda: stationary_distribution(mm1(0.5, 1.0), 10**9),
+    "tail-sum-spread": lambda: CycleMaxDistribution(mm1(2.0, 1.0)).log_tail_sum(np.array([0, 10**9])),
+}
+
+
+@pytest.mark.parametrize("call", list(_PAST_THE_CEILING.values()), ids=list(_PAST_THE_CEILING))
+def test_every_table_refuses_levels_past_the_ceiling(call):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(NotApplicableError, match="beyond the 1048576 levels a table may hold"):
+            call()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 8 * ((1 << 20) + 2)  # no float64 table of more than 2^20 + 1 levels

@@ -112,6 +112,16 @@ def test_table_commands_refuse_levels_past_the_table_ceiling(capsys, half_spec, 
     )
 
 
+@pytest.mark.parametrize("command", ["classify", "cdf"])
+def test_commands_refuse_a_cap_past_the_table_ceiling(capsys, tmp_path, command):
+    path = tmp_path / "cap.json"
+    save_spec(mm1(0.5, 1.0, cap=10**9), path)
+    code, out, err = run(capsys, command, "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "ERROR NotApplicableError: cap 1000000000 lies beyond the 1048576 levels a table may hold\n"
+
+
 def test_extremes_norming_table(capsys, half_spec):
     code, out, _ = run(capsys, "extremes", "--spec", half_spec, "--table", "norming", "--format", "csv")
     assert code == 0

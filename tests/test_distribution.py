@@ -8,6 +8,7 @@ import pytest
 
 from cyclemax import (
     BirthDeathSpec,
+    CallableSequence,
     CycleMaxDistribution,
     NetworkSpec,
     Station,
@@ -190,6 +191,15 @@ def test_tail_asymptotics_probe_ceiling(rho):
     with pytest.raises(NotApplicableError, match="n_probe"):
         tail_asymptotics(spec, n_probe=10**9)
     assert len(spec._law_tables.log_S) < 10**4  # nothing grew toward the probe
+
+
+def test_s_limit_sums_within_the_table_ceiling():
+    # psi(n) = (n + 1)^2 at rho = 1: S(inf) = pi^2 / 6, and the partial sums
+    # have not settled to 1e-15 by level 2^20, where the sum stops
+    seq = CallableSequence(lambda n: 2.0 * np.log(n + 1.0), tail_ratio=1.0)
+    spec = BirthDeathSpec(seq, seq, 1.0, 1.0)
+    assert _as_dist(spec).p_finite == pytest.approx(1.0 - 6.0 / math.pi**2, abs=2e-7)
+    assert len(spec._law_tables.log_S) == (1 << 20) + 1
 
 
 def test_transient_only_fields_absent_when_recurrent():

@@ -7,7 +7,11 @@ import pytest
 from cyclemax import extremes
 from cyclemax import (
     BirthDeathSpec,
+    CallableSequence,
+    NetworkSpec,
     NormingKind,
+    SimConfig,
+    Station,
     TableSequence,
     TailRegime,
     as_limit_constant,
@@ -21,11 +25,14 @@ from cyclemax import (
     mminf,
     mms,
     norming_constants,
+    norton_reduce,
     partial_limit_envelope,
+    sample_maxima,
     stirling_tail,
     tail_asymptotics,
 )
-from cyclemax.errors import NotApplicableError, NotSubcriticalError
+from cyclemax.bdp import log_factorial
+from cyclemax.errors import KindMismatchError, NotApplicableError, NotSubcriticalError
 
 
 def poly_geometric_spec():
@@ -68,6 +75,20 @@ def test_lambert_norming_grows_with_k():
     rows = list(nc.rows())
     assert rows[0][2] < rows[1][2]
     assert all(a > 0 for _, a, _ in rows)
+
+
+def test_lambert_norming_reads_the_log_table():
+    # two equal single-server stations: Psi(N) ~ N 0.2^N underflows the linear
+    # table long before N = 2000
+    twin = NetworkSpec(
+        mu0=0.2,
+        stations=(Station("ss", 1.0), Station("ss", 1.0)),
+        routing=((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    )
+    short = norming_constants(norton_reduce(twin, 400).induced, "LambertW", [1000]).b[0]
+    long = norming_constants(norton_reduce(twin, 2000).induced, "LambertW", [1000]).b[0]
+    assert short == pytest.approx(3.551495670919166, rel=1e-12)
+    assert long == pytest.approx(3.55051, abs=1e-5)
 
 
 def test_lambert_w_identities():
@@ -222,6 +243,17 @@ def test_as_limit_constant_values():
         as_limit_constant(mm1(1.0, 1.0))
 
 
+def test_beta_zero_normaliser_inverts_its_own_tail():
+    # psi = phi = (n!)^-2 at rho = 1: the Stirling b_k of 1/n! would be 8.42
+    seq = CallableSequence(lambda n: -2.0 * log_factorial(n), tail_ratio=0.0)
+    spec = BirthDeathSpec(seq, seq, 1.0, 1.0)
+    b = as_limit_constant(spec, 10**5)
+    assert b == norming_constants(spec, default_norming_kind(spec), [10**5]).b[0]
+    assert b == pytest.approx(5.88, abs=0.01)
+    records = sample_maxima(spec, 10**5, 200, SimConfig(seed=0))
+    assert np.median(records) == 6
+
+
 # a capped record never passes the cap, so no tail level applies
 CAPPED = (mm1(0.5, 1.0, cap=5), mminf(2.0, 1.0, cap=5))
 
@@ -251,6 +283,12 @@ def test_as_limit_constant_rejects_a_cap(spec):
 def test_compactness_diagnostic_rejects_a_cap(spec):
     with pytest.raises(NotApplicableError, match="finite chains"):
         compactness_diagnostic(spec)
+
+
+@pytest.mark.parametrize("spec", CAPPED + (mm1(2.0, 1.0, cap=5),), ids=["mm1", "mminf", "mm1-rho2"])
+def test_partial_limit_envelope_rejects_a_cap(spec):
+    with pytest.raises(NotApplicableError, match="finite chains"):
+        partial_limit_envelope(spec, 0.0)
 
 
 # The tail window 60 / -log q would pass 6e9 and 6e7 levels on these transient
@@ -293,6 +331,11 @@ def test_the_critical_band_is_critical_for_every_tail_function(spec):
     assert report.conditional is False
     with pytest.raises(NotApplicableError, match="critical tail"):
         partial_limit_envelope(spec, 0.0)
+    assert default_norming_kind(spec) is NormingKind.NUMERIC
+    with pytest.raises(NotApplicableError, match="no almost-sure normaliser"):
+        as_limit_constant(spec, 1000)
+    with pytest.raises(KindMismatchError, match="subcritical"):
+        norming_constants(spec, NormingKind.GEOMETRIC, [1000])
     assert time.perf_counter() - start < 1.0
     assert len(spec._law_tables.log_S) < 1 << 20
 
