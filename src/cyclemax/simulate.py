@@ -4,21 +4,23 @@ A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
 holding times are never sampled.  From a state n_flat on, the up-step
 probability of most chains is constant (n_flat = 1 for M/M/1, s for M/M/s),
-so there a cycle is a simple random walk, and the maximum of each of its
-excursions above n_flat - 1 is drawn from one uniform by the gambler's-ruin
-law instead of being stepped.  Every call draws from one generator seeded by
-``SimConfig.seed``, so equal seeds give equal results; which uniforms a cycle
-uses is set out in ``_simulate_batch``.  A call charged more than
-_MAX_JUMPS jumps raises before its first draw: it is charged its expected
-stepped jumps plus one per excursion, not the jumps inside the excursions.
-The record of k cycles is also drawn by inversion of its exact law, one
-exponential per record, located in the table by a bucketed search.
-"""
+so there a cycle is a simple random walk, and each of its excursions above
+n_flat - 1 is one move, whose maximum follows the gambler's-ruin law.  A
+pass moves each live cycle _BLOCK_MOVES moves from one uniform, read through
+an alias table of the exact law of those moves from its level, and draws
+the highest of the excursions among them from one more.  Every call draws
+from one generator seeded by ``SimConfig.seed``, so equal seeds give equal
+results; which uniforms a cycle uses is set out in ``_simulate_batch``.  A
+call charged more than _MAX_JUMPS jumps raises before its first draw: it is
+charged its expected stepped jumps plus one per excursion, not the jumps
+inside the excursions.  The record of k cycles is also drawn by inversion
+of its exact law, one exponential per record, located in the table by a
+bucketed search."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +43,19 @@ __all__ = [
 ]
 
 # Most live cycles stepped one by one in Python below the constant run, at
-# about 100 ns a jump; a vectorised pass costs about 10 us, so over fewer
-# cycles it costs more per jump.
-_TAIL_CYCLES = 128
+# about 100 ns a jump, when a block pass moves each cycle _BLOCK_MOVES times:
+# such a pass costs about 12 us, so over fewer cycles it costs more per jump
+# (measured best of 6 to 32).  A table of fewer moves a pass hands
+# proportionally more cycles to Python.
+_TAIL_CYCLES = 8
+# Moves a block pass makes per live cycle from one uniform.
+_BLOCK_MOVES = 16
+# Rows (levels) of a walk's first block table; it doubles as levels are reached.
+_BLOCK_ROWS = 16
+# Most cells (rows x width) of a block table: past it the moves halve.
+_BLOCK_CELLS = 1 << 20
+# Most DP entries computed at once while a block table is built: 2 MiB an array.
+_LAW_CELLS = 1 << 18
 # Rows of the first Python-stepped block of a batch; each later one that
 # follows a block some cycle used up has twice as many, within _TAIL_CELLS,
 # so a short cycle draws little it does not use.
@@ -56,11 +68,12 @@ _JUMP_CHUNK = 1 << 17
 # of 10^5 exponential draws, so a geometric tail of ratio up to about 0.996
 # puts at most one level in a bucket.
 _BUCKETS = 1 << 12
-# Most jumps a call may be charged: 10-400 ns a jump on a 2-vCPU host, so
-# about 40 s at most.  That cost holds however few cycles are live, since
-# those are stepped in Python, so one cycle is charged for its own jumps
-# only.  An excursion in the constant run is drawn whole from one uniform,
-# so it is charged as one jump.
+# Most jumps a call may be charged: measured 4-140 ns a charged jump on a
+# 2-vCPU host (4 ns in full passes, 70 ns for a few long cycles, 140 ns for
+# a transient walk to 2^16 levels in 4-move blocks), so about 15 s at most.
+# That cost holds however few cycles are live, since those are stepped in
+# Python, so one cycle is charged for its own jumps only.  An excursion in
+# the constant run is drawn whole, so it is charged as one jump.
 _MAX_JUMPS = 1e8
 
 
@@ -146,6 +159,28 @@ def _log_expected_jumps(spec: BirthDeathSpec, top: int, n_flat: int | None = Non
 
 
 @dataclass(frozen=True)
+class _BlockTable:
+    """Alias tables of the law of ``moves`` moves from each level 1..rows.
+
+    Row x holds the law from level x in ``width`` cells (a power of two),
+    cell c of it at flat index x * width + c (row 0 is never read).  A draw
+    u picks cell i = x * width + floor(u width) and keeps it when the
+    fraction u width - floor(u width) lies below ``keep[i]``, else takes its
+    alias.  Entry 2 i + 1 of the outcome arrays is cell i's outcome and 2 i
+    its alias's: the end level x + ``rise``, the stepped maximum x + ``high``
+    and, for a chain with a constant run, the count of whole ``excursions``.
+    """
+
+    moves: int
+    rows: int
+    width: int
+    keep: np.ndarray
+    rise: np.ndarray
+    high: np.ndarray
+    excursions: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class _WalkTables:
     """What a walk from level 1 to ``top`` reads, read-only.
 
@@ -153,13 +188,15 @@ class _WalkTables:
     jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
     ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
     the same values for the Python-stepped walk where they vary; ``n_flat``
-    is ``_flat_start``'s state.
+    is ``_flat_start``'s state.  ``blocks`` holds the latest ``_BlockTable``
+    (``_block_table`` grows it with the highest level reached).
     """
 
     log_jumps: float
     p_at: np.ndarray
     p_list: tuple | None
     n_flat: int | None
+    blocks: list = field(default_factory=list, compare=False)
 
 
 def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
@@ -222,6 +259,141 @@ def _flat_start(p_up: np.ndarray, top: int) -> int | None:
     return None if n_flat == top - 1 else n_flat
 
 
+def _block_law(p_at: np.ndarray, n_flat: int | None, levels: np.ndarray, d: int) -> np.ndarray:
+    """The exact law of d moves from each of ``levels``, by a forward DP over
+    ``p_at`` alone.
+
+    Entry [r, m, g, e] is the probability that the moves from x = levels[r]
+    reach the stepped maximum x + m and end g below it, at x + m - g, after
+    e excursions.  Level 0 is absorbing, and so is the top, p_at.size,
+    without a constant run.  With one, levels stop at n_flat, and the move
+    from there is a whole excursion back to n_flat - 1, counted in e:
+    whether one of them reached the top is drawn later with their maximum.
+    """
+    top = p_at.size
+    ceiling = top if n_flat is None else n_flat  # no move climbs above it
+    ne = 1 if n_flat is None else (d + 1) // 2 + 1
+    reach = min(d, ceiling - int(levels[0]))  # the most any maximum can rise
+    m = np.arange(reach + 1)
+    y = levels[:, None, None] + m[:, None] - np.arange(d + 1)  # the level at (m, g)
+    stepped = (y > 0) & (y < ceiling)
+    p = np.where(stepped, p_at.take(np.clip(y, 0, top - 1)), 0.0)
+    q = np.where(stepped, 1.0 - p, 0.0)[..., None]
+    p = p[..., None]
+    stay = ((y == 0) | (y == top) if n_flat is None else y == 0)[..., None]
+    flat = None if n_flat is None else (y == n_flat)[..., None]
+    law = np.zeros((levels.size, reach + 1, d + 1, ne))
+    law[:, 0, 0, 0] = 1.0
+    for t in range(d):
+        mw, gw, ew = min(t, reach) + 1, t + 1, min(ne, (t + 1) // 2 + 1)  # what t moves reach
+        now = law[:, :mw, :gw, :ew]
+        law = np.zeros_like(law)
+        law[:, :mw, :gw, :ew] = now * stay[:, :mw, :gw]
+        law[:, :mw, 1 : gw + 1, :ew] += now * q[:, :mw, :gw]
+        if flat is not None:
+            f = min(ew, ne - 1)
+            law[:, :mw, 1 : gw + 1, 1 : f + 1] += now[..., :f] * flat[:, :mw, :gw]
+        law[:, :mw, : gw - 1, :ew] += now[:, :, 1:] * p[:, :mw, 1:gw]
+        top_up = min(mw, reach)  # a step up from the maximum raises it
+        law[:, 1 : top_up + 1, 0, :ew] += now[:, :top_up, 0] * p[:, :top_up, 0]
+    return law
+
+
+def _alias_rows(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias tables (Walker 1977; Vose 1991) of every row of ``prob``
+    at once: (keep, alias), with alias indexing cells of the same row.
+
+    Cells are built by the sweep of Huebschle-Schneider and Sanders (2019).
+    With w = width p / (row sum), a light cell (w < 1) takes as its alias the
+    heavy cell (w >= 1) whose running excess, summed over heavy cells in
+    order, is not yet used up where the light cell's deficit begins in the
+    running deficit of the light cells.  A heavy cell whose excess runs out
+    inside a light cell's deficit keeps 1 minus the overshoot and takes the
+    next heavy cell as its alias.  Both searches come from one stable sort
+    of each row's running sums, in which an excess that ends where a deficit
+    begins comes first.
+    """
+    rows, width = prob.shape
+    w = prob * (width / prob.sum(axis=1, keepdims=True))
+    heavy = w >= 1.0
+    heavy[np.arange(rows), w.argmax(axis=1)] = True  # rounding may leave a row without one
+    deficit = np.where(heavy, 0.0, 1.0 - w)
+    light_end = np.cumsum(deficit, axis=1)
+    light_start = np.zeros_like(light_end)
+    light_start[:, 1:] = light_end[:, :-1]  # exactly where the light cell before ends
+    heavy_end = np.cumsum(np.where(heavy, np.maximum(w - 1.0, 0.0), 0.0), axis=1)
+    keys = np.concatenate((np.where(heavy, heavy_end, np.inf), np.where(heavy, np.inf, light_start)), axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    where = np.empty_like(order)
+    np.put_along_axis(where, order, np.broadcast_to(np.arange(2 * width), order.shape), axis=1)
+    is_heavy = np.concatenate((heavy, np.zeros_like(heavy)), axis=1)
+    heavies_before = np.cumsum(np.take_along_axis(is_heavy, order, axis=1), axis=1)
+    ends = np.concatenate((np.full(w.shape, -np.inf), np.where(heavy, -np.inf, light_end)), axis=1)
+    last_end = np.maximum.accumulate(np.take_along_axis(ends, order, axis=1), axis=1)
+    rank = np.cumsum(heavy, axis=1) - 1
+    to = np.where(heavy, rank + 1, np.take_along_axis(heavies_before, where[:, width:], axis=1))
+    np.minimum(to, rank[:, -1:], out=to)  # the last heavy cell is its own alias
+    alias = np.take_along_axis(np.argsort(~heavy, axis=1, kind="stable"), to, axis=1)
+    overshoot = np.take_along_axis(last_end, where[:, :width], axis=1) - heavy_end
+    keep = np.where(heavy, 1.0 - np.clip(overshoot, 0.0, 1.0), w)
+    return keep, alias
+
+
+def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -> _BlockTable:
+    """The block table of levels 1..rows, of ``moves`` moves, halved while
+    the table would hold more than _BLOCK_CELLS cells, down to one move."""
+    d = moves
+    while True:
+        ne = 1 if n_flat is None else (d + 1) // 2 + 1
+        chunk = max(1, _LAW_CELLS // ((d + 1) * (d + 1) * ne))
+        width, parts = 1, []
+        for lo in range(1, rows + 1, chunk):
+            law = _block_law(p_at, n_flat, np.arange(lo, min(lo + chunk, rows + 1)), d)
+            law = law.reshape(law.shape[0], -1)
+            seen = law > 0.0
+            used = int(seen.sum(axis=1).max())
+            width = max(width, 1 << (used - 1).bit_length())
+            if d > 1 and (rows + 1) * width > _BLOCK_CELLS:
+                break
+            code = np.argsort(~seen, axis=1, kind="stable")[:, :used].astype(np.int16)  # outcomes first
+            parts.append((np.take_along_axis(law, code, axis=1), code))
+        else:
+            break
+        d //= 2
+    keep, pairs = [np.ones((1, width))], [np.zeros((1, 2 * width), dtype=np.int16)]  # level 0: never read
+    for law, code in parts:
+        pad = ((0, 0), (0, width - code.shape[1]))
+        k, alias = _alias_rows(np.pad(law, pad))
+        code = np.pad(code, pad)
+        keep.append(k)
+        pairs.append(np.stack((np.take_along_axis(code, alias, axis=1), code), axis=2).reshape(k.shape[0], -1))
+    code = np.concatenate(pairs).ravel()
+    high, below = code // ((d + 1) * ne), code // ne % (d + 1)
+    return _BlockTable(
+        moves=d,
+        rows=rows,
+        width=width,
+        keep=np.concatenate(keep).ravel(),
+        rise=(high - below).astype(np.int8),
+        high=high.astype(np.int8),
+        excursions=None if n_flat is None else (code % ne).astype(np.int8),
+    )
+
+
+def _block_table(tables: _WalkTables, level: int) -> _BlockTable:
+    """The cached block table of a walk, with a row for ``level``: when it
+    has none, it is rebuilt with twice its rows, or up to ``level``, within
+    the levels a cycle can stand on (below the top, at most n_flat)."""
+    held = tables.blocks[0] if tables.blocks else None
+    if held is not None and held.rows >= level:
+        return held
+    limit = tables.n_flat or tables.p_at.size - 1
+    rows = min(max(level, 2 * held.rows if held else _BLOCK_ROWS), limit)
+    table = _build_blocks(tables.p_at, tables.n_flat, rows, held.moves if held else _BLOCK_MOVES)
+    tables.blocks[:] = [table]
+    return table
+
+
 def _run_cycles(
     n_cycles: int, top: int, advance, *rest, escapes: bool = True
 ) -> tuple[np.ndarray, int]:
@@ -234,8 +406,8 @@ def _run_cycles(
     dropped from ``level``, ``peak`` and the arrays in ``rest`` (one entry
     per cycle each), so late stragglers do not drag full-width arrays along.
     Maxima come back in cycle order.  Until the first such drop the cycles
-    sit in their own slots, and a run that ends in its first pass (every
-    M/M/1 batch) returns its peaks as they stand.
+    sit in their own slots, and a run that ends in its first pass returns
+    its peaks as they stand.
     """
     level = np.ones(n_cycles, dtype=np.int64)
     peak = np.ones(n_cycles, dtype=np.int64)
@@ -276,20 +448,30 @@ def _run_cycles(
         rest = tuple(a.take(keep) for a in rest)
 
 
-def _excursion_peaks(u: np.ndarray, low: int, top: int, p: float) -> np.ndarray:
+def _excursion_peaks(u: np.ndarray, low: int, top: int, p: float, count=None) -> np.ndarray:
     """The peaks low + J of walks from low + 1 with up-step probability p that
-    stop on leaving (low, top), one per uniform in u, computed in place in u.
+    stop on leaving (low, top), one per uniform in u, computed in place in u;
+    with ``count``, the highest peak of count[i] such walks for u[i].
 
     By gambler's ruin such a walk reaches low + j before low with probability
-    1 / sum_{i<j} r^i, r = (1 - p) / p, so J, the largest j with that
-    probability at least 1 - u, is floor(log1p(expm1(log r) / (1 - u)) / log r),
-    or floor(1 / (1 - u)) at r = 1.  Where the log1p argument is at most -1
-    the walk may never come back and J is unbounded.  J is capped at
-    top - low, where the walk leaves at the top.
+    h(j) = 1 / sum_{i<j} r^i, r = (1 - p) / p, so J, the largest j with h(j)
+    at least v = 1 - u, is floor(log1p(expm1(log r) / v) / log r), or
+    floor(1 / v) at r = 1.  Where the log1p argument is at most -1 the walk
+    may never come back and J is unbounded.  J is capped at top - low, where
+    the walk leaves at the top.  The highest of E walks reaches low + j with
+    probability 1 - (1 - h(j))^E, so for it v = 1 - u^(1/E), computed as
+    -expm1(log(u) / E).
     """
     p = min(max(p, 2.0**-60), 1.0 - 2.0**-53)  # log r finite; changes no draw with u > 0
     log_r = math.log1p(-p) - math.log(p)
-    np.subtract(1.0, u, out=u)
+    if count is None:
+        np.subtract(1.0, u, out=u)
+    else:
+        with np.errstate(divide="ignore"):
+            np.log(u, out=u)  # -inf at u = 0, where v = 1
+        u /= count
+        np.expm1(u, out=u)
+        np.negative(u, out=u)
     if log_r == 0.0:
         np.divide(1.0, u, out=u)
     else:
@@ -326,19 +508,25 @@ def _simulate_batch(
 
     Each pass makes one draw from ``rng`` for the live cycles, in cycle
     order, and the draw's shape says how it is used:
-    - A 1-D draw, made by every pass not listed below, moves each live cycle
-      below n_flat one jump, with the up-step probability of its level.  For
-      a cycle at n_flat its uniform draws the whole excursion above
-      a = n_flat - 1 (``_excursion_peaks``): the cycle ends the pass at a
-      with its peak raised to the excursion's, or, if the excursion reaches
-      the top, at the top with peak top.  A cycle enters the constant run
-      only at n_flat, at the start when n_flat = 1 or by a step up from a,
-      so no cycle is stepped in the run, and an M/M/1 batch is one pass.
-    - A (B, live) draw, made when at most _TAIL_CYCLES cycles are live and
-      none is at n_flat, moves column j's cycle, stepped in Python, until it
-      reaches 0 or n_flat (the top, without a constant run) or the column
-      ends.  B starts at _TAIL_ROWS and doubles after each such draw in
-      which some cycle used up its column.
+    - With n_flat = 1 (M/M/1) each cycle is one excursion from level 1: one
+      1-D draw, and its uniforms give the peaks (``_excursion_peaks``).
+    - Otherwise a 1-D draw, made by every pass not listed below, moves each
+      live cycle by _BLOCK_MOVES moves at once (fewer past _BLOCK_CELLS),
+      its uniform read through the alias table of the exact law of the moves
+      from its level (``_block_table``).  A move from n_flat is a whole
+      excursion back to a = n_flat - 1.  If the block of some cycles holds
+      E > 0 excursions, a second 1-D draw follows, one uniform for each such
+      cycle in cycle order, from which their highest peak is drawn
+      (``_excursion_peaks`` with count E).  A cycle whose highest excursion
+      reaches the top ends the pass there with peak top; the others end
+      where their block ends, with the higher of its stepped maximum and
+      that peak.  0 is absorbing, and so is the top without a constant run.
+    - A (B, live) draw, made when at most _TAIL_CYCLES cycles are live (more
+      if the table makes fewer moves) and none is at n_flat, moves column
+      j's cycle, stepped in Python, until it reaches 0 or n_flat (the top,
+      without a constant run) or the column ends.  B starts at _TAIL_ROWS
+      and doubles after each such draw in which some cycle used up its
+      column.
     A cycle that reaches a cap below the horizon has its maximum and retires
     there.
     """
@@ -349,16 +537,17 @@ def _simulate_batch(
     tables = _walk_tables(spec, top)
     p_at, n_flat, p_list = tables.p_at, tables.n_flat, tables.p_list
     p_flat = float(p_at[-1])
+    if n_flat == 1:
+        u = _excursion_peaks(rng.random(n_cycles), 0, top, p_flat)
+        np.maximum(u, 1.0, out=u)
+        peak = u.view(np.int64)  # the draw's own memory, converted in place
+        np.trunc(u, out=peak, casting="unsafe")
+        if capped:
+            return peak, 0
+        back = peak < top
+        n_back = int(np.count_nonzero(back))
+        return (peak if n_back == n_cycles else peak[back]), n_cycles - n_back
     stop = top if n_flat is None else n_flat  # where a Python-stepped walk stops
-    none_at = np.empty(0, dtype=np.intp)
-
-    def excursions(u, state, peak):
-        # every cycle in state is at n_flat; u is its draw, used up in place
-        low = n_flat - 1
-        np.maximum(peak, _excursion_peaks(u, low, top, p_flat), out=peak, casting="unsafe")
-        state.fill(low)
-        np.copyto(state, top, where=peak == top)
-
     tail_rows = _TAIL_ROWS
 
     def tail(state, peak):
@@ -370,28 +559,34 @@ def _simulate_batch(
         if ((state > 0) & (state < stop)).any():  # a cycle used up its column
             tail_rows *= 2
 
+    def blocks(state, peak):
+        table = _block_table(tables, int(state.max()))
+        u = rng.random(state.size)
+        u *= table.width  # exact: the width is a power of two
+        cell = u.astype(np.intp)
+        u -= cell  # the fraction, uniform on [0, 1) given the cell
+        cell += state * table.width
+        kept = u < table.keep.take(cell)
+        cell += cell
+        cell += kept  # the outcome entry: the cell's own, or its alias's
+        np.maximum(peak, state + table.high.take(cell), out=peak)
+        state += table.rise.take(cell)
+        if table.excursions is None:
+            return
+        count = table.excursions.take(cell)
+        at = np.flatnonzero(count)
+        if at.size:
+            highest = _excursion_peaks(rng.random(at.size), n_flat - 1, top, p_flat, count.take(at))
+            peak[at] = np.maximum(peak.take(at), highest)
+            state[at[highest == top]] = top
+
     def advance(state, peak):
-        live = state.size
-        # with n_flat = 1 this is the first pass, and it ends every cycle
-        at = none_at if n_flat is None else None if n_flat == 1 else np.flatnonzero(state == n_flat)
-        if at is None or at.size == live:
-            excursions(rng.random(live), state, peak)
-            return
-        if live <= _TAIL_CYCLES and not at.size:
+        moves = tables.blocks[0].moves if tables.blocks else _BLOCK_MOVES
+        few = state.size * moves <= _TAIL_CYCLES * _BLOCK_MOVES
+        if few and (n_flat is None or not (state == n_flat).any()):
             tail(state, peak)
-            return
-        u = rng.random(live)
-        if at.size:
-            at_state, at_peak = state.take(at), peak.take(at)
-            excursions(u.take(at), at_state, at_peak)
-        up = u < p_at.take(state)
-        state += up
-        state += up
-        state -= 1
-        np.maximum(peak, state, out=peak)
-        if at.size:
-            state[at] = at_state
-            peak[at] = at_peak
+        else:
+            blocks(state, peak)
 
     return _run_cycles(n_cycles, top, advance, escapes=not capped)
 

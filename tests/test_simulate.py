@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -10,7 +12,9 @@ import cyclemax.simulate as simulate_module
 from cyclemax import (
     BirthDeathSpec,
     CycleMaxDistribution,
+    NetworkSpec,
     SimConfig,
+    Station,
     TableSequence,
     empirical_cdf,
     ks_two_sample,
@@ -20,6 +24,7 @@ from cyclemax import (
     sample_maxima,
     simulate_cycle,
     simulate_cycles,
+    simulate_network_cycles,
     verify_as_convergence,
 )
 from cyclemax.errors import EscapedCycleError, NotApplicableError
@@ -43,11 +48,16 @@ _CHAINS = [
     (mms(3, 2.0, 1.0), 1_000, False),
     (mminf(2.0, 1.0), 1_000, False),
     (mm1(0.9, 1.0, cap=5), 1_000, False),
+    # psi(n) = 2 n^2 from n = 1 at rho = 1.2: the up-step probability varies at
+    # every level, and a cycle escapes with probability about 0.64
+    (BirthDeathSpec(TableSequence([1.0, 2.0], 1.0, poly_degree=2), TableSequence([1.0], 1.0), 1.2, 1.0),
+     200, True),
     # up-step odds 3, 2/3, 2, 1/4 below 5 and 0.7 from 5 on
     (BirthDeathSpec(TableSequence([1.0, 3.0, 2.0, 4.0, 1.0], 0.7), TableSequence([1.0], 0.5), 1.0, 1.0),
      1_000, False),
 ]
-_CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped", "table"]
+_CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped", "table-transient",
+              "table"]
 
 
 def test_config_validation():
@@ -89,12 +99,11 @@ class Recording:
         return u
 
 
-def _excursion_top(p, x, cap):
+def _excursion_top(p, v, cap):
     """J of a walk from 1 under up-step probability p, stopped at 0 or cap:
     the largest j <= cap whose ruin probability 1 / sum_{i<j} r^i of reaching
-    j before 0 is at least 1 - x, found by summing the powers of r."""
+    j before 0 is at least v, found by summing the powers of r."""
     r = (1.0 - p) / p
-    v = 1.0 - x
     j, total, term = 1, 1.0, 1.0
     while j < cap:
         term *= r
@@ -105,16 +114,38 @@ def _excursion_top(p, x, cap):
     return j
 
 
+def _highest_of(u, count):
+    """v = 1 - u^(1/count) for the highest of count excursions, as the
+    simulator computes it: -expm1(log(u) / count), 1 at u = 0."""
+    if u == 0.0:
+        return 1.0
+    return float(-np.expm1(np.log(np.array([u])) / count)[0])
+
+
+def _block_outcome(table, level, u):
+    """(rise, high, excursions) of one cycle's block from ``level``, read
+    from the block table with its uniform u: cell floor(u width) of the row,
+    kept when the fraction lies below its keep value, else its alias."""
+    scaled = u * table.width
+    cell = level * table.width + int(scaled)
+    entry = 2 * cell + (scaled - int(scaled) < table.keep[cell])
+    count = 0 if table.excursions is None else int(table.excursions[entry])
+    return int(table.rise[entry]), int(table.high[entry]), count
+
+
 def _replay(spec, cycles, horizon, draws):
     """Reference: the (maxima, escaped) that ``draws`` give when each
-    cycle is stepped alone in a Python loop.
+    cycle is moved alone in a Python loop.
 
-    Each draw is for the live cycles in cycle order.  A 1-D draw moves each
-    one jump, except that a cycle at n_flat draws its whole excursion above
-    n_flat - 1 from its uniform (``_excursion_top``).  A 2-D (B, live) draw
-    moves column j's cycle until it reaches 0 or n_flat (or the top, without
-    a constant run), or until the column ends.  A cycle that reaches a cap
-    below the horizon has its maximum and ends there.
+    Each draw is for the live cycles in cycle order.  With n_flat = 1 the
+    one 1-D draw gives each cycle its whole excursion (``_excursion_top``).
+    Otherwise a 1-D draw moves each cycle by one block, its uniform decoded
+    through the block table (``_block_outcome``); when some blocks hold
+    excursions, the next draw gives one uniform each, in cycle order, for
+    the highest of them.  A 2-D (B, live) draw moves column j's cycle until
+    it reaches 0 or n_flat (or the top, without a constant run), or until
+    the column ends.  A cycle that reaches a cap below the horizon has its
+    maximum and ends there.
     """
     capped = spec.cap is not None and spec.cap < horizon
     top = spec.cap if capped else horizon
@@ -126,22 +157,43 @@ def _replay(spec, cycles, horizon, draws):
     p_at = [0.0] + p_up.tolist()
     n_flat = _flat_start(p_up, top)
     stop = top if n_flat is None else n_flat
+    tables = simulate_module._walk_tables(spec, top)
     live = list(range(cycles))
+    draws = iter(draws)
     for u in draws:
-        cols = u.reshape(u.shape[0], -1) if u.ndim == 2 else u[None, :]
-        assert cols.shape[1] == len(live)
-        for j, i in enumerate(live):
-            if u.ndim == 1 and level[i] == n_flat:
+        if u.ndim == 2:
+            assert u.shape[1] == len(live)
+            for j, i in enumerate(live):
+                assert level[i] != n_flat, "a column was drawn for a cycle at n_flat"
+                for x in u[:, j].tolist():
+                    level[i] += 1 if x < p_at[level[i]] else -1
+                    peak[i] = max(peak[i], level[i])
+                    if level[i] in (0, stop):
+                        break
+        elif n_flat == 1:
+            assert u.shape == (cycles,) and len(live) == cycles
+            for i in live:
+                peak[i] = max(peak[i], _excursion_top(p_at[-1], 1.0 - float(u[i]), top))
+                level[i] = top if peak[i] == top else 0
+        else:
+            assert u.shape == (len(live),)
+            table = simulate_module._block_table(tables, max(level[i] for i in live))
+            counted = []
+            for j, i in enumerate(live):
+                rise, high, count = _block_outcome(table, level[i], float(u[j]))
+                peak[i] = max(peak[i], level[i] + high)
+                level[i] += rise
+                if count:
+                    counted.append((i, count))
+            if counted:
+                v = next(draws)
+                assert v.shape == (len(counted),)
                 low = n_flat - 1
-                peak[i] = max(peak[i], low + _excursion_top(p_at[-1], float(u[j]), top - low))
-                level[i] = top if peak[i] == top else low
-                continue
-            assert level[i] != n_flat, "a block was drawn for a cycle at n_flat"
-            for x in cols[:, j].tolist():
-                level[i] += 1 if x < p_at[level[i]] else -1
-                peak[i] = max(peak[i], level[i])
-                if level[i] in (0, stop):
-                    break
+                for (i, count), w in zip(counted, v.tolist()):
+                    highest = low + _excursion_top(p_at[-1], _highest_of(w, count), top - low)
+                    peak[i] = max(peak[i], highest)
+                    if highest == top:
+                        level[i] = top
         live = [i for i in live if 0 < level[i] < top]
     assert not live, "the draws ran out before every cycle finished"
     escaped = 0 if capped else sum(lv == top for lv in level)
@@ -397,19 +449,20 @@ def test_constant_rate_cycles_take_one_draw(monkeypatch):
             got = simulate_cycles(spec, cfg)
         assert [u.shape for u in draws[-1]] == [(1_000,)]  # every cycle ends in the first pass
         assert np.array_equal(got.maxima, want.maxima) and got.escaped == want.escaped
-    # an M/M/s cycle is stepped in Python below s only: each of its stays
-    # below s takes one block (a stay is short: a step leaves {1, 2} with
-    # probability 0.69 from 2 and 0.18 from 1) and each excursion from s one
-    # uniform
+    # one M/M/s cycle is stepped in Python below s only: each of its stays
+    # below s takes one column (a stay is short: a step leaves {1, 2} with
+    # probability 0.69 from 2 and 0.18 from 1).  Each visit to s takes one
+    # block of moves, which starts with an excursion, and one uniform for
+    # the highest excursion of the block
     spec = mms(3, 4.5, 1.0)
     for seed in range(5):
         rng = Recording(np.random.default_rng(seed))
         got = simulate_cycle(spec, rng, 1_000)
         assert got is ESCAPED or got >= 1
-        kinds = "".join("E" if u.ndim == 1 else "B" for u in rng.draws)
-        assert kinds == ("BE" * len(kinds))[: len(kinds)]
+        kinds = "".join("U" if u.ndim == 1 else "B" for u in rng.draws)
+        assert re.fullmatch(r"B((UU)+B)*(UU)*", kinds)
         assert all(u.shape == (1,) for u in rng.draws if u.ndim == 1)
-        # no block was used up, so none grew
+        # no column was used up, so none grew
         assert all(u.shape == (simulate_module._TAIL_ROWS, 1) for u in rng.draws if u.ndim == 2)
 
 
@@ -457,11 +510,224 @@ def test_one_level_dependent_cycle_takes_a_handful_of_draws():
         assert 1 <= len(rng.draws) <= 12
 
 
-@pytest.mark.parametrize("p, low, top", [(0.3, 3, 40), (0.5, 1, 25), (0.7, 2, 30), (0.5, 3, 40)])
-def test_excursion_maxima_solve_the_ruin_equations(p, low, top):
+_TABLE = _CHAINS[_CHAIN_IDS.index("table")][0]
+_TRANSIENT_TABLE = _CHAINS[_CHAIN_IDS.index("table-transient")][0]
+# (spec, top, start levels to check): chains without a constant run, with one
+# (from 3), with a cap on either, and the table, whose run starts at 998
+_BLOCK_CHAINS = [
+    (mminf(2.0, 1.0), 1_000, [1, 2, 3, 5, 17, 40]),
+    (mms(3, 2.1, 1.0), 1_000, [1, 2, 3]),
+    (mminf(2.0, 1.0, cap=12), 12, list(range(1, 12))),
+    (mms(3, 4.5, 1.0, cap=40), 40, [1, 2, 3]),
+    (_TABLE, 1_000, [1, 2, 3, 4, 5, 6, 990, 997, 998]),
+]
+_BLOCK_IDS = ["mminf2", "mms3", "mminf2-capped", "mms3-capped", "table"]
+
+
+def _path_sum(p_at, n_flat, x, d):
+    """The law of d moves from x as a sum over all 2^d up/down patterns: a
+    pattern's probability is the product of its moves', where a forced move
+    (staying at 0 or at the top without a run, a whole excursion from
+    n_flat) has probability 1 for bit 0 and 0 for bit 1.  Returns
+    {(rise, high, excursions): probability}."""
+    top = p_at.size
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    level = np.full(1 << d, x)
+    high = level.copy()
+    count = np.zeros(1 << d, dtype=np.int64)
+    prob = np.ones(1 << d)
+    for b in bits.T:
+        stays = (level == 0) | ((level == top) if n_flat is None else False)
+        whole = level == n_flat
+        p = p_at[np.clip(level, 0, top - 1)]
+        prob *= np.where(stays | whole, ~b, np.where(b, p, 1.0 - p))
+        level = np.where(stays, level, np.where(b & ~whole, level + 1, level - 1))
+        count += whole
+        high = np.maximum(high, level)
+    law = {}
+    for key, pr in zip(zip((level - x).tolist(), (high - x).tolist(), count.tolist()), prob.tolist()):
+        if pr:
+            law[key] = law.get(key, 0.0) + pr
+    return law
+
+
+def _dp_outcomes(p_at, n_flat, x, d):
+    law = simulate_module._block_law(p_at, n_flat, np.array([x]), d)[0]
+    return {(m - g, m, e): pr for (m, g, e), pr in np.ndenumerate(law) if pr}
+
+
+@pytest.mark.parametrize("d", [16, 1])
+@pytest.mark.parametrize("spec, top, levels", _BLOCK_CHAINS, ids=_BLOCK_IDS)
+def test_block_law_equals_a_path_sum(spec, top, levels, d):
+    tables = simulate_module._walk_tables(spec, top)
+    for x in levels:
+        want = _path_sum(tables.p_at, tables.n_flat, x, d)
+        got = _dp_outcomes(tables.p_at, tables.n_flat, x, d)
+        assert set(got) == set(want)
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-14
+    # every row of a batch is computed as it would be alone
+    law = simulate_module._block_law(tables.p_at, tables.n_flat, np.array(levels), d)
+    for row, x in zip(law, levels):
+        alone = simulate_module._block_law(tables.p_at, tables.n_flat, np.array([x]), d)[0]
+        assert np.array_equal(row[: alone.shape[0]], alone) and not row[alone.shape[0] :].any()
+
+
+def _table_outcomes(table, x):
+    """{(rise, high, excursions): probability} that row x of a block table
+    gives a uniform: cell c with probability keep / width and its alias
+    with probability (1 - keep) / width."""
+    law = {}
+    for c in range(x * table.width, (x + 1) * table.width):
+        for entry, pr in ((2 * c + 1, table.keep[c]), (2 * c, 1.0 - table.keep[c])):
+            e = 0 if table.excursions is None else int(table.excursions[entry])
+            key = (int(table.rise[entry]), int(table.high[entry]), e)
+            law[key] = law.get(key, 0.0) + pr / table.width
+    return law
+
+
+@pytest.mark.parametrize("spec, top, levels", _BLOCK_CHAINS, ids=_BLOCK_IDS)
+def test_block_tables_rebuild_the_block_law(spec, top, levels):
+    tables = simulate_module._walk_tables(spec, top)
+    table = simulate_module._block_table(tables, max(levels))
+    assert table.moves == simulate_module._BLOCK_MOVES and table.rows >= max(levels)
+    assert table.width & (table.width - 1) == 0
+    assert np.all((table.keep >= 0.0) & (table.keep <= 1.0))
+    for x in sorted(set(levels) | set(range(1, min(table.rows, 20) + 1))):
+        want = _dp_outcomes(tables.p_at, tables.n_flat, x, table.moves)
+        got = _table_outcomes(table, x)
+        assert max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)) <= 1e-15
+
+
+def test_block_tables_grow_with_the_highest_level(monkeypatch):
+    tables = simulate_module._walk_tables(mminf(2.0, 1.0), 1_000)
+    first = simulate_module._block_table(tables, 1)
+    assert first.rows == simulate_module._BLOCK_ROWS
+    assert simulate_module._block_table(tables, first.rows) is first
+    grown = simulate_module._block_table(tables, first.rows + 1)
+    assert grown.rows == 2 * first.rows and tables.blocks == [grown]
+    assert (grown.moves, grown.width) == (first.moves, first.width)
+    # the rows it had are unchanged, so a draw moves a cycle as before
+    cells = (first.rows + 1) * first.width
+    assert np.array_equal(grown.keep[:cells], first.keep)
+    for name in ("rise", "high"):
+        assert np.array_equal(getattr(grown, name)[: 2 * cells], getattr(first, name))
+    # a level past twice the rows is reached at once; the table stops below the top
+    assert simulate_module._block_table(tables, 100).rows == 100
+    assert simulate_module._block_table(tables, 999).rows == 999
+    # with a run, a cycle never stands above n_flat
+    run = simulate_module._walk_tables(mms(3, 2.1, 1.0), 1_000)
+    assert simulate_module._block_table(run, 3).rows == 3
+    # past the cell cap the moves halve, down to one
+    for cap, moves in ((1_000, 8), (300, 4), (10, 1)):
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", cap)
+        small = simulate_module._build_blocks(tables.p_at, None, 16, simulate_module._BLOCK_MOVES)
+        assert small.moves == moves
+        assert (small.rows + 1) * small.width <= cap or moves == 1
+        for x in (1, 2, 16):
+            want = _dp_outcomes(tables.p_at, None, x, moves)
+            got = _table_outcomes(small, x)
+            assert max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)) <= 1e-15
+
+
+def test_block_tables_follow_the_levels_reached_not_the_horizon():
+    # at horizon 2^20 the cycles of mminf(2) stay below a few tens
+    spec = mminf(2.0, 1.0)
+    sample = simulate_cycles(spec, SimConfig(seed=3, cycles=10**4, escape_horizon=1 << 20))
+    assert sample.cycles == 10**4 and sample.escaped == 0
+    table = spec._walk_tables[1 << 20].blocks[0]
+    assert table.moves == simulate_module._BLOCK_MOVES and table.rows <= 32
+
+
+_DKW_CHAINS = [
+    (mminf(1.0, 1.0), 20_000), (mminf(2.0, 1.0), 20_000), (mminf(8.0, 1.0), 4_000),
+    (mms(2, 1.4, 1.0), 20_000), (mms(3, 2.1, 1.0), 20_000), (mms(8, 5.6, 1.0), 10_000),
+    (_TABLE, 20_000), (mms(3, 4.5, 1.0, cap=40), 20_000),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "spec, cycles", _DKW_CHAINS, ids=["mminf1", "mminf2", "mminf8", "mms2", "mms3", "mms8", "table", "mms3-capped"]
+)
+def test_block_passes_stay_in_the_dkw_band(spec, cycles, seed):
+    # Dvoretzky-Kiefer-Wolfowitz: the sup gap between the empirical and the
+    # exact cdf passes sqrt(log(2 / alpha) / (2 n)) with probability at most
+    # alpha = 1e-6
+    top = min(spec.cap, 1_000) if spec.cap is not None else 1_000
+    sample = simulate_cycles(spec, SimConfig(seed=seed, cycles=cycles))
+    assert sample.cycles == cycles
+    levels = np.arange(1, top)
+    exact = CycleMaxDistribution(spec).cdf(levels)
+    emp = np.searchsorted(np.sort(sample.maxima), levels, side="right") / cycles  # escapes lie above
+    assert np.max(np.abs(emp - exact)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cycles))
+
+
+def test_transient_chain_without_a_run_escapes_at_its_exact_rate():
+    spec, horizon = _TRANSIENT_TABLE, 200
+    assert simulate_module._walk_tables(spec, horizon).n_flat is None
+    cycles = 20_000
+    sample = simulate_cycles(spec, SimConfig(seed=12, cycles=cycles, escape_horizon=horizon))
+    want = 1.0 - CycleMaxDistribution(spec).cdf(horizon - 1)
+    assert abs(sample.escaped_fraction - want) <= 3.0 * math.sqrt(want * (1.0 - want) / cycles)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=np.int64)).tobytes())
+    return h.hexdigest()
+
+
+def _cycles_digest(sample):
+    return _digest(sample.maxima, [sample.escaped])
+
+
+# Draws that block passes leave as they were: M/M/1 (each cycle one
+# excursion), capped M/M/1, jump mode on M/M/1, network cycles and inversion
+_PINNED = {
+    "mm1": (lambda: _cycles_digest(simulate_cycles(mm1(0.7, 1.0), SimConfig(seed=3, cycles=5000))),
+            "6b8ee62bbdc56710f86de70723c1694847681a588b00b459dc49df79e2fddc05"),
+    "mm1-transient": (
+        lambda: _cycles_digest(simulate_cycles(mm1(1.5, 1.0), SimConfig(seed=4, cycles=5000, escape_horizon=300))),
+        "82ca0373a6a2360c5e169a05f796533e6ac6b8bbfa4584102d3ca56559ddc2b8"),
+    "mm1-capped": (lambda: _cycles_digest(simulate_cycles(mm1(1.3, 1.0, cap=20), SimConfig(seed=5, cycles=5000))),
+                   "ff6849287bfdf7594308605300221e8536fbb31eef356e2a4f4b7c66e37defb9"),
+    "jump": (lambda: _digest(sample_maxima(mm1(0.5, 1.0), 10, 300, SimConfig(seed=6), mode="jump")),
+             "cd1e7d628db54cc55d6425875bad96c418d4f562bc41f1da505966b6e9cebb8f"),
+    "network": (
+        lambda: _cycles_digest(simulate_network_cycles(
+            NetworkSpec(mu0=0.25, stations=(Station("ss", 1.0), Station("ms", 1.0, s=2), Station("is", 0.5)),
+                        routing=((0.0, 0.5, 0.3, 0.2), (0.2, 0.1, 0.4, 0.3), (0.5, 0.2, 0.1, 0.2),
+                                 (0.6, 0.2, 0.1, 0.1))),
+            SimConfig(seed=7, cycles=3000))),
+        "e1547b8b105730ca24d56f2a28e3d532bb0bfee4ca64384eb543102ef25b8970"),
+    "inversion-mms3": (lambda: _digest(sample_maxima(mms(3, 2.1, 1.0), 100, 1000, SimConfig(seed=8))),
+                       "f89670a498a16b8fd4ef40ff1047964fddc78ed12d74c400bf3260093cfa96c5"),
+    "inversion-mminf": (lambda: _digest(sample_maxima(mminf(2.0, 1.0), 100, 1000, SimConfig(seed=9))),
+                        "740d023c73524b59174555fb3405b6b593c9dab6fb71e73eae5311d989505694"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_draws_without_blocks_are_pinned(name):
+    run, want = _PINNED[name]
+    assert run() == want
+
+
+_RUIN_WALKS = [(0.3, 3, 40), (0.5, 1, 25), (0.7, 2, 30), (0.5, 3, 40)]
+
+
+@pytest.mark.parametrize(
+    "p, low, top, count",
+    [pytest.param(*walk, None, id="-".join(map(str, walk))) for walk in _RUIN_WALKS]
+    + [pytest.param(*walk, e, id="-".join(map(str, walk)) + f"-E{e}") for walk in _RUIN_WALKS for e in (1, 3)],
+)
+def test_excursion_maxima_solve_the_ruin_equations(p, low, top, count):
     # h(k) = P_k(reach m before low - 1) solves h(k) = p h(k + 1) + (1 - p) h(k - 1)
     # on low..m-1 with h(low - 1) = 0 and h(m) = 1; an excursion from low
-    # peaks at m or above with probability h(low), and at top it escapes
+    # peaks at m or above with probability h(low), and at top it escapes.
+    # The highest of E excursions stays below m with probability F = 1 - h,
+    # to the power E.
     reach = [1.0]
     for m in range(low + 1, top + 1):
         size = m - low
@@ -470,18 +736,27 @@ def test_excursion_maxima_solve_the_ruin_equations(p, low, top):
         b[-1] = p
         reach.append(np.linalg.solve(a, b)[0])
     for m, h in zip(range(low, top + 1), reach):
-        # a draw reaches m exactly when its 1 - u (a multiple of 2^-53 near
-        # 1 - 1e-6 h and 1 + 1e-6 h here) is at most h
-        u = 1.0 - h * np.array([1.0 - 1e-6, 1.0 + 1e-6])
-        u = u[u >= 0.0]  # a uniform lies in [0, 1)
-        v = 1.0 - u
-        peaks = simulate_module._excursion_peaks(u, low - 1, top, p)
+        if count is None:
+            # a draw reaches m exactly when its 1 - u (a multiple of 2^-53 near
+            # 1 - 1e-6 h and 1 + 1e-6 h here) is at most h
+            u = 1.0 - h * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+            u = u[u >= 0.0]  # a uniform lies in [0, 1)
+            reaches, far = 1.0 - u <= h, np.abs(1.0 - u - h) > 1e-9 * h
+        else:
+            # the highest of E reaches m exactly when u is at least
+            # F(m - 1)^E = (1 - h)^E
+            edge = (1.0 - h) ** count
+            u = edge * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+            u = u[u < 1.0]
+            reaches, far = u >= edge, np.abs(u - edge) > 1e-9 * edge
+        peaks = simulate_module._excursion_peaks(u, low - 1, top, p, count)
         assert np.all((peaks >= low) & (peaks <= top))
-        for vi, peak in zip(v, peaks):
-            if abs(vi / h - 1.0) > 1e-9:
-                assert (peak >= m) == (vi <= h)
-    # the least 1 - u a draw can give escapes: the walk's peak is capped at top
-    assert simulate_module._excursion_peaks(np.array([1.0 - 2.0**-53]), low - 1, top, p)[0] == top
+        assert np.array_equal((peaks >= m)[far], reaches[far])
+    # the least 1 - u a draw can give escapes: the walk's peak is capped at top;
+    # the least u gives the least peak
+    assert simulate_module._excursion_peaks(np.array([1.0 - 2.0**-53]), low - 1, top, p, count)[0] == top
+    if count is not None:
+        assert simulate_module._excursion_peaks(np.array([0.0]), low - 1, top, p, count)[0] == low
 
 
 @pytest.mark.parametrize(
