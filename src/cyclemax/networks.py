@@ -17,6 +17,7 @@ Explicit weights take the lattice sum, limited to small networks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig, _refuse_long_runs, _run_cycles
+from .simulate import CycleSample, SimConfig, _alias_rows, _charge, _refuse_long_runs, _run_cycles
 
 __all__ = [
     "Station",
@@ -68,10 +69,18 @@ _KINDS = ("ss", "ms", "is")
 
 # loads closer than this (relatively) count as coincident
 COINCIDENCE_GAP = 1e-9
-# The network step takes one jump per pass for every live cycle, so a pass
-# over a few live cycles costs about as much as one over 256: a one-station
-# call is charged for at least this many cycles against the jump budget.
+# A pass moves every live network cycle by one event and there is no Python
+# tail for the last few, so a pass over a few live cycles costs about as much
+# as one over 256: a one-station call is charged for at least this many
+# cycles against the jump budget.
 _MIN_CHARGED_CYCLES = 256
+# Most cells (states x width) of a network's event table: a call whose
+# cycles climb past the totals that fit hands them to the per-event step.
+_TABLE_CELLS = 1 << 20
+# Totals the first event table of a network holds; they double as cycles climb.
+_TABLE_TOTALS = 8
+# Most cells whose alias tables are built at once: 512 KiB an array.
+_BUILD_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,11 @@ class NetworkSpec:
         loads.flags.writeable = False
         return loads
 
+    @cached_property
+    def _event_table(self) -> "_EventTable":
+        """The simulator's event table for this network, grown as cycles climb."""
+        return _EventTable(self)
+
 
 def solve_traffic(routing) -> np.ndarray:
     """Relative throughputs lambda_j = p_0j + sum_i lambda_i p_ij, j = 1..J."""
@@ -266,11 +280,40 @@ def aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.nd
 
 def _occupancies(n_max: int, parts: int) -> np.ndarray:
     """Occupancy vectors with totals 0..n_max as rows, ordered by total and
-    lexicographically within a total."""
-    grid = np.indices((n_max + 1,) * parts).reshape(parts, -1).T
-    totals = grid.sum(axis=1)
-    order = np.argsort(totals, kind="stable")
-    return grid[order[totals[order] <= n_max]]
+    lexicographically within a total.
+
+    A vector with its slack n_max - total is a composition of n_max into
+    parts + 1 parts, read off the places of ``parts`` bars among
+    n_max + parts slots; itertools yields those in lexicographic order.
+    """
+    count = math.comb(n_max + parts, parts)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n_max + parts), parts))
+    bars = np.fromiter(flat, dtype=np.int64, count=count * parts).reshape(count, parts)
+    occ = np.diff(bars, axis=1, prepend=-1) - 1
+    return occ[np.argsort(bars[:, -1], kind="stable")]  # the last bar is total + parts - 1
+
+
+def _rank(occupancy: list, n_max: int) -> np.ndarray:
+    """The row of each occupancy vector, given coordinate by coordinate as
+    equal-shaped int arrays with totals up to n_max, in _occupancies order.
+
+    That is the count of vectors of lower total, C(T - 1 + J, J), plus for
+    each coordinate k < J - 1 the count of vectors of total T that agree
+    before k and are lower at k.
+    """
+    parts = len(occupancy)
+    # below[p, i]: vectors of p parts with total below i, C(i - 1 + p, p)
+    below = np.zeros((parts + 1, n_max + 2), dtype=np.int64)
+    below[0, 1:] = 1
+    for p in range(parts):
+        np.cumsum(below[p], out=below[p + 1])
+    rest = sum(occupancy)
+    row = below[parts].take(rest)
+    for k, n_k in enumerate(occupancy[:-1]):
+        tail = below[parts - 1 - k]
+        row += tail.take(rest + 1) - tail.take(rest - n_k + 1)
+        rest = rest - n_k
+    return row
 
 
 def _lattice_log_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,46 +455,119 @@ def norton_reduce(net: NetworkSpec, n_max: int = 500) -> NortonReduction:
     )
 
 
-def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
-    """Total-population busy cycles of the open network via its jump chain.
+class _EventTable:
+    """Walker alias tables of the event law of each occupancy state of a
+    separable network with a total up to ``totals``, kept on the network.
 
-    Events pick an acting node with probability proportional to its rate
-    (mu0 for arrivals, mu_i * min(n_i, s_i) for service) and route by the
-    matrix row; self-routing leaves the state unchanged and is kept as a
-    no-op step, which preserves the path law of the recorded maxima.
-
-    The events follow the station rates, so a network with explicit
-    ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
-    draw.  A one-station network raises ``NotApplicableError`` before the
-    first draw when its induced chain, whose jumps are the events that change
-    the total, is expected to pass the simulators' jump budget, counting
-    every jump, since each is a pass here, and at least _MIN_CHARGED_CYCLES
-    cycles.
+    State i is row i of ``_occupancies(totals + 1, J)``.  Its cells are the
+    (J + 1)^2 events (actor a, destination d), a = 0 an arrival, weighted by
+    rate times routing: mu0 r_0d, or mu_a min(n_a, s_a) r_ad; self-routing
+    keeps the state.  A cycle holds the offset i * width of its state's
+    cells (width a power of two, zero weight past the events).  A draw u
+    scaled to v = u width picks cell c = offset + floor(v), and keeps it
+    when v lies below ``bound[c]``, floor(v) plus the cell's share of its
+    own event, else takes its alias.  Entry 2 c + 1 of ``next`` and
+    ``after`` gives the offset and the total of the state that the cell's
+    own event leads to, entry 2 c its alias's.  ``grow`` appends rows and
+    leaves the rows held as they are.  ``log_events`` keeps the Kac charge
+    of a cycle by escape horizon.
     """
-    if not net.separable:
-        raise NonSeparableError("the network simulator follows station rates, not explicit weights")
-    if net.J == 1:
-        induced = norton_reduce(net, cfg.escape_horizon).induced
-        _refuse_long_runs(
-            induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), cfg.escape_horizon, every_jump=True
+
+    def __init__(self, net: NetworkSpec):
+        self.parts = net.J
+        self.mu0 = net.mu0
+        self.routing = net.routing_matrix
+        self.mu = np.array([st.mu for st in net.stations])
+        self.servers = np.array([st.servers for st in net.stations])
+        self.width = 1 << ((net.J + 1) ** 2 - 1).bit_length()
+        self.totals = -1
+        self.bound = np.empty(0)
+        self.next = np.empty(0, dtype=np.int32)
+        self.after = np.empty(0, dtype=np.int64)
+        self.log_events = {}
+
+    def rows(self, totals: int) -> int:
+        """States with a total up to ``totals``."""
+        return math.comb(totals + self.parts, self.parts)
+
+    def grow(self, need: int, top: int) -> bool:
+        """Hold the states of totals up to ``need`` < top: twice the totals
+        held, or more, within top - 1 and as many as _TABLE_CELLS allow;
+        False when ``need`` does not fit."""
+        if self.rows(need) * self.width > _TABLE_CELLS:
+            return False
+        totals, most = need, min(max(need, 2 * self.totals, _TABLE_TOTALS), top - 1)
+        while totals < most:  # the most totals that fit, by bisection
+            mid = (totals + most + 1) // 2
+            totals, most = (mid, most) if self.rows(mid) * self.width <= _TABLE_CELLS else (totals, mid - 1)
+        states = _occupancies(totals + 1, self.parts)
+        sums = states.sum(axis=1)
+        chunk = max(1, _BUILD_CELLS // self.width)
+        parts = [(self.bound, self.next, self.after)]
+        for lo in range(self.rows(self.totals), self.rows(totals), chunk):
+            parts.append(self._build(states, sums, lo, min(lo + chunk, self.rows(totals))))
+        self.bound, self.next, self.after = (np.concatenate(arrays) for arrays in zip(*parts))
+        self.totals = totals
+        return True
+
+    def _build(self, states: np.ndarray, sums: np.ndarray, lo: int, hi: int) -> tuple:
+        """(bound, next, after) of the rows of states lo..hi-1, flat; ``sums``
+        holds the total of each state."""
+        occ = states[lo:hi]
+        size = self.parts + 1
+        rates = np.empty((hi - lo, size))
+        rates[:, 0] = self.mu0
+        rates[:, 1:] = self.mu * np.minimum(occ, self.servers)
+        weight = np.zeros((hi - lo, self.width))
+        weight[:, : size * size] = (rates[:, :, None] * self.routing).reshape(hi - lo, -1)
+        actor, dest = np.divmod(np.arange(self.width), size)
+        moved = weight > 0.0  # events of no weight, and the padding, keep the state
+        step = [moved * ((dest == k).astype(np.int64) - (actor == k)) for k in range(1, size)]
+        to = _rank([occ[:, [k]] + step[k] for k in range(self.parts)], int(sums[-1]))
+        keep, alias = _alias_rows(weight)
+        to = np.stack((np.take_along_axis(to, alias, axis=1), to), axis=2).ravel()
+        return (
+            (keep + np.arange(self.width)).ravel(),
+            (to * self.width).astype(np.int32),
+            sums.take(to),
         )
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    routing = net.routing_matrix
-    routing_cdf = np.cumsum(routing, axis=1)
+
+
+def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float | None:
+    """log of the mean events of a busy cycle, (1 + sum v_i) Z - 1 by Kac's
+    formula, with v = solve_traffic(routing) and Z = sum_{N < horizon}
+    Psi(N) mu0^N; None when beta mu0 >= 1, where Z does not converge.
+
+    The jump chain of every event, self-routing included, has stationary
+    law pi(x) q(x), with q(x) the total event rate of x; station i serves at
+    rate mu0 v_i on average, so the mean return time to the empty state is
+    sum_x pi(x) q(x) / (pi(0) mu0) = (1 + sum v_i) Z, and a cycle counts its
+    events after the first arrival.
+    """
+    beta, _ = network_beta(net)
+    if beta * net.mu0 >= 1.0:
+        return None
+    log_psi, _ = log_aggregate_constants(net, horizon - 1)
+    log_z = float(np.logaddexp.reduce(log_psi + np.arange(horizon) * math.log(net.mu0)))
+    log_return = math.log1p(float(np.sum(solve_traffic(net.routing_matrix)))) + log_z
+    return log_return + math.log(-math.expm1(-log_return))
+
+
+def _event_step(net: NetworkSpec, rng: np.random.Generator):
+    """The per-event step: ``step(total, peak, occupancy)`` moves every live
+    cycle, given by its total and its J occupancy arrays, by one event drawn
+    from two uniforms, the acting node by the rates and its destination by
+    the routing row."""
+    routing_cdf = np.cumsum(net.routing_matrix, axis=1)
     mu_vec = np.array([st.mu for st in net.stations])
     s_vec = np.array([st.servers for st in net.stations])
-    entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())
-    n_cycles, j_count = cfg.cycles, net.J
     mu0 = net.mu0
     # P(route to a node at or below j | actor), one contiguous column per j.
     # Leaving out the last column caps the count at J: the cdf rises along a
     # row, so that column's comparison can only hold when all others do.
-    route_cols = [routing_cdf[:, j].copy() for j in range(j_count)]
+    route_cols = [routing_cdf[:, j].copy() for j in range(net.J)]
 
-    first = np.minimum((entry_cdf < rng.random((n_cycles, 1))).sum(axis=1), j_count - 1)
-    occupancy = [(first == j).astype(np.int64) for j in range(j_count)]
-
-    def advance(total, peak, *occupancy):
+    def step(total, peak, occupancy):
         # The cumulative rates are built in the order np.cumsum adds them, so
         # every sum and comparison equals its row-wise counterpart.  The last
         # one is never exceeded by the draw, a fraction of it.
@@ -475,7 +591,92 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
         total += dest > 0
         np.maximum(peak, total, out=peak)
 
-    maxima, escaped = _run_cycles(n_cycles, cfg.escape_horizon, advance, *occupancy)
+    return step
+
+
+def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
+    """Total-population busy cycles of the open network via its jump chain.
+
+    Events pick an acting node with probability proportional to its rate
+    (mu0 for arrivals, mu_i * min(n_i, s_i) for service) and route by the
+    matrix row; self-routing leaves the state unchanged and is kept as a
+    no-op event, which preserves the path law of the recorded maxima.
+
+    A cycle is one int, its occupancy state's place in the network's event
+    table (``_EventTable``), and a pass moves every live cycle by one event
+    from one uniform, read through the alias table of its state.  The entry
+    station is drawn from one more uniform per cycle.  The table grows, by
+    doubling the totals it holds, when a live cycle stands on a total it
+    lacks below the escape horizon, and holds at most _TABLE_CELLS cells.
+    When the cycles climb past what fits, each live cycle is decoded to its
+    occupancy vector and the rest of the call draws each event from two
+    uniforms, the actor by the rates and its destination by the routing.
+
+    The events follow the station rates, so a network with explicit
+    ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
+    draw.  A call raises ``NotApplicableError`` before the first draw when
+    its cycles are expected to pass the simulators' jump budget, counting
+    every event as a jump, since each is a pass here.  A network of two or
+    more stations is charged (1 + sum v_i) Z - 1 events a cycle by Kac's
+    formula (``_log_events_per_cycle``), kept per escape horizon; one with
+    beta mu0 >= 1 (``network_beta``) has no such charge and is not checked.
+    A one-station network is charged every jump of its induced chain, whose
+    jumps are the events that change the total, for at least
+    _MIN_CHARGED_CYCLES cycles.
+    """
+    if not net.separable:
+        raise NonSeparableError("the network simulator follows station rates, not explicit weights")
+    table = net._event_table
+    top = cfg.escape_horizon
+    if net.J == 1:
+        induced = norton_reduce(net, top).induced
+        _refuse_long_runs(induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), top, every_jump=True)
+    else:
+        if top not in table.log_events:
+            table.log_events[top] = _log_events_per_cycle(net, top)
+        if table.log_events[top] is not None:
+            _charge(table.log_events[top], cfg.cycles, top)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    routing = net.routing_matrix
+    entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())
+    j_count, width = net.J, table.width
+    # the entry station j counts the cdf values below u, at most J - 1; its
+    # unit vector is state J - j
+    u = rng.random(cfg.cycles)
+    state = np.full(cfg.cycles, j_count, dtype=np.int32)
+    for c in entry_cdf[:-1]:
+        state -= c < u
+    state *= width
+    occupancy = step = None  # the per-event step and its arrays, once the table is left
+    reach = 1  # no live cycle stands above it: an event moves a total by at most one
+
+    def advance(total, peak, state):
+        nonlocal occupancy, step, reach
+        if occupancy is None:
+            if reach > table.totals:
+                reach = int(total.max())
+            if reach <= table.totals or table.grow(reach, top):
+                reach += 1
+                v = rng.random(state.size)
+                v *= width  # exact: the width is a power of two
+                cell = v.astype(np.intp)
+                cell += state
+                kept = v < table.bound.take(cell)
+                cell += cell
+                cell += kept  # the outcome entry: the cell's own, or its alias's
+                table.next.take(cell, out=state)
+                table.after.take(cell, out=total)
+                np.maximum(peak, total, out=peak)
+                return
+            occupancy = [np.ascontiguousarray(n_j) for n_j in _occupancies(reach, j_count)[state // width].T]
+            state[:] = np.arange(state.size)
+            step = _event_step(net, rng)
+        elif state.size < occupancy[0].size:  # cycles finished: state holds the places of the rest
+            occupancy = [n_j.take(state) for n_j in occupancy]
+            state[:] = np.arange(state.size)
+        step(total, peak, occupancy)
+
+    maxima, escaped = _run_cycles(cfg.cycles, top, advance, state)
     return CycleSample(maxima=maxima, escaped=escaped)
 
 

@@ -187,15 +187,16 @@ class _WalkTables:
     ``log_jumps`` is the log of the jumps a cycle is charged, its stepped
     jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
     ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
-    the same values for the Python-stepped walk where they vary; ``n_flat``
-    is ``_flat_start``'s state.  ``blocks`` holds the latest ``_BlockTable``
+    its head as Python floats for the Python-stepped walk, extended on demand
+    to the levels a block of draws can reach; ``n_flat`` is
+    ``_flat_start``'s state.  ``blocks`` holds the latest ``_BlockTable``
     (``_block_table`` grows it with the highest level reached).
     """
 
     log_jumps: float
     p_at: np.ndarray
-    p_list: tuple | None
     n_flat: int | None
+    p_list: list = field(default_factory=list, compare=False)
     blocks: list = field(default_factory=list, compare=False)
 
 
@@ -212,7 +213,6 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     tables = spec._walk_tables[top] = _WalkTables(
         log_jumps=_log_expected_jumps(spec, top, n_flat),
         p_at=p_at,
-        p_list=tuple(p_at.tolist()) if n_flat != 1 else None,  # the tail runs where p_up varies
         n_flat=n_flat,
     )
     return tables
@@ -229,6 +229,11 @@ def _refuse_long_runs(
         log_per_cycle = _log_expected_jumps(spec, top)
     else:
         log_per_cycle = _walk_tables(spec, top).log_jumps
+    _charge(log_per_cycle, n_cycles, horizon)
+
+
+def _charge(log_per_cycle: float, n_cycles: int, horizon: int) -> None:
+    """Raise when n_cycles cycles of e^log_per_cycle jumps each pass _MAX_JUMPS."""
     if math.log(n_cycles) + log_per_cycle > math.log(_MAX_JUMPS):
         raise NotApplicableError(
             f"a cycle to horizon {horizon} is charged "
@@ -554,6 +559,9 @@ def _simulate_batch(
         nonlocal tail_rows
         live = state.size
         draws = rng.random((min(tail_rows, _TAIL_CELLS // live), live))
+        reach = min(stop, int(state.max()) + draws.shape[0])  # no walk reads a level past it
+        if len(p_list) < reach:
+            p_list.extend(p_at[len(p_list) : reach].tolist())
         for j in range(live):
             state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, stop)
         if ((state > 0) & (state < stop)).any():  # a cycle used up its column

@@ -386,17 +386,32 @@ def _one_jump_per_pass(net, cfg):
     return out[out > 0], escaped
 
 
-@pytest.mark.parametrize("horizon, escapes", [(1_000, False), (12, True)])
-def test_network_simulation_equals_one_jump_per_pass(horizon, escapes):
+def heavy_mixed():
     # the mixed routing under heavier traffic, so some cycles reach 12
     stations = (Station("ss", 2.0), Station("ms", 1.0, s=2), Station("is", 0.5))
-    net = NetworkSpec(mu0=1.0, stations=stations, routing=mixed().routing)
-    cfg = SimConfig(seed=23, cycles=2_000, escape_horizon=horizon)
-    maxima, escaped = _one_jump_per_pass(net, cfg)
-    sample = simulate_network_cycles(net, cfg)
-    assert np.array_equal(sample.maxima, maxima)
-    assert sample.escaped == escaped
-    assert (escaped > 0) == escapes
+    return NetworkSpec(mu0=1.0, stations=stations, routing=mixed().routing)
+
+
+def assert_lattice_law(net, sample, levels, horizon=None):
+    # P(max <= n) over all cycles and, given the horizon, the escapes, whose
+    # maxima lie at or above it, against the absorbing-chain solve at 3 sigma
+    levels = list(levels)
+    emp = empirical_cdf(sample.maxima, levels) * len(sample.maxima) / sample.cycles
+    want = exact_cycle_cdf(net, levels + ([horizon - 1] if horizon else []))
+    if horizon:
+        emp = np.append(emp, sample.escaped_fraction)
+        want[-1] = 1.0 - want[-1]
+    sigma = np.sqrt(want * (1.0 - want) / sample.cycles)
+    assert np.all(np.abs(emp - want) <= 3.0 * sigma + 1e-12), (emp, want)
+
+
+@pytest.mark.parametrize("horizon, escapes", [(1_000, False), (12, True)])
+def test_network_simulation_matches_the_lattice_law(horizon, escapes):
+    net = heavy_mixed()
+    sample = simulate_network_cycles(net, SimConfig(seed=23, cycles=20_000, escape_horizon=horizon))
+    assert sample.cycles == 20_000
+    assert (sample.escaped > 0) == escapes
+    assert_lattice_law(net, sample, range(1, 12), horizon if escapes else None)
 
 
 def _five_stations():
@@ -410,19 +425,166 @@ def _five_stations():
 
 
 @pytest.mark.parametrize(
-    "net",
+    "net, horizon",
     [
-        NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))),
-        _five_stations(),
+        (NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))), 12),
+        (_five_stations(), 10),
     ],
     ids=["one-station", "five-stations"],
 )
-def test_network_simulation_equals_one_jump_per_pass_on_other_shapes(net):
-    cfg = SimConfig(seed=29, cycles=2_000, escape_horizon=12)
+def test_network_simulation_matches_the_lattice_law_on_other_shapes(net, horizon):
+    sample = simulate_network_cycles(net, SimConfig(seed=29, cycles=20_000, escape_horizon=horizon))
+    assert sample.cycles == 20_000 and sample.escaped > 0
+    assert_lattice_law(net, sample, range(1, horizon), horizon)
+
+
+@pytest.mark.parametrize("cells", [16, 35 * 16], ids=["at-entry", "mid-call"])
+def test_network_simulation_hands_off_past_the_cell_cap(monkeypatch, cells):
+    # a cap below the first total's 4 states of 16 cells hands off before the
+    # first pass; 35 x 16 cells hold the totals up to 4, and cycles climb past
+    monkeypatch.setattr(networks, "_TABLE_CELLS", cells)
+    net = heavy_mixed()
+    sample = simulate_network_cycles(net, SimConfig(seed=37, cycles=20_000, escape_horizon=12))
+    assert net._event_table.totals == (-1 if cells == 16 else 4)
+    assert sample.cycles == 20_000 and sample.escaped > 0
+    assert_lattice_law(net, sample, range(1, 12), 12)
+
+
+@pytest.mark.parametrize(
+    "net, horizon, escapes",
+    [(heavy_mixed(), 1_000, False), (heavy_mixed(), 12, True), (_five_stations(), 12, False)],
+    ids=["mixed", "mixed-escapes", "five-stations"],
+)
+def test_per_event_step_equals_one_jump_per_pass(monkeypatch, net, horizon, escapes):
+    # with no room for a table the whole call runs the per-event step after
+    # the entry draw, and so draws as the reference loop does
+    monkeypatch.setattr(networks, "_TABLE_CELLS", 0)
+    cfg = SimConfig(seed=23, cycles=2_000, escape_horizon=horizon)
     maxima, escaped = _one_jump_per_pass(net, cfg)
     sample = simulate_network_cycles(net, cfg)
     assert np.array_equal(sample.maxima, maxima)
-    assert sample.escaped == escaped
+    assert sample.escaped == escaped and (escaped > 0) == escapes
+
+
+def test_occupancy_rank_inverts_the_enumeration():
+    def cube(n_max, parts):  # the enumeration through the (n_max + 1)^parts cube
+        grid = np.indices((n_max + 1,) * parts).reshape(parts, -1).T
+        totals = grid.sum(axis=1)
+        order = np.argsort(totals, kind="stable")
+        return grid[order[totals[order] <= n_max]]
+
+    for parts in range(1, 6):
+        for n_max in (0, 1, 2, 7):
+            occ = networks._occupancies(n_max, parts)
+            assert np.array_equal(occ, cube(n_max, parts))
+            assert np.array_equal(networks._rank(list(occ.T), n_max), np.arange(len(occ)))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))), heavy_mixed(),
+     _five_stations()],
+    ids=["one-station", "mixed", "five-stations"],
+)
+def test_event_table_rows_rebuild_their_event_law(net):
+    table = net._event_table
+    assert table.grow(5, 1_000) and table.totals == 8
+    states = [tuple(row) for row in networks._occupancies(table.totals + 1, net.J).tolist()]
+    index = {state: i for i, state in enumerate(states)}
+    routing = net.routing_matrix
+    width = table.width
+    assert table.bound.size == table.rows(table.totals) * width
+    assert np.array_equal(table.after, [sum(states[i]) for i in table.next // width])
+    for i, state in enumerate(states[: table.rows(table.totals)]):
+        want = np.zeros(len(states))
+        for actor in range(net.J + 1):
+            if actor == 0:
+                rate = net.mu0
+            else:
+                st = net.stations[actor - 1]
+                rate = st.mu * min(state[actor - 1], st.servers)
+            for dest in range(net.J + 1):
+                nxt = list(state)
+                if rate * routing[actor, dest] > 0.0:
+                    if actor:
+                        nxt[actor - 1] -= 1
+                    if dest:
+                        nxt[dest - 1] += 1
+                want[index[tuple(nxt)]] += rate * routing[actor, dest]
+        want /= want.sum()
+        keep = table.bound[i * width : (i + 1) * width] - np.arange(width)
+        assert np.all((keep >= 0.0) & (keep <= 1.0))
+        pairs = table.next[2 * i * width : 2 * (i + 1) * width].reshape(width, 2) // width
+        got = np.zeros(len(states))
+        np.add.at(got, pairs[:, 1], keep / width)
+        np.add.at(got, pairs[:, 0], (1.0 - keep) / width)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_event_table_growth_keeps_the_rows_held():
+    table = heavy_mixed()._event_table
+    assert table.grow(1, 1_000) and table.totals == 8
+    held = [a.copy() for a in (table.bound, table.next, table.after)]
+    assert table.grow(9, 1_000) and table.totals == 16
+    assert table.grow(17, 30) and table.totals == 29  # within the horizon
+    assert table.bound.size == table.rows(29) * table.width
+    assert table.next.size == table.after.size == 2 * table.bound.size
+    for old, new in zip(held, (table.bound, table.next, table.after)):
+        assert np.array_equal(new[: old.size], old)
+    assert table.next.max() < table.rows(30) * table.width and table.after.max() == 30
+
+
+def _event_counts(monkeypatch, net, cfg):
+    # a pass moves every live cycle by one event, so the live counts of the
+    # passes give how many cycles had at least 1, 2, ... events
+    live = []
+
+    def counted(n_cycles, top, advance, *rest):
+        def counting(level, peak, *arrays):
+            live.append(level.size)
+            advance(level, peak, *arrays)
+
+        return run_cycles(n_cycles, top, counting, *rest)
+
+    run_cycles = networks._run_cycles
+    monkeypatch.setattr(networks, "_run_cycles", counted)
+    sample = simulate_network_cycles(net, cfg)
+    return sample, np.array(live)
+
+
+@pytest.mark.parametrize("net", [tandem(0.5), mixed()], ids=["tandem", "mixed"])
+def test_kac_charge_matches_the_simulated_event_count(monkeypatch, net):
+    cfg = SimConfig(seed=41, cycles=20_000)
+    sample, live = _event_counts(monkeypatch, net, cfg)
+    assert sample.escaped == 0
+    at_least = live / cfg.cycles  # P(events >= t), t = 1, 2, ...
+    t = np.arange(1, live.size + 1)
+    mean = at_least.sum()
+    sd = math.sqrt(np.sum((2 * t - 1) * at_least) - mean**2)
+    want = math.exp(networks._log_events_per_cycle(net, cfg.escape_horizon))
+    assert abs(mean - want) <= 3.0 * sd / math.sqrt(cfg.cycles)
+
+
+def test_long_network_cycles_are_refused_before_the_first_draw(monkeypatch):
+    # a tandem of two infinite-server stations at load 20 each: a busy cycle
+    # holds about 3 e^40 events
+    net = NetworkSpec(mu0=20.0, stations=(Station("is", 1.0), Station("is", 1.0)),
+                      routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
+    monkeypatch.setattr(np.random, "default_rng", None)  # no generator may be built
+    start = time.perf_counter()
+    with pytest.raises(NotApplicableError, match="budget"):
+        simulate_network_cycles(net, SimConfig(seed=1, cycles=10))
+    assert time.perf_counter() - start < 1.0
+    assert networks._log_events_per_cycle(net, 1_000) == pytest.approx(math.log(3.0) + 40.0, rel=1e-12)
+
+
+def test_overloaded_networks_are_not_charged():
+    # beta mu0 >= 1: Kac's sum does not converge, and no budget applies
+    net = tandem(1.5)
+    assert network_beta(net)[0] * net.mu0 >= 1.0
+    assert networks._log_events_per_cycle(net, 1_000) is None
+    sample = simulate_network_cycles(net, SimConfig(seed=3, cycles=200, escape_horizon=20))
+    assert sample.cycles == 200 and sample.escaped > 0
 
 
 def test_long_one_station_cycles_are_refused_before_the_first_draw():
@@ -445,22 +607,30 @@ def test_explicit_weight_networks_are_not_simulated(monkeypatch, stations):
 
 
 @pytest.mark.parametrize(
-    "net, cfg, want",
+    "net, cfg",
     [
         (NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2))),
-         SimConfig(seed=31, cycles=3_000), (6540, [1, 1, 1, 1, 2, 5, 2, 1])),
+         SimConfig(seed=31, cycles=3_000)),
         (NetworkSpec(mu0=2.0, stations=(Station("is", 1.0),), routing=((0.0, 1.0), (0.5, 0.5))),
-         SimConfig(seed=32, cycles=3_000), (18429, [10, 11, 10, 2, 12, 1, 10, 10])),
+         SimConfig(seed=32, cycles=3_000)),
         (NetworkSpec(mu0=1.5, stations=(Station("ms", 1.0, s=2),), routing=((0.0, 1.0), (1.0, 0.0))),
-         SimConfig(seed=33, cycles=3_000, escape_horizon=50), (8940, [3, 2, 3, 1, 1, 3, 2, 2])),
+         SimConfig(seed=33, cycles=3_000, escape_horizon=50)),
     ],
     ids=["ss", "is", "ms"],
 )
-def test_one_station_budget_leaves_the_draws_unchanged(net, cfg, want):
-    # sums and first maxima recorded before the one-station budget existed
+def test_one_station_budget_leaves_the_draws_unchanged(monkeypatch, net, cfg):
+    # the charge draws nothing: the call equals one without it, and the total
+    # of one station, its induced chain, has the induced chain's law
     sample = simulate_network_cycles(net, cfg)
-    assert sample.escaped == 0 and len(sample.maxima) == cfg.cycles
-    assert (int(sample.maxima.sum()), sample.maxima[:8].tolist()) == want
+    charged = []
+    monkeypatch.setattr(networks, "_refuse_long_runs", lambda *args, **kwargs: charged.append(args))
+    free = simulate_network_cycles(net, cfg)
+    assert len(charged) == 1 and charged[0][1] == cfg.cycles
+    assert np.array_equal(sample.maxima, free.maxima) and sample.escaped == free.escaped == 0
+    levels = np.arange(1, 13)
+    exact = CycleMaxDistribution(norton_reduce(net, cfg.escape_horizon).induced).cdf(levels)
+    sigma = np.sqrt(exact * (1.0 - exact) / cfg.cycles)
+    assert np.all(np.abs(empirical_cdf(sample.maxima, levels) - exact) <= 3.0 * sigma + 1e-12)
 
 
 def per_index_log_convolve(la, lb, n_hi):

@@ -682,8 +682,8 @@ def _cycles_digest(sample):
     return _digest(sample.maxima, [sample.escaped])
 
 
-# Draws that block passes leave as they were: M/M/1 (each cycle one
-# excursion), capped M/M/1, jump mode on M/M/1, network cycles and inversion
+# Draws without block passes: M/M/1 (each cycle one excursion), capped
+# M/M/1, jump mode on M/M/1, network cycles (one event a pass) and inversion
 _PINNED = {
     "mm1": (lambda: _cycles_digest(simulate_cycles(mm1(0.7, 1.0), SimConfig(seed=3, cycles=5000))),
             "6b8ee62bbdc56710f86de70723c1694847681a588b00b459dc49df79e2fddc05"),
@@ -700,7 +700,7 @@ _PINNED = {
                         routing=((0.0, 0.5, 0.3, 0.2), (0.2, 0.1, 0.4, 0.3), (0.5, 0.2, 0.1, 0.2),
                                  (0.6, 0.2, 0.1, 0.1))),
             SimConfig(seed=7, cycles=3000))),
-        "e1547b8b105730ca24d56f2a28e3d532bb0bfee4ca64384eb543102ef25b8970"),
+        "c61f778e2b08e8b48c9e9daab571b40075f4a6d2eeb8cbd2fdeac475ecfa1481"),
     "inversion-mms3": (lambda: _digest(sample_maxima(mms(3, 2.1, 1.0), 100, 1000, SimConfig(seed=8))),
                        "f89670a498a16b8fd4ef40ff1047964fddc78ed12d74c400bf3260093cfa96c5"),
     "inversion-mminf": (lambda: _digest(sample_maxima(mminf(2.0, 1.0), 100, 1000, SimConfig(seed=9))),
