@@ -176,9 +176,13 @@ def _cmd_simulate(args) -> int:
         _emit(args, ["k", "mean_ratio", "median_ratio", "q05", "q95"], rows, "convergence")
         return 0
     levels = np.arange(1, _check_levels("--nmax", args.nmax) + 1)
-    sample = simulate_cycles(spec, SimConfig(seed=args.seed, cycles=args.reps))
+    cfg = SimConfig(seed=args.seed, cycles=args.reps)
+    sample = simulate_cycles(spec, cfg)
+    if sample.escaped:  # an escape lies above every level below the horizon, and past it is unknown
+        levels = levels[levels < cfg.escape_horizon]
+        sys.stderr.write(f"WARNING: {sample.escaped} of {sample.cycles} cycles escaped at {cfg.escape_horizon}\n")
     dist = _as_dist(spec)
-    emp = empirical_cdf(sample.maxima, levels)
+    emp = empirical_cdf(sample.maxima, levels, sample.cycles)
     exact = dist.cdf(levels)
     rows = list(zip(levels.tolist(), emp.tolist(), exact.tolist(), np.abs(emp - exact).tolist()))
     _emit(args, ["n", "empirical_cdf", "exact_cdf", "abs_err"], rows, "simulate")

@@ -44,7 +44,7 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig, _alias_rows, _charge, _refuse_long_runs, _run_cycles
+from .simulate import CycleSample, SimConfig, _alias_rows, _charge, _log_expected_jumps, _run_cycles
 
 __all__ = [
     "Station",
@@ -71,8 +71,8 @@ _KINDS = ("ss", "ms", "is")
 COINCIDENCE_GAP = 1e-9
 # A pass moves every live network cycle by one event and there is no Python
 # tail for the last few, so a pass over a few live cycles costs about as much
-# as one over 256: a one-station call is charged for at least this many
-# cycles against the jump budget.
+# as one over 256: a call is charged for at least this many cycles against
+# the jump budget.
 _MIN_CHARGED_CYCLES = 256
 # Most cells (states x width) of a network's event table: a call whose
 # cycles climb past the totals that fit hands them to the per-event step.
@@ -469,8 +469,8 @@ class _EventTable:
     own event, else takes its alias.  Entry 2 c + 1 of ``next`` and
     ``after`` gives the offset and the total of the state that the cell's
     own event leads to, entry 2 c its alias's.  ``grow`` appends rows and
-    leaves the rows held as they are.  ``log_events`` keeps the Kac charge
-    of a cycle by escape horizon.
+    leaves the rows held as they are.  ``log_events`` keeps the charge of
+    a cycle by escape horizon (``_log_events_per_cycle``).
     """
 
     def __init__(self, net: NetworkSpec):
@@ -533,24 +533,26 @@ class _EventTable:
         )
 
 
-def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float | None:
-    """log of the mean events of a busy cycle, (1 + sum v_i) Z - 1 by Kac's
-    formula, with v = solve_traffic(routing) and Z = sum_{N < horizon}
-    Psi(N) mu0^N; None when beta mu0 >= 1, where Z does not converge.
+def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float:
+    """log of the mean events of a busy cycle run to ``horizon`` after its
+    first arrival, (R - 1) / (1 - r_00) with R = (1 + sum v_i) (E + 1) / 2,
+    v = solve_traffic(routing), r_00 the share of arrivals routed straight
+    back outside and E the mean jumps of the total's birth-death walk of
+    weights Psi(N) mu0^N from 1 to 0 or the horizon (``_log_expected_jumps``).
 
-    The jump chain of every event, self-routing included, has stationary
-    law pi(x) q(x), with q(x) the total event rate of x; station i serves at
-    rate mu0 v_i on average, so the mean return time to the empty state is
-    sum_x pi(x) q(x) / (pi(0) mu0) = (1 + sum v_i) Z, and a cycle counts its
-    events after the first arrival.
+    The chain of every event, self-routing included, has stationary law
+    pi(x) q(x), q(x) the total event rate of x, and station i serves at rate
+    mu0 v_i, so by Kac it returns to empty in R events on average, with
+    (E + 1) / 2 = Z = sum_N Psi(N) mu0^N where the horizon does not bind; a
+    share r_00 of the returns is one arrival that leaves at once.  Where the
+    horizon binds, as for every beta mu0 >= 1, the walk's count stands in.
     """
-    beta, _ = network_beta(net)
-    if beta * net.mu0 >= 1.0:
-        return None
     log_psi, _ = log_aggregate_constants(net, horizon - 1)
-    log_z = float(np.logaddexp.reduce(log_psi + np.arange(horizon) * math.log(net.mu0)))
-    log_return = math.log1p(float(np.sum(solve_traffic(net.routing_matrix)))) + log_z
-    return log_return + math.log(-math.expm1(-log_return))
+    log_jumps = _log_expected_jumps(log_psi + np.arange(horizon) * math.log(net.mu0))
+    log_z = log_jumps + math.log1p(math.exp(-log_jumps)) - math.log(2.0)  # log (E + 1) / 2
+    routing = net.routing_matrix
+    log_return = math.log1p(float(np.sum(solve_traffic(routing)))) + log_z
+    return log_return + math.log(-math.expm1(-log_return)) - math.log1p(-routing[0, 0])
 
 
 def _event_step(net: NetworkSpec, rng: np.random.Generator):
@@ -616,26 +618,18 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
     draw.  A call raises ``NotApplicableError`` before the first draw when
     its cycles are expected to pass the simulators' jump budget, counting
-    every event as a jump, since each is a pass here.  A network of two or
-    more stations is charged (1 + sum v_i) Z - 1 events a cycle by Kac's
-    formula (``_log_events_per_cycle``), kept per escape horizon; one with
-    beta mu0 >= 1 (``network_beta``) has no such charge and is not checked.
-    A one-station network is charged every jump of its induced chain, whose
-    jumps are the events that change the total, for at least
+    every event as a jump, since each is a pass here: every network is
+    charged the events of its total's birth-death walk to the escape horizon
+    (``_log_events_per_cycle``), kept per horizon, for at least
     _MIN_CHARGED_CYCLES cycles.
     """
     if not net.separable:
         raise NonSeparableError("the network simulator follows station rates, not explicit weights")
     table = net._event_table
     top = cfg.escape_horizon
-    if net.J == 1:
-        induced = norton_reduce(net, top).induced
-        _refuse_long_runs(induced, max(cfg.cycles, _MIN_CHARGED_CYCLES), top, every_jump=True)
-    else:
-        if top not in table.log_events:
-            table.log_events[top] = _log_events_per_cycle(net, top)
-        if table.log_events[top] is not None:
-            _charge(table.log_events[top], cfg.cycles, top)
+    if top not in table.log_events:
+        table.log_events[top] = _log_events_per_cycle(net, top)
+    _charge(table.log_events[top], max(cfg.cycles, _MIN_CHARGED_CYCLES), top)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     routing = net.routing_matrix
     entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())

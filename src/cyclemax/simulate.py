@@ -96,6 +96,10 @@ class SimConfig:
     escape_horizon: int = 1_000
 
     def __post_init__(self):
+        for name in ("seed", "cycles", "escape_horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if not 0 <= int(self.seed) < 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.cycles < 1:
@@ -136,20 +140,20 @@ def _up_probabilities(spec: BirthDeathSpec, top: int) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _log_expected_jumps(spec: BirthDeathSpec, top: int, n_flat: int | None = None) -> float:
-    """log of the mean jump count of one cycle from level 1 run to ``top``,
-    E_1[min(T_0, T_top)], or with ``n_flat`` its stepped jumps below n_flat
-    plus its excursions above n_flat - 1.
+def _log_expected_jumps(log_w: np.ndarray, n_flat: int | None = None) -> float:
+    """log of the mean jump count E_1[min(T_0, T_top)] of one cycle from
+    level 1 of the birth-death walk of weights w(m) = e^log_w[m] (w(0) = 1)
+    run to top = len(log_w), or with ``n_flat`` its stepped jumps below
+    n_flat plus its excursions above n_flat - 1.
 
-    With w(m) = psihat(m) rho^m and S(n) = sum_{i<=n} 1/w(i), a cycle visits
-    level m on average v(m) = (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times,
-    and w(m) / p_up(m) = w(m) + w(m-1).  It enters n_flat from n_flat - 1
+    With S(n) = sum_{i<=n} 1/w(i), a cycle visits level m on average
+    v(m) = (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times, and
+    w(m) / p_up(m) = w(m) + w(m-1).  It enters n_flat from n_flat - 1
     v(n_flat - 1) p_up(n_flat - 1) = (1 - S(n_flat-2)/S(top-1)) w(n_flat - 1)
-    times, once when n_flat = 1 (w(0) = 1).  The margin S(top-1) - S(m-1) is
-    summed afresh from its positive terms, so a converging S costs no
-    cancellation.
+    times, once when n_flat = 1.  The margin S(top-1) - S(m-1) is summed
+    afresh from its positive terms, so a converging S costs no cancellation.
     """
-    log_w = np.asarray(spec.log_psi_rho(np.arange(top)), dtype=float)
+    log_w = np.asarray(log_w, dtype=float)
     margin = np.logaddexp.accumulate(-log_w[::-1])[::-1]  # log (S(top-1) - S(m-1))
     log_visits = margin[1:] + np.logaddexp(log_w[1:], log_w[:-1]) - margin[0]
     if n_flat is None:
@@ -211,25 +215,18 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     n_flat = _flat_start(p_up, top) if p_up.size else None
     p_at.flags.writeable = False
     tables = spec._walk_tables[top] = _WalkTables(
-        log_jumps=_log_expected_jumps(spec, top, n_flat),
+        log_jumps=_log_expected_jumps(spec.log_psi_rho(np.arange(top)), n_flat),
         p_at=p_at,
         n_flat=n_flat,
     )
     return tables
 
 
-def _refuse_long_runs(
-    spec: BirthDeathSpec, n_cycles: int, horizon: int, every_jump: bool = False
-) -> None:
+def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
     """Raise before the first draw when n_cycles cycles are charged more than
-    _MAX_JUMPS jumps: the stepped ones plus one per excursion drawn whole, or
-    with ``every_jump`` (a simulator that steps the run too) all of them."""
+    _MAX_JUMPS jumps: the stepped ones plus one per excursion drawn whole."""
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
-    if every_jump:
-        log_per_cycle = _log_expected_jumps(spec, top)
-    else:
-        log_per_cycle = _walk_tables(spec, top).log_jumps
-    _charge(log_per_cycle, n_cycles, horizon)
+    _charge(_walk_tables(spec, top).log_jumps, n_cycles, horizon)
 
 
 def _charge(log_per_cycle: float, n_cycles: int, horizon: int) -> None:
@@ -609,11 +606,14 @@ def simulate_cycles(spec: BirthDeathSpec, cfg: SimConfig) -> CycleSample:
     return CycleSample(maxima=maxima, escaped=escaped)
 
 
-def empirical_cdf(maxima: np.ndarray, levels) -> np.ndarray:
-    """Fraction of recorded maxima at or below each level."""
+def empirical_cdf(maxima: np.ndarray, levels, cycles: int | None = None) -> np.ndarray:
+    """Fraction of ``cycles`` cycles (default: the maxima) with a maximum at or
+    below each level; ``CycleSample.cycles`` counts escapes above every level."""
     maxima = np.sort(np.asarray(maxima))
-    levels = np.asarray(levels)
-    return np.searchsorted(maxima, levels, side="right") / len(maxima)
+    cycles = len(maxima) if cycles is None else cycles
+    if cycles < 1:
+        raise ValueError("the empirical cdf of an empty sample is undefined")
+    return np.searchsorted(maxima, np.asarray(levels), side="right") / cycles
 
 
 def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.ndarray:

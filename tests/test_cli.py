@@ -7,9 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cyclemax import NetworkSpec, Station, load_spec, mm1, mminf, save_network, save_spec
+from cyclemax import (
+    NetworkSpec,
+    SimConfig,
+    Station,
+    load_spec,
+    mm1,
+    mminf,
+    save_network,
+    save_spec,
+    simulate_cycles,
+)
 from cyclemax.cli import main
 
 
@@ -152,6 +163,35 @@ def test_simulate_against_exact(capsys, half_spec):
     rows = parse_csv(out)
     assert rows[0] == ["n", "empirical_cdf", "exact_cdf", "abs_err"]
     assert all(float(r[3]) < 0.05 for r in rows[1:])
+
+
+def test_simulate_of_a_recurrent_chain_divides_by_the_returned_cycles(capsys, half_spec):
+    code, out, err = run(capsys, "simulate", "--spec", half_spec, "--reps", "4000", "--seed", "7")
+    assert code == 0 and err == ""
+    maxima = np.sort(simulate_cycles(mm1(0.5, 1.0), SimConfig(seed=7, cycles=4000)).maxima)
+    emp = np.searchsorted(maxima, np.arange(1, 21), side="right") / len(maxima)
+    assert [r[1] for r in parse_csv(out)[1:]] == [str(x) for x in emp.tolist()]
+
+
+def test_simulate_counts_escapes_above_every_level(capsys, tmp_path):
+    # pytest turns every RuntimeWarning into an error (pyproject.toml)
+    path = tmp_path / "up.json"
+    save_spec(mm1(2.0, 1.0), path)
+    code, out, err = run(capsys, "simulate", "--spec", str(path), "--reps", "20000", "--seed", "1", "--nmax", "4")
+    assert code == 0 and "escaped" in err
+    for n, emp, exact, _ in parse_csv(out)[1:]:
+        f = float(exact)  # the unconditional law: half the cycles escape
+        assert abs(float(emp) - f) <= 3.0 * math.sqrt(f * (1.0 - f) / 20000)
+
+
+def test_simulate_where_every_cycle_escapes(capsys, tmp_path):
+    path = tmp_path / "away.json"
+    save_spec(mm1(1000.0, 1.0), path)
+    code, out, err = run(capsys, "simulate", "--spec", str(path), "--reps", "5", "--seed", "1", "--nmax", "1200")
+    assert code == 0 and "5 of 5 cycles escaped" in err
+    rows = parse_csv(out)[1:]
+    assert [int(r[0]) for r in rows] == list(range(1, 1000))  # no row at or past the horizon
+    assert all(float(r[1]) == 0.0 for r in rows) and "nan" not in out
 
 
 def test_simulate_k_max_table(capsys, half_spec):

@@ -46,10 +46,10 @@ def tandem(mu0=0.3, mu=1.0):
     )
 
 
-def mixed():
-    # every station routes outside, loads 0.625 / 0.3875 / 0.775
+def mixed(mu0=0.25):
+    # every station routes outside, loads 0.625 / 0.3875 / 0.775 at mu0 = 0.25
     return NetworkSpec(
-        mu0=0.25,
+        mu0=mu0,
         stations=(Station("ss", 1.0), Station("ms", 1.0, s=2), Station("is", 0.5)),
         routing=(
             (0.0, 0.5, 0.3, 0.2),
@@ -396,7 +396,7 @@ def assert_lattice_law(net, sample, levels, horizon=None):
     # P(max <= n) over all cycles and, given the horizon, the escapes, whose
     # maxima lie at or above it, against the absorbing-chain solve at 3 sigma
     levels = list(levels)
-    emp = empirical_cdf(sample.maxima, levels) * len(sample.maxima) / sample.cycles
+    emp = empirical_cdf(sample.maxima, levels, sample.cycles)
     want = exact_cycle_cdf(net, levels + ([horizon - 1] if horizon else []))
     if horizon:
         emp = np.append(emp, sample.escaped_fraction)
@@ -552,8 +552,17 @@ def _event_counts(monkeypatch, net, cfg):
     return sample, np.array(live)
 
 
-@pytest.mark.parametrize("net", [tandem(0.5), mixed()], ids=["tandem", "mixed"])
+_SELF_ROUTED = NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2)))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [tandem(0.5), mixed(), _SELF_ROUTED, _five_stations()],
+    ids=["tandem", "mixed", "one-station", "five-stations"],
+)
 def test_kac_charge_matches_the_simulated_event_count(monkeypatch, net):
+    # the horizon does not bind: the charge is Kac's ((1 + sum v_i) Z - 1) / (1 - r_00);
+    # the five-station network routes a share r_00 of its arrivals straight outside
     cfg = SimConfig(seed=41, cycles=20_000)
     sample, live = _event_counts(monkeypatch, net, cfg)
     assert sample.escaped == 0
@@ -578,13 +587,31 @@ def test_long_network_cycles_are_refused_before_the_first_draw(monkeypatch):
     assert networks._log_events_per_cycle(net, 1_000) == pytest.approx(math.log(3.0) + 40.0, rel=1e-12)
 
 
-def test_overloaded_networks_are_not_charged():
-    # beta mu0 >= 1: Kac's sum does not converge, and no budget applies
+@pytest.mark.parametrize(
+    "net, horizon",
+    [(tandem(0.99), 100), (tandem(1.0), 100), (tandem(1.5), 20), (tandem(1.5), 200), (mixed(1.0), 100)],
+    ids=["tandem-0.99", "tandem-1", "tandem-1.5-h20", "tandem-1.5-h200", "mixed-1"],
+)
+def test_charge_follows_the_simulated_event_count_where_the_horizon_binds(monkeypatch, net, horizon):
+    # the walk of the total to the horizon, scaled by events per arrival,
+    # where Kac's sum overcharges or does not converge
+    cfg = SimConfig(seed=41, cycles=4_000, escape_horizon=horizon)
+    _, live = _event_counts(monkeypatch, net, cfg)
+    charge = math.exp(networks._log_events_per_cycle(net, horizon))
+    assert 0.8 <= charge / (live.sum() / cfg.cycles) <= 1.25
+
+
+def test_overloaded_networks_are_charged_to_the_horizon(monkeypatch):
+    # beta mu0 >= 1: Kac's sum does not converge, the walk to the horizon does
     net = tandem(1.5)
     assert network_beta(net)[0] * net.mu0 >= 1.0
-    assert networks._log_events_per_cycle(net, 1_000) is None
     sample = simulate_network_cycles(net, SimConfig(seed=3, cycles=200, escape_horizon=20))
     assert sample.cycles == 200 and sample.escaped > 0
+    monkeypatch.setattr(np.random, "default_rng", None)  # no generator may be built
+    start = time.perf_counter()
+    with pytest.raises(NotApplicableError, match="budget"):
+        simulate_network_cycles(net, SimConfig(seed=1, cycles=1_000, escape_horizon=10**5))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_long_one_station_cycles_are_refused_before_the_first_draw():
@@ -623,7 +650,7 @@ def test_one_station_budget_leaves_the_draws_unchanged(monkeypatch, net, cfg):
     # of one station, its induced chain, has the induced chain's law
     sample = simulate_network_cycles(net, cfg)
     charged = []
-    monkeypatch.setattr(networks, "_refuse_long_runs", lambda *args, **kwargs: charged.append(args))
+    monkeypatch.setattr(networks, "_charge", lambda *args: charged.append(args))
     free = simulate_network_cycles(net, cfg)
     assert len(charged) == 1 and charged[0][1] == cfg.cycles
     assert np.array_equal(sample.maxima, free.maxima) and sample.escaped == free.escaped == 0

@@ -71,6 +71,24 @@ def test_config_validation():
         SimConfig(seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("cycles", 2.5), ("escape_horizon", 100.5), ("seed", True), ("cycles", True),
+     ("escape_horizon", 100.0)],
+)
+def test_config_rejects_values_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{field: value})
+    SimConfig(**{field: np.int64(100)})  # numpy integers pass
+
+
+def test_empirical_cdf_counts_escapes_and_refuses_an_empty_sample():
+    assert np.allclose(empirical_cdf(np.array([1, 2]), [1, 2, 3], cycles=4), [0.25, 0.5, 0.5])
+    assert np.array_equal(empirical_cdf(np.array([], dtype=int), [1, 2], cycles=3), [0.0, 0.0])
+    with pytest.raises(ValueError, match="empty"):
+        empirical_cdf(np.array([], dtype=int), [1, 2])
+
+
 def test_single_cycle_maximum_is_positive():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -503,7 +521,7 @@ def test_one_level_dependent_cycle_takes_a_handful_of_draws():
     # one mminf(8, 1) cycle to horizon 1000 is expected to take about 5,960
     # jumps, each a pass of its own without the scalar tail
     spec = mminf(8.0, 1.0)
-    assert 5_900 < math.exp(simulate_module._log_expected_jumps(spec, 1_000)) < 6_000
+    assert 5_900 < math.exp(simulate_module._log_expected_jumps(spec.log_psi_rho(np.arange(1_000)))) < 6_000
     for seed in range(5):
         rng = Recording(np.random.default_rng(seed))
         assert simulate_cycle(spec, rng, 1_000) >= 1
@@ -841,7 +859,7 @@ def _jump_counts(spec, cycles, horizon, seed, n_flat=None):
 )
 def test_expected_jumps_match_a_simulated_mean(spec, horizon):
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
-    want = math.exp(simulate_module._log_expected_jumps(spec, top))
+    want = math.exp(simulate_module._log_expected_jumps(spec.log_psi_rho(np.arange(top))))
     mean, err = _jump_counts(spec, 20_000, horizon, 41)
     assert abs(mean - want) <= 3.0 * err
 
@@ -877,7 +895,7 @@ def test_jump_budget_counts_every_cycle_of_a_call(monkeypatch):
 def test_excursions_are_charged_one_jump_each():
     # 5e3 jumps a cycle, but each cycle is one excursion drawn from one uniform
     spec = mm1(1.5, 1.0)
-    assert math.exp(simulate_module._log_expected_jumps(spec, 3_000)) > 4_000
+    assert math.exp(simulate_module._log_expected_jumps(spec.log_psi_rho(np.arange(3_000)))) > 4_000
     start = time.perf_counter()
     sample = simulate_cycles(spec, SimConfig(seed=3, cycles=10**5, escape_horizon=3_000))
     assert time.perf_counter() - start < 1.0
