@@ -59,10 +59,30 @@ _MAX_LEVELS = 1 << 20
 
 
 def _check_levels(name: str, n: int) -> int:
-    """n; NotApplicableError, before the table is sized, for a level n past _MAX_LEVELS."""
+    """n as an int by the _integer rule, at least 0; NotApplicableError, before the
+    table is sized, for a level n past _MAX_LEVELS."""
+    n = _integer(name, n, 0)
     if n > _MAX_LEVELS:
         raise NotApplicableError(f"{name} {n} lies beyond the {_MAX_LEVELS} levels a table may hold")
     return n
+
+
+def _integer(name: str, value, least: int, error=ValueError) -> int:
+    """int(value); error for a bool, a non-integer (numpy integers pass) or a value below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value, error=ValueError) -> float:
+    """float(value); error for a bool, a non-real, NaN, a value <= 0 or one past the float range."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        if real and 0.0 < float(value) < math.inf:
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise error(f"{name} must be a finite positive real, got {value!r}")
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -182,6 +202,7 @@ class WeightSequence:
         raise SpecFormatError(f"{type(self).__name__} has no file representation")
 
 
+@dataclass(frozen=True)
 class OnesSequence(WeightSequence):
     """w(n) = 1 for all n (single-server pattern)."""
 
@@ -196,16 +217,8 @@ class OnesSequence(WeightSequence):
     def to_json(self):
         return {"kind": "preset", "name": "mm1"}
 
-    def __eq__(self, other):
-        return isinstance(other, OnesSequence)
 
-    def __hash__(self):
-        return hash(OnesSequence)
-
-    def __repr__(self):
-        return "OnesSequence()"
-
-
+@dataclass(frozen=True)
 class FactorialInverseSequence(WeightSequence):
     """w(n) = 1/n! (infinite-server pattern); ratio w(n+1)/w(n) -> 0."""
 
@@ -217,23 +230,16 @@ class FactorialInverseSequence(WeightSequence):
     def to_json(self):
         return {"kind": "preset", "name": "mminf"}
 
-    def __eq__(self, other):
-        return isinstance(other, FactorialInverseSequence)
 
-    def __hash__(self):
-        return hash(FactorialInverseSequence)
-
-    def __repr__(self):
-        return "FactorialInverseSequence()"
-
-
+@dataclass(frozen=True)
 class MultiServerSequence(WeightSequence):
     """w(n) = 1/n! for n <= s and s^(s-n)/s! beyond; ratio -> 1/s."""
 
-    def __init__(self, s: int):
-        if not (isinstance(s, (int, np.integer)) and s >= 1):
-            raise SpecFormatError(f"server count must be a positive integer, got {s!r}")
-        self._set(s=int(s), tail_ratio=1.0 / int(s))
+    s: int
+
+    def __post_init__(self):
+        s = _integer("server count", self.s, 1, SpecFormatError)
+        self._set(s=s, tail_ratio=1.0 / s)
 
     def log_value(self, n):
         n = np.asarray(n)
@@ -247,15 +253,6 @@ class MultiServerSequence(WeightSequence):
 
     def to_json(self):
         return {"kind": "preset", "name": "mms", "s": self.s}
-
-    def __eq__(self, other):
-        return isinstance(other, MultiServerSequence) and other.s == self.s
-
-    def __hash__(self):
-        return hash((MultiServerSequence, self.s))
-
-    def __repr__(self):
-        return f"MultiServerSequence(s={self.s})"
 
 
 class TableSequence(WeightSequence):
@@ -293,18 +290,13 @@ class TableSequence(WeightSequence):
         return seq
 
     def _fill(self, values: np.ndarray, logs: np.ndarray, tail_ratio: float, poly_degree: int):
-        if not (math.isfinite(tail_ratio) and tail_ratio > 0.0):
-            raise SpecFormatError("tail_ratio must be finite and positive")
+        tail_ratio = _positive("tail_ratio", tail_ratio, SpecFormatError)
+        poly_degree = _integer("poly_degree", poly_degree, 0, SpecFormatError)
         if poly_degree != 0 and len(values) < 2:
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
         values.flags.writeable = False
         logs.flags.writeable = False
-        self._set(
-            _values=values,
-            tail_ratio=float(tail_ratio),
-            poly_degree=int(poly_degree),
-            _log_values=logs,
-        )
+        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs)
 
     @property
     def values(self) -> tuple:
@@ -362,30 +354,40 @@ class CallableSequence(WeightSequence):
     """
 
     def __init__(self, log_fn, tail_ratio=None, tail_bounds=None):
+        if tail_ratio is not None:
+            tail_ratio = self._limits("tail_ratio", tail_ratio, (tail_ratio, tail_ratio))[0]
         if tail_bounds is not None:
-            try:
-                lo, hi = (float(b) for b in tail_bounds)
-            except (TypeError, ValueError):
-                raise SpecFormatError(f"tail_bounds must be a pair of numbers, got {tail_bounds!r}") from None
-            if not 0.0 <= lo <= hi:  # NaN fails every comparison
-                raise SpecFormatError(f"tail_bounds must satisfy 0 <= lo <= hi, got {tail_bounds!r}")
-            tail_bounds = (lo, hi)
+            tail_bounds = self._limits("tail_bounds", tail_bounds, tail_bounds)
         self._set(_log_fn=log_fn, tail_ratio=tail_ratio, tail_bounds=tail_bounds)
+
+    @staticmethod
+    def _limits(name: str, given, pair) -> tuple[float, float]:
+        """pair as floats with 0 <= lo <= hi <= inf: a ratio limit, or bounds on it."""
+        try:
+            lo, hi = (float(b) for b in pair)
+        except (TypeError, ValueError):
+            raise SpecFormatError(f"{name} must be numbers, got {given!r}") from None
+        if not 0.0 <= lo <= hi:  # NaN fails every comparison
+            raise SpecFormatError(f"{name} must lie in [0, inf], as lo <= hi for a pair, got {given!r}")
+        return lo, hi
 
     def log_value(self, n):
         out = np.asarray(self._log_fn(np.asarray(n)), dtype=float)
-        if np.isnan(out).any():
-            raise SpecFormatError("log_fn returned NaN")
+        if not np.isfinite(out).all():
+            raise SpecFormatError("log_fn returned NaN or an infinite value")
         return out
 
 
+@dataclass(frozen=True)
 class ReciprocalSequence(WeightSequence):
     """w(n) = 1 / base(n); used to build dual chains."""
 
-    def __init__(self, base: WeightSequence):
-        self._set(base=base, tail_ratio=_invert_limit(base.tail_ratio))
-        if base.tail_bounds is not None:
-            lo, hi = base.tail_bounds
+    base: WeightSequence
+
+    def __post_init__(self):
+        self._set(tail_ratio=_invert_limit(self.base.tail_ratio))
+        if self.base.tail_bounds is not None:
+            lo, hi = self.base.tail_bounds
             self._set(tail_bounds=(_invert_limit(hi), _invert_limit(lo)))
 
     def log_value(self, n):
@@ -393,15 +395,6 @@ class ReciprocalSequence(WeightSequence):
 
     def reciprocal(self):
         return self.base
-
-    def __eq__(self, other):
-        return isinstance(other, ReciprocalSequence) and other.base == self.base
-
-    def __hash__(self):
-        return hash((ReciprocalSequence, self.base))
-
-    def __repr__(self):
-        return f"ReciprocalSequence({self.base!r})"
 
 
 def _invert_limit(r):
@@ -435,11 +428,12 @@ class BirthDeathSpec:
     label: str = ""
 
     def __post_init__(self):
-        for name, v in (("lambda", self.lam), ("mu", self.mu)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise SpecFormatError(f"{name} must be finite and positive, got {v!r}")
-        if self.cap is not None and (not isinstance(self.cap, (int, np.integer)) or self.cap < 1):
-            raise SpecFormatError(f"cap must be a positive integer or None, got {self.cap!r}")
+        lam = _positive("lambda", self.lam, SpecFormatError)
+        mu = _positive("mu", self.mu, SpecFormatError)
+        _positive("rho = lambda / mu", lam / mu, SpecFormatError)
+        cap = None if self.cap is None else _integer("cap", self.cap, 1, SpecFormatError)
+        for name, value in (("lam", lam), ("mu", mu), ("cap", cap)):
+            object.__setattr__(self, name, value)
 
     @property
     def rho(self) -> float:
@@ -914,10 +908,7 @@ def _sequence_from_dict(d: dict, where: str) -> WeightSequence:
 def _require_number(d: dict, key: str, where: str) -> float:
     if key not in d:
         raise SpecFormatError(f"{where}: missing field {key!r}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise SpecFormatError(f"{where}: field {key!r} must be a finite number")
-    return float(v)
+    return _positive(f"{where}: field {key!r}", d[key], SpecFormatError)
 
 
 def spec_from_dict(d: dict) -> BirthDeathSpec:
@@ -926,9 +917,6 @@ def spec_from_dict(d: dict) -> BirthDeathSpec:
     lam = _require_number(d, "lambda", "spec")
     mu = _require_number(d, "mu", "spec")
     cap = d.get("cap")
-    if cap is not None:
-        if isinstance(cap, bool) or not isinstance(cap, int):
-            raise SpecFormatError("spec: cap must be an integer or null")
     label = d.get("label", "")
     if not isinstance(label, str):
         raise SpecFormatError("spec: label must be a string")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -43,7 +44,7 @@ def _clean(value):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
-    if hasattr(value, "value") and not isinstance(value, (int, bool)):
+    if hasattr(value, "value") and not isinstance(value, int):  # bools are ints
         return value.value
     return value
 
@@ -198,13 +199,10 @@ def _cmd_network_reduce(args) -> int:
             f"WARNING: dropping the N^{induced.psi.poly_degree} tail correction; "
             "the spec file format only carries a constant ratio\n"
         )
-        induced = type(induced)(
+        induced = dataclasses.replace(
+            induced,
             psi=TableSequence.from_log(reduction.log_psi, induced.psi.tail_ratio),
             phi=TableSequence.from_log(reduction.log_phi, induced.phi.tail_ratio),
-            lam=induced.lam,
-            mu=induced.mu,
-            cap=induced.cap,
-            label=induced.label,
         )
     _emit_object(args, spec_to_dict(induced))
     return 0

@@ -19,7 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .bdp import _FIT_RESID_TOL, _MAX_LEVELS, _TOL, BirthDeathSpec, _check_levels, _power_fit, classify, mm1
+from .bdp import (
+    _FIT_RESID_TOL,
+    _MAX_LEVELS,
+    _P_MARGIN,
+    _TOL,
+    BirthDeathSpec,
+    _check_levels,
+    _integer,
+    _power_fit,
+    classify,
+    mm1,
+)
 from .errors import FitFailedError, NotApplicableError, NotStableError, NotTransientError
 
 __all__ = [
@@ -278,11 +289,11 @@ def duality_check(lam: float, mu: float, n_max: int = 100) -> float:
     swapped-rate chain and the blocking probability of the stable chain.
     The two coincide algebraically, so this should sit at rounding level.
     """
+    n = np.arange(1, _check_levels("n_max", _integer("n_max", n_max, 1)) + 1)
     if not lam < mu:
         raise NotStableError(f"needs lam < mu, got lam={lam}, mu={mu}")
     stable = CycleMaxDistribution(mm1(lam, mu))
     swapped = CycleMaxDistribution(mm1(mu, lam))
-    n = np.arange(1, _check_levels("n_max", n_max) + 1)
     return float(np.max(np.abs(swapped.failure_rate(n) - stable.blocking_prob(n))))
 
 
@@ -363,9 +374,7 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
     The regime is ``_tail_regime``'s.  A probe past _MAX_LEVELS raises
     NotApplicableError before any table grows.
     """
-    if n_probe < 100:
-        raise ValueError("n_probe must be at least 100")
-    _check_levels("n_probe", n_probe)
+    _check_levels("n_probe", _integer("n_probe", n_probe, 100))
     regime = _tail_regime(spec)
     cls = classify(spec)
     dist = _as_dist(spec)
@@ -402,10 +411,11 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
                 f"[{win[0]}, {win[-1]}]"
             )
         alpha = math.exp(log_alpha)
-        if p < 1.0 - 1e-6:
+        # within _P_MARGIN of p = 1 bdp's power-law probe cannot tell S from the harmonic series
+        if p < 1.0 - _P_MARGIN:
             scale, constant = "n^(1-p) * (1 - F(n))", alpha * (1.0 - p)
             norms = [float(n) ** (1.0 - p) for n in probes]
-        elif p <= 1.0 + 1e-6:
+        elif p <= 1.0 + _P_MARGIN:
             scale, constant = "log(n) * (1 - F(n))", alpha
             norms = [math.log(n) for n in probes]
         else:

@@ -16,7 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, FactorialInverseSequence, TableSequence, _check_levels, classify
+from .bdp import (
+    BirthDeathSpec,
+    FactorialInverseSequence,
+    TableSequence,
+    _check_levels,
+    _integer,
+    _linear,
+    _positive,
+    classify,
+)
 from .distribution import TailRegime, _as_dist, _require_uncapped, _tail_regime
 from .errors import (
     KindMismatchError,
@@ -157,12 +166,14 @@ class GumbelBounds:
 
 
 def gumbel_bounds(spec: BirthDeathSpec, x: float, k: int) -> GumbelBounds:
-    """Envelope thresholds and values for P(Y^(k) <= y) at Gumbel coordinate x."""
+    """Envelope thresholds and values for P(Y^(k) <= y) at Gumbel coordinate x;
+    an x whose threshold leaves the tail (NaN, or below about -709) raises OutOfRangeError."""
+    k = _integer("k", k, 1)
     cls = classify(spec)
     f = build_tail_function(spec)  # raises NotSubcriticalError unless beta_upper * rho < 1
     q_lo = cls.beta_lower * spec.rho
     q_hi = cls.beta_upper * spec.rho
-    ex = math.exp(-x)
+    ex = _linear(-x)
     y_upper = invert_tail(f, ex / ((1.0 - q_hi) * k))
     upper = math.exp(-ex)
     if q_lo > 0.0:
@@ -171,7 +182,7 @@ def gumbel_bounds(spec: BirthDeathSpec, x: float, k: int) -> GumbelBounds:
     else:
         y_lower = invert_tail(f, ex / k) + 1.0
         lower = math.exp(-ex)
-    return GumbelBounds(x=x, k=int(k), lower=lower, upper=upper, y_lower=y_lower, y_upper=y_upper)
+    return GumbelBounds(x=x, k=k, lower=lower, upper=upper, y_lower=y_lower, y_upper=y_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +301,7 @@ def norming_constants(
     with k.
     """
     kind = NormingKind(kind)
-    ks = [int(k) for k in k_list]
-    if any(k < 2 for k in ks):
-        raise ValueError("k values must be at least 2")
+    ks = [_integer("k", k, 2) for k in k_list]
     regime = _tail_regime(spec)
     cls = classify(spec)
     rho = spec.rho
@@ -361,7 +370,7 @@ def default_norming_kind(spec: BirthDeathSpec) -> NormingKind:
     return NormingKind.NUMERIC
 
 
-def as_limit_constant(spec: BirthDeathSpec, k: float | None = None):
+def as_limit_constant(spec: BirthDeathSpec, k: int | None = None):
     """Normaliser for the strong law Y^(k) / b_k -> 1.
 
     With a subcritical tail (``_tail_regime``) and beta > 0: returns the
@@ -369,8 +378,10 @@ def as_limit_constant(spec: BirthDeathSpec, k: float | None = None):
     is given.  For beta = 0 b_k needs k: the Stirling tail is inverted for
     psi = 1/n!, and the Numeric b_k taken for any other weight.  When only
     distinct lower/upper ratio bounds exist the bracket pair is returned
-    instead of a single value.  Critical and supercritical tails raise.
+    instead of a single value.  Critical and supercritical tails raise, and
+    so does a k below 2.
     """
+    k = k if k is None else _integer("k", k, 2)
     regime = _tail_regime(spec)
     cls = classify(spec)
     rho = spec.rho
@@ -455,8 +466,8 @@ def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> Compactn
     conditional law of a transient chain raises NotApplicableError within
     about 6e-5 of critical, where its tail margin's window is full.
     """
-    if not delta > 1.0:
-        raise ValueError("delta must exceed 1")
+    if not _positive("delta", delta) > 1.0:
+        raise ValueError(f"delta must exceed 1, got {delta!r}")
     grid = _COMPACTNESS_GRID
     regime = _tail_regime(spec)
     cls = classify(spec)
@@ -513,8 +524,11 @@ def partial_limit_envelope(spec: BirthDeathSpec, x: float) -> tuple[float, float
 
     Recurrent subcritical: G values at shifts log(beta rho) and 0; transient
     (conditioned on a finite maximum): shifts -log(beta rho) and 0.  Returned
-    ordered as (lower, upper).  The regime is ``_tail_regime``'s.
+    ordered as (lower, upper).  The regime is ``_tail_regime``'s.  An x below
+    about -709, where e^-x passes the float range, gets the pair's limit (0, 0).
     """
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     regime = _tail_regime(spec)
     beta = classify(spec).beta
     if regime is TailRegime.NO_LIMIT or beta == 0.0:
@@ -522,7 +536,7 @@ def partial_limit_envelope(spec: BirthDeathSpec, x: float) -> tuple[float, float
     if regime is TailRegime.CRITICAL:
         raise NotApplicableError("critical tail: envelope degenerates")
     q = beta * spec.rho
-    ex = math.exp(-x)
+    ex = _linear(-x)
     # q ex (q < 1) and ex / q (q > 1) both lie below ex, so the pair is ordered
     shifted = q * ex if regime is TailRegime.SUBCRITICAL else ex / q
     return (math.exp(-ex), math.exp(-shifted))

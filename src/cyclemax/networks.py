@@ -32,8 +32,10 @@ from .bdp import (
     OnesSequence,
     TableSequence,
     _check_levels,
+    _integer,
     _linear,
     _load_json,
+    _positive,
     _require_number,
     log_factorial,
 )
@@ -94,11 +96,9 @@ class Station:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecFormatError(f"station kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu) and self.mu > 0):
-            raise SpecFormatError(f"station rate must be positive and finite, got {self.mu!r}")
+        object.__setattr__(self, "mu", _positive("station rate", self.mu, SpecFormatError))
         if self.kind == "ms":
-            if not (isinstance(self.s, (int, np.integer)) and not isinstance(self.s, bool) and self.s >= 1):
-                raise SpecFormatError("multi-server station needs a positive integer s")
+            object.__setattr__(self, "s", _integer("server count", self.s, 1, SpecFormatError))
         elif self.s is not None:
             raise SpecFormatError(f"station kind {self.kind!r} takes no server count")
 
@@ -159,8 +159,7 @@ class NetworkSpec:
     phi: object = None
 
     def __post_init__(self):
-        if not (isinstance(self.mu0, (int, float)) and math.isfinite(self.mu0) and self.mu0 > 0):
-            raise SpecFormatError(f"mu0 must be positive and finite, got {self.mu0!r}")
+        object.__setattr__(self, "mu0", _positive("mu0", self.mu0, SpecFormatError))
         stations = tuple(self.stations)
         if not stations or not all(isinstance(st, Station) for st in stations):
             raise SpecFormatError("stations must be a non-empty sequence of Station")
@@ -251,12 +250,11 @@ def log_aggregate_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, n
     plus s - 1 head terms.  Stations go in increasing q, so each fold runs at
     the growth rate of its own result and cancels no large logs.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = _check_levels("n_max", n_max)
     if not net.separable:
         return _lattice_log_constants(net, n_max)
     loads = list(zip(net.stations, station_loads(net).tolist()))
-    n = np.arange(_check_levels("n_max", n_max) + 1)
+    n = np.arange(n_max + 1)
     poisson = sum(r for st, r in loads if st.kind == "is")
     if poisson > 0.0:
         log_psi = n * math.log(poisson) - log_factorial(n)
@@ -356,7 +354,7 @@ def _log_group_sums(terms: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 def lattice_constants(net: NetworkSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Psi, Phi by explicit summation over the occupancy lattice (slow oracle path)."""
-    log_psi, log_phi = _lattice_log_constants(net, n_max)
+    log_psi, log_phi = _lattice_log_constants(net, _check_levels("n_max", n_max))
     return _linear(log_psi), _linear(log_phi)
 
 
@@ -689,14 +687,8 @@ def network_from_dict(d: dict) -> NetworkSpec:
     for i, entry in enumerate(raw_stations):
         if not isinstance(entry, dict):
             raise SpecFormatError(f"network: station {i} must be an object")
-        kind = entry.get("kind")
-        if kind not in _KINDS:
-            raise SpecFormatError(f"network: station {i} kind must be one of {_KINDS}")
         mu = _require_number(entry, "mu", f"station {i}")
-        s = entry.get("s")
-        if s is not None and (isinstance(s, bool) or not isinstance(s, int)):
-            raise SpecFormatError(f"network: station {i} server count must be an integer")
-        stations.append(Station(kind=kind, mu=mu, s=s))
+        stations.append(Station(kind=entry.get("kind"), mu=mu, s=entry.get("s")))
     routing = d.get("routing")
     if not isinstance(routing, list):
         raise SpecFormatError("network: 'routing' must be a matrix")
@@ -714,7 +706,7 @@ def network_to_dict(net: NetworkSpec) -> dict:
     for st in net.stations:
         entry = {"kind": st.kind, "mu": st.mu}
         if st.s is not None:
-            entry["s"] = int(st.s)
+            entry["s"] = st.s
         stations.append(entry)
     return {
         "mu0": net.mu0,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, _check_levels
+from .bdp import BirthDeathSpec, _check_levels, _integer
 from .distribution import CycleMaxDistribution, _as_dist
 from .errors import EscapedCycleError, NotApplicableError
 from .extremes import as_limit_constant
@@ -96,16 +96,10 @@ class SimConfig:
     escape_horizon: int = 1_000
 
     def __post_init__(self):
-        for name in ("seed", "cycles", "escape_horizon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if not 0 <= int(self.seed) < 1 << 64:
+        for name, least in (("seed", 0), ("cycles", 1), ("escape_horizon", 10)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if self.seed >= 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.cycles < 1:
-            raise ValueError("cycles must be positive")
-        if self.escape_horizon < 10:
-            raise ValueError("escape_horizon must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,7 @@ def _charge(log_per_cycle: float, n_cycles: int, horizon: int) -> None:
 
 def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizon: int = 1_000):
     """One busy cycle; returns the maximum level or ESCAPED at the horizon."""
-    if escape_horizon < 10:
-        raise ValueError("escape_horizon must be at least 10")
+    escape_horizon = _integer("escape_horizon", escape_horizon, 10)
     _refuse_long_runs(spec, 1, escape_horizon)
     maxima, escaped = _simulate_batch(spec, 1, rng, escape_horizon)
     return ESCAPED if escaped else int(maxima[0])
@@ -693,8 +686,7 @@ def sample_maxima(
     the jump budget.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    if k < 1 or reps < 1:
-        raise ValueError("k and reps must be positive")
+    k, reps = _integer("k", k, 1), _integer("reps", reps, 1)
     if mode == "inversion":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
         g = rng.standard_exponential(reps)
@@ -743,10 +735,10 @@ def verify_as_convergence(
     reps: int = 500,
     cfg: SimConfig | None = None,
 ) -> list[ConvergenceRow]:
-    """Summaries of Y^(k)/b_k per k; the band should tighten around 1."""
+    """Summaries of Y^(k)/b_k per k, each at least 2; the band should tighten around 1."""
     cfg = cfg if cfg is not None else SimConfig()
     rows = []
-    for i, k in enumerate(int(k) for k in k_grid):
+    for i, k in enumerate([_integer("k", k, 2) for k in k_grid]):
         if spec.cap is not None:
             b_k = float(spec.cap)
         else:
@@ -778,6 +770,8 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic for integer-valued samples."""
     a = np.sort(np.asarray(a))
     b = np.sort(np.asarray(b))
+    if not (a.size and b.size):
+        raise ValueError("the KS statistic of an empty sample is undefined")
     values = np.union1d(a, b)
     fa = np.searchsorted(a, values, side="right") / len(a)
     fb = np.searchsorted(b, values, side="right") / len(b)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdp import BirthDeathSpec, classify, mm1, mminf, mms, stationary_distribution
+from .bdp import BirthDeathSpec, mm1, mminf, mms, stationary_distribution
 from .distribution import (
     CycleMaxDistribution,
     TailRegime,

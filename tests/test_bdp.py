@@ -264,6 +264,63 @@ def test_spec_rejects_bad_rates():
         mms(0, 1.0, 1.0)
 
 
+def _halving():
+    return CallableSequence(lambda n: -0.5 * np.asarray(n, dtype=float), tail_ratio=-1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mm1("0.5", 1),
+        lambda: mm1(0.5, 1, cap=True),
+        lambda: mm1(0.5, 1, cap=2.0),
+        lambda: MultiServerSequence(True),
+        lambda: Station("ss", True),
+        lambda: Station("ms", 1.0, s=2.5),
+        lambda: NetworkSpec(True, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0))),
+        lambda: classify(BirthDeathSpec(_halving(), _halving(), 0.5, 1.0)),
+        lambda: classify(mm1(1e308, 1e-308)),
+        lambda: mm1(1e-308, 1e308),
+        lambda: TableSequence([1.0], "x"),
+        lambda: TableSequence([1.0, 0.5], 0.5, poly_degree=1.5),
+        lambda: mm1(10**400, 1.0),
+    ],
+    ids=["str-rate", "bool-cap", "float-cap", "bool-servers", "bool-station-rate", "float-station-servers",
+         "bool-mu0", "negative-tail-ratio", "rho-overflow", "rho-underflow", "str-tail-ratio",
+         "float-poly-degree", "int-rate-past-float-range"],
+)
+def test_a_spec_that_builds_is_valid(build):
+    with pytest.raises(SpecFormatError):
+        build()
+
+
+def test_the_two_field_rules():
+    assert bdp_module._integer("n", np.int64(3), 1) == 3 and type(bdp_module._integer("n", np.int64(3), 1)) is int
+    assert bdp_module._positive("x", np.float32(0.5)) == 0.5 and bdp_module._positive("x", 2) == 2.0
+    for value in (True, 2.0, "3", None, 0):
+        with pytest.raises(ValueError, match=f"n must be an integer of at least 1, got {value!r}"):
+            bdp_module._integer("n", value, 1)
+    for value in (False, "1", None, 0.0, -1.0, math.nan, math.inf, -math.inf, np.bool_(True)):
+        with pytest.raises(SpecFormatError, match="x must be a finite positive real"):
+            bdp_module._positive("x", value, SpecFormatError)
+
+
+def test_fields_are_stored_as_checked():
+    spec = BirthDeathSpec(OnesSequence(), OnesSequence(), np.float32(0.5), 1, cap=np.int64(4))
+    assert (type(spec.lam), type(spec.mu), type(spec.cap)) == (float, float, int)
+    assert type(MultiServerSequence(np.int64(3)).s) is int
+    station = Station("ms", 2, s=np.int64(2))
+    assert (type(station.mu), type(station.s)) == (float, int)
+    assert repr(MultiServerSequence(2).reciprocal()) == "ReciprocalSequence(base=MultiServerSequence(s=2))"
+
+
+def test_log_weights_must_be_finite():
+    for bad in (np.inf, -np.inf):
+        seq = CallableSequence(lambda n, bad=bad: np.where(np.asarray(n) > 3, bad, 0.0))
+        with pytest.raises(SpecFormatError, match="infinite"):
+            classify(BirthDeathSpec(seq, seq, 0.5, 1.0))
+
+
 def test_classify_single_server_regimes():
     sub = classify(mm1(0.5, 1.0))
     assert sub.verdict is Verdict.POSITIVE_RECURRENT

@@ -202,6 +202,13 @@ def test_simulate_k_max_table(capsys, half_spec):
     assert 0.8 < float(rows[1][1]) < 1.2
 
 
+def test_simulate_refuses_a_single_cycle_record(capsys, half_spec):
+    # b_1 = log 1 / log 2 = 0, so Y^(1) / b_1 has no law to summarise
+    code, out, err = run(capsys, "simulate", "--spec", half_spec, "--k", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["ERROR ValueError: k must be an integer of at least 2, got 1"]
+
+
 def test_network_reduce_round_trips(capsys, pool_net, tmp_path):
     out_path = tmp_path / "induced.json"
     code, out, err = run(capsys, "network-reduce", "--in", pool_net, "--nmax", "120", "--out", str(out_path))

@@ -179,6 +179,23 @@ def test_supercritical_constant_is_the_limit(spec):
     assert ta.fixed_point_constant == ta.limit_constant
 
 
+def test_a_critical_exponent_near_one_takes_the_log_scale():
+    # psi(n) = n + 1 at rho = 1: S(n) is the harmonic sum, so (1 - F(n)) log n -> 1,
+    # though the fit over [200, 400] reads p = 0.9965
+    seq = CallableSequence(lambda n: np.log(n + 1.0), tail_ratio=1.0)
+    ta = tail_asymptotics(BirthDeathSpec(seq, seq, 1.0, 1.0))
+    assert ta.regime is TailRegime.CRITICAL and ta.scale == "log(n) * (1 - F(n))"
+    assert abs(ta.p_exponent - 1.0) < 0.01 and abs(ta.limit_constant - 1.0) < 0.05
+
+
+def test_a_critical_exponent_of_two_takes_the_hurwitz_scale():
+    # psi(n) = (n + 1)^2 at rho = 1: S(inf) = pi^2 / 6
+    seq = CallableSequence(lambda n: 2.0 * np.log(n + 1.0), tail_ratio=1.0)
+    ta = tail_asymptotics(BirthDeathSpec(seq, seq, 1.0, 1.0))
+    assert ta.scale == "(1 - F(n))"
+    assert ta.limit_constant == pytest.approx(6.0 / math.pi**2, abs=1e-4)
+
+
 def test_tail_asymptotics_probe_floor():
     with pytest.raises(ValueError):
         tail_asymptotics(mm1(0.5, 1.0), n_probe=50)

@@ -18,9 +18,11 @@ from cyclemax import (
     build_tail_function,
     compactness_diagnostic,
     default_norming_kind,
+    duality_check,
     gumbel_bounds,
     invert_tail,
     lambert_w,
+    lattice_constants,
     mm1,
     mminf,
     mms,
@@ -28,8 +30,10 @@ from cyclemax import (
     norton_reduce,
     partial_limit_envelope,
     sample_maxima,
+    stationary_distribution,
     stirling_tail,
     tail_asymptotics,
+    verify_as_convergence,
 )
 from cyclemax.bdp import log_factorial
 from cyclemax.errors import KindMismatchError, NotApplicableError, NotSubcriticalError
@@ -252,6 +256,74 @@ def test_beta_zero_normaliser_inverts_its_own_tail():
     assert b == pytest.approx(5.88, abs=0.01)
     records = sample_maxima(spec, 10**5, 200, SimConfig(seed=0))
     assert np.median(records) == 6
+
+
+HALF = mm1(0.5, 1.0)
+LOOP = NetworkSpec(0.5, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gumbel_bounds(HALF, 0.0, 0),
+        lambda: gumbel_bounds(HALF, -800.0, 1000),
+        lambda: gumbel_bounds(HALF, math.nan, 1000),
+        lambda: partial_limit_envelope(HALF, math.nan),
+        lambda: duality_check(0.5, 1.0, 0),
+        lambda: sample_maxima(HALF, 2.5, 5),
+        lambda: sample_maxima(HALF, True, 5),
+        lambda: sample_maxima(HALF, 2, 2.5),
+        lambda: norming_constants(HALF, NormingKind.GEOMETRIC, [2.5]),
+        lambda: compactness_diagnostic(HALF, delta=math.inf),
+        lambda: compactness_diagnostic(HALF, delta=1.0),
+        lambda: as_limit_constant(HALF, 1),
+        lambda: verify_as_convergence(HALF, [1]),
+        lambda: tail_asymptotics(HALF, n_probe=400.0),
+        lambda: build_tail_function(HALF, 2.5),
+        lambda: stationary_distribution(HALF, 2.5),
+        lambda: stationary_distribution(HALF, -1),
+        lambda: norton_reduce(LOOP, 2.5),
+        lambda: lattice_constants(LOOP, 2.5),
+    ],
+    ids=["gumbel-k0", "gumbel-x-800", "gumbel-x-nan", "envelope-x-nan", "duality-nmax0", "maxima-k2.5",
+         "maxima-k-true", "maxima-reps2.5", "norming-k2.5", "compactness-delta-inf", "compactness-delta1",
+         "as-limit-k1", "convergence-k1", "tail-float-probe", "tail-function-float-nmax",
+         "stationary-float-nmax", "stationary-negative-nmax", "norton-float-nmax", "lattice-float-nmax"],
+)
+def test_bad_arguments_raise_value_or_package_errors(call):
+    with pytest.raises(ValueError):  # every refusing CycleMaxError here is a ValueError too
+        call()
+
+
+def test_the_envelope_far_left_is_its_limit():
+    assert partial_limit_envelope(HALF, -800.0) == (0.0, 0.0)
+    assert partial_limit_envelope(HALF, math.inf) == (1.0, 1.0)
+
+
+# psi(n) = 2^-n e^(0.1 sin n): its ratio wobbles inside the declared 0.5 e^(-+0.2)
+WOBBLY = CallableSequence(
+    lambda n: -math.log(2.0) * np.asarray(n, dtype=float) + 0.1 * np.sin(n),
+    tail_bounds=(0.5 * math.exp(-0.2), 0.5 * math.exp(0.2)),
+)
+
+
+def test_a_wobbly_ratio_has_no_limit_but_an_interval():
+    spec = BirthDeathSpec(WOBBLY, WOBBLY, 1.0, 1.0)
+    ta = tail_asymptotics(spec)
+    assert ta.regime is TailRegime.NO_LIMIT and ta.limit_constant is None
+    lo, hi = ta.limit_interval
+    assert (lo, hi) == pytest.approx((1.0 - 0.5 * math.exp(0.2), 1.0 - 0.5 * math.exp(-0.2)), rel=1e-12)
+    assert (lo, hi) == pytest.approx((0.3893, 0.5906), abs=1e-4)
+    assert ta.empirical_value == pytest.approx(0.5281, abs=1e-4) and lo < ta.empirical_value < hi
+    slopes = as_limit_constant(spec)
+    assert slopes == pytest.approx((1.1196, 2.0278), abs=1e-4)
+    assert as_limit_constant(spec, 100) == pytest.approx(tuple(b * math.log(100) for b in slopes), rel=1e-12)
+
+
+def test_compactness_is_undetermined_when_the_upper_ratio_reaches_one():
+    # the same weights at rho = 2: beta_upper rho = e^0.2 > 1, so no geometric tail closes R(x)
+    report = compactness_diagnostic(BirthDeathSpec(WOBBLY, WOBBLY, 2.0, 1.0))
+    assert report.verdict == "Undetermined" and report.r_values is None and not report.conditional
 
 
 # a capped record never passes the cap, so no tail level applies

@@ -270,6 +270,9 @@ def test_ks_statistic_extremes():
     a = np.array([1.0, 2.0, 3.0])
     assert ks_two_sample(a, a.copy()) == 0.0
     assert ks_two_sample(a, a + 10.0) == 1.0
+    for empty in ((np.array([]), a), (a, np.array([]))):
+        with pytest.raises(ValueError, match="empty"):
+            ks_two_sample(*empty)
 
 
 def test_inversion_sampler_follows_k_max_law():
