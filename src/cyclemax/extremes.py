@@ -210,8 +210,7 @@ class NormingConstants:
 
 def stirling_tail(x: float, rho: float) -> float:
     """(2 pi)^-1/2 (rho e)^x x^(-x-1/2), the factorial-family tail shape."""
-    if x <= 0.0:
-        raise OutOfRangeError("x must be positive")
+    x, rho = _positive("x", x, OutOfRangeError), _positive("rho", rho)
     return math.exp(_log_stirling_tail(x, rho))
 
 
@@ -245,6 +244,8 @@ def lambert_w(z: float, branch: int = 0) -> float:
     """
     if branch not in (0, -1):
         raise ValueError("only the real branches 0 and -1 are supported")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if z < -1.0 / math.e - 1e-300:
         raise OutOfRangeError(f"no real W for z={z}")
     if branch == -1 and z >= 0.0:
@@ -442,16 +443,19 @@ class CompactnessReport:
 
 
 def _step_integrals(surv: np.ndarray, x: float, delta: float, tail_q: float) -> float:
-    """integral_x^inf of the step survival to the power delta.
+    """integral_x^inf of (S / S(x))^delta for the step survival S.
 
     surv[m] is the survival on [m, m+1); beyond the table the tail is closed
     with a geometric bound at ratio tail_q (valid for subcritical tails).
+    Dividing by S(x) before the power keeps the integrand at most 1 at x,
+    so a large delta cannot underflow it to 0 there.
     """
     m0 = int(math.floor(x))
-    first = (m0 + 1 - x) * surv[m0] ** delta
-    body = float(np.sum(surv[m0 + 1 :] ** delta))
+    scaled = surv[m0:] / surv[m0]
+    first = m0 + 1 - x
+    body = float(np.sum(scaled[1:] ** delta))
     qd = tail_q**delta
-    tail = (surv[-1] ** delta) * qd / (1.0 - qd) if 0.0 < qd < 1.0 else 0.0
+    tail = (scaled[-1] ** delta) * qd / (1.0 - qd) if 0.0 < qd < 1.0 else 0.0
     return first + body + tail
 
 
@@ -503,9 +507,8 @@ def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> Compactn
 
     r_vals = []
     for x in grid:
-        num = _step_integrals(surv, x, delta, tail_q)
-        den = surv[int(math.floor(x))] * _step_integrals(surv, x, delta - 1.0, tail_q)
-        r_vals.append(num / den)
+        # R = int S^delta / (S(x) int S^(delta-1)): scaling S by 1 / S(x) leaves it as it is
+        r_vals.append(_step_integrals(surv, x, delta, tail_q) / _step_integrals(surv, x, delta - 1.0, tail_q))
     r_min, r_max = min(r_vals), max(r_vals)
     return CompactnessReport(
         delta=delta,

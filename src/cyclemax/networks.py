@@ -461,12 +461,14 @@ class _EventTable:
     (J + 1)^2 events (actor a, destination d), a = 0 an arrival, weighted by
     rate times routing: mu0 r_0d, or mu_a min(n_a, s_a) r_ad; self-routing
     keeps the state.  A cycle holds the offset i * width of its state's
-    cells (width a power of two, zero weight past the events).  A draw u
-    scaled to v = u width picks cell c = offset + floor(v), and keeps it
-    when v lies below ``bound[c]``, floor(v) plus the cell's share of its
-    own event, else takes its alias.  Entry 2 c + 1 of ``next`` and
+    cells (width a power of two, zero weight past the events) as an int32.
+    A draw u scaled to v = u width picks cell c = offset + floor(v), and
+    keeps it when v lies below ``bound[c]``, floor(v) plus the cell's share
+    of its own event, else takes its alias.  Entry 2 c + 1 of ``next`` and
     ``after`` gives the offset and the total of the state that the cell's
-    own event leads to, entry 2 c its alias's.  ``grow`` appends rows and
+    own event leads to, entry 2 c its alias's; ``bound`` is float64,
+    ``next`` and ``after`` int32, as every offset and total lies far below
+    2^31 (at most _TABLE_CELLS and the horizon).  ``grow`` appends rows and
     leaves the rows held as they are.  ``log_events`` keeps the charge of
     a cycle by escape horizon (``_log_events_per_cycle``).
     """
@@ -481,7 +483,7 @@ class _EventTable:
         self.totals = -1
         self.bound = np.empty(0)
         self.next = np.empty(0, dtype=np.int32)
-        self.after = np.empty(0, dtype=np.int64)
+        self.after = np.empty(0, dtype=np.int32)
         self.log_events = {}
 
     def rows(self, totals: int) -> int:
@@ -527,7 +529,7 @@ class _EventTable:
         return (
             (keep + np.arange(self.width)).ravel(),
             (to * self.width).astype(np.int32),
-            sums.take(to),
+            sums.take(to).astype(np.int32),
         )
 
 
@@ -577,11 +579,11 @@ def _event_step(net: NetworkSpec, rng: np.random.Generator):
             cum.append(acc)
         draw = rng.random(total.size)
         draw *= acc
-        actor = (draw > mu0).astype(np.intp)
+        actor = (draw > mu0).astype(np.int32)
         for c in cum[:-1]:
             actor += c < draw
         u = rng.random(total.size)
-        dest = np.zeros(total.size, dtype=np.intp)
+        dest = np.zeros(total.size, dtype=np.int32)
         for col in route_cols:
             dest += col.take(actor) < u
         for j, n_j in enumerate(occupancy, start=1):
@@ -632,12 +634,12 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     routing = net.routing_matrix
     entry_cdf = np.cumsum(routing[0, 1:] / routing[0, 1:].sum())
     j_count, width = net.J, table.width
-    # the entry station j counts the cdf values below u, at most J - 1; its
-    # unit vector is state J - j
-    u = rng.random(cfg.cycles)
+    # the entry station j counts the cdf values below its uniform, at most
+    # J - 1; its unit vector is state J - j.  Each pass draws into the same buffer.
+    draws = rng.random(cfg.cycles)
     state = np.full(cfg.cycles, j_count, dtype=np.int32)
     for c in entry_cdf[:-1]:
-        state -= c < u
+        state -= c < draws
     state *= width
     occupancy = step = None  # the per-event step and its arrays, once the table is left
     reach = 1  # no live cycle stands above it: an event moves a total by at most one
@@ -649,9 +651,9 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
                 reach = int(total.max())
             if reach <= table.totals or table.grow(reach, top):
                 reach += 1
-                v = rng.random(state.size)
+                v = rng.random(out=draws[: state.size])
                 v *= width  # exact: the width is a power of two
-                cell = v.astype(np.intp)
+                cell = v.astype(np.int32)
                 cell += state
                 kept = v < table.bound.take(cell)
                 cell += cell
@@ -660,7 +662,7 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
                 table.after.take(cell, out=total)
                 np.maximum(peak, total, out=peak)
                 return
-            occupancy = [np.ascontiguousarray(n_j) for n_j in _occupancies(reach, j_count)[state // width].T]
+            occupancy = [n_j.astype(np.int32) for n_j in _occupancies(reach, j_count)[state // width].T]
             state[:] = np.arange(state.size)
             step = _event_step(net, rng)
         elif state.size < occupancy[0].size:  # cycles finished: state holds the places of the rest

@@ -167,6 +167,8 @@ class _BlockTable:
     alias.  Entry 2 i + 1 of the outcome arrays is cell i's outcome and 2 i
     its alias's: the end level x + ``rise``, the stepped maximum x + ``high``
     and, for a chain with a constant run, the count of whole ``excursions``.
+    ``keep`` is float64 and the outcome arrays int8; a pass holds its cells
+    and entries at int32, as no table holds 2^25 entries.
     """
 
     moves: int
@@ -402,15 +404,17 @@ def _run_cycles(
     per cycle each), so late stragglers do not drag full-width arrays along.
     Maxima come back in cycle order.  Until the first such drop the cycles
     sit in their own slots, and a run that ends in its first pass returns
-    its peaks as they stand.
+    its peaks as they stand.  ``level``, ``peak`` and the slot map are int32,
+    as every level is at most _MAX_LEVELS and a call runs fewer than
+    _MAX_JUMPS cycles; the maxima come back int64.
     """
-    level = np.ones(n_cycles, dtype=np.int64)
-    peak = np.ones(n_cycles, dtype=np.int64)
+    level = np.ones(n_cycles, dtype=np.int32)
+    peak = np.ones(n_cycles, dtype=np.int32)
     out = slot = None  # built at the first drop
     escaped = 0
     while True:
         advance(level, peak, *rest)
-        live = (level - 1).view(np.uint64) < top - 1  # 0 < level < top
+        live = (level - 1).view(np.uint32) < top - 1  # 0 < level < top
         n_live = int(np.count_nonzero(live))
         if n_live == level.size:
             continue
@@ -423,9 +427,9 @@ def _run_cycles(
                     peak = peak[back]
                     slot = slot if slot is None else slot[back]
             if out is None:
-                return peak, escaped
+                return peak.astype(np.int64), escaped
             out[slot] = peak
-            return out[out > 0], escaped
+            return out[out > 0].astype(np.int64), escaped
         gone = np.flatnonzero(~live)
         if escapes:
             back = level.take(gone) == 0
@@ -433,9 +437,9 @@ def _run_cycles(
             gone = gone[back]
         keep = np.flatnonzero(live)
         if out is None:  # slots were implicit: cycle i sat in slot i
-            out = np.zeros(n_cycles, dtype=np.int64)
+            out = np.zeros(n_cycles, dtype=np.int32)
             out[gone] = peak.take(gone)
-            slot = keep
+            slot = keep.astype(np.int32)
         else:
             out[slot.take(gone)] = peak.take(gone)
             slot = slot.take(keep)
@@ -561,7 +565,7 @@ def _simulate_batch(
         table = _block_table(tables, int(state.max()))
         u = rng.random(state.size)
         u *= table.width  # exact: the width is a power of two
-        cell = u.astype(np.intp)
+        cell = u.astype(np.int32)
         u -= cell  # the fraction, uniform on [0, 1) given the cell
         cell += state * table.width
         kept = u < table.keep.take(cell)
@@ -575,8 +579,8 @@ def _simulate_batch(
         at = np.flatnonzero(count)
         if at.size:
             highest = _excursion_peaks(rng.random(at.size), n_flat - 1, top, p_flat, count.take(at))
-            peak[at] = np.maximum(peak.take(at), highest)
             state[at[highest == top]] = top
+            peak[at] = np.maximum(highest, peak.take(at), out=highest)
 
     def advance(state, peak):
         moves = tables.blocks[0].moves if tables.blocks else _BLOCK_MOVES
@@ -601,11 +605,15 @@ def simulate_cycles(spec: BirthDeathSpec, cfg: SimConfig) -> CycleSample:
 
 def empirical_cdf(maxima: np.ndarray, levels, cycles: int | None = None) -> np.ndarray:
     """Fraction of ``cycles`` cycles (default: the maxima) with a maximum at or
-    below each level; ``CycleSample.cycles`` counts escapes above every level."""
+    below each level; ``CycleSample.cycles`` counts escapes above every level,
+    so it may not be fewer than the maxima."""
     maxima = np.sort(np.asarray(maxima))
-    cycles = len(maxima) if cycles is None else cycles
-    if cycles < 1:
-        raise ValueError("the empirical cdf of an empty sample is undefined")
+    if cycles is None:
+        if not maxima.size:
+            raise ValueError("the empirical cdf of an empty sample is undefined")
+        cycles = maxima.size
+    elif (cycles := _integer("cycles", cycles, 1)) < maxima.size:
+        raise ValueError(f"{cycles} cycles cannot hold {maxima.size} maxima")
     return np.searchsorted(maxima, np.asarray(levels), side="right") / cycles
 
 

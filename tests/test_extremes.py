@@ -115,6 +115,25 @@ def test_stirling_tail_formula():
     assert stirling_tail(30.0, 1.0) < stirling_tail(20.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lambert_w(math.nan),
+        lambda: lambert_w(math.inf),
+        lambda: lambert_w(-math.inf, branch=-1),
+        lambda: stirling_tail(math.nan, 1.0),
+        lambda: stirling_tail(math.inf, 1.0),
+        lambda: stirling_tail(5.0, math.nan),
+        lambda: stirling_tail(5.0, math.inf),
+        lambda: stirling_tail(5.0, 0.0),
+    ],
+    ids=["w-nan", "w-inf", "w-minus-inf", "tail-x-nan", "tail-x-inf", "tail-rho-nan", "tail-rho-inf", "tail-rho-0"],
+)
+def test_non_finite_arguments_are_refused_up_front(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_invert_tail_round_trip():
     f = build_tail_function(mm1(0.5, 1.0))
     for v in (1e-2, 1e-4, 1e-8):
@@ -231,6 +250,33 @@ def test_compactness_verdicts():
     assert spread.verdict == "NotCompact"
     ratios = dict(zip(spread.grid, spread.hazard_ratios))
     assert any(n <= 30 and r > 10 for n, r in ratios.items())
+
+
+# (r_min, r_max) at delta = 2 before the integrals were scaled by S(x)^delta
+_COMPACT_R = {
+    "mm1": (mm1(0.5, 1.0), 0.6666666666666813, 0.6666821807843643),
+    "mms2": (mms(2, 1.4, 1.0), 0.5879997955211956, 0.5882352887659541),
+    "mms3": (mms(3, 2.1, 1.0), 0.5882353016673603, 0.588573927012987),
+    "mm1-transient": (mm1(1.5, 1.0), 0.5998569785019323, 0.5999999992384196),
+    "mms3-transient": (mms(3, 4.0, 1.0), 0.5707206593408808, 0.5714284446416464),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPACT_R))
+def test_compactness_ratio_keeps_its_values(name):
+    spec, r_min, r_max = _COMPACT_R[name]
+    report = compactness_diagnostic(spec)
+    assert report.r_min == pytest.approx(r_min, rel=1e-12)
+    assert report.r_max == pytest.approx(r_max, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [1000.0, 1e5])
+def test_compactness_ratio_survives_a_large_delta(delta):
+    # S(x)^delta underflows to 0 here; R, a ratio, does not depend on it
+    report = compactness_diagnostic(mm1(0.5, 1.0), delta=delta)
+    assert report.r_min == report.r_max == 1.0
+    assert report.verdict == "Undetermined"
 
 
 def test_compactness_report_dict():

@@ -2,12 +2,14 @@ import hashlib
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclemax.networks as networks_module
 import cyclemax.simulate as simulate_module
 from cyclemax import (
     BirthDeathSpec,
@@ -27,6 +29,7 @@ from cyclemax import (
     simulate_network_cycles,
     verify_as_convergence,
 )
+from cyclemax.bdp import _MAX_LEVELS
 from cyclemax.errors import EscapedCycleError, NotApplicableError
 from cyclemax.distribution import _as_dist
 from cyclemax.simulate import (
@@ -87,6 +90,10 @@ def test_empirical_cdf_counts_escapes_and_refuses_an_empty_sample():
     assert np.array_equal(empirical_cdf(np.array([], dtype=int), [1, 2], cycles=3), [0.0, 0.0])
     with pytest.raises(ValueError, match="empty"):
         empirical_cdf(np.array([], dtype=int), [1, 2])
+    with pytest.raises(ValueError, match="cycles must be an integer"):
+        empirical_cdf(np.array([1, 2]), [1], cycles=2.5)
+    with pytest.raises(ValueError, match="1 cycles cannot hold 2 maxima"):
+        empirical_cdf(np.array([1, 2]), [2], cycles=1)
 
 
 def test_single_cycle_maximum_is_positive():
@@ -1038,3 +1045,80 @@ def test_run_cycles_follows_scripted_passes(escapes):
     # each pass moves exactly the cycles whose paths have not ended
     assert passes == [sum(len(p) > t for p in paths) for t in range(len(passes))]
     assert len(passes) == max(map(len, paths))
+
+
+def test_run_cycles_holds_levels_and_peaks_at_int32():
+    dtypes = []
+
+    def advance(level, peak):
+        dtypes.append((level.dtype, peak.dtype))
+        if len(dtypes) == 1:  # even cycles return, odd ones climb to 2
+            level[::2], level[1::2] = 0, 2
+            np.maximum(peak, level, out=peak)
+        else:
+            level[:] = 0
+
+    maxima, escaped = _run_cycles(6, 5, advance)
+    assert dtypes == [(np.int32, np.int32)] * 2
+    assert maxima.dtype == np.int64 and maxima.tolist() == [1, 2] * 3 and escaped == 0
+
+
+_MIXED = NetworkSpec(
+    mu0=0.25,
+    stations=(Station("ss", 1.0), Station("ms", 1.0, s=2), Station("is", 0.5)),
+    routing=((0.0, 0.5, 0.3, 0.2), (0.2, 0.1, 0.4, 0.3), (0.5, 0.2, 0.1, 0.2), (0.6, 0.2, 0.1, 0.1)),
+)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: simulate_cycles(mm1(0.7, 1.0), SimConfig(seed=1, cycles=1000)).maxima,
+        lambda: simulate_cycles(mm1(1.3, 1.0, cap=20), SimConfig(seed=1, cycles=1000)).maxima,
+        lambda: simulate_cycles(mm1(0.7, 1.0, cap=1), SimConfig(seed=1, cycles=10)).maxima,
+        lambda: simulate_cycles(mms(2, 1.4, 1.0), SimConfig(seed=1, cycles=1000)).maxima,
+        lambda: simulate_cycles(mms(2, 1.4, 1.0), SimConfig(seed=1, cycles=3)).maxima,
+        lambda: simulate_cycles(mminf(2.0, 1.0, cap=4), SimConfig(seed=1, cycles=1000)).maxima,
+        lambda: simulate_cycles(dict(zip(_CHAIN_IDS, _CHAINS))["table-transient"][0],
+                                SimConfig(seed=1, cycles=1000, escape_horizon=200)).maxima,
+        lambda: sample_maxima(mms(2, 1.4, 1.0), 10, 50, SimConfig(seed=1), mode="jump"),
+        lambda: simulate_network_cycles(_MIXED, SimConfig(seed=1, cycles=1000)).maxima,
+    ],
+    ids=["mm1", "mm1-capped", "cap-1", "block", "python-tail", "capped", "escapes", "jump", "network"],
+)
+def test_maxima_come_back_int64_from_every_path(run):
+    assert run().dtype == np.int64
+
+
+def test_int32_cycle_state_has_headroom():
+    # Levels stop below the top, at most _MAX_LEVELS.  A call is charged at
+    # least one jump a cycle, so it runs fewer than _MAX_JUMPS cycles (slots).
+    # A block table of more than one move holds at most _BLOCK_CELLS cells;
+    # one of one move a row per level and at most 2 x 2 x 2 outcomes (maximum,
+    # fall, excursions) a row.  An event table holds at most _TABLE_CELLS.
+    # Entry 2 c + 1 is the highest index a cell c reads.
+    cells = max(simulate_module._BLOCK_CELLS, (_MAX_LEVELS + 1) * 8, networks_module._TABLE_CELLS)
+    assert max(_MAX_LEVELS, simulate_module._MAX_JUMPS, 2 * cells + 1) < 2**31
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak of ``run()`` after one untraced call warms its tables."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_call_memory_is_bounded():
+    # 5.1 MiB with int64 levels, peaks and slot map
+    peak = _traced_peak(lambda: simulate_cycles(mms(2, 1.4, 1.0), SimConfig(seed=1, cycles=10**5)))
+    assert peak <= 4.0 * 2**20
+
+
+def test_network_call_memory_is_bounded():
+    # 2.95 MiB with int64 levels, peaks and event-table totals
+    peak = _traced_peak(lambda: simulate_network_cycles(_MIXED, SimConfig(seed=1, cycles=5 * 10**4)))
+    assert peak <= 2.7 * 2**20
