@@ -71,18 +71,24 @@ _KINDS = ("ss", "ms", "is")
 
 # loads closer than this (relatively) count as coincident
 COINCIDENCE_GAP = 1e-9
-# A pass moves every live network cycle by one event and there is no Python
-# tail for the last few, so a pass over a few live cycles costs about as much
-# as one over 256: a call is charged for at least this many cycles against
-# the jump budget.
+# A pass moves every live network cycle by at most _PASS_EVENTS events and
+# there is no Python tail for the last few, so a pass over a few live cycles
+# costs about as much as one over 256: a call is charged for at least this
+# many cycles against the jump budget.
 _MIN_CHARGED_CYCLES = 256
+# Most events a table pass moves each live network cycle by.  A pass retires
+# the cycles that finished once, so more events a pass mean fewer
+# retirements but more reads from the absorbing empty state: measured best
+# of 1 to 8 on the mixed 3-station network.
+_PASS_EVENTS = 4
 # Most cells (states x width) of a network's event table: a call whose
 # cycles climb past the totals that fit hands them to the per-event step.
 _TABLE_CELLS = 1 << 20
-# Totals the first event table of a network holds; they double as cycles climb.
+# Totals the first event table of a network holds: the first rung of the
+# ladder its totals climb by doubling.
 _TABLE_TOTALS = 8
-# Most cells whose alias tables are built at once: 512 KiB an array.
-_BUILD_CELLS = 1 << 16
+# Most cells whose alias tables are built at once: 128 KiB an array.
+_BUILD_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -460,17 +466,20 @@ class _EventTable:
     State i is row i of ``_occupancies(totals + 1, J)``.  Its cells are the
     (J + 1)^2 events (actor a, destination d), a = 0 an arrival, weighted by
     rate times routing: mu0 r_0d, or mu_a min(n_a, s_a) r_ad; self-routing
-    keeps the state.  A cycle holds the offset i * width of its state's
-    cells (width a power of two, zero weight past the events) as an int32.
-    A draw u scaled to v = u width picks cell c = offset + floor(v), and
-    keeps it when v lies below ``bound[c]``, floor(v) plus the cell's share
-    of its own event, else takes its alias.  Entry 2 c + 1 of ``next`` and
-    ``after`` gives the offset and the total of the state that the cell's
-    own event leads to, entry 2 c its alias's; ``bound`` is float64,
-    ``next`` and ``after`` int32, as every offset and total lies far below
-    2^31 (at most _TABLE_CELLS and the horizon).  ``grow`` appends rows and
-    leaves the rows held as they are.  ``log_events`` keeps the charge of
-    a cycle by escape horizon (``_log_events_per_cycle``).
+    keeps the state.  Row 0, the empty state, absorbs instead: each of its
+    cells keeps it (keep 1, next and after 0), so a cycle that returns to 0
+    inside a pass of several events stays there.  A cycle holds the offset
+    i * width of its state's cells (width a power of two, zero weight past
+    the events) as an int32.  A draw u scaled to v = u width picks cell
+    c = offset + floor(v), and keeps it when v lies below ``bound[c]``,
+    floor(v) plus the cell's share of its own event, else takes its alias.
+    Entry 2 c + 1 of ``next`` and ``after`` gives the offset and the total
+    of the state that the cell's own event leads to, entry 2 c its alias's;
+    ``bound`` is float64, ``next`` and ``after`` int32, as every offset and
+    total lies far below 2^31 (at most _TABLE_CELLS and the horizon).
+    ``grow`` appends rows up to the ``rung`` of the total it needs and
+    leaves the rows held as they are.  ``log_events`` keeps the charge of a
+    cycle by escape horizon (``_log_events_per_cycle``).
     """
 
     def __init__(self, net: NetworkSpec):
@@ -490,16 +499,27 @@ class _EventTable:
         """States with a total up to ``totals``."""
         return math.comb(totals + self.parts, self.parts)
 
+    def rung(self, need: int, top: int) -> int:
+        """The totals a table with a row for total ``need`` holds: the first
+        of _TABLE_TOTALS, twice that, ... at or above ``need``, within top - 1
+        and the most totals that fit in _TABLE_CELLS cells, which lie below
+        ``need`` when its rows do not fit."""
+        totals = _TABLE_TOTALS << max(0, (need - 1) // _TABLE_TOTALS).bit_length()
+        most = min(totals, top - 1)
+        fits = most if self.rows(most) * self.width <= _TABLE_CELLS else -1  # rows(-1) = 0 fits
+        while fits < most:  # the most totals that fit, by bisection
+            mid = (fits + most + 1) // 2
+            fits, most = (mid, most) if self.rows(mid) * self.width <= _TABLE_CELLS else (fits, mid - 1)
+        return fits
+
     def grow(self, need: int, top: int) -> bool:
-        """Hold the states of totals up to ``need`` < top: twice the totals
-        held, or more, within top - 1 and as many as _TABLE_CELLS allow;
-        False when ``need`` does not fit."""
-        if self.rows(need) * self.width > _TABLE_CELLS:
+        """Hold the states of totals up to ``need`` < top, as many as its
+        rung; False when ``need`` does not fit."""
+        if need <= self.totals:
+            return True
+        totals = self.rung(need, top)
+        if totals < need:
             return False
-        totals, most = need, min(max(need, 2 * self.totals, _TABLE_TOTALS), top - 1)
-        while totals < most:  # the most totals that fit, by bisection
-            mid = (totals + most + 1) // 2
-            totals, most = (mid, most) if self.rows(mid) * self.width <= _TABLE_CELLS else (totals, mid - 1)
         states = _occupancies(totals + 1, self.parts)
         sums = states.sum(axis=1)
         chunk = max(1, _BUILD_CELLS // self.width)
@@ -526,6 +546,9 @@ class _EventTable:
         to = _rank([occ[:, [k]] + step[k] for k in range(self.parts)], int(sums[-1]))
         keep, alias = _alias_rows(weight)
         to = np.stack((np.take_along_axis(to, alias, axis=1), to), axis=2).ravel()
+        if lo == 0:  # the empty state absorbs: each of its cells keeps it
+            keep[0] = 1.0
+            to[: 2 * self.width] = 0
         return (
             (keep + np.arange(self.width)).ravel(),
             (to * self.width).astype(np.int32),
@@ -605,20 +628,28 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     no-op event, which preserves the path law of the recorded maxima.
 
     A cycle is one int, its occupancy state's place in the network's event
-    table (``_EventTable``), and a pass moves every live cycle by one event
-    from one uniform, read through the alias table of its state.  The entry
-    station is drawn from one more uniform per cycle.  The table grows, by
-    doubling the totals it holds, when a live cycle stands on a total it
-    lacks below the escape horizon, and holds at most _TABLE_CELLS cells.
-    When the cycles climb past what fits, each live cycle is decoded to its
-    occupancy vector and the rest of the call draws each event from two
-    uniforms, the actor by the rates and its destination by the routing.
+    table (``_EventTable``), and its entry station is drawn from one uniform.
+    A pass moves every live cycle by b events, each from one uniform read
+    through the alias table of its state, then retires the cycles that
+    finished; one that returns to 0 stays on the table's absorbing empty
+    row until then.  b is _PASS_EVENTS, or fewer where the highest live
+    total m nears its rung R (``_EventTable.rung``: _TABLE_TOTALS, twice
+    that, ..., within the escape horizon and _TABLE_CELLS cells):
+    b = min(_PASS_EVENTS, R - m + 1), so no event starts above R and only a
+    pass's last event can reach the horizon.  b follows from the live
+    totals alone, never from the totals the table holds, so equal seeds
+    give equal results on a fresh network and on one an earlier call grew,
+    and the table grows to R only when a pass needs a total it lacks.  When
+    m passes the most totals whose rows fit, each live cycle is decoded to
+    its occupancy vector and the rest of the call moves one event a pass,
+    drawn from two uniforms, the actor by the rates and its destination by
+    the routing.
 
     The events follow the station rates, so a network with explicit
     ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
     draw.  A call raises ``NotApplicableError`` before the first draw when
     its cycles are expected to pass the simulators' jump budget, counting
-    every event as a jump, since each is a pass here: every network is
+    every event as a jump, since each is a table read here: every network is
     charged the events of its total's birth-death walk to the escape horizon
     (``_log_events_per_cycle``), kept per horizon, for at least
     _MIN_CHARGED_CYCLES cycles.
@@ -642,27 +673,27 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
         state -= c < draws
     state *= width
     occupancy = step = None  # the per-event step and its arrays, once the table is left
-    reach = 1  # no live cycle stands above it: an event moves a total by at most one
 
     def advance(total, peak, state):
-        nonlocal occupancy, step, reach
+        nonlocal occupancy, step
         if occupancy is None:
-            if reach > table.totals:
-                reach = int(total.max())
-            if reach <= table.totals or table.grow(reach, top):
-                reach += 1
-                v = rng.random(out=draws[: state.size])
-                v *= width  # exact: the width is a power of two
-                cell = v.astype(np.int32)
-                cell += state
-                kept = v < table.bound.take(cell)
-                cell += cell
-                cell += kept  # the outcome entry: the cell's own, or its alias's
-                table.next.take(cell, out=state)
-                table.after.take(cell, out=total)
-                np.maximum(peak, total, out=peak)
+            m = int(total.max())  # b events, set by the live totals alone
+            events = min(_PASS_EVENTS, table.rung(m, top) - m + 1)
+            if events > 0:
+                table.grow(m + events - 1, top)  # within the rung, so it fits
+                for _ in range(events):
+                    v = rng.random(out=draws[: state.size])
+                    v *= width  # exact: the width is a power of two
+                    cell = v.astype(np.intp)  # each read below would convert int32 cells to intp
+                    cell += state
+                    kept = v < table.bound.take(cell)
+                    cell += cell
+                    cell += kept  # the outcome entry: the cell's own, or its alias's
+                    table.next.take(cell, out=state)
+                    table.after.take(cell, out=total)
+                    np.maximum(peak, total, out=peak)
                 return
-            occupancy = [n_j.astype(np.int32) for n_j in _occupancies(reach, j_count)[state // width].T]
+            occupancy = [n_j.astype(np.int32) for n_j in _occupancies(m, j_count)[state // width].T]
             state[:] = np.arange(state.size)
             step = _event_step(net, rng)
         elif state.size < occupancy[0].size:  # cycles finished: state holds the places of the rest

@@ -399,18 +399,21 @@ def _run_cycles(
     Each pass calls ``advance(level, peak, *rest)``, which moves every live
     cycle in place.  A cycle that returns to 0 records its peak.  One that
     reaches ``top`` counts as escaped, or, with ``escapes`` false (``top`` is
-    a cap), records its peak, which is then ``top``.  Finished cycles are
-    dropped from ``level``, ``peak`` and the arrays in ``rest`` (one entry
-    per cycle each), so late stragglers do not drag full-width arrays along.
-    Maxima come back in cycle order.  Until the first such drop the cycles
-    sit in their own slots, and a run that ends in its first pass returns
-    its peaks as they stand.  ``level``, ``peak`` and the slot map are int32,
-    as every level is at most _MAX_LEVELS and a call runs fewer than
-    _MAX_JUMPS cycles; the maxima come back int64.
+    a cap), records its peak, which is then ``top``.  A pass in which some
+    cycle finished retires it: an escaped cycle's peak is set to 0 in place,
+    and the live cycles are kept in ``level``, ``peak``, the arrays in
+    ``rest`` (one entry per cycle each) and a slot map, so late stragglers
+    do not drag full-width arrays along.  Until then cycle i sits in slot i,
+    so at the first retirement the full ``peak`` array becomes the output as
+    it stands; later retirements write the peaks of the cycles that
+    finished back to their slots.  The maxima, the nonzero entries of the
+    output, come back in cycle order.  ``level``, ``peak`` and the slot map
+    are int32, as every level is at most _MAX_LEVELS and a call runs fewer
+    than _MAX_JUMPS cycles; the maxima come back int64.
     """
     level = np.ones(n_cycles, dtype=np.int32)
     peak = np.ones(n_cycles, dtype=np.int32)
-    out = slot = None  # built at the first drop
+    out = slot = None  # set at the first retirement
     escaped = 0
     while True:
         advance(level, peak, *rest)
@@ -418,31 +421,19 @@ def _run_cycles(
         n_live = int(np.count_nonzero(live))
         if n_live == level.size:
             continue
-        if not n_live:  # the last pass: nothing to drop
-            if escapes:
-                back = level == 0
-                n_back = int(np.count_nonzero(back))
-                escaped += level.size - n_back
-                if n_back < level.size:
-                    peak = peak[back]
-                    slot = slot if slot is None else slot[back]
-            if out is None:
-                return peak.astype(np.int64), escaped
-            out[slot] = peak
-            return out[out > 0].astype(np.int64), escaped
-        gone = np.flatnonzero(~live)
-        if escapes:
-            back = level.take(gone) == 0
-            escaped += gone.size - int(np.count_nonzero(back))
-            gone = gone[back]
-        keep = np.flatnonzero(live)
-        if out is None:  # slots were implicit: cycle i sat in slot i
-            out = np.zeros(n_cycles, dtype=np.int32)
-            out[gone] = peak.take(gone)
-            slot = keep.astype(np.int32)
+        lost = int(np.count_nonzero(level)) - n_live if escapes else 0  # at the top
+        if lost:
+            escaped += lost
+            peak[level >= top] = 0
+        if out is None:
+            out = peak
         else:
+            gone = np.flatnonzero(~live)
             out[slot.take(gone)] = peak.take(gone)
-            slot = slot.take(keep)
+        if not n_live:
+            return (out[out > 0] if escaped else out).astype(np.int64), escaped
+        keep = np.flatnonzero(live)
+        slot = keep.astype(np.int32) if slot is None else slot.take(keep)
         level, peak = level.take(keep), peak.take(keep)
         rest = tuple(a.take(keep) for a in rest)
 

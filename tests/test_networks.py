@@ -497,7 +497,8 @@ def test_event_table_rows_rebuild_their_event_law(net):
     assert np.array_equal(table.after, [sum(states[i]) for i in table.next // width])
     for i, state in enumerate(states[: table.rows(table.totals)]):
         want = np.zeros(len(states))
-        for actor in range(net.J + 1):
+        want[0] = i == 0  # the empty state absorbs: row 0 puts all its mass on itself
+        for actor in range(net.J + 1 if i else 0):
             if actor == 0:
                 rate = net.mu0
             else:
@@ -534,22 +535,102 @@ def test_event_table_growth_keeps_the_rows_held():
     assert table.next.max() < table.rows(30) * table.width and table.after.max() == 30
 
 
+def test_event_table_growth_memory_is_bounded():
+    # the alias rows are built a few cells at a time: growing the mixed
+    # network's table from 16 to 32 totals adds 2.4 MiB and peaked at 14.6 MiB
+    # when each chunk held 2^16 cells
+    table = mixed()._event_table
+    assert table.grow(9, 1_000) and table.totals == 16
+    tracemalloc.start()
+    try:
+        assert table.grow(17, 1_000) and table.totals == 32
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("horizon, hands_off", [(30, False), (100, True)], ids=["table", "hand-off"])
+def test_warm_and_fresh_tables_draw_alike(monkeypatch, horizon, hands_off):
+    # the events of a pass follow from the live totals alone, never from the
+    # totals an earlier call left in the table, so a network whose table was
+    # grown past 32 totals draws as a fresh one does
+    warm = mixed(1.0)
+    simulate_network_cycles(warm, SimConfig(seed=1, cycles=300, escape_horizon=100))
+    assert warm._event_table.totals > 32
+    steps = []
+    event_step = networks._event_step
+    monkeypatch.setattr(networks, "_event_step", lambda *args: steps.append(args) or event_step(*args))
+    cfg = SimConfig(seed=43, cycles=1_000, escape_horizon=horizon)
+    fresh = simulate_network_cycles(mixed(1.0), cfg)
+    assert len(steps) == hands_off
+    again = simulate_network_cycles(warm, cfg)
+    assert np.array_equal(fresh.maxima, again.maxima) and fresh.escaped == again.escaped
+    assert len(steps) == 2 * hands_off
+
+
+def test_blocks_stop_at_the_horizon():
+    # one single server at load 1.25 with self-routing: its total is exactly
+    # its induced chain.  A pass moves fewer than four events where the
+    # highest total is within four of the horizon, and a fifth of the cycles
+    # escape there.
+    net = NetworkSpec(mu0=1.0, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2)))
+    cfg = SimConfig(seed=47, cycles=20_000, escape_horizon=12)
+    sample = simulate_network_cycles(net, cfg)
+    levels = np.arange(1, 12)
+    exact = CycleMaxDistribution(norton_reduce(net, 12).induced).cdf(levels)
+    exact = np.append(exact, 1.0 - exact[-1])  # escapes: the maximum reaches 12
+    emp = np.append(empirical_cdf(sample.maxima, levels, sample.cycles), sample.escaped_fraction)
+    sigma = np.sqrt(exact * (1.0 - exact) / sample.cycles)
+    assert 0.15 < sample.escaped_fraction < 0.25
+    assert np.all(np.abs(emp - exact) <= 3.0 * sigma + 1e-12)
+
+
+class _Reads(np.ndarray):
+    """An event table's ``bound`` that tells ``on_read`` the cells each pass reads."""
+
+    on_read = None
+
+    def take(self, cell, *args, **kwargs):
+        _Reads.on_read(cell)
+        return np.asarray(self).take(cell, *args, **kwargs)
+
+
 def _event_counts(monkeypatch, net, cfg):
-    # a pass moves every live cycle by one event, so the live counts of the
-    # passes give how many cycles had at least 1, 2, ... events
-    live = []
+    # the events of each cycle: its table reads from a state other than the
+    # empty one (cells from the table width on), and one a pass after the
+    # hand-off to the per-event step.  Each cycle carries its index through
+    # the driver, so the reads of a pass, in the order of the live cycles,
+    # are charged to their cycles.
+    events = np.zeros(cfg.cycles, dtype=np.int64)
+    live = [None]
+    width = net._event_table.width
+
+    def on_read(cell):
+        events[live[0]] += cell >= width
 
     def counted(n_cycles, top, advance, *rest):
         def counting(level, peak, *arrays):
-            live.append(level.size)
+            *arrays, live[0] = arrays
+            before = events.sum()
             advance(level, peak, *arrays)
+            if events.sum() == before:  # no table read: the per-event step
+                events[live[0]] += 1
 
-        return run_cycles(n_cycles, top, counting, *rest)
+        return run_cycles(n_cycles, top, counting, *rest, np.arange(n_cycles))
+
+    def bound(table):
+        return table.__dict__["bound"].view(_Reads)
+
+    def set_bound(table, value):
+        table.__dict__["bound"] = np.asarray(value)
 
     run_cycles = networks._run_cycles
     monkeypatch.setattr(networks, "_run_cycles", counted)
+    monkeypatch.setattr(networks._EventTable, "bound", property(bound, set_bound), raising=False)
+    monkeypatch.setattr(_Reads, "on_read", staticmethod(on_read))
     sample = simulate_network_cycles(net, cfg)
-    return sample, np.array(live)
+    return sample, events
 
 
 _SELF_ROUTED = NetworkSpec(mu0=0.6, stations=(Station("ss", 1.0),), routing=((0.0, 1.0), (0.8, 0.2)))
@@ -564,12 +645,9 @@ def test_kac_charge_matches_the_simulated_event_count(monkeypatch, net):
     # the horizon does not bind: the charge is Kac's ((1 + sum v_i) Z - 1) / (1 - r_00);
     # the five-station network routes a share r_00 of its arrivals straight outside
     cfg = SimConfig(seed=41, cycles=20_000)
-    sample, live = _event_counts(monkeypatch, net, cfg)
+    sample, events = _event_counts(monkeypatch, net, cfg)
     assert sample.escaped == 0
-    at_least = live / cfg.cycles  # P(events >= t), t = 1, 2, ...
-    t = np.arange(1, live.size + 1)
-    mean = at_least.sum()
-    sd = math.sqrt(np.sum((2 * t - 1) * at_least) - mean**2)
+    mean, sd = events.mean(), events.std()
     want = math.exp(networks._log_events_per_cycle(net, cfg.escape_horizon))
     assert abs(mean - want) <= 3.0 * sd / math.sqrt(cfg.cycles)
 
@@ -596,9 +674,9 @@ def test_charge_follows_the_simulated_event_count_where_the_horizon_binds(monkey
     # the walk of the total to the horizon, scaled by events per arrival,
     # where Kac's sum overcharges or does not converge
     cfg = SimConfig(seed=41, cycles=4_000, escape_horizon=horizon)
-    _, live = _event_counts(monkeypatch, net, cfg)
+    _, events = _event_counts(monkeypatch, net, cfg)
     charge = math.exp(networks._log_events_per_cycle(net, horizon))
-    assert 0.8 <= charge / (live.sum() / cfg.cycles) <= 1.25
+    assert 0.8 <= charge / events.mean() <= 1.25
 
 
 def test_overloaded_networks_are_charged_to_the_horizon(monkeypatch):

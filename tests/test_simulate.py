@@ -710,8 +710,9 @@ def _cycles_digest(sample):
     return _digest(sample.maxima, [sample.escaped])
 
 
-# Draws without block passes: M/M/1 (each cycle one excursion), capped
-# M/M/1, jump mode on M/M/1, network cycles (one event a pass) and inversion
+# Draws without chain block passes: M/M/1 (each cycle one excursion), capped
+# M/M/1, jump mode on M/M/1, network cycles (up to four events a pass) and
+# inversion
 _PINNED = {
     "mm1": (lambda: _cycles_digest(simulate_cycles(mm1(0.7, 1.0), SimConfig(seed=3, cycles=5000))),
             "6b8ee62bbdc56710f86de70723c1694847681a588b00b459dc49df79e2fddc05"),
@@ -728,7 +729,7 @@ _PINNED = {
                         routing=((0.0, 0.5, 0.3, 0.2), (0.2, 0.1, 0.4, 0.3), (0.5, 0.2, 0.1, 0.2),
                                  (0.6, 0.2, 0.1, 0.1))),
             SimConfig(seed=7, cycles=3000))),
-        "c61f778e2b08e8b48c9e9daab571b40075f4a6d2eeb8cbd2fdeac475ecfa1481"),
+        "015666c101bf8c98093cc82facd3de756d0882a32c3ccb06297920ac51c320f1"),
     "inversion-mms3": (lambda: _digest(sample_maxima(mms(3, 2.1, 1.0), 100, 1000, SimConfig(seed=8))),
                        "f89670a498a16b8fd4ef40ff1047964fddc78ed12d74c400bf3260093cfa96c5"),
     "inversion-mminf": (lambda: _digest(sample_maxima(mminf(2.0, 1.0), 100, 1000, SimConfig(seed=9))),
@@ -1045,6 +1046,26 @@ def test_run_cycles_follows_scripted_passes(escapes):
     # each pass moves exactly the cycles whose paths have not ended
     assert passes == [sum(len(p) > t for p in paths) for t in range(len(passes))]
     assert len(passes) == max(map(len, paths))
+
+
+@pytest.mark.parametrize("escapes", [True, False], ids=["escapes", "cap"])
+def test_run_cycles_retires_in_cycle_order(escapes):
+    # pass 1 ends cycle 1 at the top and returns cycle 2; pass 2 ends cycle 3
+    # at the top and returns cycles 0 and 5, after the first retirement has
+    # made the full peak array the output; later passes return the rest.
+    # The peaks are not in cycle order, so neither may the slots be.
+    top = 9
+    paths = [[5, 0], [9], [0], [3, 9], [7, 2, 0], [2, 0], [8, 4, 6, 0]]
+    passes = []
+    ids = np.arange(len(paths))
+    maxima, escaped = _run_cycles(len(paths), top, _scripted_advance(paths, passes), ids, 2 * ids,
+                                  escapes=escapes)
+    assert passes == [7, 5, 2, 1]
+    if escapes:
+        assert maxima.tolist() == [5, 1, 7, 2, 8] and escaped == 2
+    else:
+        assert maxima.tolist() == [5, 9, 1, 9, 7, 2, 8] and escaped == 0
+    assert maxima.dtype == np.int64
 
 
 def test_run_cycles_holds_levels_and_peaks_at_int32():
