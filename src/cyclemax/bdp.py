@@ -415,9 +415,9 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification, its cycle-maximum law with the law's tables, its
-    tail functions and its simulator tables are computed on first use and
-    kept on the object.
+    Its classification, the tables of its cycle-maximum law, its tail
+    functions and its simulator tables are computed on first use and kept
+    on the object.
     """
 
     psi: WeightSequence
@@ -444,15 +444,9 @@ class BirthDeathSpec:
         return _classify(self)
 
     @cached_property
-    def _law(self) -> "CycleMaxDistribution":
-        from .distribution import CycleMaxDistribution  # distribution imports this module
-
-        return CycleMaxDistribution._cached_for(self)
-
-    @cached_property
     def _law_tables(self) -> "_LawTables":
         """The cumulative tables every cycle-maximum law of this spec grows."""
-        from .distribution import _LawTables
+        from .distribution import _LawTables  # distribution imports this module
 
         return _LawTables()
 
@@ -949,11 +943,16 @@ def _load_json(path, what: str):
             raise SpecFormatError(f"{path}: {exc}") from None
 
 
+def _save_json(doc: dict, path) -> None:
+    """Write doc as indented JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def load_spec(path) -> BirthDeathSpec:
     return spec_from_dict(_load_json(path, "spec"))
 
 
 def save_spec(spec: BirthDeathSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    _save_json(spec_to_dict(spec), path)

@@ -123,22 +123,7 @@ def _cmd_tail(args) -> int:
     if args.format == "csv":
         raise ValueError("tail emits a JSON summary; csv is not supported here")
     spec = load_spec(args.spec)
-    ta = tail_asymptotics(spec, n_probe=args.nmax)
-    _emit_object(
-        args,
-        {
-            "regime": ta.regime.value,
-            "scale": ta.scale,
-            "limit_constant": ta.limit_constant,
-            "limit_interval": ta.limit_interval,
-            "alpha": ta.alpha,
-            "p_exponent": ta.p_exponent,
-            "empirical_value": ta.empirical_value,
-            "empirical_extrapolated": ta.empirical_extrapolated,
-            "empirical_residual": ta.empirical_residual,
-            "fixed_point_constant": ta.fixed_point_constant,
-        },
-    )
+    _emit_object(args, dataclasses.asdict(tail_asymptotics(spec, n_probe=args.nmax)))
     return 0
 
 

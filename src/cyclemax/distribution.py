@@ -12,7 +12,6 @@ law stays computable when the weights grow or decay factorially.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -63,33 +62,19 @@ class _LawTables:
 
 
 class CycleMaxDistribution:
-    """Lazily extended table of the cycle-maximum law.
+    """The cycle-maximum law of a spec, a view of the tables the spec keeps.
 
     The cumulative tables grow on demand and belong to the spec: every law
-    of one spec object, the one cached on it and each built by this
-    constructor, reads and grows the same tables, which live as long as the
-    spec at 16 bytes per level.  Every package function handed a spec uses
-    the law cached on that spec.  The cached law holds its spec by a weak
-    reference, so the pair forms no reference cycle and is freed as soon as
-    the spec is dropped.
+    of one spec object reads and grows the same tables, which live as long
+    as the spec at 16 bytes per level.  A law holds its spec; the spec does
+    not hold its laws, so building one per call costs no table work and
+    forms no reference cycle.
     """
 
     def __init__(self, spec: BirthDeathSpec):
-        self._spec_ref = weakref.ref(spec)
-        self._spec_hold = spec
+        self.spec = spec
         self._tables = spec._law_tables
         self._ensure(64)
-
-    @classmethod
-    def _cached_for(cls, spec: BirthDeathSpec) -> "CycleMaxDistribution":
-        """The law a spec caches on itself; it holds the spec only weakly."""
-        law = cls(spec)
-        law._spec_hold = None
-        return law
-
-    @property
-    def spec(self) -> BirthDeathSpec:
-        return self._spec_ref()
 
     @property
     def _log_S(self) -> np.ndarray:
@@ -252,10 +237,10 @@ class CycleMaxDistribution:
 
 
 def _as_dist(obj) -> CycleMaxDistribution:
-    """``obj`` itself if it is a law, else the law cached on the spec."""
+    """``obj`` itself if it is a law, else a law of the spec."""
     if isinstance(obj, CycleMaxDistribution):
         return obj
-    return obj._law
+    return CycleMaxDistribution(obj)
 
 
 def cycle_max_cdf(dist, n):

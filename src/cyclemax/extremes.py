@@ -94,10 +94,10 @@ def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
     The result is cached on the spec by n_max; a build that raises caches
     nothing.
     """
+    n_max = _check_levels("n_max", n_max)
     cached = spec._tail_functions.get(n_max)
     if cached is not None:
         return cached
-    _check_levels("n_max", n_max)
     _require_uncapped(spec)
     cls = classify(spec)
     if not cls.beta_upper * spec.rho < 1.0:

@@ -18,7 +18,6 @@ Explicit weights take the lattice sum, limited to small networks.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +36,7 @@ from .bdp import (
     _load_json,
     _positive,
     _require_number,
+    _save_json,
     log_factorial,
 )
 from .errors import (
@@ -369,8 +369,7 @@ def harrison_closed_form(rho, n: int) -> float:
     loads = np.asarray(rho, dtype=float)
     if loads.ndim != 1 or loads.size == 0 or np.any(loads <= 0) or not np.all(np.isfinite(loads)):
         raise ValueError("loads must be a non-empty vector of positive reals")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _integer("n", n, 0)
     big = loads.size
     for i in range(big):
         for j in range(i + 1, big):
@@ -753,6 +752,4 @@ def load_network(path) -> NetworkSpec:
 
 
 def save_network(net: NetworkSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2)
-        fh.write("\n")
+    _save_json(network_to_dict(net), path)

@@ -20,7 +20,7 @@ bucketed search."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -746,11 +746,7 @@ def verify_as_convergence(
                 raise NotApplicableError(
                     "normaliser is only bracketed for this spec; no single b_k"
                 )
-        sub = SimConfig(
-            seed=cfg.seed + i,
-            cycles=cfg.cycles,
-            escape_horizon=cfg.escape_horizon,
-        )
+        sub = replace(cfg, seed=cfg.seed + i)
         ratios = sample_maxima(spec, k, reps, sub, mode="inversion") / b_k
         rows.append(
             ConvergenceRow(

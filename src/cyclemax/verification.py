@@ -1,10 +1,11 @@
 """Self-contained acceptance checks runnable from tests or the CLI.
 
-Each check pins its own oracle values and tolerances and returns a
-CriterionResult rather than raising, so the CLI can print a table and the
-test suite can assert.  A check whose outcome is a documented impossibility
-sets ``expected_failure`` instead of passing; runners treat those as
-non-blocking exactly like a strict xfail.
+Each check pins its own oracle values and tolerances and returns
+``(passed, detail)`` rather than raising; ``run_criterion`` times it and
+wraps it in a CriterionResult named after the function, so the CLI can
+print a table and the test suite can assert.  A check whose outcome is a
+documented impossibility is listed in ``EXPECTED_FAILURES``; runners treat
+its failure as non-blocking exactly like a strict xfail.
 
 Suites: "full" reproduces the pinned scales; "fast" cuts the Monte-Carlo
 volume for quick smoke runs while keeping every deterministic check intact.
@@ -57,16 +58,6 @@ class CriterionResult:
         return not self.passed and not self.expected_failure
 
 
-def _result(name, start, passed, detail, expected_failure=False):
-    return CriterionResult(
-        name=name,
-        passed=bool(passed),
-        detail=detail,
-        seconds=time.perf_counter() - start,
-        expected_failure=expected_failure,
-    )
-
-
 def _exact_cdf_specs():
     return [
         mm1(0.3, 1.0),
@@ -79,9 +70,8 @@ def _exact_cdf_specs():
     ]
 
 
-def exact_cdf_oracle(suite: str = "full", seed: int = 47) -> CriterionResult:
+def exact_cdf_oracle(suite: str = "full", seed: int = 47) -> tuple[bool, str]:
     """Empirical cycle-max CDFs against the exact series, 3 sigma pointwise."""
-    start = time.perf_counter()
     # a 3 sigma envelope does not widen with the cycle count, so thinning the
     # sample would only move the failure threshold; run full strength always
     cycles = 100_000
@@ -100,17 +90,14 @@ def exact_cdf_oracle(suite: str = "full", seed: int = 47) -> CriterionResult:
             worst, worst_at = ratio, spec.label
         ok = ok and np.all(np.abs(emp - exact) <= 3.0 * sigma + 1e-12)
     detail = f"max |emp-exact|/3sigma = {worst:.3f} (worst: {worst_at}, {cycles} cycles)"
-    return _result("exact-cdf-oracle", start, ok, detail)
+    return ok, detail
 
 
-def duality_identity(suite: str = "full", seed: int = 0) -> CriterionResult:
+def duality_identity(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     """Failure law of the swapped-rate chain equals the blocking law, exactly."""
-    start = time.perf_counter()
     gaps = [duality_check(lam, mu, n_max=100) for lam, mu in ((1, 2), (1, 10), (3, 4))]
     worst = max(gaps)
-    return _result(
-        "duality-identity", start, worst < 1e-12, f"max gap over pairs = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max gap over pairs = {worst:.3e}"
 
 
 def _survival_ratio_recursion_gap(spec: BirthDeathSpec, n_hi: int) -> float:
@@ -131,9 +118,8 @@ def _survival_ratio_recursion_gap(spec: BirthDeathSpec, n_hi: int) -> float:
     return float(np.max(np.abs(direct / rec - 1.0)))
 
 
-def multi_server_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
+def multi_server_limit(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     """(s/rho)^n (1-F(n)) tends to (s^s/s!)(1-rho/s); recursion oracle everywhere."""
-    start = time.perf_counter()
     spec = mms(3, 1.5, 1.0)
     dist = _as_dist(spec)
     n = 60
@@ -145,12 +131,11 @@ def multi_server_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
         rec_worst = max(rec_worst, _survival_ratio_recursion_gap(probe, 200))
     ok = gap < 1e-6 and rec_worst < 1e-10
     detail = f"limit gap {gap:.2e} (tol 1e-6); recursion rel err {rec_worst:.2e} (tol 1e-10)"
-    return _result("multi-server-limit", start, ok, detail)
+    return ok, detail
 
 
-def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
+def critical_tail_limit(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     """n(1-F(n)) approaches 1 for the critical single server, s^s/s! for s servers."""
-    start = time.perf_counter()
     d1 = CycleMaxDistribution(mm1(1.0, 1.0))
     v1 = 100 * math.exp(d1.log_survival(100))
     d2 = CycleMaxDistribution(mms(2, 2.0, 1.0))
@@ -158,7 +143,7 @@ def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
     v2 = 200 * math.exp(d2.log_survival(200))
     ok = abs(v1 - 1.0) < 0.02 and abs(v2 - target2) < 0.05 * target2
     detail = f"n(1-F): single {v1:.4f} (tol 0.02 about 1), s=2 {v2:.4f} (tol 0.1 about 2)"
-    return _result("critical-tail-limit", start, ok, detail)
+    return ok, detail
 
 
 # Converged value of psihat(n) rho^n (1 - P(Y<=n | Y finite)) for lam=2, mu=1,
@@ -167,8 +152,7 @@ def critical_tail_limit(suite: str = "full", seed: int = 0) -> CriterionResult:
 ESCAPE_PRODUCT_ORACLE = 0.5
 
 
-def transient_escape_constant(suite: str = "full", seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+def transient_escape_constant(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     spec = mm1(2.0, 1.0)
     dist = _as_dist(spec)
     n = np.arange(1, 81)
@@ -190,17 +174,16 @@ def transient_escape_constant(suite: str = "full", seed: int = 0) -> CriterionRe
         f"limit constant {ta.limit_constant:.12f}, "
         f"fixed point {ta.fixed_point_constant:.12f}"
     )
-    return _result("transient-escape-constant", start, ok, detail)
+    return ok, detail
 
 
-def gumbel_envelope(suite: str = "full", seed: int = 42) -> CriterionResult:
+def gumbel_envelope(suite: str = "full", seed: int = 42) -> tuple[bool, str]:
     """Simulated P(Y^(k) <= threshold(x)) inside the double-exponential envelope.
 
     Thresholds come from the calibrated tail inversion (gumbel_bounds); the
     naive a_k x + b_k rule without the 1 - beta*rho calibration lands outside
     the stated envelope for this chain at every finite k, see the ledger.
     """
-    start = time.perf_counter()
     spec = mm1(0.5, 1.0)
     k = 10_000
     reps = 4_000 if suite == "full" else 800
@@ -217,11 +200,10 @@ def gumbel_envelope(suite: str = "full", seed: int = 42) -> CriterionResult:
         margins.append(min(p_hat - lo, hi - p_hat))
         ok = ok and lo <= p_hat <= hi
     detail = f"min envelope margin {min(margins):.4f} over x in {xs} ({reps} reps)"
-    return _result("gumbel-envelope", start, ok, detail)
+    return ok, detail
 
 
-def compactness_dichotomy(suite: str = "full", seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+def compactness_dichotomy(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     ok = True
     details = []
     for spec in (mms(2, 1.4, 1.0), mms(3, 2.1, 1.0)):
@@ -235,12 +217,11 @@ def compactness_dichotomy(suite: str = "full", seed: int = 0) -> CriterionResult
         crossed = any(n <= 30.0 and r > 10.0 for n, r in pairs.items())
         ok = ok and report.verdict == "NotCompact" and crossed
         details.append(f"mminf rho={rho}: hazard ratio at 30 = {pairs.get(30.0, float('nan')):.1f}")
-    return _result("compactness-dichotomy", start, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def normaliser_median_bands(suite: str = "full", seed: int = 7) -> CriterionResult:
+def normaliser_median_bands(suite: str = "full", seed: int = 7) -> tuple[bool, str]:
     """Median of Y^(k)/b_k sits in the stated bands at k = 1e5."""
-    start = time.perf_counter()
     reps = 500
     spec_geo = mm1(0.5, 1.0)
     spec_inf = mminf(1.0, 1.0)
@@ -254,10 +235,10 @@ def normaliser_median_bands(suite: str = "full", seed: int = 7) -> CriterionResu
     )
     ok = 0.8 <= med_geo <= 1.2 and 0.7 <= med_inf <= 1.3
     detail = f"medians at k=1e5: geometric {med_geo:.4f} in [0.8,1.2], stirling {med_inf:.4f} in [0.7,1.3]"
-    return _result("normaliser-median-bands", start, ok, detail)
+    return ok, detail
 
 
-def normaliser_median_monotonicity(suite: str = "full", seed: int = 7) -> CriterionResult:
+def normaliser_median_monotonicity(suite: str = "full", seed: int = 7) -> tuple[bool, str]:
     """Documented expected failure: the geometric chain's median ratio is
     farther from 1 at k = 1e5 than at k = 1e3.
 
@@ -266,7 +247,6 @@ def normaliser_median_monotonicity(suite: str = "full", seed: int = 7) -> Criter
     chain does improve.  Kept as a non-blocking check so the discrepancy
     stays visible.
     """
-    start = time.perf_counter()
     reps = 500
     rows = []
     for name, spec, kind, shift in (
@@ -283,7 +263,7 @@ def normaliser_median_monotonicity(suite: str = "full", seed: int = 7) -> Criter
         rows.append((name, gaps[0], gaps[1]))
     ok = all(g5 <= g3 for _, g3, g5 in rows)
     detail = "; ".join(f"{n}: |med-1| {g3:.4f} at 1e3 -> {g5:.4f} at 1e5" for n, g3, g5 in rows)
-    return _result("normaliser-median-monotonicity", start, ok, detail, expected_failure=True)
+    return ok, detail
 
 
 def _mixed_network() -> NetworkSpec:
@@ -315,8 +295,7 @@ def _distinct_ss_network() -> NetworkSpec:
     )
 
 
-def network_constants(suite: str = "full", seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+def network_constants(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     details = []
     net = _mixed_network()
     conv, _ = aggregate_constants(net, 12)
@@ -339,13 +318,12 @@ def network_constants(suite: str = "full", seed: int = 0) -> CriterionResult:
     details.append(f"all-is rel err {is_err:.2e}")
 
     ok = lattice_err < 1e-12 and harrison_err < 1e-10 and is_err < 1e-12
-    return _result("network-constants", start, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def norton_consistency(suite: str = "full", seed: int = 6) -> CriterionResult:
+def norton_consistency(suite: str = "full", seed: int = 6) -> tuple[bool, str]:
     """Induced stationary levels match the product form; simulated network
     cycle maxima match the induced CDF within sampling error."""
-    start = time.perf_counter()
     net = _mixed_network()
     # the envelope must cover the small reduction bias on top of sampling
     # noise, so the cycle count stays at full strength in both suites
@@ -375,11 +353,10 @@ def norton_consistency(suite: str = "full", seed: int = 6) -> CriterionResult:
         f"beta*mu0 {beta_rho:.3f}; stationary rel err {stat_err:.2e}; "
         f"sim sup gap {sim_worst:.4f} over n<=15 at {cycles} cycles"
     )
-    return _result("norton-consistency", start, ok, detail)
+    return ok, detail
 
 
-def network_slope(suite: str = "full", seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+def network_slope(suite: str = "full", seed: int = 0) -> tuple[bool, str]:
     net = _mixed_network()
     beta, mult = network_beta(net)
     log_psi, _ = log_aggregate_constants(net, 201)
@@ -403,7 +380,7 @@ def network_slope(suite: str = "full", seed: int = 0) -> CriterionResult:
         f"distinct: Psi(201)/(beta Psi(200)) - 1 = {ratio - 1.0:.2e}; "
         f"|B|=2: scaled successive ratios within {float(np.max(np.abs(ratios - 1.0))):.2e}"
     )
-    return _result("network-slope", start, ok, detail)
+    return ok, detail
 
 
 CRITERIA = (
@@ -420,13 +397,23 @@ CRITERIA = (
     ("10", norton_consistency),
     ("11", network_slope),
 )
+# checks whose failure is a documented finding, reported as XFAIL
+EXPECTED_FAILURES = frozenset({"8b"})
 
 
 def run_criterion(tag: str, suite: str = "full", seed: int | None = None) -> CriterionResult:
-    """Run one check; seed None keeps the check's pinned default."""
+    """Run and time one check; seed None keeps the check's pinned default."""
     for t, fn in CRITERIA:
         if t == tag:
-            return fn(suite=suite) if seed is None else fn(suite=suite, seed=seed)
+            start = time.perf_counter()
+            passed, detail = fn(suite=suite) if seed is None else fn(suite=suite, seed=seed)
+            return CriterionResult(
+                name=fn.__name__.replace("_", "-"),
+                passed=bool(passed),
+                detail=detail,
+                seconds=time.perf_counter() - start,
+                expected_failure=t in EXPECTED_FAILURES,
+            )
     raise KeyError(f"no criterion {tag!r}")
 
 

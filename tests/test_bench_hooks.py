@@ -27,3 +27,22 @@ def test_tracer_installs_and_restores(monkeypatch):
         restore()
     assert bdp.classify is classify and cyclemax.classify is classify
     assert bdp.OnesSequence.__dict__["log_value"] is log_value
+
+
+def test_a_traced_check_keeps_its_name_and_records_one_span(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    from cyclemax import verification
+
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        tracer.request = 0
+        result = verification.run_criterion("2")
+    finally:
+        tracer.request = None
+        restore()
+    assert result.name == "duality-identity" and result.passed
+    assert [s[0] for s in tracer.spans].count("verification.check") == 1

@@ -26,7 +26,7 @@ from cyclemax import (
     sample_maxima,
     tail_asymptotics,
 )
-from cyclemax.distribution import _as_dist, _hurwitz_zeta
+from cyclemax.distribution import _LawTables, _as_dist, _hurwitz_zeta
 from cyclemax.errors import NotApplicableError, NotTransientError
 
 
@@ -257,14 +257,14 @@ def test_hurwitz_zeta_reference_values(s, a, expected):
 
 
 def test_spec_functions_share_one_law(monkeypatch):
-    calls = []
-    init = CycleMaxDistribution.__init__
+    built = []
+    init = _LawTables.__init__
 
-    def counting(self, spec):
-        calls.append(spec)
-        init(self, spec)
+    def counting(self):
+        built.append(self)
+        init(self)
 
-    monkeypatch.setattr(CycleMaxDistribution, "__init__", counting)
+    monkeypatch.setattr(_LawTables, "__init__", counting)
     spec = mm1(0.5, 1.0)
     tail_asymptotics(spec)
     compactness_diagnostic(spec)
@@ -273,9 +273,11 @@ def test_spec_functions_share_one_law(monkeypatch):
     cycle_max_cdf(spec, 7)
     failure_rate(spec, 7)
     blocking_prob(spec, 7)
-    assert calls == [spec]
+    assert built == [spec._law_tables]
     # the public constructor builds a new law object over the spec's tables
     assert CycleMaxDistribution(spec) is not CycleMaxDistribution(spec)
+    assert CycleMaxDistribution(spec)._tables is spec._law_tables
+    assert len(built) == 1
 
 
 def test_every_law_of_a_spec_grows_one_table():

@@ -20,6 +20,7 @@ from cyclemax import (
     default_norming_kind,
     duality_check,
     gumbel_bounds,
+    harrison_closed_form,
     invert_tail,
     lambert_w,
     lattice_constants,
@@ -330,15 +331,26 @@ LOOP = NetworkSpec(0.5, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0)))
         lambda: stationary_distribution(HALF, -1),
         lambda: norton_reduce(LOOP, 2.5),
         lambda: lattice_constants(LOOP, 2.5),
+        lambda: harrison_closed_form([0.5, 0.25], 2.5),
+        lambda: harrison_closed_form([0.5, 0.25], True),
     ],
     ids=["gumbel-k0", "gumbel-x-800", "gumbel-x-nan", "envelope-x-nan", "duality-nmax0", "maxima-k2.5",
          "maxima-k-true", "maxima-reps2.5", "norming-k2.5", "compactness-delta-inf", "compactness-delta1",
          "as-limit-k1", "convergence-k1", "tail-float-probe", "tail-function-float-nmax",
-         "stationary-float-nmax", "stationary-negative-nmax", "norton-float-nmax", "lattice-float-nmax"],
+         "stationary-float-nmax", "stationary-negative-nmax", "norton-float-nmax", "lattice-float-nmax",
+         "harrison-float-n", "harrison-bool-n"],
 )
 def test_bad_arguments_raise_value_or_package_errors(call):
     with pytest.raises(ValueError):  # every refusing CycleMaxError here is a ValueError too
         call()
+
+
+def test_a_float_n_max_is_refused_on_a_fresh_spec_and_after_an_integer_build():
+    spec = mm1(0.5, 1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            norming_constants(spec, "Numeric", [1000], n_max=400.0)
+        build_tail_function(spec, 400)  # the second pass finds n_max 400 cached
 
 
 def test_the_envelope_far_left_is_its_limit():
