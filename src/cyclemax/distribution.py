@@ -205,15 +205,16 @@ class CycleMaxDistribution:
         for a level or an integer array of levels.
 
         One reverse log-accumulation over [min n + 1, max n + span] sums the
-        terms afresh, so large n costs no cancellation.  The span reaches
-        e^-60 below each first term at the term bound q = 1/(beta_lower rho),
-        whose geometric series closes the rest; neither it nor max n - min n
-        may pass _MAX_LEVELS levels.
+        terms afresh, so large n costs no cancellation.  The span, at least
+        8, reaches e^-60 below each first term at the term bound q =
+        1/(beta_lower rho), whose geometric series closes the rest (none at
+        q = 0); neither it nor max n - min n may pass _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
+        log_q = math.log(q) if q > 0.0 else -math.inf
         # before the series test: a chain this close to critical may classify as recurrent
-        if q < 1.0 and not -math.log(q) * _MAX_LEVELS > 60.0:
+        if q < 1.0 and not -log_q * _MAX_LEVELS > 60.0:
             raise NotApplicableError(
                 f"the tail ratio {q!r} is too close to 1: the tail margin "
                 f"needs a window beyond {_MAX_LEVELS} levels"
@@ -223,12 +224,12 @@ class CycleMaxDistribution:
         if not q < 1.0:
             raise NotApplicableError("tail sum needs a geometric term bound")
         n = self._checked(n)
-        lo, span = int(np.min(n)) + 1, max(int(60.0 / -math.log(q)), 8)
+        lo, span = int(np.min(n)) + 1, max(int(60.0 / -log_q), 8)
         _check_levels("tail sum level spread", int(np.max(n)) + 1 - lo)
         lt = -self.spec.log_psi_rho(np.arange(lo, int(np.max(n)) + span + 1))
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
-        out = np.logaddexp(rev[n + 1 - lo], lt[-1] + math.log(q) - math.log1p(-q))
+        out = np.logaddexp(rev[n + 1 - lo], lt[-1] + log_q - math.log1p(-q))
         return float(out) if n.ndim == 0 else out
 
     def _log_conditional_survival(self, n):
@@ -385,7 +386,7 @@ def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotic
         q = cls.beta * rho
         b_star = 1.0 - dist.p_finite
         scale = "psi(n) rho^n * (1 - F(n | finite))"
-        constant = fixed_point = b_star * b_star / ((q - 1.0) * (1.0 - b_star))
+        constant = fixed_point = b_star * b_star / ((q - 1.0) * dist.p_finite)  # 1 - b*, which rounds to 0
     else:
         # critical growth: psi(n) rho^n ~ alpha n^p over the probe window
         win = np.arange(max(1, n_probe // 2), n_probe + 1)

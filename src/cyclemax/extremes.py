@@ -415,8 +415,8 @@ class CompactnessReport:
     R(x) compares the delta-power integral of the survival function with its
     (delta-1)-power integral; staying inside (0, 1) along the grid is the
     numerical counterpart of the sufficient conditions for compactness.
-    For factorial tails (beta = 0) the hazard ratio diverges instead and the
-    law is not compact; transient chains are diagnosed on the distribution
+    For factorial tails (beta = 0 or inf) the hazard ratio diverges instead
+    and the law is not compact; transient chains are diagnosed on the law
     conditioned on a finite maximum, read from the law's tail margin.
     """
 
@@ -442,16 +442,17 @@ class CompactnessReport:
         }
 
 
-def _step_integrals(surv: np.ndarray, x: float, delta: float, tail_q: float) -> float:
+def _step_integrals(log_surv: np.ndarray, x: float, delta: float, tail_q: float) -> float:
     """integral_x^inf of (S / S(x))^delta for the step survival S.
 
-    surv[m] is the survival on [m, m+1); beyond the table the tail is closed
+    log_surv[m] is log S on [m, m+1); beyond the table the tail is closed
     with a geometric bound at ratio tail_q (valid for subcritical tails).
-    Dividing by S(x) before the power keeps the integrand at most 1 at x,
-    so a large delta cannot underflow it to 0 there.
+    Scaling by S(x) in logs, before the power, keeps the integrand at most
+    1 at x, so neither a survival that underflows nor a large delta can
+    turn it into 0 / 0 or 0 there.
     """
     m0 = int(math.floor(x))
-    scaled = surv[m0:] / surv[m0]
+    scaled = np.exp(log_surv[m0:] - log_surv[m0])
     first = m0 + 1 - x
     body = float(np.sum(scaled[1:] ** delta))
     qd = tail_q**delta
@@ -479,36 +480,36 @@ def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> Compactn
     dist = _as_dist(spec)
     top = int(grid[-1])
 
-    if cls.beta == 0.0:
-        # factorial tail: hazard ratio diverges, law is not compact
+    conditional = regime is TailRegime.SUPERCRITICAL
+    log_survival = dist._log_conditional_survival if conditional else dist.log_survival
+    if cls.beta in (0.0, math.inf):
+        # psi(n) rho^n falls or grows factorially: hazard ratio diverges, law is not compact
         pts = np.arange(int(grid[0]), top + 1)
-        ratios = dist.survival(pts - 1) / dist.survival(pts)
+        ratios = np.exp(-np.diff(log_survival(np.arange(int(grid[0]) - 1, top + 1))))
         return CompactnessReport(
             delta=delta,
             grid=tuple(float(p) for p in pts),
             hazard_ratios=tuple(float(r) for r in ratios),
             verdict="NotCompact",
+            conditional=conditional,
         )
     if regime is TailRegime.CRITICAL:
         return CompactnessReport(delta=delta, grid=grid, verdict="Undetermined")
 
-    conditional = regime is TailRegime.SUPERCRITICAL
-    levels = np.arange(top + 601)
     if conditional:
-        surv = np.exp(dist._log_conditional_survival(levels))
         tail_q = 1.0 / (cls.beta * rho)
         eps = (-math.log(cls.beta * rho), 0.0)
     else:
         tail_q = cls.beta_upper * rho
         if not tail_q < 1.0:
             return CompactnessReport(delta=delta, grid=grid, verdict="Undetermined")
-        surv = np.asarray(dist.survival(levels), dtype=float)
         eps = (math.log(cls.beta * rho), 0.0) if cls.beta is not None else None
+    log_surv = log_survival(np.arange(top + 601))
 
     r_vals = []
     for x in grid:
         # R = int S^delta / (S(x) int S^(delta-1)): scaling S by 1 / S(x) leaves it as it is
-        r_vals.append(_step_integrals(surv, x, delta, tail_q) / _step_integrals(surv, x, delta - 1.0, tail_q))
+        r_vals.append(_step_integrals(log_surv, x, delta, tail_q) / _step_integrals(log_surv, x, delta - 1.0, tail_q))
     r_min, r_max = min(r_vals), max(r_vals)
     return CompactnessReport(
         delta=delta,

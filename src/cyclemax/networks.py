@@ -478,7 +478,10 @@ class _EventTable:
     total lies far below 2^31 (at most _TABLE_CELLS and the horizon).
     ``grow`` appends rows up to the ``rung`` of the total it needs and
     leaves the rows held as they are.  ``log_events`` keeps the charge of a
-    cycle by escape horizon (``_log_events_per_cycle``).
+    cycle by escape horizon (``_log_events_per_cycle``).  The rows and the
+    per-event step past them (``_event_step``) read one event law: the actor
+    rates of occupancy rows (``rates``), and each cell's occupancy move and
+    change in the total (``moves``, ``rises``), zero on the padding.
     """
 
     def __init__(self, net: NetworkSpec):
@@ -487,12 +490,24 @@ class _EventTable:
         self.routing = net.routing_matrix
         self.mu = np.array([st.mu for st in net.stations])
         self.servers = np.array([st.servers for st in net.stations])
-        self.width = 1 << ((net.J + 1) ** 2 - 1).bit_length()
+        size = net.J + 1
+        self.width = 1 << (size * size - 1).bit_length()
+        unit = np.eye(size, dtype=np.int32)[:, 1:]  # row k: one customer at node k, none outside
+        self.moves = np.zeros((self.width, net.J), dtype=np.int32)  # cell a size + d: from a to d
+        self.moves[: size * size] = (unit[None, :, :] - unit[:, None, :]).reshape(-1, net.J)
+        self.rises = self.moves.sum(axis=1, dtype=np.int32)
         self.totals = -1
         self.bound = np.empty(0)
         self.next = np.empty(0, dtype=np.int32)
         self.after = np.empty(0, dtype=np.int32)
         self.log_events = {}
+
+    def rates(self, occ: np.ndarray) -> np.ndarray:
+        """The actor rates of each occupancy row: mu0, then mu_i min(n_i, s_i)."""
+        rates = np.empty((len(occ), self.parts + 1))
+        rates[:, 0] = self.mu0
+        rates[:, 1:] = self.mu * np.minimum(occ, self.servers)
+        return rates
 
     def rows(self, totals: int) -> int:
         """States with a total up to ``totals``."""
@@ -533,16 +548,10 @@ class _EventTable:
         """(bound, next, after) of the rows of states lo..hi-1, flat; ``sums``
         holds the total of each state."""
         occ = states[lo:hi]
-        size = self.parts + 1
-        rates = np.empty((hi - lo, size))
-        rates[:, 0] = self.mu0
-        rates[:, 1:] = self.mu * np.minimum(occ, self.servers)
         weight = np.zeros((hi - lo, self.width))
-        weight[:, : size * size] = (rates[:, :, None] * self.routing).reshape(hi - lo, -1)
-        actor, dest = np.divmod(np.arange(self.width), size)
-        moved = weight > 0.0  # events of no weight, and the padding, keep the state
-        step = [moved * ((dest == k).astype(np.int64) - (actor == k)) for k in range(1, size)]
-        to = _rank([occ[:, [k]] + step[k] for k in range(self.parts)], int(sums[-1]))
+        weight[:, : self.routing.size] = (self.rates(occ)[:, :, None] * self.routing).reshape(hi - lo, -1)
+        moved = weight > 0.0  # events of no weight keep the state
+        to = _rank([occ[:, [k]] + moved * self.moves[:, k] for k in range(self.parts)], int(sums[-1]))
         keep, alias = _alias_rows(weight)
         to = np.stack((np.take_along_axis(to, alias, axis=1), to), axis=2).ravel()
         if lo == 0:  # the empty state absorbs: each of its cells keeps it
@@ -577,42 +586,22 @@ def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float:
     return log_return + math.log(-math.expm1(-log_return)) - math.log1p(-routing[0, 0])
 
 
-def _event_step(net: NetworkSpec, rng: np.random.Generator):
+def _event_step(table: _EventTable, rng: np.random.Generator):
     """The per-event step: ``step(total, peak, occupancy)`` moves every live
-    cycle, given by its total and its J occupancy arrays, by one event drawn
-    from two uniforms, the acting node by the rates and its destination by
-    the routing row."""
-    routing_cdf = np.cumsum(net.routing_matrix, axis=1)
-    mu_vec = np.array([st.mu for st in net.stations])
-    s_vec = np.array([st.servers for st in net.stations])
-    mu0 = net.mu0
-    # P(route to a node at or below j | actor), one contiguous column per j.
-    # Leaving out the last column caps the count at J: the cdf rises along a
-    # row, so that column's comparison can only hold when all others do.
-    route_cols = [routing_cdf[:, j].copy() for j in range(net.J)]
+    cycle, given by its total and its row of the (live, J) ``occupancy``, by
+    one event drawn from two uniforms, the actor by the table's rates and its
+    destination by the routing row, and adds the event's move and rise."""
+    size = table.parts + 1
+    # without its last column the routing cdf caps the destination at J: the
+    # cdf rises along a row, so that column's comparison holds only when all do
+    route_cdf = np.cumsum(table.routing, axis=1)[:, :-1]
 
     def step(total, peak, occupancy):
-        # The cumulative rates are built in the order np.cumsum adds them, so
-        # every sum and comparison equals its row-wise counterpart.  The last
-        # one is never exceeded by the draw, a fraction of it.
-        cum, acc = [], mu0
-        for n_j, mu_j, s_j in zip(occupancy, mu_vec, s_vec):
-            acc = np.minimum(n_j, s_j) * mu_j + acc
-            cum.append(acc)
-        draw = rng.random(total.size)
-        draw *= acc
-        actor = (draw > mu0).astype(np.int32)
-        for c in cum[:-1]:
-            actor += c < draw
-        u = rng.random(total.size)
-        dest = np.zeros(total.size, dtype=np.int32)
-        for col in route_cols:
-            dest += col.take(actor) < u
-        for j, n_j in enumerate(occupancy, start=1):
-            n_j -= actor == j
-            n_j += dest == j
-        total -= actor > 0
-        total += dest > 0
+        cum = np.cumsum(table.rates(occupancy), axis=1)
+        actor = (cum < (rng.random(total.size) * cum[:, -1])[:, None]).sum(axis=1)
+        event = actor * size + (route_cdf.take(actor, axis=0) < rng.random((total.size, 1))).sum(axis=1)
+        occupancy += table.moves.take(event, axis=0)
+        total += table.rises.take(event)
         np.maximum(peak, total, out=peak)
 
     return step
@@ -640,9 +629,8 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     give equal results on a fresh network and on one an earlier call grew,
     and the table grows to R only when a pass needs a total it lacks.  When
     m passes the most totals whose rows fit, each live cycle is decoded to
-    its occupancy vector and the rest of the call moves one event a pass,
-    drawn from two uniforms, the actor by the rates and its destination by
-    the routing.
+    its occupancy vector and the rest of the call moves one event a pass
+    (``_event_step``).
 
     The events follow the station rates, so a network with explicit
     ``psi``/``phi`` weights raises ``NonSeparableError`` before the first
@@ -692,12 +680,11 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
                     table.after.take(cell, out=total)
                     np.maximum(peak, total, out=peak)
                 return
-            occupancy = [n_j.astype(np.int32) for n_j in _occupancies(m, j_count)[state // width].T]
-            state[:] = np.arange(state.size)
-            step = _event_step(net, rng)
-        elif state.size < occupancy[0].size:  # cycles finished: state holds the places of the rest
-            occupancy = [n_j.take(state) for n_j in occupancy]
-            state[:] = np.arange(state.size)
+            occupancy = _occupancies(m, j_count)[state // width].astype(np.int32)
+            step = _event_step(table, rng)
+        elif state.size < len(occupancy):  # cycles finished: state holds the places of the rest
+            occupancy = occupancy.take(state, axis=0)
+        state[:] = np.arange(state.size)
         step(total, peak, occupancy)
 
     maxima, escaped = _run_cycles(cfg.cycles, top, advance, state)

@@ -172,6 +172,14 @@ def test_tail_asymptotics_supercritical():
     assert ta.empirical_value == pytest.approx(0.5, rel=1e-9)
 
 
+def test_supercritical_constant_survives_a_vanishing_finite_mass():
+    # rho = 1e300: p_finite = 1e-300, so 1 - b* taken as 1 - (1 - p_finite) is 0
+    ta = tail_asymptotics(mm1(1e300, 1.0))
+    assert ta.regime is TailRegime.SUPERCRITICAL
+    assert abs(ta.limit_constant - 1.0) <= 1e-12
+    assert ta.fixed_point_constant == ta.limit_constant
+
+
 @pytest.mark.parametrize("spec", [mm1(1.25, 1.0), mms(3, 4.0, 1.0)], ids=["mm1-1.25", "mms3-4"])
 def test_supercritical_constant_is_the_limit(spec):
     ta = tail_asymptotics(spec)

@@ -253,6 +253,33 @@ def test_compactness_verdicts():
     assert any(n <= 30 and r > 10 for n, r in ratios.items())
 
 
+def test_a_factorially_growing_weight_is_not_compact():
+    # the dual of M/M/inf: psi(n) rho^n grows like n! 2^n (beta = inf), so the
+    # survival given a finite maximum falls factorially, with hazard ratio
+    # about 2 (n + 1)
+    spec = mminf(0.5, 1.0).dual()
+    report = compactness_diagnostic(spec)
+    assert report.verdict == "NotCompact" and report.conditional is True
+    ratios = np.array(report.hazard_ratios)
+    assert np.all(np.diff(ratios) > 0.0)
+    assert ratios == pytest.approx(2.0 * (np.array(report.grid) + 1.0), rel=0.01)
+    ta = tail_asymptotics(spec)
+    assert ta.regime is TailRegime.SUPERCRITICAL and ta.limit_constant == 0.0
+    assert 0.0 < ta.empirical_value < 1.0 / 400
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec", [mm1(1e-20, 1.0), mms(2, 1e-200, 1.0), mm1(1e300, 1.0)], ids=["mm1-1e-20", "mms2-1e-200", "mm1-1e300"]
+)
+def test_compactness_ratio_survives_a_survival_that_underflows(spec):
+    # S falls by rho (or 1 / rho) a level, so it underflows to 0 within the
+    # grid; R, one step's integral over itself to within rho, is 1
+    report = compactness_diagnostic(spec)
+    assert report.r_values == pytest.approx([1.0] * len(report.grid), abs=1e-12)
+    assert report.verdict == "Undetermined"
+
+
 # (r_min, r_max) at delta = 2 before the integrals were scaled by S(x)^delta
 _COMPACT_R = {
     "mm1": (mm1(0.5, 1.0), 0.6666666666666813, 0.6666821807843643),
