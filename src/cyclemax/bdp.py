@@ -319,13 +319,14 @@ class TableSequence(WeightSequence):
         return float(out[0]) if scalar else out
 
     def to_json(self):
-        if self.poly_degree:
-            raise SpecFormatError("polynomial tails have no file representation")
         if np.any(self._values <= 0.0):
             raise SpecFormatError("table values underflow the linear file representation")
         if np.any(self._values == math.inf):
             raise SpecFormatError("table values overflow the linear file representation")
-        return {"kind": "table", "values": self._values.tolist(), "tail_ratio": self.tail_ratio}
+        doc = {"kind": "table", "values": self._values.tolist(), "tail_ratio": self.tail_ratio}
+        if self.poly_degree:  # absent means 0
+            doc["poly_degree"] = self.poly_degree
+        return doc
 
     def __eq__(self, other):
         return (
@@ -893,7 +894,7 @@ def _sequence_from_dict(d: dict, where: str) -> WeightSequence:
         return MultiServerSequence(d["s"])
     if kind == "table":
         try:
-            return TableSequence(d["values"], d["tail_ratio"])
+            return TableSequence(d["values"], d["tail_ratio"], d.get("poly_degree", 0))
         except KeyError as exc:
             raise SpecFormatError(f"{where}: table needs {exc.args[0]!r}") from None
     raise SpecFormatError(f"{where}: unknown kind {kind!r}")

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bdp import TableSequence, _check_levels, classify, load_spec, spec_to_dict
+from .bdp import _check_levels, classify, load_spec, spec_to_dict
 from .distribution import _as_dist, tail_asymptotics
 from .errors import CycleMaxError
 from .extremes import (
@@ -178,18 +178,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_network_reduce(args) -> int:
     net = load_network(args.infile)
     reduction = norton_reduce(net, n_max=_check_levels("--nmax", args.nmax))
-    induced = reduction.induced
-    if isinstance(induced.psi, TableSequence) and induced.psi.poly_degree:
-        sys.stderr.write(
-            f"WARNING: dropping the N^{induced.psi.poly_degree} tail correction; "
-            "the spec file format only carries a constant ratio\n"
-        )
-        induced = dataclasses.replace(
-            induced,
-            psi=TableSequence.from_log(reduction.log_psi, induced.psi.tail_ratio),
-            phi=TableSequence.from_log(reduction.log_phi, induced.phi.tail_ratio),
-        )
-    _emit_object(args, spec_to_dict(induced))
+    _emit_object(args, spec_to_dict(reduction.induced))
     return 0
 
 

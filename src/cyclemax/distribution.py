@@ -207,8 +207,11 @@ class CycleMaxDistribution:
         One reverse log-accumulation over [min n + 1, max n + span] sums the
         terms afresh, so large n costs no cancellation.  The span, at least
         8, reaches e^-60 below each first term at the term bound q =
-        1/(beta_lower rho), whose geometric series closes the rest (none at
-        q = 0); neither it nor max n - min n may pass _MAX_LEVELS levels.
+        1/(beta_lower rho), whose geometric series closes the rest.  At q = 0
+        that bound holds only in the limit, so the span doubles until the
+        window's last term lies e^-60 below the first term past max n, and
+        nothing closes it.  Neither the span nor max n - min n may pass
+        _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
@@ -224,9 +227,13 @@ class CycleMaxDistribution:
         if not q < 1.0:
             raise NotApplicableError("tail sum needs a geometric term bound")
         n = self._checked(n)
-        lo, span = int(np.min(n)) + 1, max(int(60.0 / -log_q), 8)
-        _check_levels("tail sum level spread", int(np.max(n)) + 1 - lo)
-        lt = -self.spec.log_psi_rho(np.arange(lo, int(np.max(n)) + span + 1))
+        lo, hi = int(np.min(n)) + 1, int(np.max(n)) + 1  # hi: the first term past every n
+        _check_levels("tail sum level spread", hi - lo)
+        span = max(int(60.0 / -log_q), 8)
+        lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
+        while q == 0.0 and lt[-1] > lt[hi - lo] - 60.0 and span < _MAX_LEVELS:
+            span = min(2 * span, _MAX_LEVELS)
+            lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
         out = np.logaddexp(rev[n + 1 - lo], lt[-1] + log_q - math.log1p(-q))

@@ -8,14 +8,16 @@ so there a cycle is a simple random walk, and each of its excursions above
 n_flat - 1 is one move, whose maximum follows the gambler's-ruin law.  A
 pass moves each live cycle _BLOCK_MOVES moves from one uniform, read through
 an alias table of the exact law of those moves from its level, and draws
-the highest of the excursions among them from one more.  Every call draws
-from one generator seeded by ``SimConfig.seed``, so equal seeds give equal
-results; which uniforms a cycle uses is set out in ``_simulate_batch``.  A
-call charged more than _MAX_JUMPS jumps raises before its first draw: it is
-charged its expected stepped jumps plus one per excursion, not the jumps
-inside the excursions.  The record of k cycles is also drawn by inversion
-of its exact law, one exponential per record, located in the table by a
-bucketed search."""
+the highest of the excursions among them from one more.  It walks the live
+cycles in slices of _SLICE, so its temporaries are small enough to reuse
+the allocator's pages, and draws what one pass over them all would.  Every
+call draws from one generator seeded by ``SimConfig.seed``, so equal seeds
+give equal results; which uniforms a cycle uses is set out in
+``_simulate_batch``.  A call charged more than _MAX_JUMPS jumps raises
+before its first draw: it is charged its expected stepped jumps plus one
+per excursion, not the jumps inside the excursions.  The record of k cycles
+is also drawn by inversion of its exact law, one exponential per record,
+located in the table by a bucketed search."""
 
 from __future__ import annotations
 
@@ -50,6 +52,10 @@ __all__ = [
 _TAIL_CYCLES = 8
 # Moves a block pass makes per live cycle from one uniform.
 _BLOCK_MOVES = 16
+# Live cycles a block pass moves at once: 64 KiB of float64 uniforms, so each
+# temporary of a slice stays below glibc's 128 KiB mmap threshold, and in L2,
+# and a pass takes no fresh pages.
+_SLICE = 1 << 13
 # Rows (levels) of a walk's first block table; it doubles as levels are reached.
 _BLOCK_ROWS = 16
 # Most cells (rows x width) of a block table: past it the moves halve.
@@ -167,8 +173,8 @@ class _BlockTable:
     alias.  Entry 2 i + 1 of the outcome arrays is cell i's outcome and 2 i
     its alias's: the end level x + ``rise``, the stepped maximum x + ``high``
     and, for a chain with a constant run, the count of whole ``excursions``.
-    ``keep`` is float64 and the outcome arrays int8; a pass holds its cells
-    and entries at int32, as no table holds 2^25 entries.
+    ``keep`` is float64 and the outcome arrays int8; a pass indexes a slice
+    of cycles by intp entries, which ``take`` reads without a copy.
     """
 
     moves: int
@@ -496,21 +502,24 @@ def _simulate_batch(
 ) -> tuple[np.ndarray, int]:
     """Vectorised cycles; returns (recorded maxima, escaped count).
 
-    Each pass makes one draw from ``rng`` for the live cycles, in cycle
-    order, and the draw's shape says how it is used:
+    Each pass draws from ``rng`` for the live cycles, in cycle order, and a
+    draw's shape says how it is used:
     - With n_flat = 1 (M/M/1) each cycle is one excursion from level 1: one
       1-D draw, and its uniforms give the peaks (``_excursion_peaks``).
-    - Otherwise a 1-D draw, made by every pass not listed below, moves each
-      live cycle by _BLOCK_MOVES moves at once (fewer past _BLOCK_CELLS),
-      its uniform read through the alias table of the exact law of the moves
-      from its level (``_block_table``).  A move from n_flat is a whole
-      excursion back to a = n_flat - 1.  If the block of some cycles holds
-      E > 0 excursions, a second 1-D draw follows, one uniform for each such
+    - Otherwise every pass not listed below moves each live cycle by
+      _BLOCK_MOVES moves at once (fewer past _BLOCK_CELLS), one 1-D draw for
+      each slice of _SLICE live cycles, each uniform read through the alias
+      table of the exact law of the moves from its cycle's level
+      (``_block_table``).  A move from n_flat is a whole excursion back to
+      a = n_flat - 1.  After the last slice, each slice in which the block
+      of some cycles holds E > 0 excursions draws one uniform for each such
       cycle in cycle order, from which their highest peak is drawn
-      (``_excursion_peaks`` with count E).  A cycle whose highest excursion
-      reaches the top ends the pass there with peak top; the others end
-      where their block ends, with the higher of its stepped maximum and
-      that peak.  0 is absorbing, and so is the top without a constant run.
+      (``_excursion_peaks`` with count E).  So the stream is read as by one
+      draw for all live cycles and then one for all cycles with excursions.
+      A cycle whose highest excursion reaches the top ends the pass there
+      with peak top; the others end where their block ends, with the higher
+      of its stepped maximum and that peak.  0 is absorbing, and so is the
+      top without a constant run.
     - A (B, live) draw, made when at most _TAIL_CYCLES cycles are live (more
       if the table makes fewer moves) and none is at n_flat, moves column
       j's cycle, stepped in Python, until it reaches 0 or n_flat (the top,
@@ -530,8 +539,7 @@ def _simulate_batch(
     if n_flat == 1:
         u = _excursion_peaks(rng.random(n_cycles), 0, top, p_flat)
         np.maximum(u, 1.0, out=u)
-        peak = u.view(np.int64)  # the draw's own memory, converted in place
-        np.trunc(u, out=peak, casting="unsafe")
+        peak = u.astype(np.int64)
         if capped:
             return peak, 0
         back = peak < top
@@ -554,22 +562,26 @@ def _simulate_batch(
 
     def blocks(state, peak):
         table = _block_table(tables, int(state.max()))
-        u = rng.random(state.size)
-        u *= table.width  # exact: the width is a power of two
-        cell = u.astype(np.int32)
-        u -= cell  # the fraction, uniform on [0, 1) given the cell
-        cell += state * table.width
-        kept = u < table.keep.take(cell)
-        cell += cell
-        cell += kept  # the outcome entry: the cell's own, or its alias's
-        np.maximum(peak, state + table.high.take(cell), out=peak)
-        state += table.rise.take(cell)
-        if table.excursions is None:
-            return
-        count = table.excursions.take(cell)
-        at = np.flatnonzero(count)
-        if at.size:
-            highest = _excursion_peaks(rng.random(at.size), n_flat - 1, top, p_flat, count.take(at))
+        groups = []  # (positions, counts) of each slice's cycles with excursions
+        for lo in range(0, state.size, _SLICE):
+            s_state, s_peak = state[lo : lo + _SLICE], peak[lo : lo + _SLICE]
+            u = rng.random(s_state.size)
+            u *= table.width  # exact: the width is a power of two
+            cell = u.astype(np.intp)
+            u -= cell  # the fraction, uniform on [0, 1) given the cell
+            cell += s_state * table.width
+            kept = u < table.keep.take(cell)
+            cell += cell
+            cell += kept  # the outcome entry: the cell's own, or its alias's
+            np.maximum(s_peak, s_state + table.high.take(cell), out=s_peak)
+            s_state += table.rise.take(cell)
+            if table.excursions is not None:
+                count = table.excursions.take(cell)
+                at = np.flatnonzero(count > 0)
+                if at.size:
+                    groups.append((at + lo, count.take(at)))
+        for at, count in groups:
+            highest = _excursion_peaks(rng.random(at.size), n_flat - 1, top, p_flat, count)
             state[at[highest == top]] = top
             peak[at] = np.maximum(highest, peak.take(at), out=highest)
 

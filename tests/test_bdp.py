@@ -432,6 +432,14 @@ def test_table_spec_round_trips_through_dict():
     assert back.cap == 12
     assert back.psi.value(5) == pytest.approx(seq.value(5), rel=1e-12)
     assert back.phi.value(5) == 1.0
+    # a polynomial tail is written as poly_degree, which is 0 when absent
+    poly = TableSequence((1.0, 0.8, 0.5), tail_ratio=0.4, poly_degree=2)
+    doc = spec_to_dict(BirthDeathSpec(psi=poly, phi=seq, lam=0.3, mu=1.0))
+    assert doc["psi"]["poly_degree"] == 2 and "poly_degree" not in doc["phi"]
+    assert spec_from_dict(doc).psi == poly
+    doc["psi"]["poly_degree"] = 1.5
+    with pytest.raises(SpecFormatError, match="poly_degree"):
+        spec_from_dict(doc)
 
 
 def test_load_rejects_non_finite_and_malformed(tmp_path):

@@ -17,6 +17,7 @@ from cyclemax import (
     load_spec,
     mm1,
     mminf,
+    norton_reduce,
     save_network,
     save_spec,
     simulate_cycles,
@@ -218,18 +219,27 @@ def test_network_reduce_round_trips(capsys, pool_net, tmp_path):
     assert induced.mu == 1.0
 
 
-def test_network_reduce_warns_on_tied_loads(capsys, tmp_path):
+def test_network_reduce_keeps_the_tail_of_tied_loads(capsys, tmp_path):
+    # two unit single servers in tandem: loads 2 and 2, so the reduction
+    # carries an N^1 tail, which the file keeps as poly_degree
     net = NetworkSpec(
-        mu0=0.4,
+        mu0=0.5,
         stations=(Station("ss", 1.0), Station("ss", 1.0)),
-        routing=((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
     )
-    path = tmp_path / "twin.json"
+    path = tmp_path / "tandem.json"
     save_network(net, path)
-    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "80")
-    assert code == 0
-    assert "WARNING" in err
-    json.loads(out)
+    out_path = tmp_path / "induced.json"
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "400", "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert json.loads(out_path.read_text())["psi"]["poly_degree"] == 1
+    induced = load_spec(out_path)
+    assert induced == norton_reduce(net, 400).induced
+    code, out, err = run(capsys, "extremes", "--spec", str(out_path), "--table", "norming", "--k", "1000,1000000")
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [r[0] for r in rows[1:]] == ["1000", "1000000"]
+    assert [round(float(r[2]), 2) for r in rows[1:]] == [13.75, 24.55]  # LambertW b_k, as in process
 
 
 def test_verify_fast_suite_passes(capsys):
@@ -314,7 +324,7 @@ def test_network_reduce_refuses_tables_past_the_float_range(capsys, tmp_path):
 
 def test_network_reduce_names_the_overflow_of_coincident_loads(capsys, tmp_path):
     # two single servers of rate 0.5 in tandem: loads 2 and 2, so the
-    # reduction carries an N^1 tail that the file format drops
+    # reduction carries an N^1 tail, which the file keeps
     net = NetworkSpec(
         mu0=0.1,
         stations=(Station("ss", 0.5), Station("ss", 0.5)),
@@ -325,9 +335,11 @@ def test_network_reduce_names_the_overflow_of_coincident_loads(capsys, tmp_path)
     out_path = tmp_path / "induced.json"
     code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "1100", "--out", str(out_path))
     assert code == 2
-    assert "dropping the N^1 tail correction" in err
-    assert "ERROR SpecFormatError: table values overflow the linear file representation" in err
+    assert err.splitlines() == ["ERROR SpecFormatError: table values overflow the linear file representation"]
     assert not out_path.exists()
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "400", "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert load_spec(out_path).psi.poly_degree == 1
 
 
 def test_null_table_value_exits_two(capsys, tmp_path):

@@ -123,6 +123,17 @@ def test_tail_sum_guards():
         assert transient.log_tail_sum(n) == pytest.approx(-n * math.log(2.0), rel=1e-12)
 
 
+def test_tail_sum_without_a_geometric_bound_runs_its_window_out():
+    # q = 0: the term ratio of the dual M/M/inf chain is about 1/(2(n + 1)),
+    # so a fixed window of 8 terms is off by 2e-8 at n = 0
+    spec = mminf(0.5, 1.0).dual()
+    dist = CycleMaxDistribution(spec)
+    terms = -spec.log_psi_rho(np.arange(201))
+    brute = [np.logaddexp.reduce(terms[n + 1 :]) for n in range(4)]
+    assert dist.log_tail_sum(np.arange(4)).tolist() == pytest.approx(brute, rel=1e-12)
+    assert [dist.log_tail_sum(n) for n in range(4)] == pytest.approx(brute, rel=1e-12)
+
+
 _GROWING = TableSequence((1.0, 0.4, 0.9, 0.3), tail_ratio=1.7)
 
 

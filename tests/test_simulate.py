@@ -164,9 +164,10 @@ def _replay(spec, cycles, horizon, draws):
 
     Each draw is for the live cycles in cycle order.  With n_flat = 1 the
     one 1-D draw gives each cycle its whole excursion (``_excursion_top``).
-    Otherwise a 1-D draw moves each cycle by one block, its uniform decoded
-    through the block table (``_block_outcome``); when some blocks hold
-    excursions, the next draw gives one uniform each, in cycle order, for
+    Otherwise a run of 1-D draws, one per slice of _SLICE live cycles, moves
+    each cycle by one block, its uniform decoded through the block table
+    (``_block_outcome``); after the last slice, each slice whose blocks hold
+    excursions draws one uniform for each such cycle, in cycle order, for
     the highest of them.  A 2-D (B, live) draw moves column j's cycle until
     it reaches 0 or n_flat (or the top, without a constant run), or until
     the column ends.  A cycle that reaches a cap below the horizon has its
@@ -201,16 +202,23 @@ def _replay(spec, cycles, horizon, draws):
                 peak[i] = max(peak[i], _excursion_top(p_at[-1], 1.0 - float(u[i]), top))
                 level[i] = top if peak[i] == top else 0
         else:
-            assert u.shape == (len(live),)
+            size = simulate_module._SLICE
+            slices = [live[lo : lo + size] for lo in range(0, len(live), size)]
             table = simulate_module._block_table(tables, max(level[i] for i in live))
-            counted = []
-            for j, i in enumerate(live):
-                rise, high, count = _block_outcome(table, level[i], float(u[j]))
-                peak[i] = max(peak[i], level[i] + high)
-                level[i] += rise
-                if count:
-                    counted.append((i, count))
-            if counted:
+            groups = []
+            for k, cycles_here in enumerate(slices):
+                u = u if k == 0 else next(draws)
+                assert u.shape == (len(cycles_here),)
+                counted = []
+                for i, w in zip(cycles_here, u.tolist()):
+                    rise, high, count = _block_outcome(table, level[i], w)
+                    peak[i] = max(peak[i], level[i] + high)
+                    level[i] += rise
+                    if count:
+                        counted.append((i, count))
+                if counted:
+                    groups.append(counted)
+            for counted in groups:
                 v = next(draws)
                 assert v.shape == (len(counted),)
                 low = n_flat - 1
@@ -370,6 +378,33 @@ def test_simulation_equals_one_jump_per_pass(spec, horizon, escapes):
     assert np.array_equal(sample.maxima, maxima) and np.array_equal(got[0], maxima)
     assert sample.escaped == got[1] == escaped
     assert (escaped > 0) == escapes
+
+
+_SLICED = {
+    "mms3": (mms(3, 2.0, 1.0), 1_000),
+    "mminf": (mminf(2.0, 1.0), 1_000),
+    "mms3-capped": (mms(3, 2.4, 1.0, cap=12), 1_000),
+    "table": _CHAINS[_CHAIN_IDS.index("table")][:2],
+}
+
+
+@pytest.mark.parametrize("size", [3, 64])
+@pytest.mark.parametrize("name", sorted(_SLICED))
+def test_block_passes_in_slices_draw_what_one_slice_draws(monkeypatch, name, size):
+    # 300 cycles fit one slice by default; in slices of 3 or 64 each block
+    # draw holds at most that many uniforms, a pass's excursion draws follow
+    # all of its block draws (``_replay`` checks the order), and the stream,
+    # so every maximum, is the same
+    spec, horizon = _SLICED[name]
+    whole = _simulate_batch(spec, 300, np.random.default_rng(np.random.SeedSequence([31])), horizon)
+    monkeypatch.setattr(simulate_module, "_SLICE", size)
+    rng = Recording(np.random.default_rng(np.random.SeedSequence([31])))
+    got = _simulate_batch(spec, 300, rng, horizon)
+    maxima, escaped = _replay(spec, 300, horizon, rng.draws)
+    assert np.array_equal(got[0], whole[0]) and got[1] == whole[1] == escaped == 0
+    assert np.array_equal(got[0], maxima)
+    flat = [u.size for u in rng.draws if u.ndim == 1]
+    assert max(flat) <= size and len(flat) > 300 // size
 
 
 def test_capped_overloaded_chain_retires_at_the_cap():
@@ -1134,9 +1169,11 @@ def _traced_peak(run) -> int:
 
 
 def test_block_call_memory_is_bounded():
-    # 5.1 MiB with int64 levels, peaks and slot map
-    peak = _traced_peak(lambda: simulate_cycles(mms(2, 1.4, 1.0), SimConfig(seed=1, cycles=10**5)))
-    assert peak <= 4.0 * 2**20
+    # mms2: 5.1 MiB with int64 levels, peaks and slot map, 3.45 MiB with
+    # int32 ones and full-width block passes, about 1.5 MiB with passes in slices
+    for spec in (mms(2, 1.4, 1.0), mminf(2.0, 1.0)):
+        peak = _traced_peak(lambda: simulate_cycles(spec, SimConfig(seed=1, cycles=10**5)))
+        assert peak <= 2.0 * 2**20, spec
 
 
 def test_network_call_memory_is_bounded():
