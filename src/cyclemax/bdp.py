@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -329,16 +330,17 @@ class TableSequence(WeightSequence):
         return doc
 
     def __eq__(self, other):
+        # the logs, as the linear values of distinct tables can underflow alike
         return (
             isinstance(other, TableSequence)
-            and np.array_equal(other._values, self._values)
+            and np.array_equal(other._log_values, self._log_values)
             and other.tail_ratio == self.tail_ratio
             and other.poly_degree == self.poly_degree
         )
 
     def __hash__(self):
-        # consistent with __eq__: the values are never NaN or -0.0
-        return hash((TableSequence, self._values.tobytes(), self.tail_ratio, self.poly_degree))
+        # consistent with __eq__: the logs are never NaN, and + 0.0 turns -0.0 into 0.0
+        return hash((TableSequence, (self._log_values + 0.0).tobytes(), self.tail_ratio, self.poly_degree))
 
     def __repr__(self):
         return (
@@ -416,8 +418,8 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification, the tables of its cycle-maximum law, its tail
-    functions and its simulator tables are computed on first use and kept
+    Its classification, the tables of its cycle-maximum law, the knots of
+    its tail function and its simulator tables are computed on first use and kept
     on the object.
     """
 
@@ -452,9 +454,9 @@ class BirthDeathSpec:
         return _LawTables()
 
     @cached_property
-    def _tail_functions(self) -> dict:
-        """Interpolated tail functions built for this spec, by n_max."""
-        return {}
+    def _tail_knots(self) -> SimpleNamespace:
+        """The knots (log_knots, y0) every tail function of this spec reads and grows."""
+        return SimpleNamespace(log_knots=np.empty(0), y0=0)
 
     @cached_property
     def _walk_tables(self) -> dict:

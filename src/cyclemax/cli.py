@@ -132,7 +132,7 @@ def _cmd_extremes(args) -> int:
     if args.table == "norming":
         ks = _parse_k_list(args.k)
         kind = default_norming_kind(spec)
-        constants = norming_constants(spec, kind, ks, n_max=args.nmax)
+        constants = norming_constants(spec, kind, ks)
         _emit(args, ["k", "a_k", "b_k"], list(constants.rows()), "norming")
         return 0
     if args.table == "envelope":
@@ -204,9 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="birth-death spec JSON file")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="birth-death spec JSON file")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -232,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="norming",
     )
     p.add_argument("--k", default="1000,100000,10000000", help="comma-separated cycle counts")
-    p.add_argument("--nmax", type=int, default=400, help="tail interpolation depth")
     p.add_argument("--delta", type=float, default=2.0, help="compactness exponent")
     p.set_defaults(func=_cmd_extremes)
 

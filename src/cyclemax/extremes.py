@@ -20,7 +20,7 @@ from .bdp import (
     BirthDeathSpec,
     FactorialInverseSequence,
     TableSequence,
-    _check_levels,
+    _MAX_LEVELS,
     _integer,
     _linear,
     _positive,
@@ -54,28 +54,49 @@ __all__ = [
 ]
 
 
+# knots the first build of a spec's tail function takes
+_TAIL_KNOTS = 400
+
+
 @dataclass(frozen=True, eq=False)
 class TailFunction:
-    """Continuous decreasing version of n -> psi(n) rho^n.
+    """Continuous decreasing version of n -> psi(n) rho^n, a view of its spec's knots.
 
     Knots are the weights at integers (scaled so the 0th is 1), joined by
     straight lines from y0 on; y0 is the first index after which the knots
     strictly decrease.  Before y0 the function is the slope -1 line
     f(y) = y0 - y + g(y0), which keeps f strictly decreasing on [0, inf).
-    Knots are held in log form so factorially small tails stay usable.
+    Knots are held in log form so factorially small tails stay usable.  A
+    call past the last knot doubles them, to level _MAX_LEVELS at most.
     """
 
-    log_knots: np.ndarray
-    y0: int
+    spec: BirthDeathSpec
+    log_knots = property(lambda self: self.spec._tail_knots.log_knots)
+    y0 = property(lambda self: self.spec._tail_knots.y0)
+    n_max = property(lambda self: len(self.log_knots) - 1)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.log_knots) - 1
+    def _reach(self, short) -> bool:
+        """Double the knots while short(log_knots) holds; False past level _MAX_LEVELS, and
+        NoMonotoneTailError unless each new knot falls strictly.  Kept only on success."""
+        held = self.spec._tail_knots
+        log_g = held.log_knots
+        while short(log_g):
+            n = len(log_g) - 1
+            if n == _MAX_LEVELS:
+                return False
+            new = self.spec.log_psi_rho(np.arange(n + 1, min(2 * n, _MAX_LEVELS) + 1))
+            rise = np.flatnonzero(np.diff(new, prepend=log_g[-1]) >= 0.0)
+            if len(rise):
+                raise NoMonotoneTailError(f"psi(n) rho^n rises at level {n + 1 + rise[0]}, past y0 = {held.y0}")
+            log_g = np.concatenate([log_g, new])
+        log_g.flags.writeable = False
+        held.log_knots = log_g
+        return True
 
     def value(self, y: float) -> float:
-        """f(y); defined for 0 <= y <= n_max."""
-        if not 0.0 <= y <= self.n_max:
-            raise OutOfRangeError(f"y={y} outside [0, {self.n_max}]")
+        """f(y); defined for 0 <= y <= _MAX_LEVELS."""
+        if not (0.0 <= y <= _MAX_LEVELS and self._reach(lambda log_g: len(log_g) - 1 < y)):
+            raise OutOfRangeError(f"y={y} outside [0, {_MAX_LEVELS}]")
         if y <= self.y0:
             return self.y0 - y + math.exp(self.log_knots[self.y0])
         n = min(int(math.floor(y)), self.n_max - 1)
@@ -85,33 +106,32 @@ class TailFunction:
     __call__ = value
 
 
-def build_tail_function(spec: BirthDeathSpec, n_max: int = 400) -> TailFunction:
+def build_tail_function(spec: BirthDeathSpec) -> TailFunction:
     """Interpolate psi(n) rho^n into a strictly decreasing f.
 
     Requires a subcritical upper ratio so that a decreasing tail exists at
-    all; the start y0 of the monotone regime is located by scanning the
-    knots, and the scan must confirm monotonicity strictly inside n_max.
-    The result is cached on the spec by n_max; a build that raises caches
-    nothing.
+    all.  The first build of a spec takes _TAIL_KNOTS knots and doubles them, to
+    level _MAX_LEVELS at most, while they end without a strictly decreasing run,
+    which fixes y0.  The spec keeps the knots; a build that raises keeps none.
     """
-    n_max = _check_levels("n_max", n_max)
-    cached = spec._tail_functions.get(n_max)
-    if cached is not None:
-        return cached
+    held = spec._tail_knots
+    if len(held.log_knots):
+        return TailFunction(spec)
     _require_uncapped(spec)
     cls = classify(spec)
     if not cls.beta_upper * spec.rho < 1.0:
-        raise NotSubcriticalError(
-            f"upper tail ratio {cls.beta_upper} * rho {spec.rho} is not below 1"
-        )
-    log_g = np.asarray(spec.log_psi_rho(np.arange(n_max + 1)), dtype=float)
+        raise NotSubcriticalError(f"upper tail ratio {cls.beta_upper} * rho {spec.rho} is not below 1")
+    n = _TAIL_KNOTS
+    log_g = np.asarray(spec.log_psi_rho(np.arange(n + 1)), dtype=float)
+    while log_g[-1] >= log_g[-2]:  # no strictly decreasing run at the end
+        if n == _MAX_LEVELS:
+            raise NoMonotoneTailError(f"no strictly decreasing tail within {n} knots")
+        n = min(2 * n, _MAX_LEVELS)
+        log_g = np.asarray(spec.log_psi_rho(np.arange(n + 1)), dtype=float)
     rising = np.nonzero(np.diff(log_g) >= 0.0)[0]
-    y0 = int(rising[-1]) + 1 if len(rising) else 0
-    if y0 >= n_max:
-        raise NoMonotoneTailError(f"no strictly decreasing tail within {n_max} knots")
     log_g.flags.writeable = False
-    f = spec._tail_functions[n_max] = TailFunction(log_knots=log_g, y0=y0)
-    return f
+    held.log_knots, held.y0 = log_g, int(rising[-1]) + 1 if len(rising) else 0
+    return TailFunction(spec)
 
 
 def invert_tail(f: TailFunction, v: float) -> float:
@@ -119,7 +139,8 @@ def invert_tail(f: TailFunction, v: float) -> float:
 
     The knot bracket is found in log space and the chord is scaled by its
     upper knot, so targets far below double-precision underflow of the raw
-    weights, and head knots past the float range, still invert cleanly.
+    weights, and head knots past the float range, still invert cleanly.  The
+    knots double until one lies below v; past level _MAX_LEVELS, OutOfRangeError.
     """
     if not (v > 0.0 and math.isfinite(v)):
         raise OutOfRangeError(f"target {v} must be a positive real")
@@ -130,18 +151,17 @@ def invert_tail(f: TailFunction, v: float) -> float:
         if y < 0.0:
             raise OutOfRangeError(f"target {v} exceeds f(0)")
         return y
-    if log_v < float(f.log_knots[-1]):
-        raise OutOfRangeError(
-            f"target {v} is below the last knot; rebuild with a larger n_max"
-        )
+    if not f._reach(lambda log_g: log_v < log_g[-1]):
+        raise OutOfRangeError(f"the root of target {v} lies beyond the {_MAX_LEVELS} levels a table may hold")
+    log_knots = f.log_knots
     # log knots decrease strictly from y0; searchsorted over the negated tail
-    tail = -f.log_knots[f.y0:]
+    tail = -log_knots[f.y0:]
     n = f.y0 + int(np.searchsorted(tail, -log_v, side="right")) - 1
-    n = min(max(n, f.y0), f.n_max - 1)
+    n = min(max(n, f.y0), len(log_knots) - 2)
     # on [n, n + 1], f / g(n) = (1 - t) + t r with r = g(n + 1) / g(n) in (0, 1),
     # so t = (1 - v / g(n)) / (1 - r), each difference taken by expm1
-    shift = float(f.log_knots[n])
-    t = math.expm1(log_v - shift) / math.expm1(float(f.log_knots[n + 1]) - shift)
+    shift = float(log_knots[n])
+    t = math.expm1(log_v - shift) / math.expm1(float(log_knots[n + 1]) - shift)
     return n + min(max(t, 0.0), 1.0)
 
 
@@ -285,18 +305,14 @@ def _poly_geometric_params(spec: BirthDeathSpec) -> tuple[float, int, float]:
     return q, m, log_amp
 
 
-def norming_constants(
-    spec: BirthDeathSpec,
-    kind: NormingKind | str,
-    k_list,
-    n_max: int = 400,
-) -> NormingConstants:
+def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> NormingConstants:
     """Sequences a_k, b_k matching the tail function of the given spec.
 
     Geometric needs a subcritical tail (``_tail_regime``) with beta > 0;
     StirlingFactorial needs beta = 0 (factorial family) and inverts the
     closed-form Stirling tail; Numeric inverts the interpolated tail
-    function directly and fits a_k by least squares; LambertW handles
+    function directly, whose knots grow as deep as the largest k needs
+    (to level _MAX_LEVELS), and fits a_k by least squares; LambertW handles
     weights with a polynomial-times-geometric tail, inverting
     y^m q^y = v on the lower real branch which is the root that grows
     with k.
@@ -327,7 +343,7 @@ def norming_constants(
             a.append(1.0 / (math.log(bk) + 1.0 / (2.0 * bk) - math.log(rho)))
 
     elif kind is NormingKind.NUMERIC:
-        f = build_tail_function(spec, n_max)
+        f = build_tail_function(spec)
         grid = np.linspace(-2.0, 5.0, 29)
         design = np.column_stack([grid, np.ones_like(grid)])
         for k in ks:

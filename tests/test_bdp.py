@@ -27,6 +27,7 @@ from cyclemax import (
     dual_process,
     duality_check,
     gumbel_bounds,
+    invert_tail,
     load_spec,
     mm1,
     mminf,
@@ -42,7 +43,7 @@ from cyclemax import (
     tail_asymptotics,
 )
 from cyclemax.bdp import log_factorial
-from cyclemax.errors import NotApplicableError, SpecFormatError
+from cyclemax.errors import NotApplicableError, OutOfRangeError, SpecFormatError
 
 # log n! from scipy.special.gammaln(n + 1.0), computed once and pinned here
 LOG_FACTORIAL_REFERENCE = [
@@ -251,6 +252,20 @@ def test_equal_sequences_and_specs_hash_alike():
         assert a == b and hash(a) == hash(b)
         assert {a: "value"}[b] == "value"
     assert len({mm1(0.5, 1.0), mm1(0.5, 1.0), mm1(0.6, 1.0)}) == 2
+
+
+def test_tables_that_underflow_alike_are_told_apart_by_their_logs():
+    # both linear tables are all 0.0; taking phi == psi would sum psi's series with phi's weights
+    n = np.arange(50)
+    psi = TableSequence.from_log(-1000.0 - n, tail_ratio=0.5)
+    phi = TableSequence.from_log(-1000.0 - 2.0 * n, tail_ratio=0.5)
+    assert psi != phi and hash(psi) != hash(phi)
+    assert psi == TableSequence.from_log(-1000.0 - n, tail_ratio=0.5)
+    assert TableSequence.from_log([-0.0], 0.5) == TableSequence.from_log([0.0], 0.5)
+    assert hash(TableSequence.from_log([-0.0], 0.5)) == hash(TableSequence.from_log([0.0], 0.5))
+    # psi(n) = e^-n at rho = 1: the Palm law is geometric, (1 - 1/e) e^-n
+    p = palm_distribution(BirthDeathSpec(psi, phi, 1.0, 1.0), 2)
+    assert np.allclose(p, (1.0 - math.exp(-1.0)) * np.exp(-np.arange(3.0)), rtol=1e-12)
 
 
 def test_spec_rejects_bad_rates():
@@ -671,23 +686,28 @@ _PAST_THE_CEILING = {
     "cdf": lambda: CycleMaxDistribution(mm1(0.5, 1.0)).cdf(10**8),
     "classify-cap": lambda: classify(mm1(0.5, 1.0, cap=10**9)),
     "simulate-horizon": lambda: simulate_cycles(mm1(0.5, 1.0), SimConfig(cycles=10, escape_horizon=10**9)),
-    "tail-function": lambda: build_tail_function(mm1(0.5, 1.0), 10**9),
+    "tail-function": lambda: invert_tail(build_tail_function(mm1(1.0 - 1e-12, 1.0)), 1e-3),
     "norton": lambda: norton_reduce(_ONE_STATION, 10**9),
     "stationary": lambda: stationary_distribution(mm1(0.5, 1.0), 10**9),
     "tail-sum-spread": lambda: CycleMaxDistribution(mm1(2.0, 1.0)).log_tail_sum(np.array([0, 10**9])),
 }
+# (error, tables held at the peak) where not (NotApplicableError, 1): the tail
+# function's knots double up to the ceiling before a target past it is refused,
+# so its last step holds the old knots, the new ones and their temporaries
+_CEILING_ERRORS = {"tail-function": (OutOfRangeError, 3)}
 
 
-@pytest.mark.parametrize("call", list(_PAST_THE_CEILING.values()), ids=list(_PAST_THE_CEILING))
-def test_every_table_refuses_levels_past_the_ceiling(call):
+@pytest.mark.parametrize("name", list(_PAST_THE_CEILING))
+def test_every_table_refuses_levels_past_the_ceiling(name):
+    error, tables = _CEILING_ERRORS.get(name, (NotApplicableError, 1))
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        with pytest.raises(NotApplicableError, match="beyond the 1048576 levels a table may hold"):
-            call()
+        with pytest.raises(error, match="beyond the 1048576 levels a table may hold"):
+            _PAST_THE_CEILING[name]()
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0
-    assert peak < 8 * ((1 << 20) + 2)  # no float64 table of more than 2^20 + 1 levels
+    assert peak < tables * 8 * ((1 << 20) + 2)  # float64 tables of at most 2^20 + 1 levels

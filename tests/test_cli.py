@@ -280,6 +280,26 @@ def test_supercritical_norming_exits_one(capsys, tmp_path):
     assert err.startswith("ERROR NotSubcriticalError:")
 
 
+def test_extremes_takes_no_depth(capsys, half_spec):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["extremes", "--spec", half_spec, "--table", "norming", "--nmax", "400"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --nmax 400" in capsys.readouterr().err
+
+
+def test_norming_past_the_deepest_knot_exits_two(capsys, tmp_path):
+    # lambda = 1 - 1e-12 lies in the critical band, so the default kind is Numeric;
+    # its b_1000 lies near level 6.9e12
+    path = tmp_path / "heavy.json"
+    save_spec(mm1(1.0 - 1e-12, 1.0), path)
+    code, out, err = run(capsys, "extremes", "--spec", str(path), "--table", "norming")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR OutOfRangeError: the root of target ")
+    assert err.endswith(" lies beyond the 1048576 levels a table may hold\n")
+    assert err.count("\n") == 1
+
+
 def test_tail_of_a_capped_chain_exits_one(capsys, tmp_path):
     path = tmp_path / "capped.json"
     save_spec(mm1(0.5, 1.0, cap=5), path)

@@ -37,7 +37,13 @@ from cyclemax import (
     verify_as_convergence,
 )
 from cyclemax.bdp import log_factorial
-from cyclemax.errors import KindMismatchError, NotApplicableError, NotSubcriticalError
+from cyclemax.errors import (
+    KindMismatchError,
+    NoMonotoneTailError,
+    NotApplicableError,
+    NotSubcriticalError,
+    OutOfRangeError,
+)
 
 
 def poly_geometric_spec():
@@ -174,32 +180,34 @@ def _log_f(f, y):
 
 
 @pytest.mark.parametrize(
-    "spec, n_max, targets",
+    "spec, knots, targets",
     [
         # on knots and between them
         (mm1(0.5, 1.0), 400, [0.5**10, 0.5**10.3, 0.5**57.999, 0.5**200.5]),
         # on the linear head 31.04 - y before y0 = 5, and on the knots past it
         (mminf(5.0, 1.0), 400, [31.0, 28.5, 26.5, 20.0, 1e-3, 1e-40]),
         # below double-precision underflow of the knots
-        (mm1(0.05, 1.0), 300, [1e-305, 1e-310, 1e-318]),
-        (mm1(0.5, 1.0), 1100, [1e-300, 1e-315, 5e-323]),
+        (mm1(0.05, 1.0), 400, [1e-305, 1e-310, 1e-318]),
+        # 5e-323 = 0.5^1073.1 lies below the first 400 and 800 knots
+        (mm1(0.5, 1.0), 1600, [1e-300, 1e-315, 5e-323]),
     ],
 )
-def test_invert_tail_is_the_chord_root(spec, n_max, targets):
-    f = build_tail_function(spec, n_max)
+def test_invert_tail_is_the_chord_root(spec, knots, targets):
+    f = build_tail_function(spec)
     for v in targets:
         y = invert_tail(f, v)
         assert abs(y - _bisected_inverse(f, v)) <= 1e-10, v
         assert _log_f(f, y) == pytest.approx(math.log(v), rel=0.0, abs=1e-12), v
+    assert f.n_max == knots
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invert_tail_with_a_head_knot_past_the_float_range():
     spec = mminf(800.0, 1.0)
-    f = build_tail_function(spec, 4000)
+    f = build_tail_function(spec)
     assert f.log_knots[f.y0] > math.log(np.finfo(float).max)
     assert invert_tail(f, 1e300) == pytest.approx(1242.98, abs=0.01)
-    nc = norming_constants(spec, NormingKind.NUMERIC, [1000], n_max=4000)
+    nc = norming_constants(spec, NormingKind.NUMERIC, [1000])
     assert nc.b[0] == pytest.approx(2176.85, abs=0.01)
 
 
@@ -353,7 +361,7 @@ LOOP = NetworkSpec(0.5, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0)))
         lambda: as_limit_constant(HALF, 1),
         lambda: verify_as_convergence(HALF, [1]),
         lambda: tail_asymptotics(HALF, n_probe=400.0),
-        lambda: build_tail_function(HALF, 2.5),
+        lambda: build_tail_function(HALF)(2.0**20 + 0.5),
         lambda: stationary_distribution(HALF, 2.5),
         lambda: stationary_distribution(HALF, -1),
         lambda: norton_reduce(LOOP, 2.5),
@@ -373,11 +381,15 @@ def test_bad_arguments_raise_value_or_package_errors(call):
 
 
 def test_a_float_n_max_is_refused_on_a_fresh_spec_and_after_an_integer_build():
+    # the knots find their own depth: no call takes one, before or after a build
     spec = mm1(0.5, 1.0)
     for _ in range(2):
-        with pytest.raises(ValueError):
-            norming_constants(spec, "Numeric", [1000], n_max=400.0)
-        build_tail_function(spec, 400)  # the second pass finds n_max 400 cached
+        for n_max in (400.0, 400):
+            with pytest.raises(TypeError):
+                norming_constants(spec, "Numeric", [1000], n_max=n_max)
+            with pytest.raises(TypeError):
+                build_tail_function(spec, n_max)
+        build_tail_function(spec)
 
 
 def test_the_envelope_far_left_is_its_limit():
@@ -498,29 +510,96 @@ def test_the_critical_band_is_critical_for_every_tail_function(spec):
 
 
 def test_one_tail_function_per_spec_and_n_max(monkeypatch):
-    builds = []
-    real = extremes.TailFunction
+    # one set of knots per spec, whatever the calls: built once, grown by doubling
+    evaluated = []
+    real = BirthDeathSpec.log_psi_rho
 
-    def counting(**fields):
-        builds.append(len(fields["log_knots"]) - 1)
-        return real(**fields)
+    def counting(self, n):
+        evaluated.append((int(n[0]), int(n[-1])))
+        return real(self, n)
 
-    monkeypatch.setattr(extremes, "TailFunction", counting)
+    monkeypatch.setattr(BirthDeathSpec, "log_psi_rho", counting)
     spec = mms(3, 2.1, 1.0)
     first = gumbel_bounds(spec, 0.5, 100)
     for x, k in ((0.5, 100), (-1.0, 1000), (2.0, 10)):
         gumbel_bounds(spec, x, k)
     norming_constants(spec, "Numeric", [10, 100])
-    assert builds == [400]
+    assert evaluated == [(0, 400)]
     assert gumbel_bounds(spec, 0.5, 100) == first
-    assert build_tail_function(spec) is build_tail_function(spec, 400)
-    norming_constants(spec, "Numeric", [10], n_max=300)
-    assert builds == [400, 300]
+    assert build_tail_function(spec).log_knots is build_tail_function(spec).log_knots
+    gumbel_bounds(spec, 0.0, 10**200)  # a root near level 1300: two doublings
+    assert evaluated == [(0, 400), (401, 800), (801, 1600)]
+    assert build_tail_function(spec).n_max == 1600
+    assert gumbel_bounds(spec, 0.5, 100) == first
     with pytest.raises(ValueError):  # the shared knots are read-only
         build_tail_function(spec).log_knots[0] = 0.0
-    # a build that raises caches nothing
+    # a build that raises keeps nothing
     transient = mm1(2.0, 1.0)
     for _ in range(2):
         with pytest.raises(NotSubcriticalError):
             gumbel_bounds(transient, 0.5, 100)
-    assert transient._tail_functions == {}
+    assert transient._tail_knots.log_knots.size == 0
+
+
+def _shallow_answers(spec):
+    f = build_tail_function(spec)
+    return (
+        [invert_tail(f, v) for v in (0.5, 1e-3, 1e-9, 1e-30)],
+        [f(y) for y in (0.0, 3.5, 17.25, 399.0, 400.0)],
+        [gumbel_bounds(spec, x, k) for x in (-1.0, 0.0, 2.0) for k in (10**3, 10**4)],
+        norming_constants(spec, "Numeric", [10, 1000]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: mm1(0.9, 1.0), lambda: mms(3, 2.1, 1.0), lambda: mminf(5.0, 1.0)], ids=["mm1", "mms3", "mminf"]
+)
+def test_shallow_answers_keep_their_bits_after_a_deep_call(make):
+    fresh = _shallow_answers(make())
+    spec = make()
+    f = build_tail_function(spec)
+    invert_tail(f, 1e-300)
+    f(1000.5)  # a value past the knots grows them too
+    assert f.n_max >= 1600
+    assert _shallow_answers(spec) == fresh  # == on floats: the same bits
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deep_targets_meet_their_closed_forms():
+    # psi(n) rho^n = rho^n on M/M/1: f(y) = rho^y up to the chord, so y = log v / log rho
+    y = gumbel_bounds(mm1(0.999, 1.0), 0.0, 10**15).y_upper
+    assert y == pytest.approx(math.log(1e-12) / math.log(0.999), rel=1e-4)
+    y = gumbel_bounds(mm1(0.95, 1.0), 0.0, 10**12).y_upper
+    assert y == pytest.approx(math.log(1.0 / (0.05 * 10**12)) / math.log(0.95), rel=1e-4)
+    b = norming_constants(mm1(0.95, 1.0), "Numeric", [10**9]).b[0]
+    assert b == pytest.approx(math.log(1e-9) / math.log(0.95), rel=1e-4)  # 404.015
+    # beta = 0, with the knee past the first 400 knots at lam = 800: the chord root
+    # lies within 0.1 of the root of lam^y / Gamma(y + 1) = 1e-3
+    for lam, root in ((300.0, 818.116), (800.0, 2176.770)):
+        gb = gumbel_bounds(mminf(lam, 1.0), 0.0, 1000)
+        assert gb.y_upper == pytest.approx(root, abs=0.1)
+        assert gb.y_lower == gb.y_upper + 1.0
+
+
+def test_a_call_that_raises_keeps_no_knots():
+    # psi(n) = 2^-n but for a rise at n = 1000, past y0 = 0
+    rising = CallableSequence(
+        lambda n: -math.log(2.0) * np.asarray(n, dtype=float) + 50.0 * (np.asarray(n) == 1000), tail_ratio=0.5
+    )
+    spec = BirthDeathSpec(rising, rising, 1.0, 1.0)
+    f = build_tail_function(spec)
+    shallow = invert_tail(f, 1e-100)
+    for _ in range(2):
+        with pytest.raises(NoMonotoneTailError, match="rises at level 1000"):
+            invert_tail(f, 1e-300)  # 2^-996.6: the knots double to 1600 and meet the rise
+        assert f.n_max == 400
+    y = invert_tail(f, 1e-200)  # 2^-664.4: 800 knots reach it
+    assert 664.0 < y < 665.0 and abs(y - _bisected_inverse(f, 1e-200)) <= 1e-10
+    assert f.n_max == 800 and invert_tail(f, 1e-100) == shallow
+    # rho = 1 - 1e-12: f(2^20) = e^-1.05e-6, far above 1e-3
+    spec = mm1(1.0 - 1e-12, 1.0)
+    f = build_tail_function(spec)
+    for _ in range(2):
+        with pytest.raises(OutOfRangeError, match=r"^the root of target 0\.001 lies beyond the 1048576 levels"):
+            invert_tail(f, 1e-3)
+        assert f.n_max == 400
