@@ -542,7 +542,6 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class _SeriesJudgement:
-    value: float
     log_value: float
     convergent: bool | None  # None = inconclusive
 
@@ -644,27 +643,27 @@ def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: flo
     the terms still fall by only r > q per step, it can miss up to
     t_N (r - q) / ((1 - r)(1 - q)); the sum then runs on, doubling its
     length up to _TRUNC_MAX terms, until that is below _TOL of the total.
+    Terms that still rise at the end run on the same way.
     """
     n_end = log_t.size - 1
     while True:
         log_step = log_t[-1] - log_t[-2]
-        if log_step >= 0.0:
-            raise NotApplicableError(
-                f"series terms still rise at n = {n_end}; the truncated sum is not the series"
-            )
-        log_tail = log_t[-1] + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
-        log_total = np.logaddexp(log_partial, log_tail)
-        r = math.exp(log_step)
-        if r <= q:
-            return log_total
-        log_miss = log_t[-1] + math.log(r - q) - math.log(-math.expm1(log_step)) - math.log1p(-q)
-        if log_miss <= log_total + math.log(_TOL):
-            return log_total
+        if log_step < 0.0:
+            log_tail = log_t[-1] + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
+            log_total = np.logaddexp(log_partial, log_tail)
+            r = math.exp(log_step)
+            if r <= q:
+                return log_total
+            log_miss = log_t[-1] + math.log(r - q) - math.log(-math.expm1(log_step)) - math.log1p(-q)
+            if log_miss <= log_total + math.log(_TOL):
+                return log_total
         if n_end >= _TRUNC_MAX:
-            raise NotApplicableError(
-                f"series term ratio at n = {n_end} is {r:.6g}, not yet near its limit {q:.6g}; "
-                "the truncated sum is not the series"
+            trend = (
+                f"terms still rise at n = {n_end}"
+                if log_step >= 0.0
+                else f"term ratio at n = {n_end} is {r:.6g}, not yet near its limit {q:.6g}"
             )
+            raise NotApplicableError(f"series {trend}; the truncated sum is not the series")
         log_t = np.asarray(log_term_fn(np.arange(n_end, 2 * n_end + 1)), dtype=float)
         log_partial = np.logaddexp(log_partial, logsumexp(log_t[1:]))
         n_end *= 2
@@ -680,23 +679,22 @@ def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float) -> _
     partial sums past 1/_TOL are called divergent.
     """
     if q_hi < 1.0 - _TOL:
-        log_total = _ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)
-        return _SeriesJudgement(_linear(log_total), float(log_total), True)
+        return _SeriesJudgement(float(_ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)), True)
     if q_lo > 1.0 + _TOL:
-        return _SeriesJudgement(math.inf, math.inf, False)
+        return _SeriesJudgement(math.inf, False)
 
     log_partial = logsumexp(log_t)
     win = np.arange(_TRUNC // 2, _TRUNC + 1)
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
         if p < -1.0 - _P_MARGIN:
-            return _SeriesJudgement(_linear(log_partial), float(log_partial), True)
+            return _SeriesJudgement(log_partial, True)
         if p > -1.0 + _P_MARGIN:
-            return _SeriesJudgement(math.inf, math.inf, False)
+            return _SeriesJudgement(math.inf, False)
 
     if log_partial > -math.log(_TOL) and np.all(np.diff(log_t[win]) >= -1e-12):
-        return _SeriesJudgement(math.inf, math.inf, False)
-    return _SeriesJudgement(_linear(log_partial), float(log_partial), None)
+        return _SeriesJudgement(math.inf, False)
+    return _SeriesJudgement(log_partial, None)
 
 
 def classify(spec: BirthDeathSpec) -> Classification:
@@ -711,43 +709,45 @@ def classify(spec: BirthDeathSpec) -> Classification:
 def _classify(spec: BirthDeathSpec) -> Classification:
     """The series tests behind ``classify``; run once per spec object.
 
-    Each weight sequence is evaluated once on 0.._TRUNC, and phi not at all
-    when it equals psi; every series head is built from those evaluations.
+    Each weight sequence is evaluated once, on 0.._TRUNC or on 0..cap, and
+    phi not at all when it equals psi; every series head is built from
+    those evaluations.  On a finite state space every series is a finite
+    sum and the chain is ergodic.
     """
-    if spec.cap is not None:
-        return _classify_finite(spec)
-
     rho = spec.rho
     log_rho = math.log(rho)
-    idx = np.arange(_TRUNC + 1)
+    top = _TRUNC if spec.cap is None else _check_levels("cap", spec.cap)
+    idx = np.arange(top + 1)
     same = spec.phi == spec.psi
     log_phi = np.asarray(spec.phi.log_value(idx), dtype=float)
     log_psi = log_phi if same else np.asarray(spec.psi.log_value(idx), dtype=float)
-    b_lo, b_hi, beta = _tail_geometry(spec.psi, log_psi)
-    p_lo, p_hi, _ = _tail_geometry(spec.phi, log_phi)
-
-    def psi_terms(n):
-        return spec.psi.log_value(n) + n * log_rho
-
-    def phi_terms(n):
-        return spec.phi.log_value(n) + n * log_rho
-
-    def star_terms(n):
-        return -psi_terms(n)
-
-    # judged in the order phi, psi, star, so a spec that fails raises as before
     psi_head = log_psi + idx * log_rho
-    if not same:
-        s_phi = _judge_series(log_phi + idx * log_rho, phi_terms, p_lo * rho, p_hi * rho)
-    s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho)
-    if same:
-        s_phi = s_psi
-    s_star = _judge_series(
-        -psi_head,
-        star_terms,
-        _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
-        _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
-    )
+    phi_head = psi_head if same else log_phi + idx * log_rho
+
+    if spec.cap is not None:
+        b_lo = b_hi = beta = 0.0
+        s_phi, s_psi, s_star = (_SeriesJudgement(logsumexp(h), True) for h in (phi_head, psi_head, -psi_head))
+        regularity_ok = True
+    else:
+        b_lo, b_hi, beta = _tail_geometry(spec.psi, log_psi)
+        p_lo, p_hi, _ = _tail_geometry(spec.phi, log_phi)
+
+        def psi_terms(n):
+            return spec.psi.log_value(n) + n * log_rho
+
+        # judged in the order phi, psi, star, so a spec that fails raises as before
+        if not same:
+            s_phi = _judge_series(phi_head, spec.log_phi_rho, p_lo * rho, p_hi * rho)
+        s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho)
+        if same:
+            s_phi = s_psi
+        s_star = _judge_series(
+            -psi_head,
+            lambda n: -psi_terms(n),
+            _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
+            _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
+        )
+        regularity_ok = _regularity(spec, log_psi, log_phi, b_lo)
 
     if s_phi.convergent is True:
         verdict = Verdict.POSITIVE_RECURRENT
@@ -758,13 +758,11 @@ def _classify(spec: BirthDeathSpec) -> Classification:
     else:
         verdict = Verdict.UNDETERMINED
 
-    regularity_ok = _regularity(spec, log_psi, log_phi)
-
     return Classification(
         verdict=verdict,
-        b_phi_inv=s_phi.value,
-        b_psi_inv=s_psi.value,
-        b_star_inv=s_star.value,
+        b_phi_inv=_linear(s_phi.log_value),
+        b_psi_inv=_linear(s_psi.log_value),
+        b_star_inv=_linear(s_star.log_value),
         beta_upper=b_hi,
         beta_lower=b_lo,
         beta=beta,
@@ -778,37 +776,11 @@ def _classify(spec: BirthDeathSpec) -> Classification:
     )
 
 
-def _classify_finite(spec: BirthDeathSpec) -> Classification:
-    # Finite state space: every series is a finite sum and the chain is ergodic.
-    idx = np.arange(_check_levels("cap", spec.cap) + 1)
-    log_rho = math.log(spec.rho)
-    psi_terms = spec.psi.log_value(idx) + idx * log_rho
-    phi_terms = psi_terms if spec.phi == spec.psi else spec.phi.log_value(idx) + idx * log_rho
-    lp = logsumexp(phi_terms)
-    ls = logsumexp(psi_terms)
-    lstar = logsumexp(-psi_terms)
-    return Classification(
-        verdict=Verdict.POSITIVE_RECURRENT,
-        b_phi_inv=_linear(lp),
-        b_psi_inv=_linear(ls),
-        b_star_inv=_linear(lstar),
-        beta_upper=0.0,
-        beta_lower=0.0,
-        beta=0.0,
-        regularity_ok=True,
-        log_b_phi_inv=float(lp),
-        log_b_psi_inv=float(ls),
-        log_b_star_inv=float(lstar),
-        b_phi_convergent=True,
-        b_psi_convergent=True,
-        b_star_convergent=True,
-    )
-
-
-def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray) -> bool:
+def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray, b_lo: float) -> bool:
     """Heuristic divergence check of sum phi(n)/(psi(n) + psi(n-1)).
 
-    ``log_psi`` and ``log_phi`` are the log weights on 0.._TRUNC.
+    ``log_psi`` and ``log_phi`` are the log weights on 0.._TRUNC and b_lo
+    the lower bound of psi's tail ratio.
     Divergence rules out explosion; treated as diagnostic only, so the series
     is flagged non-regular only when conclusively convergent.  With phi = psi
     the terms are 1/(1 + psi(n-1)/psi(n)); a declared lower ratio bound
@@ -816,7 +788,7 @@ def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray) 
     series diverges without being summed.
     """
     declared = spec.psi.tail_ratio is not None or spec.psi.tail_bounds is not None
-    if spec.phi == spec.psi and declared and _tail_geometry(spec.psi, log_psi)[0] > 0.0:
+    if spec.phi == spec.psi and declared and b_lo > 0.0:
         return True
 
     def u_terms(idx):

@@ -425,10 +425,17 @@ class NortonReduction:
 
 
 def norton_reduce(net: NetworkSpec, n_max: int = 500) -> NortonReduction:
-    """Reduce the network to a birth-death spec on the total population."""
+    """Reduce the network to a birth-death spec on the total population.
+
+    Past n_max the induced weights run on from the last aggregate as
+    (n / n_max)^(m-1) beta^(n - n_max); a bottleneck of multiplicity m > 1
+    thus needs n_max >= 1.
+    """
+    beta, mult = network_beta(net)
+    if beta > 0.0 and mult > 1:
+        _integer(f"n_max for a bottleneck of multiplicity {mult}", n_max, 1)
     log_psi, log_phi = log_aggregate_constants(net, n_max)
     rho = station_loads(net)
-    beta, mult = network_beta(net)
     if beta == 0.0:
         # every station is infinite-server: Psi(N) = (sum rho)^N / N!
         induced = BirthDeathSpec(

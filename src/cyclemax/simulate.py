@@ -625,8 +625,9 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
 
     A draw G ~ Exp(1) maps to the smallest n with H(n) <= G, which realises
     the max of k cycles in one uniform; g_min is the least draw, so every
-    draw finds its level in the table.  Survival enters through log1p of
-    the exact log-scale CDF, so no near-one cancellation occurs.
+    draw finds its level in the table.  log F(n) = log(1 - 1/S(n)) is taken
+    from log S(n) by expm1 where F(n) < 1/2 and by log1p from 1/2 on, so
+    neither near-one nor near-zero F cancels.
     """
     cap = dist.spec.cap
     if cap is None and dist.log_p_finite < 0.0:
@@ -636,7 +637,11 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
     n_hi = 64 if cap is None else cap
     while True:
         levels = np.arange(1, _check_levels(f"the k = {k} record's inversion table level", n_hi) + 1)
-        h = -k * np.log1p(-np.exp(-np.asarray(dist.log_cumulative(levels), dtype=float)))
+        log_s = np.asarray(dist.log_cumulative(levels), dtype=float)
+        log_f = np.log(-np.expm1(-log_s))
+        far = log_s >= math.log(2.0)
+        log_f[far] = np.log1p(-np.exp(-log_s[far]))
+        h = -k * log_f
         if cap is not None or h[-1] <= g_min:
             break
         n_hi *= 2

@@ -364,11 +364,12 @@ def test_classify_multi_server_and_infinite_server():
     assert inf.regularity_ok
 
 
-@pytest.mark.parametrize("lam", [9_000.0, 9_500.0, 1e4])
+@pytest.mark.parametrize("lam", [9_000.0, 9_500.0, 1e4, 2e4, 5e4, 7.8e4])
 def test_slowly_falling_series_are_summed_past_the_truncation(lam):
     # the terms of mminf(lam) still fall only by lam/(n+1) per step at
     # n = 10,000, far from the limit ratio 0, so closing the tail with that
-    # ratio there dropped half the mass at lam = 1e4 (9999.312 for 10000)
+    # ratio there dropped half the mass at lam = 1e4 (9999.312 for 10000);
+    # from lam = 2e4 on they still rise there, and the sum runs on the same way
     cls = classify(mminf(lam, 1.0))
     assert abs(cls.log_b_phi_inv - lam) <= 1e-9  # the sum e^lam to 1e-9 relative
     assert cls.log_b_psi_inv == cls.log_b_phi_inv
@@ -478,9 +479,10 @@ def test_preset_labels_round_trip():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_series_still_rising_at_the_truncation_raises():
-    # rho^n / n! peaks near n = 1e6, far past the 10,000 terms summed
-    with pytest.raises(NotApplicableError, match="still rise"):
-        classify(mminf(1e6, 1.0))
+    # rho^n / n! peaks near n = lam, past the 80,000 terms the sum runs to
+    for lam in (1e5, 1e6):
+        with pytest.raises(NotApplicableError, match="still rise at n = 80000"):
+            classify(mminf(lam, 1.0))
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,32 @@ def test_network_reduce_keeps_the_tail_of_tied_loads(capsys, tmp_path):
     assert [round(float(r[2]), 2) for r in rows[1:]] == [13.75, 24.55]  # LambertW b_k, as in process
 
 
+def test_network_reduce_refuses_tied_loads_at_level_zero(capsys, tmp_path):
+    # the N^1 tail of two unit single servers in tandem runs on from the
+    # last aggregate, so level 0 alone is refused
+    net = NetworkSpec(
+        mu0=0.5,
+        stations=(Station("ss", 1.0), Station("ss", 1.0)),
+        routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    )
+    path = tmp_path / "tandem.json"
+    save_network(net, path)
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "ERROR ValueError: n_max for a bottleneck of multiplicity 2 must be an integer of at least 1, got 0"
+    ]
+
+
+@pytest.mark.parametrize("argv", [["tail"], ["extremes", "--table", "norming"]], ids=["tail", "norming"])
+def test_an_infinite_server_pool_peaking_past_the_first_terms_classifies(capsys, tmp_path, argv):
+    # rho^n / n! still rises at n = 10,000 for lam = 2e4; the series sum runs on
+    path = tmp_path / "pool.json"
+    save_spec(mminf(2e4, 1.0), path)
+    code, out, err = run(capsys, *argv, "--spec", str(path))
+    assert code == 0 and err == "" and out
+
+
 def test_verify_fast_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fast", "--seed", "42")
     assert code == 0

@@ -239,6 +239,16 @@ def test_network_beta_multiplicity():
     assert mult2 == 2
 
 
+def test_reduction_of_a_tied_bottleneck_needs_a_level_past_zero():
+    with pytest.raises(ValueError, match="n_max for a bottleneck of multiplicity 2 must be an integer of at least 1"):
+        norton_reduce(tandem(0.5, 1.0), 0)
+    assert norton_reduce(tandem(0.5, 1.0), 1).induced.psi.poly_degree == 1
+    # a lone bottleneck (ring loads 0.2, 0.5 and 0.8) and an all-infinite-server
+    # pool need no second level
+    assert norton_reduce(ring([5.0, 2.0, 1.25]), 0).induced.psi.poly_degree == 0
+    assert norton_reduce(ring([1.0, 2.0], ["is", "is"]), 0).induced.label == "norton(all-is)"
+
+
 def test_reduction_matches_stationary_law():
     red = norton_reduce(mixed(), n_max=120)
     induced = red.induced
