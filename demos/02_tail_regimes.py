@@ -31,7 +31,7 @@ def main():
     section("Tail scale by regime (single server)")
     for lam in (0.4, 1.0, 2.0):
         spec = mm1(lam, 1.0, label=f"rho={lam}")
-        rep = tail_asymptotics(spec, n_probe=400)
+        rep = tail_asymptotics(spec)
         print(f"rho={lam:3.1f}  {rep.regime.value:14s} scale: {rep.scale}")
         print(f"          limit constant {rep.limit_constant:+.6f}"
               f"   empirical at n=400 {rep.empirical_value:+.6f}")

@@ -551,37 +551,30 @@ class Classification:
     """Recurrence verdict plus the three governing series.
 
     ``b_phi_inv`` is sum(phi(n) rho^n), ``b_psi_inv`` is sum(psi(n) rho^n) and
-    ``b_star_inv`` is sum(1/(psi(n) rho^n)); each is +inf when judged
-    divergent.  The chain is positive recurrent iff b_phi_inv is finite and
-    its cycle maximum is non-degenerate iff b_star_inv diverges.
+    ``b_star_inv`` is sum(1/(psi(n) rho^n)), each read from its log
+    ``log_b_*_inv`` and +inf when judged divergent.  The chain is positive
+    recurrent iff b_phi_inv is finite and its cycle maximum is
+    non-degenerate iff b_star_inv diverges.
     """
 
     verdict: Verdict
-    b_phi_inv: float
-    b_psi_inv: float
-    b_star_inv: float
     beta_upper: float
     beta_lower: float
     beta: float | None
     regularity_ok: bool
-    log_b_phi_inv: float = math.nan
-    log_b_psi_inv: float = math.nan
-    log_b_star_inv: float = math.nan
+    log_b_phi_inv: float
+    log_b_psi_inv: float
+    log_b_star_inv: float
     b_phi_convergent: bool | None = None
     b_psi_convergent: bool | None = None
     b_star_convergent: bool | None = None
 
-    @property
-    def B_phi(self) -> float:
-        return 1.0 / self.b_phi_inv
-
-    @property
-    def B_psi(self) -> float:
-        return 1.0 / self.b_psi_inv
-
-    @property
-    def B_star(self) -> float:
-        return 1.0 / self.b_star_inv
+    b_phi_inv = property(lambda self: _linear(self.log_b_phi_inv))
+    b_psi_inv = property(lambda self: _linear(self.log_b_psi_inv))
+    b_star_inv = property(lambda self: _linear(self.log_b_star_inv))
+    B_phi = property(lambda self: 1.0 / self.b_phi_inv)
+    B_psi = property(lambda self: 1.0 / self.b_psi_inv)
+    B_star = property(lambda self: 1.0 / self.b_star_inv)
 
 
 # the series are summed over 0.._TRUNC and their tails probed on the window
@@ -760,9 +753,6 @@ def _classify(spec: BirthDeathSpec) -> Classification:
 
     return Classification(
         verdict=verdict,
-        b_phi_inv=_linear(s_phi.log_value),
-        b_psi_inv=_linear(s_psi.log_value),
-        b_star_inv=_linear(s_star.log_value),
         beta_upper=b_hi,
         beta_lower=b_lo,
         beta=beta,

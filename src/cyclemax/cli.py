@@ -123,7 +123,7 @@ def _cmd_tail(args) -> int:
     if args.format == "csv":
         raise ValueError("tail emits a JSON summary; csv is not supported here")
     spec = load_spec(args.spec)
-    _emit_object(args, dataclasses.asdict(tail_asymptotics(spec, n_probe=args.nmax)))
+    _emit_object(args, dataclasses.asdict(tail_asymptotics(spec)))
     return 0
 
 
@@ -220,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="tail regime and limit constants (JSON)")
     add_common(p)
-    p.add_argument("--nmax", type=int, default=400, help="probe depth for limits")
     p.set_defaults(func=_cmd_tail, format="json")
 
     p = sub.add_parser("extremes", help="norming constants, envelope, or compactness")

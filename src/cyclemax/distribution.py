@@ -294,6 +294,9 @@ def duality_check(lam: float, mu: float, n_max: int = 100) -> float:
 # tail growth regimes
 
 
+_PROBE = 400  # tail_asymptotics' probe depth, the least where it doubles
+
+
 class TailRegime(str, Enum):
     SUBCRITICAL = "Subcritical"
     CRITICAL = "Critical"
@@ -361,30 +364,37 @@ def _require_uncapped(spec: BirthDeathSpec) -> None:
         raise NotApplicableError("finite chains have no tail regime")
 
 
-def tail_asymptotics(spec: BirthDeathSpec, n_probe: int = 400) -> TailAsymptotics:
+def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
-    The regime is ``_tail_regime``'s.  A probe past _MAX_LEVELS raises
-    NotApplicableError before any table grows.
+    The regime is ``_tail_regime``'s.  The normalised tail is read at the
+    probes n/2, 3n/4 and n, with n = _PROBE, doubled in the regimes read
+    against psi(n) rho^n while psi(n) rho^n at n is not below 2^-53 and 2 n
+    stays within _MAX_LEVELS: so past the peak of the terms (M/M/inf at a
+    large lambda) and far enough down a ratio near 1 (M/M/1 or M/M/s near
+    rho = s) for the normalised tail to have settled.
     """
-    _check_levels("n_probe", _integer("n_probe", n_probe, 100))
     regime = _tail_regime(spec)
     cls = classify(spec)
     dist = _as_dist(spec)
     rho = spec.rho
-    h = max(n_probe // 4, 2)
+    q_lo, q_hi = cls.beta_lower * rho, cls.beta_upper * rho
+    if regime is TailRegime.NO_LIMIT and not q_hi < 1.0 - _TOL:
+        raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
+    n_probe = _PROBE
+    if regime in (TailRegime.NO_LIMIT, TailRegime.SUBCRITICAL):
+        while 2 * n_probe <= _MAX_LEVELS and float(spec.log_psi_rho(n_probe)) >= -53.0 * math.log(2.0):
+            n_probe *= 2
+    h = n_probe // 4
     probes = (n_probe - 2 * h, n_probe - h, n_probe)
     interval = alpha = p = fixed_point = None
 
     if regime is TailRegime.NO_LIMIT:
-        q_lo, q_hi = cls.beta_lower * rho, cls.beta_upper * rho
-        if not q_hi < 1.0 - _TOL:
-            raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
         scale, constant, interval = "(1 - F(n)) / (psi(n) rho^n)", None, (1.0 - q_hi, 1.0 - q_lo)
-        vals = [_t_ratio(dist, n) for n in probes]
+        vals = _t_ratio(dist, np.array(probes))
     elif regime is TailRegime.SUBCRITICAL:
         scale, constant = "(1 - F(n)) / (psi(n) rho^n)", 1.0 - cls.beta * rho
-        vals = [_t_ratio(dist, n) for n in probes]
+        vals = _t_ratio(dist, np.array(probes))
     elif regime is TailRegime.SUPERCRITICAL:
         # psihat(n) rho^n * (1 - F(n | finite)), before p_finite so that the
         # margin's window check runs before log_s_limit grows the tables
@@ -457,6 +467,6 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return head + tail
 
 
-def _t_ratio(dist: CycleMaxDistribution, n: int) -> float:
-    """(1 - F(n)) / (psihat(n) rho^n)."""
-    return float(np.exp(dist.log_survival(n) - dist.spec.log_psi_rho(n)))
+def _t_ratio(dist: CycleMaxDistribution, n: np.ndarray) -> list:
+    """(1 - F(n)) / (psihat(n) rho^n) at each of the levels n."""
+    return np.exp(dist.log_survival(n) - dist.spec.log_psi_rho(n)).tolist()

@@ -46,7 +46,9 @@ from .errors import (
     SingularSystemError,
     SpecFormatError,
 )
-from .simulate import CycleSample, SimConfig, _alias_rows, _charge, _log_expected_jumps, _run_cycles
+from .simulate import (
+    _TABLE_CELLS, CycleSample, SimConfig, _alias_entries, _alias_rows, _charge, _log_expected_jumps, _run_cycles
+)
 
 __all__ = [
     "Station",
@@ -81,9 +83,6 @@ _MIN_CHARGED_CYCLES = 256
 # retirements but more reads from the absorbing empty state: measured best
 # of 1 to 8 on the mixed 3-station network.
 _PASS_EVENTS = 4
-# Most cells (states x width) of a network's event table: a call whose
-# cycles climb past the totals that fit hands them to the per-event step.
-_TABLE_CELLS = 1 << 20
 # Totals the first event table of a network holds: the first rung of the
 # ladder its totals climb by doubling.
 _TABLE_TOTALS = 8
@@ -476,11 +475,9 @@ class _EventTable:
     cells keeps it (keep 1, next and after 0), so a cycle that returns to 0
     inside a pass of several events stays there.  A cycle holds the offset
     i * width of its state's cells (width a power of two, zero weight past
-    the events) as an int32.  A draw u scaled to v = u width picks cell
-    c = offset + floor(v), and keeps it when v lies below ``bound[c]``,
-    floor(v) plus the cell's share of its own event, else takes its alias.
-    Entry 2 c + 1 of ``next`` and ``after`` gives the offset and the total
-    of the state that the cell's own event leads to, entry 2 c its alias's;
+    the events) as an int32, and a draw is read by ``_alias_entries`` in
+    the layout of ``_alias_rows``: the entries of ``next`` and ``after``
+    give the offset and the total of the state that the event leads to.
     ``bound`` is float64, ``next`` and ``after`` int32, as every offset and
     total lies far below 2^31 (at most _TABLE_CELLS and the horizon).
     ``grow`` appends rows up to the ``rung`` of the total it needs and
@@ -558,17 +555,12 @@ class _EventTable:
         weight = np.zeros((hi - lo, self.width))
         weight[:, : self.routing.size] = (self.rates(occ)[:, :, None] * self.routing).reshape(hi - lo, -1)
         moved = weight > 0.0  # events of no weight keep the state
+        if lo == 0:  # the empty state absorbs: its cells, of equal weight, each keep it
+            weight[0], moved[0] = 1.0, False
         to = _rank([occ[:, [k]] + moved * self.moves[:, k] for k in range(self.parts)], int(sums[-1]))
-        keep, alias = _alias_rows(weight)
-        to = np.stack((np.take_along_axis(to, alias, axis=1), to), axis=2).ravel()
-        if lo == 0:  # the empty state absorbs: each of its cells keeps it
-            keep[0] = 1.0
-            to[: 2 * self.width] = 0
-        return (
-            (keep + np.arange(self.width)).ravel(),
-            (to * self.width).astype(np.int32),
-            sums.take(to).astype(np.int32),
-        )
+        bound, source = _alias_rows(weight)
+        to = np.take_along_axis(to, source, axis=1).ravel()
+        return bound, (to * self.width).astype(np.int32), sums.take(to).astype(np.int32)
 
 
 def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float:
@@ -676,15 +668,9 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
             if events > 0:
                 table.grow(m + events - 1, top)  # within the rung, so it fits
                 for _ in range(events):
-                    v = rng.random(out=draws[: state.size])
-                    v *= width  # exact: the width is a power of two
-                    cell = v.astype(np.intp)  # each read below would convert int32 cells to intp
-                    cell += state
-                    kept = v < table.bound.take(cell)
-                    cell += cell
-                    cell += kept  # the outcome entry: the cell's own, or its alias's
-                    table.next.take(cell, out=state)
-                    table.after.take(cell, out=total)
+                    entry = _alias_entries(rng.random(out=draws[: state.size]), state, width, table.bound)
+                    table.next.take(entry, out=state)
+                    table.after.take(entry, out=total)
                     np.maximum(peak, total, out=peak)
                 return
             occupancy = _occupancies(m, j_count)[state // width].astype(np.int32)

@@ -58,8 +58,9 @@ _BLOCK_MOVES = 16
 _SLICE = 1 << 13
 # Rows (levels) of a walk's first block table; it doubles as levels are reached.
 _BLOCK_ROWS = 16
-# Most cells (rows x width) of a block table: past it the moves halve.
-_BLOCK_CELLS = 1 << 20
+# Most cells (rows x width) of an alias table: past it a block table halves
+# its moves, and network cycles leave the event table for the per-event step.
+_TABLE_CELLS = 1 << 20
 # Most DP entries computed at once while a block table is built: 2 MiB an array.
 _LAW_CELLS = 1 << 18
 # Rows of the first Python-stepped block of a batch; each later one that
@@ -167,43 +168,41 @@ class _BlockTable:
     """Alias tables of the law of ``moves`` moves from each level 1..rows.
 
     Row x holds the law from level x in ``width`` cells (a power of two),
-    cell c of it at flat index x * width + c (row 0 is never read).  A draw
-    u picks cell i = x * width + floor(u width) and keeps it when the
-    fraction u width - floor(u width) lies below ``keep[i]``, else takes its
-    alias.  Entry 2 i + 1 of the outcome arrays is cell i's outcome and 2 i
-    its alias's: the end level x + ``rise``, the stepped maximum x + ``high``
-    and, for a chain with a constant run, the count of whole ``excursions``.
-    ``keep`` is float64 and the outcome arrays int8; a pass indexes a slice
-    of cycles by intp entries, which ``take`` reads without a copy.
+    starting at flat index x * width (row 0 is never read), in the layout of
+    ``_alias_rows``: a draw is read by ``_alias_entries`` with offset
+    x * width.  The outcome arrays hold, by entry, the end level
+    x + ``rise``, the stepped maximum x + ``high`` and, for a chain with a
+    constant run, the count of whole ``excursions``.  ``bound`` is float64
+    and the outcome arrays int8.
     """
 
     moves: int
     rows: int
     width: int
-    keep: np.ndarray
+    bound: np.ndarray
     rise: np.ndarray
     high: np.ndarray
     excursions: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _WalkTables:
-    """What a walk from level 1 to ``top`` reads, read-only.
+    """What a walk from level 1 to ``top`` reads.
 
     ``log_jumps`` is the log of the jumps a cycle is charged, its stepped
     jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
-    ``p_at`` is P(step up | leave n) by level, 0 at level 0; ``p_list`` holds
-    its head as Python floats for the Python-stepped walk, extended on demand
-    to the levels a block of draws can reach; ``n_flat`` is
-    ``_flat_start``'s state.  ``blocks`` holds the latest ``_BlockTable``
-    (``_block_table`` grows it with the highest level reached).
+    ``p_at`` is P(step up | leave n) by level, 0 at level 0, read-only;
+    ``p_list`` holds its head as Python floats for the Python-stepped walk,
+    extended on demand to the levels a block of draws can reach; ``n_flat``
+    is ``_flat_start``'s state.  ``blocks`` is the latest ``_BlockTable`` or
+    None (``_block_table`` grows it with the highest level reached).
     """
 
     log_jumps: float
     p_at: np.ndarray
     n_flat: int | None
-    p_list: list = field(default_factory=list, compare=False)
-    blocks: list = field(default_factory=list, compare=False)
+    p_list: list = field(default_factory=list)
+    blocks: _BlockTable | None = None
 
 
 def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
@@ -304,7 +303,13 @@ def _block_law(p_at: np.ndarray, n_flat: int | None, levels: np.ndarray, d: int)
 
 def _alias_rows(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker alias tables (Walker 1977; Vose 1991) of every row of ``prob``
-    at once: (keep, alias), with alias indexing cells of the same row.
+    at once, in the one layout both simulators read: (bound, source).
+
+    Cell c of a row keeps its own outcome with probability keep[c], else
+    takes its alias's.  ``bound`` holds c + keep[c], flat, row after row, as
+    ``_alias_entries`` reads it.  Entry 2 c + 1 of a row's outcomes is cell
+    c's own and entry 2 c its alias's: ``source`` holds the cell each entry
+    copies, so ``np.take_along_axis(outcomes, source, axis=1)`` lays them out.
 
     Cells are built by the sweep of Huebschle-Schneider and Sanders (2019).
     With w = width p / (row sum), a light cell (w < 1) takes as its alias the
@@ -339,12 +344,27 @@ def _alias_rows(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alias = np.take_along_axis(np.argsort(~heavy, axis=1, kind="stable"), to, axis=1)
     overshoot = np.take_along_axis(last_end, where[:, :width], axis=1) - heavy_end
     keep = np.where(heavy, 1.0 - np.clip(overshoot, 0.0, 1.0), w)
-    return keep, alias
+    source = np.stack((alias, np.broadcast_to(np.arange(width), alias.shape)), axis=2)
+    return (keep + np.arange(width)).ravel(), source.reshape(rows, 2 * width)
+
+
+def _alias_entries(u: np.ndarray, offset: np.ndarray, width: int, bound: np.ndarray) -> np.ndarray:
+    """The intp outcome entries of uniforms u on rows of ``_alias_rows``
+    that start at ``offset``: u is scaled in place to v = u width, which
+    picks cell offset + floor(v), and the entry is twice that cell, plus one
+    when v lies below its bound.  ``take`` reads intp entries without a copy."""
+    u *= width  # exact: the width is a power of two
+    entry = u.astype(np.intp)
+    entry += offset
+    kept = u < bound.take(entry)
+    entry += entry
+    entry += kept  # the cell's own outcome, or its alias's
+    return entry
 
 
 def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -> _BlockTable:
     """The block table of levels 1..rows, of ``moves`` moves, halved while
-    the table would hold more than _BLOCK_CELLS cells, down to one move."""
+    the table would hold more than _TABLE_CELLS cells, down to one move."""
     d = moves
     while True:
         ne = 1 if n_flat is None else (d + 1) // 2 + 1
@@ -356,27 +376,26 @@ def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -
             seen = law > 0.0
             used = int(seen.sum(axis=1).max())
             width = max(width, 1 << (used - 1).bit_length())
-            if d > 1 and (rows + 1) * width > _BLOCK_CELLS:
+            if d > 1 and (rows + 1) * width > _TABLE_CELLS:
                 break
             code = np.argsort(~seen, axis=1, kind="stable")[:, :used].astype(np.int16)  # outcomes first
             parts.append((np.take_along_axis(law, code, axis=1), code))
         else:
             break
         d //= 2
-    keep, pairs = [np.ones((1, width))], [np.zeros((1, 2 * width), dtype=np.int16)]  # level 0: never read
+    bound, pairs = [np.arange(1.0, width + 1)], [np.zeros(2 * width, dtype=np.int16)]  # level 0: never read
     for law, code in parts:
         pad = ((0, 0), (0, width - code.shape[1]))
-        k, alias = _alias_rows(np.pad(law, pad))
-        code = np.pad(code, pad)
-        keep.append(k)
-        pairs.append(np.stack((np.take_along_axis(code, alias, axis=1), code), axis=2).reshape(k.shape[0], -1))
-    code = np.concatenate(pairs).ravel()
+        b, source = _alias_rows(np.pad(law, pad))
+        bound.append(b)
+        pairs.append(np.take_along_axis(np.pad(code, pad), source, axis=1).ravel())
+    code = np.concatenate(pairs)
     high, below = code // ((d + 1) * ne), code // ne % (d + 1)
     return _BlockTable(
         moves=d,
         rows=rows,
         width=width,
-        keep=np.concatenate(keep).ravel(),
+        bound=np.concatenate(bound),
         rise=(high - below).astype(np.int8),
         high=high.astype(np.int8),
         excursions=None if n_flat is None else (code % ne).astype(np.int8),
@@ -387,14 +406,13 @@ def _block_table(tables: _WalkTables, level: int) -> _BlockTable:
     """The cached block table of a walk, with a row for ``level``: when it
     has none, it is rebuilt with twice its rows, or up to ``level``, within
     the levels a cycle can stand on (below the top, at most n_flat)."""
-    held = tables.blocks[0] if tables.blocks else None
+    held = tables.blocks
     if held is not None and held.rows >= level:
         return held
     limit = tables.n_flat or tables.p_at.size - 1
     rows = min(max(level, 2 * held.rows if held else _BLOCK_ROWS), limit)
-    table = _build_blocks(tables.p_at, tables.n_flat, rows, held.moves if held else _BLOCK_MOVES)
-    tables.blocks[:] = [table]
-    return table
+    tables.blocks = _build_blocks(tables.p_at, tables.n_flat, rows, held.moves if held else _BLOCK_MOVES)
+    return tables.blocks
 
 
 def _run_cycles(
@@ -507,7 +525,7 @@ def _simulate_batch(
     - With n_flat = 1 (M/M/1) each cycle is one excursion from level 1: one
       1-D draw, and its uniforms give the peaks (``_excursion_peaks``).
     - Otherwise every pass not listed below moves each live cycle by
-      _BLOCK_MOVES moves at once (fewer past _BLOCK_CELLS), one 1-D draw for
+      _BLOCK_MOVES moves at once (fewer past _TABLE_CELLS), one 1-D draw for
       each slice of _SLICE live cycles, each uniform read through the alias
       table of the exact law of the moves from its cycle's level
       (``_block_table``).  A move from n_flat is a whole excursion back to
@@ -565,18 +583,11 @@ def _simulate_batch(
         groups = []  # (positions, counts) of each slice's cycles with excursions
         for lo in range(0, state.size, _SLICE):
             s_state, s_peak = state[lo : lo + _SLICE], peak[lo : lo + _SLICE]
-            u = rng.random(s_state.size)
-            u *= table.width  # exact: the width is a power of two
-            cell = u.astype(np.intp)
-            u -= cell  # the fraction, uniform on [0, 1) given the cell
-            cell += s_state * table.width
-            kept = u < table.keep.take(cell)
-            cell += cell
-            cell += kept  # the outcome entry: the cell's own, or its alias's
-            np.maximum(s_peak, s_state + table.high.take(cell), out=s_peak)
-            s_state += table.rise.take(cell)
+            entry = _alias_entries(rng.random(s_state.size), s_state * table.width, table.width, table.bound)
+            np.maximum(s_peak, s_state + table.high.take(entry), out=s_peak)
+            s_state += table.rise.take(entry)
             if table.excursions is not None:
-                count = table.excursions.take(cell)
+                count = table.excursions.take(entry)
                 at = np.flatnonzero(count > 0)
                 if at.size:
                     groups.append((at + lo, count.take(at)))
@@ -586,7 +597,7 @@ def _simulate_batch(
             peak[at] = np.maximum(highest, peak.take(at), out=highest)
 
     def advance(state, peak):
-        moves = tables.blocks[0].moves if tables.blocks else _BLOCK_MOVES
+        moves = tables.blocks.moves if tables.blocks else _BLOCK_MOVES
         few = state.size * moves <= _TAIL_CYCLES * _BLOCK_MOVES
         if few and (n_flat is None or not (state == n_flat).any()):
             tail(state, peak)

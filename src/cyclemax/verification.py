@@ -161,7 +161,7 @@ def transient_escape_constant(suite: str = "full", seed: int = 0) -> tuple[bool,
     diffs = np.abs(np.diff(seq))
     cauchy_by_60 = bool(np.all(diffs[58:] < 1e-8))
     converged = float(seq[-1])
-    ta = tail_asymptotics(spec, n_probe=200)
+    ta = tail_asymptotics(spec)
     ok = (
         cauchy_by_60
         and abs(converged - ESCAPE_PRODUCT_ORACLE) < 1e-8

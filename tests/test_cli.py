@@ -105,11 +105,10 @@ def test_tail_json_only(capsys, half_spec):
     assert "ERROR" in err
 
 
-def test_tail_refuses_a_probe_past_the_table_ceiling(capsys, half_spec):
-    code, out, err = run(capsys, "tail", "--spec", half_spec, "--nmax", "1000000000")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("ERROR NotApplicableError: n_probe")
+def test_tail_takes_no_probe_depth(capsys, half_spec):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "tail", "--spec", half_spec, "--nmax", "400")
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["cdf", "simulate", "network-reduce"])

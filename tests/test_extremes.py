@@ -360,7 +360,6 @@ LOOP = NetworkSpec(0.5, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0)))
         lambda: compactness_diagnostic(HALF, delta=1.0),
         lambda: as_limit_constant(HALF, 1),
         lambda: verify_as_convergence(HALF, [1]),
-        lambda: tail_asymptotics(HALF, n_probe=400.0),
         lambda: build_tail_function(HALF)(2.0**20 + 0.5),
         lambda: stationary_distribution(HALF, 2.5),
         lambda: stationary_distribution(HALF, -1),
@@ -371,7 +370,7 @@ LOOP = NetworkSpec(0.5, (Station("ss", 1.0),), ((0.0, 1.0), (1.0, 0.0)))
     ],
     ids=["gumbel-k0", "gumbel-x-800", "gumbel-x-nan", "envelope-x-nan", "duality-nmax0", "maxima-k2.5",
          "maxima-k-true", "maxima-reps2.5", "norming-k2.5", "compactness-delta-inf", "compactness-delta1",
-         "as-limit-k1", "convergence-k1", "tail-float-probe", "tail-function-float-nmax",
+         "as-limit-k1", "convergence-k1", "tail-function-float-nmax",
          "stationary-float-nmax", "stationary-negative-nmax", "norton-float-nmax", "lattice-float-nmax",
          "harrison-float-n", "harrison-bool-n"],
 )

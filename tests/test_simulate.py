@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cyclemax.networks as networks_module
 import cyclemax.simulate as simulate_module
 from cyclemax import (
     BirthDeathSpec,
@@ -150,10 +149,10 @@ def _highest_of(u, count):
 def _block_outcome(table, level, u):
     """(rise, high, excursions) of one cycle's block from ``level``, read
     from the block table with its uniform u: cell floor(u width) of the row,
-    kept when the fraction lies below its keep value, else its alias."""
+    kept when u width lies below its bound, else its alias."""
     scaled = u * table.width
     cell = level * table.width + int(scaled)
-    entry = 2 * cell + (scaled - int(scaled) < table.keep[cell])
+    entry = 2 * cell + (scaled < table.bound[cell])
     count = 0 if table.excursions is None else int(table.excursions[entry])
     return int(table.rise[entry]), int(table.high[entry]), count
 
@@ -638,10 +637,11 @@ def test_block_law_equals_a_path_sum(spec, top, levels, d):
 def _table_outcomes(table, x):
     """{(rise, high, excursions): probability} that row x of a block table
     gives a uniform: cell c with probability keep / width and its alias
-    with probability (1 - keep) / width."""
+    with probability (1 - keep) / width, keep = bound - (c - x width)."""
     law = {}
     for c in range(x * table.width, (x + 1) * table.width):
-        for entry, pr in ((2 * c + 1, table.keep[c]), (2 * c, 1.0 - table.keep[c])):
+        keep = table.bound[c] - (c - x * table.width)
+        for entry, pr in ((2 * c + 1, keep), (2 * c, 1.0 - keep)):
             e = 0 if table.excursions is None else int(table.excursions[entry])
             key = (int(table.rise[entry]), int(table.high[entry]), e)
             law[key] = law.get(key, 0.0) + pr / table.width
@@ -654,7 +654,8 @@ def test_block_tables_rebuild_the_block_law(spec, top, levels):
     table = simulate_module._block_table(tables, max(levels))
     assert table.moves == simulate_module._BLOCK_MOVES and table.rows >= max(levels)
     assert table.width & (table.width - 1) == 0
-    assert np.all((table.keep >= 0.0) & (table.keep <= 1.0))
+    keep = table.bound - np.tile(np.arange(table.width), table.rows + 1)
+    assert np.all((keep >= 0.0) & (keep <= 1.0))
     for x in sorted(set(levels) | set(range(1, min(table.rows, 20) + 1))):
         want = _dp_outcomes(tables.p_at, tables.n_flat, x, table.moves)
         got = _table_outcomes(table, x)
@@ -667,11 +668,11 @@ def test_block_tables_grow_with_the_highest_level(monkeypatch):
     assert first.rows == simulate_module._BLOCK_ROWS
     assert simulate_module._block_table(tables, first.rows) is first
     grown = simulate_module._block_table(tables, first.rows + 1)
-    assert grown.rows == 2 * first.rows and tables.blocks == [grown]
+    assert grown.rows == 2 * first.rows and tables.blocks is grown
     assert (grown.moves, grown.width) == (first.moves, first.width)
     # the rows it had are unchanged, so a draw moves a cycle as before
     cells = (first.rows + 1) * first.width
-    assert np.array_equal(grown.keep[:cells], first.keep)
+    assert np.array_equal(grown.bound[:cells], first.bound)
     for name in ("rise", "high"):
         assert np.array_equal(getattr(grown, name)[: 2 * cells], getattr(first, name))
     # a level past twice the rows is reached at once; the table stops below the top
@@ -682,7 +683,7 @@ def test_block_tables_grow_with_the_highest_level(monkeypatch):
     assert simulate_module._block_table(run, 3).rows == 3
     # past the cell cap the moves halve, down to one
     for cap, moves in ((1_000, 8), (300, 4), (10, 1)):
-        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", cap)
+        monkeypatch.setattr(simulate_module, "_TABLE_CELLS", cap)
         small = simulate_module._build_blocks(tables.p_at, None, 16, simulate_module._BLOCK_MOVES)
         assert small.moves == moves
         assert (small.rows + 1) * small.width <= cap or moves == 1
@@ -697,8 +698,62 @@ def test_block_tables_follow_the_levels_reached_not_the_horizon():
     spec = mminf(2.0, 1.0)
     sample = simulate_cycles(spec, SimConfig(seed=3, cycles=10**4, escape_horizon=1 << 20))
     assert sample.cycles == 10**4 and sample.escaped == 0
-    table = spec._walk_tables[1 << 20].blocks[0]
+    table = spec._walk_tables[1 << 20].blocks
     assert table.moves == simulate_module._BLOCK_MOVES and table.rows <= 32
+
+
+def _decode(u, offset, width, bound):
+    """One uniform's outcome entry, decoded in Python: cell offset +
+    floor(u width) of its row, its own outcome (entry 2 cell + 1) when
+    u width lies below the cell's bound, else its alias's (entry 2 cell)."""
+    v = u * width
+    cell = offset + math.floor(v)
+    return 2 * cell + (1 if v < bound[cell] else 0)
+
+
+def _alias_table(kind):
+    """(bound, width, int32 rows, offsets) of a block or an event table; a
+    chain passes its levels times the width, a network its held offsets."""
+    if kind == "block":
+        table = simulate_module._block_table(simulate_module._walk_tables(mms(3, 2.1, 1.0), 1_000), 3)
+        rows = np.arange(1, table.rows + 1, dtype=np.int32)
+        return table.bound, table.width, rows, lambda at: at * table.width
+    table = NetworkSpec(mu0=_MIXED.mu0, stations=_MIXED.stations, routing=_MIXED.routing)._event_table
+    assert table.grow(3, 1_000)
+    rows = np.arange(table.rows(table.totals), dtype=np.int32)
+    return table.bound, table.width, rows, lambda at: at * np.int32(table.width)
+
+
+@pytest.mark.parametrize("kind", ["block", "event"])
+def test_alias_entries_equal_a_python_decode(kind):
+    bound, width, rows, offsets = _alias_table(kind)
+    keep = bound - np.tile(np.arange(width), bound.size // width)
+    # for each cell of each row: u width on the cell's left edge, at its
+    # bound and just below it, within the cell, and a few uniforms
+    row, u = [], []
+    for x in rows.tolist():
+        for c in range(width):
+            b = float(bound[int(offsets(np.int32(x))) + c])
+            for v in (float(c), b, math.nextafter(b, -math.inf)):
+                if c <= v < c + 1:
+                    row.append(x)
+                    u.append(v / width)
+    rng = np.random.default_rng(5)
+    row += rng.choice(rows, 1_000).tolist()
+    u += rng.random(1_000).tolist()
+    at = np.array(row, dtype=np.int32)
+    draws = np.array(u)
+    entries = simulate_module._alias_entries(draws.copy(), offsets(at), width, bound)
+    assert entries.dtype == np.intp
+    want = [_decode(w, int(o), width, bound) for w, o in zip(u, offsets(at).tolist())]
+    assert entries.tolist() == want
+    # a cell that keeps nothing gives its alias on its left edge, one that
+    # keeps everything its own outcome
+    cell = offsets(at) + (draws * width).astype(np.intp)
+    edge = draws * width == np.floor(draws * width)
+    for k, own in ((0.0, 0), (1.0, 1)):
+        hit = edge & (keep[cell] == k)
+        assert hit.any() and np.all(entries[hit] == 2 * cell[hit] + own)
 
 
 _DKW_CHAINS = [
@@ -1149,11 +1204,11 @@ def test_maxima_come_back_int64_from_every_path(run):
 def test_int32_cycle_state_has_headroom():
     # Levels stop below the top, at most _MAX_LEVELS.  A call is charged at
     # least one jump a cycle, so it runs fewer than _MAX_JUMPS cycles (slots).
-    # A block table of more than one move holds at most _BLOCK_CELLS cells;
-    # one of one move a row per level and at most 2 x 2 x 2 outcomes (maximum,
-    # fall, excursions) a row.  An event table holds at most _TABLE_CELLS.
-    # Entry 2 c + 1 is the highest index a cell c reads.
-    cells = max(simulate_module._BLOCK_CELLS, (_MAX_LEVELS + 1) * 8, networks_module._TABLE_CELLS)
+    # A block table of more than one move and an event table hold at most
+    # _TABLE_CELLS cells; a block table of one move a row per level and at
+    # most 2 x 2 x 2 outcomes (maximum, fall, excursions) a row.  Entry
+    # 2 c + 1 is the highest index a cell c reads.
+    cells = max(simulate_module._TABLE_CELLS, (_MAX_LEVELS + 1) * 8)
     assert max(_MAX_LEVELS, simulate_module._MAX_JUMPS, 2 * cells + 1) < 2**31
 
 
