@@ -654,7 +654,7 @@ def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: flo
             trend = (
                 f"terms still rise at n = {n_end}"
                 if log_step >= 0.0
-                else f"term ratio at n = {n_end} is {r:.6g}, not yet near its limit {q:.6g}"
+                else f"term ratio at n = {n_end} is {r!r}, not yet near its limit {q!r}"
             )
             raise NotApplicableError(f"series {trend}; the truncated sum is not the series")
         log_t = np.asarray(log_term_fn(np.arange(n_end, 2 * n_end + 1)), dtype=float)

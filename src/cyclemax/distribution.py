@@ -153,29 +153,19 @@ class CycleMaxDistribution:
         return float(np.log(-np.expm1(-self.log_s_limit())))
 
     def log_s_limit(self) -> float:
-        """log S(inf) when the reciprocal-weight series converges, summed to level _MAX_LEVELS at most."""
-        if self._tables.log_s_inf is not None:
-            return self._tables.log_s_inf
-        n = 256
-        while True:
-            a = float(self.log_cumulative(n // 2))
-            b = float(self.log_cumulative(n))
-            if b - a < 1e-15 or n >= _MAX_LEVELS:
-                break
-            n *= 2
-        out = float(self.log_cumulative(n))
-        t_n = -float(self.spec.log_psi_rho(n))
-        q = math.exp(t_n + float(self.spec.log_psi_rho(n - 1)))
-        if q < 1.0:
-            # geometric bound on the dropped tail from the last term ratio
-            out = float(np.logaddexp(out, t_n + math.log(q) - math.log1p(-q)))
-        self._tables.log_s_inf = out
-        return out
+        """log S(inf): log S(cap) on a capped spec, else the tail margin at level 0."""
+        if self._tables.log_s_inf is None:
+            if self.spec.cap is not None:
+                out = self.log_cumulative(self.spec.cap)
+            else:
+                out = np.logaddexp(0.0, self.log_tail_sum(0))
+            self._tables.log_s_inf = float(out)
+        return self._tables.log_s_inf
 
     def conditional_cdf(self, n):
-        """P(Y <= n | Y < inf)."""
+        """P(Y <= n | Y < inf); the rounded ratio may pass 1 by an ulp, so it is capped there."""
         n = np.asarray(n)
-        out = self.cdf(n) / self.p_finite
+        out = np.minimum(self.cdf(n) / self.p_finite, 1.0)
         return float(out) if np.ndim(n) == 0 else out
 
     def failure_rate(self, n):
@@ -210,33 +200,43 @@ class CycleMaxDistribution:
         1/(beta_lower rho), whose geometric series closes the rest.  At q = 0
         that bound holds only in the limit, so the span doubles until the
         window's last term lies e^-60 below the first term past max n, and
-        nothing closes it.  Neither the span nor max n - min n may pass
-        _MAX_LEVELS levels.
+        nothing closes it.  At q within _TOL of 1 the span is _MAX_LEVELS and
+        the Hurwitz sum of the power fitted over its upper half closes it.
+        Neither the span nor max n - min n may pass _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
         log_q = math.log(q) if q > 0.0 else -math.inf
+        power = abs(q - 1.0) <= _TOL
         # before the series test: a chain this close to critical may classify as recurrent
-        if q < 1.0 and not -log_q * _MAX_LEVELS > 60.0:
+        if q < 1.0 and not power and not -log_q * _MAX_LEVELS > 60.0:
             raise NotApplicableError(
                 f"the tail ratio {q!r} is too close to 1: the tail margin "
                 f"needs a window beyond {_MAX_LEVELS} levels"
             )
         if cls.b_star_convergent is not True:
             raise NotTransientError("reciprocal-weight series diverges")
-        if not q < 1.0:
+        if not (q < 1.0 or power):
             raise NotApplicableError("tail sum needs a geometric term bound")
         n = self._checked(n)
         lo, hi = int(np.min(n)) + 1, int(np.max(n)) + 1  # hi: the first term past every n
         _check_levels("tail sum level spread", hi - lo)
-        span = max(int(60.0 / -log_q), 8)
+        span = _MAX_LEVELS if power else max(int(60.0 / -log_q), 8)
         lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
         while q == 0.0 and lt[-1] > lt[hi - lo] - 60.0 and span < _MAX_LEVELS:
             span = min(2 * span, _MAX_LEVELS)
             lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
-        out = np.logaddexp(rev[n + 1 - lo], lt[-1] + log_q - math.log1p(-q))
+        if power:
+            win = np.arange(hi + span // 2, hi + span)  # the window's upper half
+            p, log_alpha, resid = _power_fit(win, -lt[win - lo])
+            if resid > _FIT_RESID_TOL or not p > 1.0:
+                raise FitFailedError(f"terms on [{win[0]}, {win[-1]}] fit power {p:.6g}, residual {resid:.2e}")
+            log_close = math.log(_hurwitz_zeta(p, hi + span)) - log_alpha
+        else:
+            log_close = lt[-1] + log_q - math.log1p(-q)
+        out = np.logaddexp(rev[n + 1 - lo], log_close)
         return float(out) if n.ndim == 0 else out
 
     def _log_conditional_survival(self, n):
@@ -396,8 +396,6 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
         scale, constant = "(1 - F(n)) / (psi(n) rho^n)", 1.0 - cls.beta * rho
         vals = _t_ratio(dist, np.array(probes))
     elif regime is TailRegime.SUPERCRITICAL:
-        # psihat(n) rho^n * (1 - F(n | finite)), before p_finite so that the
-        # margin's window check runs before log_s_limit grows the tables
         at = np.array(probes)
         vals = np.exp(spec.log_psi_rho(at) + dist._log_conditional_survival(at)).tolist()
         q = cls.beta * rho
@@ -422,10 +420,7 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
             scale, constant = "log(n) * (1 - F(n))", alpha
             norms = [math.log(n) for n in probes]
         else:
-            # S converges like a p-series; close it with the fitted Hurwitz tail
-            log_tail = math.log(_hurwitz_zeta(p, n_probe + 1.0)) - math.log(alpha)
-            log_s_inf = float(np.logaddexp(dist.log_cumulative(n_probe), log_tail))
-            scale, constant = "(1 - F(n))", math.exp(-log_s_inf)
+            scale, constant = "(1 - F(n))", math.exp(-dist.log_s_limit())
             norms = [1.0] * len(probes)
         vals = [w * float(dist.survival(n)) for w, n in zip(norms, probes)]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -380,6 +381,14 @@ def test_a_tail_that_never_nears_its_declared_ratio_is_refused():
     seq = CallableSequence(lambda n: -1e-5 * np.asarray(n, dtype=float), tail_ratio=0.5)
     with pytest.raises(NotApplicableError, match="not yet near its limit"):
         classify(BirthDeathSpec(psi=seq, phi=seq, lam=1.0, mu=1.0))
+
+
+def test_a_refused_term_ratio_prints_apart_from_its_limit():
+    # at n = 80,000 the ratio is 4.4e-12 above its limit; to six digits both read 0.999997
+    with pytest.raises(NotApplicableError, match="not yet near its limit") as info:
+        classify(mms(3, 2.99999, 1.0))
+    ratio, limit = re.search(r"is (\S+), not yet near its limit (\S+);", str(info.value)).groups()
+    assert ratio != limit and float(ratio) > float(limit)
 
 
 @pytest.mark.parametrize(

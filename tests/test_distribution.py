@@ -27,7 +27,7 @@ from cyclemax import (
     tail_asymptotics,
 )
 from cyclemax.distribution import _LawTables, _as_dist, _hurwitz_zeta
-from cyclemax.errors import NotTransientError
+from cyclemax.errors import FitFailedError, NotTransientError
 
 
 def single_server_cdf(rho, n):
@@ -227,13 +227,57 @@ def test_a_geometric_tail_is_probed_where_it_has_settled(spec):
     assert abs(ta.empirical_value / ta.limit_constant - 1.0) < 0.25
 
 
+def _power_spec(p):
+    # psi(n) = (n + 1)^p at rho = 1: S(inf) = zeta(p)
+    seq = CallableSequence(lambda n: p * np.log(n + 1.0), tail_ratio=1.0)
+    return BirthDeathSpec(seq, seq, 1.0, 1.0)
+
+
 def test_s_limit_sums_within_the_table_ceiling():
-    # psi(n) = (n + 1)^2 at rho = 1: S(inf) = pi^2 / 6, and the partial sums
-    # have not settled to 1e-15 by level 2^20, where the sum stops
-    seq = CallableSequence(lambda n: 2.0 * np.log(n + 1.0), tail_ratio=1.0)
+    # S(inf) = pi^2 / 6: the margin sums to level 2^20 and closes the rest
+    # with a Hurwitz sum, outside the law's tables
+    spec = _power_spec(2.0)
+    assert _as_dist(spec).p_finite == pytest.approx(1.0 - 6.0 / math.pi**2, abs=1e-11)
+    assert len(spec._law_tables.log_S) < 1 << 10
+
+
+def test_s_limit_of_a_slow_power_tail():
+    # S(inf) = zeta(1.5); the partial sum to 2^20 still misses 2e-3 of it
+    assert _as_dist(_power_spec(1.5)).p_finite == pytest.approx(1.0 - 1.0 / 2.612375348685488, abs=1e-8)
+
+
+def test_a_power_tail_that_flattens_past_the_series_probe_is_refused():
+    # (n + 1)^2 to level 2e4, then growth as n^0.9 only: the series test
+    # reads p = 2 on [5000, 10000], but past 2^19 the terms sum like n^-0.9
+    seq = CallableSequence(
+        lambda n: 2.0 * np.log(np.minimum(n, 20000) + 1.0) + 0.9 * np.log(np.maximum(n / 20000, 1.0)),
+        tail_ratio=1.0,
+    )
     spec = BirthDeathSpec(seq, seq, 1.0, 1.0)
-    assert _as_dist(spec).p_finite == pytest.approx(1.0 - 6.0 / math.pi**2, abs=2e-7)
-    assert len(spec._law_tables.log_S) == (1 << 20) + 1
+    assert classify(spec).b_star_convergent is True
+    with pytest.raises(FitFailedError, match="fit power 0.9"):
+        _as_dist(spec).log_s_limit()
+
+
+def test_critical_constant_is_the_escape_mass():
+    spec = _power_spec(2.0)
+    ta = tail_asymptotics(spec)
+    assert ta.regime is TailRegime.CRITICAL and ta.p_exponent > 1.0
+    assert ta.limit_constant == pytest.approx(1.0 - _as_dist(spec).p_finite, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [mm1(0.5, 1.0), mminf(2.0, 1.0)], ids=["mm1", "mminf"])
+def test_s_limit_of_a_recurrent_chain_is_refused(spec):
+    dist = CycleMaxDistribution(spec)
+    entries = len(spec._law_tables.log_S)
+    with pytest.raises(NotTransientError):
+        dist.log_s_limit()
+    assert len(spec._law_tables.log_S) == entries
+
+
+def test_s_limit_of_a_capped_chain_is_its_last_partial_sum():
+    dist = CycleMaxDistribution(mm1(0.5, 1.0, cap=5))
+    assert dist.log_s_limit() == dist.log_cumulative(5)
 
 
 def test_transient_only_fields_absent_when_recurrent():

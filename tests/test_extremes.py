@@ -8,6 +8,7 @@ from cyclemax import extremes
 from cyclemax import (
     BirthDeathSpec,
     CallableSequence,
+    CycleMaxDistribution,
     NetworkSpec,
     NormingKind,
     SimConfig,
@@ -467,10 +468,15 @@ _NEAR_CRITICAL = {
 }
 
 
+def _p_finite(spec):
+    return CycleMaxDistribution(spec).p_finite
+
+
 @pytest.mark.parametrize(
     "fn, spec",
     [pytest.param(compactness_diagnostic, s, id=k) for k, s in _NEAR_CRITICAL.items()]
-    + [pytest.param(tail_asymptotics, s, id=f"tail-{k}") for k, s in _NEAR_CRITICAL.items()],
+    + [pytest.param(tail_asymptotics, s, id=f"tail-{k}") for k, s in _NEAR_CRITICAL.items()]
+    + [pytest.param(_p_finite, s, id=f"p_finite-{k}") for k, s in _NEAR_CRITICAL.items()],
 )
 def test_near_critical_conditional_compactness_is_refused_at_once(fn, spec):
     start = time.perf_counter()

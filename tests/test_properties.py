@@ -1,11 +1,14 @@
 """Property tests over generated preset specs: every public call on a spec
 that builds answers, or refuses with a package error or a ValueError,
-without a RuntimeWarning and within a second."""
+without a RuntimeWarning and within a second; and a transient queue's
+escape mass matches its closed form."""
 
+import math
 import time
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +81,25 @@ def test_every_call_on_a_preset_spec_answers_or_refuses_quietly(preset, s, log10
                 pass
         seconds = time.perf_counter() - start
         assert seconds < 1.0, f"{name} took {seconds:.2f} s on {spec.label}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(s=st.integers(1, 8), single=st.booleans(), log10_load=st.floats(math.log10(1.001), 300.0))
+def test_the_escape_mass_of_a_transient_queue_is_its_closed_form(s, single, log10_load):
+    # M/M/s at rho = lam/mu: 1/(psihat(n) rho^n) = n! rho^-n up to n = s, then
+    # s! s^(n-s) rho^-n, so S(inf) - 1 is a finite sum and one geometric tail
+    s = 1 if single else s
+    rho = s * 10.0**log10_load
+    spec = mm1(rho, 1.0) if single else mms(s, rho, 1.0)
+    log_terms = [math.lgamma(k + 1) - k * math.log(rho) for k in range(1, s + 1)]
+    log_terms.append(math.lgamma(s + 1) - s * math.log(s) + (s + 1) * math.log(s / rho) - math.log1p(-s / rho))
+    log_s_minus_1 = float(np.logaddexp.reduce(log_terms))
+    expected = log_s_minus_1 - float(np.logaddexp(0.0, log_s_minus_1))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dist = CycleMaxDistribution(spec)
+        assert dist.log_p_finite == pytest.approx(expected, rel=1e-12, abs=0.0)
+        cdf = dist.conditional_cdf(_LEVELS)
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[0] >= 0.0 and cdf[-1] <= 1.0, cdf
+    assert time.perf_counter() - start < 1.0
