@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import SimpleNamespace
@@ -32,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "log_factorial",
+    "Tail",
     "WeightSequence",
     "OnesSequence",
     "FactorialInverseSequence",
@@ -161,17 +162,38 @@ def log_factorial(n):
 # weight sequences
 
 
+@dataclass(frozen=True)
+class Tail:
+    """log w(n) = log_amp + n log ratio + degree log n - factorial log n!, exactly for n >= start."""
+
+    start: int
+    log_amp: float
+    ratio: float = 1.0
+    degree: int = 0
+    factorial: int = 0
+
+    def log_value(self, n):
+        n = np.asarray(n, dtype=float)
+        out = self.log_amp + n * math.log(self.ratio) + (self.degree * np.log(n) if self.degree else 0.0)
+        return out - self.factorial * log_factorial(n) if self.factorial else out
+
+    def reciprocal(self) -> "Tail":
+        return Tail(self.start, -self.log_amp, 1.0 / self.ratio, -self.degree, -self.factorial)
+
+
 class WeightSequence:
     """Positive sequence w(0), w(1), ... evaluated in log space.
 
-    ``tail_ratio`` is the exact limit of w(n+1)/w(n) when the representation
-    pins it down (0.0 and inf are legal limits); ``tail_bounds`` gives
-    (liminf, limsup) when only bounds are known.  Either may be None.
+    ``tail`` records the exact law past some level where the representation
+    states it; ``tail_ratio`` is the exact limit of w(n+1)/w(n) when it pins
+    it down (0.0 and inf are legal limits); ``tail_bounds`` gives (liminf,
+    limsup) when only bounds are known.  Each may be None.
 
     Sequences are immutable: a spec caches its classification, which must
     not go stale.
     """
 
+    tail: Tail | None = None
     tail_ratio: float | None = None
     tail_bounds: tuple[float, float] | None = None
 
@@ -207,6 +229,7 @@ class WeightSequence:
 class OnesSequence(WeightSequence):
     """w(n) = 1 for all n (single-server pattern)."""
 
+    tail = Tail(0, 0.0)
     tail_ratio = 1.0
 
     def log_value(self, n):
@@ -223,6 +246,7 @@ class OnesSequence(WeightSequence):
 class FactorialInverseSequence(WeightSequence):
     """w(n) = 1/n! (infinite-server pattern); ratio w(n+1)/w(n) -> 0."""
 
+    tail = Tail(0, 0.0, factorial=1)
     tail_ratio = 0.0
 
     def log_value(self, n):
@@ -234,13 +258,13 @@ class FactorialInverseSequence(WeightSequence):
 
 @dataclass(frozen=True)
 class MultiServerSequence(WeightSequence):
-    """w(n) = 1/n! for n <= s and s^(s-n)/s! beyond; ratio -> 1/s."""
+    """w(n) = 1/n! for n < s and s^(s-n)/s! from s - 1 on; ratio -> 1/s."""
 
     s: int
 
     def __post_init__(self):
         s = _integer("server count", self.s, 1, SpecFormatError)
-        self._set(s=s, tail_ratio=1.0 / s)
+        self._set(s=s, tail_ratio=1.0 / s, tail=Tail(s - 1, s * math.log(s) - float(log_factorial(s)), 1.0 / s))
 
     def log_value(self, n):
         n = np.asarray(n)
@@ -259,9 +283,9 @@ class MultiServerSequence(WeightSequence):
 class TableSequence(WeightSequence):
     """Explicit head values with constant-ratio extrapolation beyond the table.
 
-    For n past the table end N: w(n) = w(N) * tail_ratio^(n-N) * (n/N)^poly_degree.
-    The polynomial factor serves reduced network chains whose aggregate weight
-    grows like n^m * beta^n; plain tables use poly_degree = 0.
+    From the table end N on, w(n) = w(N) * tail_ratio^(n-N) * (n/N)^poly_degree, as its
+    ``tail`` record states.  The polynomial factor serves reduced network chains whose
+    aggregate weight grows like n^m * beta^n; plain tables use poly_degree = 0.
     """
 
     def __init__(self, values, tail_ratio: float, poly_degree: int = 0):
@@ -297,7 +321,10 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
         values.flags.writeable = False
         logs.flags.writeable = False
-        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs)
+        last = len(logs) - 1
+        log_amp = float(logs[last]) - poly_degree * math.log(max(last, 1)) - last * math.log(tail_ratio)
+        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs,
+                  tail=Tail(last, log_amp, tail_ratio, poly_degree))
 
     @property
     def values(self) -> tuple:
@@ -308,15 +335,10 @@ class TableSequence(WeightSequence):
         scalar = np.ndim(n) == 0
         n = np.atleast_1d(np.asarray(n))
         last = len(self._values) - 1
-        inside = np.clip(n, 0, last)
-        out = self._log_values[inside].astype(float)
+        out = self._log_values[np.clip(n, 0, last)].astype(float)
         over = n > last
         if np.any(over):
-            k = n[over].astype(float)
-            extra = (k - last) * math.log(self.tail_ratio)
-            if self.poly_degree:
-                extra = extra + self.poly_degree * (np.log(k) - math.log(last))
-            out[over] = self._log_values[last] + extra
+            out[over] = self.tail.log_value(n[over])
         return float(out[0]) if scalar else out
 
     def to_json(self):
@@ -388,7 +410,7 @@ class ReciprocalSequence(WeightSequence):
     base: WeightSequence
 
     def __post_init__(self):
-        self._set(tail_ratio=_invert_limit(self.base.tail_ratio))
+        self._set(tail=self.base.tail and self.base.tail.reciprocal(), tail_ratio=_invert_limit(self.base.tail_ratio))
         if self.base.tail_bounds is not None:
             lo, hi = self.base.tail_bounds
             self._set(tail_bounds=(_invert_limit(hi), _invert_limit(lo)))
@@ -471,6 +493,12 @@ class BirthDeathSpec:
         n = np.asarray(n)
         base = float(self.psi.log_value(0))
         return self.psi.log_value(n) - base + n * math.log(self.rho)
+
+    @property
+    def psi_rho_tail(self) -> Tail | None:
+        """The record of psihat(n) rho^n, from psi's; None where psi states none."""
+        t = self.psi.tail
+        return t and replace(t, log_amp=t.log_amp - float(self.psi.log_value(0)), ratio=t.ratio * self.rho)
 
     def log_phi_rho(self, n):
         n = np.asarray(n)
@@ -662,15 +690,20 @@ def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: flo
         n_end *= 2
 
 
-def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float) -> _SeriesJudgement:
+def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float, tail=None) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
     ``log_t`` holds the log terms for n = 0.._TRUNC; ``log_term_fn`` gives
-    them past _TRUNC, where the ratio test may extend the sum.  Ratio test
-    first; near the boundary a power-law probe of the terms over the window
-    [_TRUNC/2, _TRUNC] decides; as a last resort, non-decreasing terms with
-    partial sums past 1/_TOL are called divergent.
+    them past _TRUNC.  Terms that a ``tail`` record makes geometric from a
+    start within log_t are their head closed there by the geometric series;
+    else the ratio test, which may extend the sum, comes first; near the
+    boundary a power-law probe of the terms over [_TRUNC/2, _TRUNC] decides;
+    as a last resort, non-decreasing terms with partial sums past 1/_TOL are
+    called divergent.
     """
+    if q_hi < 1.0 - _TOL and tail is not None and not (tail.degree or tail.factorial) and tail.start < log_t.size:
+        log_close = log_t[tail.start] + math.log(q_hi) - math.log1p(-q_hi)
+        return _SeriesJudgement(logsumexp(np.append(log_t[: tail.start + 1], log_close)), True)
     if q_hi < 1.0 - _TOL:
         return _SeriesJudgement(float(_ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)), True)
     if q_lo > 1.0 + _TOL:
@@ -730,8 +763,8 @@ def _classify(spec: BirthDeathSpec) -> Classification:
 
         # judged in the order phi, psi, star, so a spec that fails raises as before
         if not same:
-            s_phi = _judge_series(phi_head, spec.log_phi_rho, p_lo * rho, p_hi * rho)
-        s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho)
+            s_phi = _judge_series(phi_head, spec.log_phi_rho, p_lo * rho, p_hi * rho, spec.phi.tail)
+        s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho, spec.psi.tail)
         if same:
             s_phi = s_psi
         s_star = _judge_series(
@@ -739,6 +772,7 @@ def _classify(spec: BirthDeathSpec) -> Classification:
             lambda n: -psi_terms(n),
             _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
             _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
+            spec.psi.tail,
         )
         regularity_ok = _regularity(spec, log_psi, log_phi, b_lo)
 

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bdp import _check_levels, classify, load_spec, spec_to_dict
+from .bdp import _TOL, Verdict, _check_levels, classify, load_spec, spec_to_dict
 from .distribution import _as_dist, tail_asymptotics
 from .errors import CycleMaxError
 from .extremes import (
@@ -179,6 +179,9 @@ def _cmd_network_reduce(args) -> int:
     net = load_network(args.infile)
     reduction = norton_reduce(net, n_max=_check_levels("--nmax", args.nmax))
     _emit_object(args, spec_to_dict(reduction.induced))
+    if reduction.beta_net * net.mu0 > 1.0 - _TOL and classify(reduction.induced).verdict is Verdict.TRANSIENT:
+        sys.stderr.write("WARNING: the network is overloaded: the induced chain is transient, "
+                         "and its escape probability is not the network's\n")
     return 0
 
 

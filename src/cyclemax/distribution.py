@@ -195,21 +195,25 @@ class CycleMaxDistribution:
         for a level or an integer array of levels.
 
         One reverse log-accumulation over [min n + 1, max n + span] sums the
-        terms afresh, so large n costs no cancellation.  The span, at least
-        8, reaches e^-60 below each first term at the term bound q =
-        1/(beta_lower rho), whose geometric series closes the rest.  At q = 0
-        that bound holds only in the limit, so the span doubles until the
-        window's last term lies e^-60 below the first term past max n, and
-        nothing closes it.  At q within _TOL of 1 the span is _MAX_LEVELS and
-        the Hurwitz sum of the power fitted over its upper half closes it.
-        Neither the span nor max n - min n may pass _MAX_LEVELS levels.
+        terms afresh, so large n costs no cancellation.  Where psi's record
+        states the terms exactly, as q^i at the term bound q = 1/(beta_lower
+        rho) or, at q within _TOL of 1, as i^-p / alpha, the window ends one
+        term past max n and the record's start, and its geometric or Hurwitz
+        sum closes it.  Otherwise the span, at least 8, reaches e^-60 below
+        each first term at q, whose geometric series closes the rest; at q = 0
+        it doubles until the window's last term lies e^-60 below the first
+        term past max n, and nothing closes it; at q within _TOL of 1 it is
+        _MAX_LEVELS and the Hurwitz sum of ``_power_law`` closes it.  Neither
+        the span nor max n - min n may pass _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
         log_q = math.log(q) if q > 0.0 else -math.inf
         power = abs(q - 1.0) <= _TOL
+        tail = self.spec.psi_rho_tail
+        exact = tail is not None and tail.factorial == 0 and (power or tail.degree == 0)
         # before the series test: a chain this close to critical may classify as recurrent
-        if q < 1.0 and not power and not -log_q * _MAX_LEVELS > 60.0:
+        if q < 1.0 and not (power or exact) and not -log_q * _MAX_LEVELS > 60.0:
             raise NotApplicableError(
                 f"the tail ratio {q!r} is too close to 1: the tail margin "
                 f"needs a window beyond {_MAX_LEVELS} levels"
@@ -222,17 +226,16 @@ class CycleMaxDistribution:
         lo, hi = int(np.min(n)) + 1, int(np.max(n)) + 1  # hi: the first term past every n
         _check_levels("tail sum level spread", hi - lo)
         span = _MAX_LEVELS if power else max(int(60.0 / -log_q), 8)
+        if exact:  # the window ends one term past max n and the start
+            span = max(tail.start + 2 - hi, 1)
         lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
         while q == 0.0 and lt[-1] > lt[hi - lo] - 60.0 and span < _MAX_LEVELS:
             span = min(2 * span, _MAX_LEVELS)
             lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
-        if power:
-            win = np.arange(hi + span // 2, hi + span)  # the window's upper half
-            p, log_alpha, resid = _power_fit(win, -lt[win - lo])
-            if resid > _FIT_RESID_TOL or not p > 1.0:
-                raise FitFailedError(f"terms on [{win[0]}, {win[-1]}] fit power {p:.6g}, residual {resid:.2e}")
+        if power:  # p fitted over the window's upper half where psi has no record
+            p, log_alpha = _power_law(self.spec, np.arange(hi + span // 2, hi + span), least=1.0)
             log_close = math.log(_hurwitz_zeta(p, hi + span)) - log_alpha
         else:
             log_close = lt[-1] + log_q - math.log1p(-q)
@@ -368,11 +371,12 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
     """Identify the tail regime of P(Y > n) and its normalising constant.
 
     The regime is ``_tail_regime``'s.  The normalised tail is read at the
-    probes n/2, 3n/4 and n, with n = _PROBE, doubled in the regimes read
-    against psi(n) rho^n while psi(n) rho^n at n is not below 2^-53 and 2 n
-    stays within _MAX_LEVELS: so past the peak of the terms (M/M/inf at a
-    large lambda) and far enough down a ratio near 1 (M/M/1 or M/M/s near
-    rho = s) for the normalised tail to have settled.
+    probes n/2, 3n/4 and n, with n = _PROBE, doubled off criticality while
+    the falling one of psi(n) rho^n and its reciprocal is not below 2^-53
+    at n and 2 n stays within _MAX_LEVELS: so past the peak of the terms
+    (M/M/inf at a large lambda) and far enough down a ratio near 1 (M/M/1
+    or M/M/s near rho = s) for the normalised tail to have settled.  A
+    critical tail's p and alpha are psi's record's, else fitted on [n/2, n].
     """
     regime = _tail_regime(spec)
     cls = classify(spec)
@@ -382,8 +386,9 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
     if regime is TailRegime.NO_LIMIT and not q_hi < 1.0 - _TOL:
         raise NotApplicableError("tail ratio has no limit and is not uniformly subcritical")
     n_probe = _PROBE
-    if regime in (TailRegime.NO_LIMIT, TailRegime.SUBCRITICAL):
-        while 2 * n_probe <= _MAX_LEVELS and float(spec.log_psi_rho(n_probe)) >= -53.0 * math.log(2.0):
+    sign = -1.0 if regime is TailRegime.SUPERCRITICAL else 1.0
+    if regime is not TailRegime.CRITICAL:
+        while 2 * n_probe <= _MAX_LEVELS and sign * float(spec.log_psi_rho(n_probe)) >= -53.0 * math.log(2.0):
             n_probe *= 2
     h = n_probe // 4
     probes = (n_probe - 2 * h, n_probe - h, n_probe)
@@ -403,14 +408,7 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
         scale = "psi(n) rho^n * (1 - F(n | finite))"
         constant = fixed_point = b_star * b_star / ((q - 1.0) * dist.p_finite)  # 1 - b*, which rounds to 0
     else:
-        # critical growth: psi(n) rho^n ~ alpha n^p over the probe window
-        win = np.arange(max(1, n_probe // 2), n_probe + 1)
-        p, log_alpha, resid_fit = _power_fit(win, spec.log_psi_rho(win))
-        if resid_fit > _FIT_RESID_TOL:
-            raise FitFailedError(
-                f"power-law fit residual {resid_fit:.2e} exceeds {_FIT_RESID_TOL:g} on window "
-                f"[{win[0]}, {win[-1]}]"
-            )
+        p, log_alpha = _power_law(spec, np.arange(max(1, n_probe // 2), n_probe + 1))
         alpha = math.exp(log_alpha)
         # within _P_MARGIN of p = 1 bdp's power-law probe cannot tell S from the harmonic series
         if p < 1.0 - _P_MARGIN:
@@ -460,6 +458,18 @@ def _hurwitz_zeta(s: float, a: float) -> float:
         tail += coef * factor
         factor *= (s + 2 * j + 1) * (s + 2 * j + 2) / (x * x)
     return head + tail
+
+
+def _power_law(spec: BirthDeathSpec, win: np.ndarray, least: float = -math.inf) -> tuple[float, float]:
+    """(p, log alpha) of a critical psihat(n) rho^n ~ alpha n^p: psi's record's, else fitted
+    on the levels win, where a residual past _FIT_RESID_TOL or p not above least raises."""
+    tail = spec.psi_rho_tail
+    if tail is not None:
+        return float(tail.degree), tail.log_amp
+    p, log_alpha, resid = _power_fit(win, spec.log_psi_rho(win))
+    if resid > _FIT_RESID_TOL or not p > least:
+        raise FitFailedError(f"terms on [{win[0]}, {win[-1]}] fit power {p:.6g}, residual {resid:.2e}")
+    return p, log_alpha
 
 
 def _t_ratio(dist: CycleMaxDistribution, n: np.ndarray) -> list:

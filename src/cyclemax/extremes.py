@@ -18,8 +18,7 @@ import numpy as np
 
 from .bdp import (
     BirthDeathSpec,
-    FactorialInverseSequence,
-    TableSequence,
+    Tail,
     _MAX_LEVELS,
     _integer,
     _linear,
@@ -287,22 +286,10 @@ def lambert_w(z: float, branch: int = 0) -> float:
     raise ArithmeticError(f"Halley iteration stalled at w={w} for z={z}")
 
 
-def _poly_geometric_params(spec: BirthDeathSpec) -> tuple[float, int, float]:
-    """(q, m, log_amp) with psi(n) rho^n ~ amp * n^m * q^n, from a table tail."""
-    seq = spec.psi
-    if not isinstance(seq, TableSequence) or seq.poly_degree < 1:
-        raise KindMismatchError("needs a table weight with a polynomial tail factor")
-    q = seq.tail_ratio * spec.rho
-    if not 0.0 < q < 1.0:
-        raise KindMismatchError(f"tail slope {q} must lie in (0, 1)")
-    m = seq.poly_degree
-    last = len(seq._log_values) - 1
-    log_amp = (
-        float(seq._log_values[last] - seq._log_values[0])
-        - m * math.log(last)
-        - last * math.log(seq.tail_ratio)
-    )
-    return q, m, log_amp
+def _lambert_tail(spec: BirthDeathSpec) -> Tail | None:
+    """The record of psihat(n) rho^n if it reads amp n^m q^n with m >= 1 and 0 < q < 1, else None."""
+    tail = spec.psi_rho_tail
+    return tail if tail is not None and not tail.factorial and tail.degree >= 1 and 0.0 < tail.ratio < 1.0 else None
 
 
 def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> NormingConstants:
@@ -353,7 +340,10 @@ def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> 
             b.append(invert_tail(f, 1.0 / k))
 
     else:  # LambertW
-        q, m, log_amp = _poly_geometric_params(spec)
+        tail = _lambert_tail(spec)
+        if tail is None:
+            raise KindMismatchError("needs a weight whose record is n^m q^n with m >= 1 and 0 < q < 1")
+        q, m, log_amp = tail.ratio, tail.degree, tail.log_amp
         log_q = math.log(q)
         for k in ks:
             # solve y^m q^y = exp(-log_amp)/k for its large root
@@ -369,19 +359,16 @@ def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> 
 def default_norming_kind(spec: BirthDeathSpec) -> NormingKind:
     """Pick the norming recipe the spec's tail geometry supports.
 
-    Polynomially corrected geometric tables invert through Lambert W, clean
-    geometric tails take the closed form, factorial tails the Stirling
-    inversion; anything else, a critical tail (``_tail_regime``) included,
-    falls back to the interpolated numeric fit.
+    It reads psi's record: a polynomially corrected geometric tail inverts
+    through Lambert W, and 1/n! alone through the Stirling tail; other
+    subcritical tails with beta > 0 take the geometric closed form; anything
+    else, a critical tail (``_tail_regime``) included, falls back to the
+    interpolated numeric fit.
     """
-    psi = spec.psi
-    if isinstance(psi, TableSequence) and psi.poly_degree >= 1:
-        if 0.0 < psi.tail_ratio * spec.rho < 1.0:
-            return NormingKind.LAMBERT_W
+    if _lambert_tail(spec) is not None:
+        return NormingKind.LAMBERT_W
     if classify(spec).beta == 0.0:
-        if isinstance(psi, FactorialInverseSequence):
-            return NormingKind.STIRLING_FACTORIAL
-        return NormingKind.NUMERIC
+        return NormingKind.STIRLING_FACTORIAL if spec.psi.tail == Tail(0, 0.0, factorial=1) else NormingKind.NUMERIC
     if _tail_regime(spec) is TailRegime.SUBCRITICAL:
         return NormingKind.GEOMETRIC
     return NormingKind.NUMERIC
@@ -408,7 +395,7 @@ def as_limit_constant(spec: BirthDeathSpec, k: int | None = None):
     if regime is TailRegime.SUBCRITICAL:
         if k is None:
             raise ValueError("factorial-family normaliser needs an explicit k")
-        if isinstance(spec.psi, FactorialInverseSequence):
+        if spec.psi.tail == Tail(0, 0.0, factorial=1):
             return _invert_stirling(1.0 / k, rho)
         return invert_tail(build_tail_function(spec), 1.0 / k)
     if regime is TailRegime.NO_LIMIT and 0.0 < cls.beta_lower and cls.beta_upper * rho < 1.0:

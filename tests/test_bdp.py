@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from cyclemax import (
     SimConfig,
     Station,
     TableSequence,
+    Tail,
     Verdict,
     build_tail_function,
     classify,
@@ -227,6 +229,37 @@ def test_weight_sequences_are_immutable():
     assert TableSequence((1.0, 0.25), tail_ratio=0.5) != table
 
 
+@pytest.mark.parametrize(
+    "seq, tail",
+    [
+        (OnesSequence(), Tail(0, 0.0)),
+        (FactorialInverseSequence(), Tail(0, 0.0, factorial=1)),
+        (MultiServerSequence(1), Tail(0, 0.0, 1.0)),
+        (MultiServerSequence(3), Tail(2, 3.0 * math.log(3.0) - math.log(6.0), 1.0 / 3.0)),
+        (TableSequence((2.0,), tail_ratio=0.5), Tail(0, math.log(2.0), 0.5)),
+        (TableSequence((1.0, 0.8, 0.5), tail_ratio=0.5, poly_degree=1), Tail(2, 0.0, 0.5, 1)),  # 0.5^n n
+    ],
+    ids=["ones", "factorial", "mms1", "mms3", "table", "poly-table"],
+)
+def test_each_preset_and_table_states_its_tail_record(seq, tail):
+    assert seq.tail == dataclasses.replace(tail, log_amp=seq.tail.log_amp)
+    assert seq.tail.log_amp == pytest.approx(tail.log_amp, rel=1e-15, abs=1e-15)
+    n = np.arange(tail.start, tail.start + 50)
+    assert np.allclose(seq.tail.log_value(n), seq.log_value(n), rtol=1e-13, atol=1e-13)
+    # the record of the reciprocal is the negated record, and the dual of the dual keeps it
+    assert seq.reciprocal().tail == seq.tail.reciprocal()
+    assert seq.reciprocal().reciprocal().tail == seq.tail
+    assert np.allclose(seq.reciprocal().tail.log_value(n), -seq.log_value(n), rtol=1e-13, atol=1e-13)
+
+
+def test_a_record_starts_where_its_law_first_holds():
+    # s^(s - n)/s! agrees with 1/n! at n = s - 1 but not at s - 2
+    seq = MultiServerSequence(4)
+    assert seq.tail.start == 3
+    assert seq.tail.log_value(2) != pytest.approx(float(seq.log_value(2)))
+    assert CallableSequence(lambda n: -np.asarray(n, dtype=float), tail_ratio=0.5).tail is None
+
+
 def test_multi_server_log_ratio_is_exact_beyond_s():
     for s in (1, 2, 3, 8):
         seq = MultiServerSequence(s)
@@ -376,6 +409,13 @@ def test_slowly_falling_series_are_summed_past_the_truncation(lam):
     assert cls.log_b_psi_inv == cls.log_b_phi_inv
 
 
+def test_a_factorial_tail_has_no_closed_series():
+    # 1/n! states its record, but no series closes on it: the terms of
+    # mminf(1e6) still rise at the 80,000-term budget, and classify refuses
+    with pytest.raises(NotApplicableError, match="terms still rise"):
+        classify(mminf(1e6, 1.0))
+
+
 def test_a_tail_that_never_nears_its_declared_ratio_is_refused():
     # declared ratio 0.5, but the terms fall by e^-1e-5 per step throughout
     seq = CallableSequence(lambda n: -1e-5 * np.asarray(n, dtype=float), tail_ratio=0.5)
@@ -384,9 +424,12 @@ def test_a_tail_that_never_nears_its_declared_ratio_is_refused():
 
 
 def test_a_refused_term_ratio_prints_apart_from_its_limit():
-    # at n = 80,000 the ratio is 4.4e-12 above its limit; to six digits both read 0.999997
+    # M/M/3's weights with the ratio 1/3 hinted but no tail record stated, so
+    # the ratio test sums them: at n = 80,000 the ratio is 4.4e-12 above its
+    # limit; to six digits both read 0.999997
+    seq = CallableSequence(MultiServerSequence(3).log_value, tail_ratio=1.0 / 3.0)
     with pytest.raises(NotApplicableError, match="not yet near its limit") as info:
-        classify(mms(3, 2.99999, 1.0))
+        classify(BirthDeathSpec(seq, seq, 2.99999, 1.0))
     ratio, limit = re.search(r"is (\S+), not yet near its limit (\S+);", str(info.value)).groups()
     assert ratio != limit and float(ratio) > float(limit)
 
@@ -524,10 +567,10 @@ def test_table_to_json_refuses_overflowed_values():
 
 
 def _per_series_judgements(spec):
-    """(head, q_lo, q_hi) of the phi, psi, star and regularity series, each
-    head evaluated through its own term function: the reference for the
-    shared weight evaluations of _classify.  Also returns the psi tail
-    geometry."""
+    """(head, q_lo, q_hi, tail) of the phi, psi, star and regularity series,
+    each head evaluated through its own term function and tail the record of
+    the weights it sums: the reference for the shared weight evaluations of
+    _classify.  Also returns the psi tail geometry."""
     trunc = bdp_module._TRUNC
     idx = np.arange(trunc + 1)
     win = np.arange(trunc // 2, trunc)
@@ -559,16 +602,31 @@ def _per_series_judgements(spec):
     elif drift < -1e-12:
         q_lo = min(q_lo, 1.0)
     judged = {
-        "phi": (spec.phi.log_value(idx) + idx * log_rho, p_lo * rho, p_hi * rho),
-        "psi": (psi_terms(idx), b_lo * rho, b_hi * rho),
+        "phi": (spec.phi.log_value(idx) + idx * log_rho, p_lo * rho, p_hi * rho, spec.phi.tail),
+        "psi": (psi_terms(idx), b_lo * rho, b_hi * rho, spec.psi.tail),
         "star": (
             -psi_terms(idx),
             bdp_module._invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
             bdp_module._invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
+            spec.psi.tail,
         ),
-        "u": (u_terms(idx), q_lo, q_hi),
+        "u": (u_terms(idx), q_lo, q_hi, None),
     }
     return judged, (b_lo, b_hi, beta)
+
+
+def _reference_judgement(head, lo, hi, tail):
+    """The series judged as _classify's reference: terms that a record of
+    degree 0 and no factorial makes geometric, at ratio hi < 1 - _TOL, from a
+    start within the head are that head closed by their geometric series;
+    any other series is left to _judge_series."""
+    head = np.asarray(head, dtype=float)
+    geometric = tail is not None and tail.degree == 0 and tail.factorial == 0
+    if geometric and tail.start < head.size and hi < 1.0 - bdp_module._TOL:
+        start = tail.start
+        close = head[start] + math.log(hi) - math.log1p(-hi)
+        return bdp_module._SeriesJudgement(bdp_module.logsumexp(np.append(head[: start + 1], close)), True)
+    return bdp_module._judge_series(head, None, lo, hi)
 
 
 def _classified_specs():
@@ -635,9 +693,9 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
     calls = []
     judge = bdp_module._judge_series
 
-    def recorded(log_t, log_term_fn, q_lo, q_hi):
-        out = judge(log_t, log_term_fn, q_lo, q_hi)
-        calls.append((np.asarray(log_t, dtype=float).tobytes(), q_lo, q_hi, out))
+    def recorded(log_t, log_term_fn, q_lo, q_hi, tail=None):
+        out = judge(log_t, log_term_fn, q_lo, q_hi, tail)
+        calls.append((np.asarray(log_t, dtype=float).tobytes(), q_lo, q_hi, tail, out))
         return out
 
     monkeypatch.setattr(bdp_module, "_judge_series", recorded)
@@ -648,16 +706,16 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
     names = ["psi", "star"] if spec.phi == spec.psi else ["phi", "psi", "star"]
     names += [] if closed_form else ["u"]
     assert len(calls) == len(names)
-    for (head, q_lo, q_hi, out), name in zip(calls, names):
-        want_head, want_lo, want_hi = judged[name]
+    for (head, q_lo, q_hi, tail, out), name in zip(calls, names):
+        want_head, want_lo, want_hi, want_tail = judged[name]
         assert head == np.asarray(want_head, dtype=float).tobytes(), name
-        assert (q_lo, q_hi) == (want_lo, want_hi), name
-        assert out == judge(np.asarray(want_head, dtype=float), None, want_lo, want_hi), name
+        assert (q_lo, q_hi, tail) == (want_lo, want_hi, want_tail), name
+        assert out == _reference_judgement(want_head, want_lo, want_hi, want_tail), name
     by_name = dict(zip(names, (out for *_, out in calls)))
     s_phi = by_name.get("phi", by_name["psi"])
     assert (cls.log_b_phi_inv, cls.b_phi_convergent) == (s_phi.log_value, s_phi.convergent)
     assert (cls.beta_lower, cls.beta_upper, cls.beta) == geometry
-    u_head, u_lo, u_hi = judged["u"]
+    u_head, u_lo, u_hi, _ = judged["u"]
     s_u = judge(np.asarray(u_head, dtype=float), None, u_lo, u_hi)
     assert cls.regularity_ok is (s_u.convergent is not True)
 

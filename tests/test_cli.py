@@ -17,10 +17,12 @@ from cyclemax import (
     load_spec,
     mm1,
     mminf,
+    mms,
     norton_reduce,
     save_network,
     save_spec,
     simulate_cycles,
+    spec_to_dict,
 )
 from cyclemax.cli import main
 
@@ -239,6 +241,36 @@ def test_network_reduce_keeps_the_tail_of_tied_loads(capsys, tmp_path):
     rows = parse_csv(out)
     assert [r[0] for r in rows[1:]] == ["1000", "1000000"]
     assert [round(float(r[2]), 2) for r in rows[1:]] == [13.75, 24.55]  # LambertW b_k, as in process
+
+
+@pytest.mark.parametrize("mu0, warned", [(1.5, True), (0.5, False)], ids=["overloaded", "stable"])
+def test_network_reduce_warns_once_when_the_induced_chain_escapes(capsys, tmp_path, mu0, warned):
+    # the unit tandem at mu0 = 1.5 returns with probability 0.268, its induced
+    # chain with 0.393: the reduced spec is written as before, with one warning
+    net = NetworkSpec(
+        mu0=mu0,
+        stations=(Station("ss", 1.0), Station("ss", 1.0)),
+        routing=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    )
+    path = tmp_path / "tandem.json"
+    save_network(net, path)
+    code, out, err = run(capsys, "network-reduce", "--in", str(path), "--nmax", "40")
+    assert code == 0
+    assert json.loads(out) == spec_to_dict(norton_reduce(net, 40).induced)
+    warning = (
+        "WARNING: the network is overloaded: the induced chain is transient, "
+        "and its escape probability is not the network's"
+    )
+    assert err.splitlines() == ([warning] if warned else [])
+
+
+def test_a_declared_critical_tail_prints_its_exponent_as_a_float(capsys, tmp_path):
+    path = tmp_path / "mms2.json"
+    save_spec(mms(2, 2.0, 1.0), path)
+    code, out, _ = run(capsys, "tail", "--spec", str(path))
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    assert '"p_exponent": 0.0,' in lines and '"limit_constant": 2.0,' in lines
 
 
 def test_network_reduce_refuses_tied_loads_at_level_zero(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cyclemax import (
     Station,
     TableSequence,
     TailRegime,
+    Verdict,
     blocking_prob,
     classify,
     compactness_diagnostic,
@@ -26,6 +29,7 @@ from cyclemax import (
     sample_maxima,
     tail_asymptotics,
 )
+import cyclemax.distribution as distribution_module
 from cyclemax.distribution import _LawTables, _as_dist, _hurwitz_zeta
 from cyclemax.errors import FitFailedError, NotTransientError
 
@@ -405,3 +409,80 @@ def test_step_grown_table_equals_a_fresh_one(spec):
     n = np.arange(5001)
     assert grown.log_cumulative(n).tobytes() == fresh.log_cumulative(n).tobytes()
     assert grown.log_weight_cumulative(n).tobytes() == fresh.log_weight_cumulative(n).tobytes()
+
+
+def _square_table_spec():
+    # psi(n) = (n + 1)^2 on 0..63, then 64^2 (n / 63)^2 as the record states, at rho = 1
+    seq = TableSequence([(n + 1.0) ** 2 for n in range(64)], tail_ratio=1.0, poly_degree=2)
+    return BirthDeathSpec(seq, seq, 1.0, 1.0)
+
+
+def test_a_declared_power_table_closes_its_margin_at_the_table_end(monkeypatch):
+    # the record gives p = 2 and alpha; no power is fitted, and the window
+    # ends one term past the table instead of at level 2^20
+    def no_fit(*args):
+        raise AssertionError("a declared tail needs no fitted power")
+
+    monkeypatch.setattr(distribution_module, "_power_fit", no_fit)
+    spec = _square_table_spec()
+    tracemalloc.start()
+    try:
+        ta = tail_asymptotics(spec)
+        conditional = CycleMaxDistribution(spec).conditional_cdf(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(ta.limit_constant - 0.60801733987711128) <= 1e-12
+    assert abs(conditional - 0.51022665119242494) <= 1e-12
+    assert (ta.p_exponent, type(ta.p_exponent)) == (2.0, float)
+    assert peak < 2 << 20
+
+
+def test_a_declared_critical_tail_reads_its_constant_exactly():
+    # psihat(n) rho^n = 2 from n = 1 on, so the constant alpha (1 - p) is 2
+    ta = tail_asymptotics(mms(2, 2.0, 1.0))
+    assert (ta.limit_constant, ta.alpha, ta.p_exponent) == (2.0, 2.0, 0.0)
+
+
+def _mms_b_inverse(s, lam):
+    """B_phi^-1 of M/M/s at the float lam, in exact rationals: the head to
+    s - 1 plus the geometric series of the terms from s on."""
+    rho = Fraction(lam)
+    head = sum(rho**n / math.factorial(n) for n in range(s))
+    return head + rho**s / math.factorial(s) / (1 - rho / s)
+
+
+def _mms_p_finite(s, lam):
+    """P(Y < inf) = 1 - 1/S(inf) of transient M/M/s at the float lam, in exact rationals."""
+    rho = Fraction(lam)
+    head = sum(math.factorial(n) / rho**n for n in range(s))
+    tail = math.factorial(s) / rho**s / (1 - s / rho)
+    return 1 - 1 / (head + tail)
+
+
+@pytest.mark.parametrize(
+    "lam, verdict",
+    [(2.99997, Verdict.POSITIVE_RECURRENT), (2.99999, Verdict.POSITIVE_RECURRENT), (3.00003, Verdict.TRANSIENT)],
+)
+def test_near_critical_multi_server_queues_match_their_closed_forms(lam, verdict):
+    # the series close at the record's start s - 1, where the ratio test of
+    # the terms ran to 80,000 and was refused at 2.99999 and 3.00003
+    spec = mms(3, lam, 1.0)
+    cls = classify(spec)
+    assert cls.verdict is verdict
+    if verdict is Verdict.TRANSIENT:
+        got, want = CycleMaxDistribution(spec).p_finite, _mms_p_finite(3, lam)
+    else:
+        got, want = cls.b_phi_inv, _mms_b_inverse(3, lam)
+    assert abs(Fraction(got) / want - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("lam, doubles", [(1.0001, True), (1.01, True), (1.25, False)])
+def test_the_supercritical_probe_moves_down_the_falling_reciprocal(lam, doubles):
+    # at level 400, 1/rho^n is 0.96 for rho = 1.0001: the probe doubles until it
+    # falls below 2^-53, where the normalised tail has settled
+    spec = mm1(lam, 1.0)
+    ta = tail_asymptotics(spec)
+    assert ta.regime is TailRegime.SUPERCRITICAL
+    assert abs(ta.empirical_value / ta.limit_constant - 1.0) < 1e-9
+    assert (len(spec._law_tables.log_S) > 801) is doubles

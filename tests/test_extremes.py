@@ -461,10 +461,12 @@ def test_partial_limit_envelope_rejects_a_cap(spec):
 
 
 # The tail window 60 / -log q would pass 6e9 and 6e7 levels on these transient
-# chains, whose beta rho lies just outside bdp's critical band 1 +- _TOL.
+# chains, whose beta rho lies just outside bdp's critical band 1 +- _TOL.  Their
+# weights are M/M/1's, with the ratio 1 hinted but no tail record stated.
+_FLAT = CallableSequence(lambda n: np.zeros(np.shape(n)), tail_ratio=1.0)
 _NEAR_CRITICAL = {
-    "mm1-1e-8": mm1(1.0 + 1e-8, 1.0),
-    "mm1-1e-6": mm1(1.0 + 1e-6, 1.0),
+    "mm1-1e-8": BirthDeathSpec(_FLAT, _FLAT, 1.0 + 1e-8, 1.0),
+    "mm1-1e-6": BirthDeathSpec(_FLAT, _FLAT, 1.0 + 1e-6, 1.0),
 }
 
 
@@ -484,6 +486,25 @@ def test_near_critical_conditional_compactness_is_refused_at_once(fn, spec):
         fn(spec)
     assert time.perf_counter() - start < 1.0
     assert len(spec._law_tables.log_S) < 1 << 20  # refused before S(inf) grows the tables
+
+
+@pytest.mark.parametrize("lam", [1.0 + 1e-8, 1.0 + 1e-6, 1.0 + 1e-5])
+def test_near_critical_transient_queues_answer_from_their_tail_record(lam):
+    # OnesSequence states its tail, so the margin closes at level 1 with the
+    # exact geometric sum: P(Y < inf) = 1/lam and P(Y <= 1 | Y < inf) = lam/(lam + 1)
+    spec = mm1(lam, 1.0)
+    for call in (
+        lambda: CycleMaxDistribution(spec).p_finite,
+        lambda: CycleMaxDistribution(spec).conditional_cdf(1),
+        lambda: compactness_diagnostic(spec),
+    ):
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 1.0
+    dist = CycleMaxDistribution(spec)
+    assert dist.p_finite == pytest.approx(1.0 / lam, rel=1e-12, abs=0.0)
+    assert abs(dist.conditional_cdf(1) - lam / (lam + 1.0)) <= 1e-12
+    assert compactness_diagnostic(spec).conditional is True
 
 
 # beta rho within _TOL = 1e-9 of 1, on either side: classify calls each null

@@ -1,11 +1,13 @@
-"""Property tests over generated preset specs: every public call on a spec
-that builds answers, or refuses with a package error or a ValueError,
-without a RuntimeWarning and within a second; and a transient queue's
-escape mass matches its closed form."""
+"""Property tests over generated preset and table specs: every public call
+on a spec that builds answers, or refuses with a package error or a
+ValueError, without a RuntimeWarning and within a second; a queue's series
+match their closed forms, also within 10^-3 of its critical load; and a
+table's tail record is the law its docstring states."""
 
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemax import (
+    BirthDeathSpec,
     CycleMaxDistribution,
     SimConfig,
+    TableSequence,
+    Verdict,
     as_limit_constant,
     classify,
     compactness_diagnostic,
@@ -30,6 +35,7 @@ from cyclemax import (
     stationary_distribution,
     tail_asymptotics,
 )
+import cyclemax.simulate as simulate_module
 from cyclemax.errors import CycleMaxError
 
 _LEVELS = np.arange(50)
@@ -71,13 +77,17 @@ def test_every_call_on_a_preset_spec_answers_or_refuses_quietly(preset, s, log10
     lam = 10.0**log10_lam
     spec = {"mm1": lambda: mm1(lam, 1.0, cap=cap), "mms": lambda: mms(s, lam, 1.0, cap=cap),
             "mminf": lambda: mminf(lam, 1.0, cap=cap)}[preset]()
+    _answer_or_refuse_quietly(spec, (CycleMaxError, ValueError))
+
+
+def _answer_or_refuse_quietly(spec, refusals):
     for name, call in _calls(spec).items():
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
                 call()
-            except (CycleMaxError, ValueError):
+            except refusals:
                 pass
         seconds = time.perf_counter() - start
         assert seconds < 1.0, f"{name} took {seconds:.2f} s on {spec.label}"
@@ -103,3 +113,64 @@ def test_the_escape_mass_of_a_transient_queue_is_its_closed_form(s, single, log1
         cdf = dist.conditional_cdf(_LEVELS)
     assert np.all(np.diff(cdf) >= 0.0) and cdf[0] >= 0.0 and cdf[-1] <= 1.0, cdf
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(s=st.integers(1, 8), single=st.booleans(), k=st.integers(3, 8), above=st.booleans())
+def test_a_queue_near_its_critical_load_matches_its_closed_form(s, single, k, above):
+    # M/M/s at load rho/s = 1 +- 10^-k: B_phi^-1 (recurrent) or P(Y < inf)
+    # (transient) in exact rationals from the float lam; rounding rho/s alone
+    # moves either by about 2^-52 / |1 - load|
+    s = 1 if single else s
+    gap = 10.0**-k
+    lam = s * (1.0 + gap if above else 1.0 - gap)
+    spec = mm1(lam, 1.0) if single else mms(s, lam, 1.0)
+    rho = Fraction(lam)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cls = classify(spec)
+        if above:
+            assert cls.verdict is Verdict.TRANSIENT
+            s_inf = sum(math.factorial(n) / rho**n for n in range(s)) + math.factorial(s) / rho**s / (1 - s / rho)
+            got, want = CycleMaxDistribution(spec).p_finite, 1 - 1 / s_inf
+        else:
+            assert cls.verdict is Verdict.POSITIVE_RECURRENT
+            got = cls.b_phi_inv
+            want = sum(rho**n / math.factorial(n) for n in range(s)) + rho**s / math.factorial(s) / (1 - rho / s)
+    assert abs(Fraction(got) / want - 1) <= 1e-13 / gap
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    log_values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=200),
+    degree=st.integers(0, 3),
+    log10_rho=st.floats(-2.0, 2.0),
+    k=st.none() | st.integers(2, 9),
+    above=st.booleans(),
+)
+def test_a_table_near_its_critical_ratio_states_its_tail_and_answers(log_values, degree, log10_rho, k, above):
+    # tail_ratio rho = 1 +- 10^-k, or exactly 1 when k is None
+    rho = 10.0**log10_rho
+    q = 1.0 if k is None else 1.0 + (10.0**-k if above else -(10.0**-k))
+    seq = TableSequence.from_log(log_values, tail_ratio=q / rho, poly_degree=degree)
+    spec = BirthDeathSpec(seq, seq, rho, 1.0, label=f"table(len={len(log_values)}, d={degree}, q={q!r})")
+    # past the table end N: w(N) beta^(n - N) (n / N)^d
+    big_n = len(log_values) - 1
+    beta = seq.tail_ratio
+    for n in (big_n, big_n + 1, big_n + 7, 2 * big_n + 50, 10**6):
+        want = log_values[-1] + (n - big_n) * math.log(beta) + degree * (math.log(n) - math.log(big_n))
+        assert float(seq.tail.log_value(n)) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert float(seq.log_value(n)) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert spec.dual().dual().psi.tail == seq.tail
+    # the simulators' time bound is their jump budget, about 15 s at 1e8 jumps,
+    # and a table's hump can make a recurrent cycle millions of jumps long:
+    # at 2e6 jumps the budget bounds a call by 1 s, and a longer run is refused
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate_module, "_MAX_JUMPS", 2e6)
+        _answer_or_refuse_quietly(spec, CycleMaxError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cdf = CycleMaxDistribution(spec).cdf(np.arange(big_n + 50))
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[0] >= 0.0 and cdf[-1] <= 1.0, cdf
