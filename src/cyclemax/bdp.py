@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -164,21 +165,35 @@ def log_factorial(n):
 
 @dataclass(frozen=True)
 class Tail:
-    """log w(n) = log_amp + n log ratio + degree log n - factorial log n!, exactly for n >= start."""
+    """log w(n) = log_start + (n - start) log ratio + degree log(n / start)
+    - factorial log(n! / start!), exactly for n >= start.
+
+    The law is anchored at its start, whose log weight ``log_start`` is held
+    as given, so a level past a long table carries the rounding of the steps
+    from the table's end and not that of an amplitude extrapolated to n = 0.
+    """
 
     start: int
-    log_amp: float
+    log_start: float
     ratio: float = 1.0
     degree: int = 0
     factorial: int = 0
 
+    @property
+    def log_amp(self) -> float:
+        """log of the amplitude in log w(n) = log_amp + n log ratio + degree log n - factorial log n!."""
+        out = self.log_start - self.degree * math.log(max(self.start, 1)) - self.start * math.log(self.ratio)
+        return out + self.factorial * float(log_factorial(self.start)) if self.factorial else out
+
     def log_value(self, n):
         n = np.asarray(n, dtype=float)
-        out = self.log_amp + n * math.log(self.ratio) + (self.degree * np.log(n) if self.degree else 0.0)
-        return out - self.factorial * log_factorial(n) if self.factorial else out
+        out = self.log_start + (n - self.start) * math.log(self.ratio)
+        if self.degree:
+            out = out + self.degree * (np.log(n) - math.log(self.start))
+        return out - self.factorial * (log_factorial(n) - log_factorial(self.start)) if self.factorial else out
 
     def reciprocal(self) -> "Tail":
-        return Tail(self.start, -self.log_amp, 1.0 / self.ratio, -self.degree, -self.factorial)
+        return Tail(self.start, -self.log_start, 1.0 / self.ratio, -self.degree, -self.factorial)
 
 
 class WeightSequence:
@@ -264,7 +279,7 @@ class MultiServerSequence(WeightSequence):
 
     def __post_init__(self):
         s = _integer("server count", self.s, 1, SpecFormatError)
-        self._set(s=s, tail_ratio=1.0 / s, tail=Tail(s - 1, s * math.log(s) - float(log_factorial(s)), 1.0 / s))
+        self._set(s=s, tail_ratio=1.0 / s, tail=Tail(s - 1, -float(log_factorial(s - 1)), 1.0 / s))
 
     def log_value(self, n):
         n = np.asarray(n)
@@ -321,10 +336,8 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
         values.flags.writeable = False
         logs.flags.writeable = False
-        last = len(logs) - 1
-        log_amp = float(logs[last]) - poly_degree * math.log(max(last, 1)) - last * math.log(tail_ratio)
-        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs,
-                  tail=Tail(last, log_amp, tail_ratio, poly_degree))
+        tail = Tail(len(logs) - 1, float(logs[-1]), tail_ratio, poly_degree)
+        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs, tail=tail)
 
     @property
     def values(self) -> tuple:
@@ -498,7 +511,7 @@ class BirthDeathSpec:
     def psi_rho_tail(self) -> Tail | None:
         """The record of psihat(n) rho^n, from psi's; None where psi states none."""
         t = self.psi.tail
-        return t and replace(t, log_amp=t.log_amp - float(self.psi.log_value(0)), ratio=t.ratio * self.rho)
+        return t and replace(t, log_start=float(self.log_psi_rho(t.start)), ratio=t.ratio * self.rho)
 
     def log_phi_rho(self, n):
         n = np.asarray(n)
@@ -648,12 +661,31 @@ _P_MARGIN = 1e-2
 _FIT_RESID_TOL = 1e-3
 
 
+# exp rounds every value below it to 0.0: the least subnormal is e^-744.44
+_EXP_UNDERFLOW = -746.0
+# exp is finite up to it: log of the largest double
+_EXP_OVERFLOW = math.log(sys.float_info.max)
+
+
 def _linear(log_value):
     """exp(log_value), a float for a scalar and an array for an array; inf
-    past the float range, without an overflow warning."""
+    past the float range, without an overflow warning.
+
+    Array lanes below _EXP_UNDERFLOW are left exact zeros, not computed:
+    numpy's exp takes a slow path for each result that underflows.  Where no
+    lane is that low it is the plain np.exp; either way the bits are exp's.
+    """
+    if np.ndim(log_value) == 0:
+        if log_value <= _EXP_OVERFLOW:  # cannot overflow: errstate would cost more than the exp
+            return float(np.exp(log_value))
+        with np.errstate(over="ignore"):
+            return float(np.exp(log_value))
     with np.errstate(over="ignore"):
-        out = np.exp(log_value)
-    return float(out) if np.ndim(out) == 0 else out
+        log_value = np.asarray(log_value, dtype=float)
+        if not log_value.size or log_value.min() >= _EXP_UNDERFLOW:
+            return np.exp(log_value)
+        # NaN lanes are computed, as by np.exp
+        return np.exp(log_value, out=np.zeros_like(log_value), where=~(log_value < _EXP_UNDERFLOW))
 
 
 def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: float):
@@ -862,7 +894,7 @@ def _level_law(spec: BirthDeathSpec, n_max: int, log_terms, log_total: float) ->
     """exp(log_terms(n) - log_total) for n = 0..n_max; states beyond the cap carry no mass."""
     _check_levels("n_max", n_max)
     hi = n_max if spec.cap is None else min(n_max, spec.cap)
-    pi = np.exp(log_terms(np.arange(hi + 1)) - log_total)
+    pi = _linear(log_terms(np.arange(hi + 1)) - log_total)
     if hi < n_max:
         pi = np.concatenate([pi, np.zeros(n_max - hi)])
     return pi

@@ -26,6 +26,7 @@ from .bdp import (
     BirthDeathSpec,
     _check_levels,
     _integer,
+    _linear,
     _power_fit,
     classify,
     mm1,
@@ -53,9 +54,10 @@ class _LawTables:
     holds no reference to the spec, so the pair forms no reference cycle.
     """
 
-    __slots__ = ("log_S", "log_W", "log_s_inf")
+    __slots__ = ("log_w", "log_S", "log_W", "log_s_inf")
 
     def __init__(self):
+        self.log_w = np.empty(0)  # log psihat(n) rho^n, the weights themselves
         self.log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
         self.log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
         self.log_s_inf: float | None = None
@@ -64,11 +66,14 @@ class _LawTables:
 class CycleMaxDistribution:
     """The cycle-maximum law of a spec, a view of the tables the spec keeps.
 
-    The cumulative tables grow on demand and belong to the spec: every law
-    of one spec object reads and grows the same tables, which live as long
-    as the spec at 16 bytes per level.  A law holds its spec; the spec does
-    not hold its laws, so building one per call costs no table work and
-    forms no reference cycle.
+    The tables grow on demand and belong to the spec: every law of one spec
+    object reads and grows the same tables, the log weights and their two
+    cumulative sums, which live as long as the spec at 24 bytes per level.
+    Each level's weight is evaluated once, when the tables reach it; the
+    per-level readers index the tables and exponentiate with ``_linear``,
+    which leaves the lanes that underflow to 0 uncomputed.  A law holds its
+    spec; the spec does not hold its laws, so building one per call costs no
+    table work and forms no reference cycle.
     """
 
     def __init__(self, spec: BirthDeathSpec):
@@ -93,35 +98,44 @@ class CycleMaxDistribution:
         if n < cur:
             return
         _check_levels("level", n)
-        lt = self.spec.log_psi_rho(np.arange(cur, min(max(n + 1, 2 * cur, 64), _MAX_LEVELS + 1)))
-        # a left fold resumed from the last entry: growing in steps changes no bit
-        new_W = np.logaddexp.accumulate(np.concatenate([tables.log_W[-1:], lt]))
-        new_S = np.logaddexp.accumulate(np.concatenate([tables.log_S[-1:], -lt]))
-        tables.log_W = np.concatenate([tables.log_W[:-1], new_W])
-        tables.log_S = np.concatenate([tables.log_S[:-1], new_S])
+        size = min(max(n + 1, 2 * cur, 64), _MAX_LEVELS + 1)
+        log_w, log_W, log_S = np.empty(size), np.empty(size), np.empty(size)
+        log_w[:cur], log_W[:cur], log_S[:cur] = tables.log_w, tables.log_W, tables.log_S
+        log_w[cur:] = self.spec.log_psi_rho(np.arange(cur, size))
+        log_W[cur:] = log_w[cur:]
+        np.negative(log_w[cur:], out=log_S[cur:])
+        # a left fold resumed in place from the last entry: growing in steps changes no bit
+        for table in (log_W, log_S):
+            np.logaddexp.accumulate(table[max(cur - 1, 0) :], out=table[max(cur - 1, 0) :])
+        tables.log_w, tables.log_W, tables.log_S = log_w, log_W, log_S
 
-    def _checked(self, n) -> np.ndarray:
+    def _checked(self, n, least: int = 0) -> np.ndarray:
+        """n as integer levels of at least ``least``, clipped to the cap."""
         n = np.asarray(n)
         if n.dtype.kind not in "iu":
             got = repr(n.item()) if n.ndim == 0 else f"an array of dtype {n.dtype}"
             raise ValueError(f"level n must be an integer, got {got}")
-        if np.any(n < 0):
-            raise ValueError("level must be non-negative")
+        if n.min(initial=least) < least:
+            raise ValueError(f"level must be at least {least}")
         if self.spec.cap is not None:
             n = np.minimum(n, self.spec.cap)
         return n
 
+    def _grown(self, n, least: int = 0) -> np.ndarray:
+        """``_checked(n, least)``, with the tables grown to cover it."""
+        n = self._checked(n, least)
+        self._ensure(int(n.max(initial=0)))
+        return n
+
     def log_cumulative(self, n):
         """log S(n); accepts scalars or integer arrays.  Flat beyond the cap."""
-        n = self._checked(n)
-        self._ensure(int(np.max(n, initial=0)))
-        return self._log_S[n]
+        n = self._grown(n)
+        return self._tables.log_S[n]
 
     def log_weight_cumulative(self, n):
         """log sum_{i<=n} psihat(i) rho^i, flat beyond the cap."""
-        n = self._checked(n)
-        self._ensure(int(np.max(n, initial=0)))
-        return self._log_W[n]
+        n = self._grown(n)
+        return self._tables.log_W[n]
 
     def log_survival(self, n):
         """log P(Y > n) = -log S(n); -inf from the cap on, where the
@@ -174,21 +188,16 @@ class CycleMaxDistribution:
         A capped chain parks its remaining mass on the cap, so the rate
         is 1 there.
         """
-        n = np.asarray(n)
-        if np.any(n < 1):
-            raise ValueError("failure rate defined for levels n >= 1")
-        nc = self._checked(n)
-        out = np.exp(-self.spec.log_psi_rho(nc) - self.log_cumulative(nc))
+        nc = self._grown(n, least=1)
+        out = _linear(-self._tables.log_w[nc] - self._tables.log_S[nc])
         if self.spec.cap is not None:
-            out = np.where(n >= self.spec.cap, 1.0, out)
+            out = np.where(np.asarray(n) >= self.spec.cap, 1.0, out)
         return float(out) if np.ndim(n) == 0 else out
 
     def blocking_prob(self, n):
         """P0(X = n | X <= n) = psihat(n) rho^n / sum_{i<=n} psihat(i) rho^i."""
-        n = np.asarray(n)
-        nc = self._checked(n)
-        out = np.exp(self.spec.log_psi_rho(nc) - self.log_weight_cumulative(nc))
-        return float(out) if np.ndim(n) == 0 else out
+        nc = self._grown(n)
+        return _linear(self._tables.log_w[nc] - self._tables.log_W[nc])
 
     def log_tail_sum(self, n):
         """log sum_{i>n} 1/(psihat(i) rho^i), the exact margin S(inf) - S(n),

@@ -445,26 +445,31 @@ class CompactnessReport:
         }
 
 
-def _step_integrals(log_surv: np.ndarray, x: float, delta: float, tail_q: float) -> float:
-    """integral_x^inf of (S / S(x))^delta for the step survival S.
+# tail levels at which compactness_diagnostic evaluates R(x)
+_GRID_LEVELS = np.arange(10, 41, 5)
+_COMPACTNESS_GRID = tuple(float(x) for x in _GRID_LEVELS)
+# row i: the levels x + 1 .. x', from grid point x = _GRID_LEVELS[i] to the next x'
+_GRID_STEPS = _GRID_LEVELS[:-1, None] + np.arange(1, 6)
 
-    log_surv[m] is log S on [m, m+1); beyond the table the tail is closed
-    with a geometric bound at ratio tail_q (valid for subcritical tails).
-    Scaling by S(x) in logs, before the power, keeps the integrand at most
-    1 at x, so neither a survival that underflows nor a large delta can
-    turn it into 0 / 0 or 0 there.
+
+def _step_integrals(scaled: np.ndarray, steps: np.ndarray, power: float, tail_q: float) -> list:
+    """integral_x^inf of (S / S(x))^power for the step survival S, at each x of _COMPACTNESS_GRID.
+
+    ``scaled`` holds S(m) / S(x) for the last point x and each m past it to
+    the end of the table, which is closed with a geometric bound at ratio
+    tail_q (valid for subcritical tails); row i of ``steps`` holds it for
+    grid point i and the five levels up to the next.  The last point sums
+    its terms; each earlier one sums its five and adds the next point's sum
+    scaled by the last of them, so one pass serves the grid.
     """
-    m0 = int(math.floor(x))
-    scaled = np.exp(log_surv[m0:] - log_surv[m0])
-    first = m0 + 1 - x
-    body = float(np.sum(scaled[1:] ** delta))
-    qd = tail_q**delta
-    tail = (scaled[-1] ** delta) * qd / (1.0 - qd) if 0.0 < qd < 1.0 else 0.0
-    return first + body + tail
-
-
-# tail positions at which compactness_diagnostic evaluates R(x)
-_COMPACTNESS_GRID = tuple(float(x) for x in range(10, 41, 5))
+    terms = scaled**power
+    qd = tail_q**power
+    past = float(np.sum(terms)) + (float(terms[-1]) * qd / (1.0 - qd) if 0.0 < qd < 1.0 else 0.0)
+    rows = steps**power
+    out = [past]
+    for body, scale in zip(rows.sum(axis=1).tolist()[::-1], rows[::-1, -1].tolist()):
+        out.append(body + scale * out[-1])
+    return [1.0 + v for v in out[::-1]]
 
 
 def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> CompactnessReport:
@@ -508,11 +513,18 @@ def compactness_diagnostic(spec: BirthDeathSpec, delta: float = 2.0) -> Compactn
             return CompactnessReport(delta=delta, grid=grid, verdict="Undetermined")
         eps = (math.log(cls.beta * rho), 0.0) if cls.beta is not None else None
     log_surv = log_survival(np.arange(top + 601))
+    # S / S(x) as a difference of logs, so it is at most 1, and neither a
+    # survival that underflows nor a large delta can turn R into 0 / 0
+    scaled = _linear(log_surv[top + 1 :] - log_surv[top])
+    steps = _linear(log_surv[_GRID_STEPS] - log_surv[_GRID_LEVELS[:-1, None]])
 
-    r_vals = []
-    for x in grid:
-        # R = int S^delta / (S(x) int S^(delta-1)): scaling S by 1 / S(x) leaves it as it is
-        r_vals.append(_step_integrals(log_surv, x, delta, tail_q) / _step_integrals(log_surv, x, delta - 1.0, tail_q))
+    # R = int S^delta / (S(x) int S^(delta-1)): scaling S by 1 / S(x) leaves it as it is
+    r_vals = [
+        num / den
+        for num, den in zip(
+            _step_integrals(scaled, steps, delta, tail_q), _step_integrals(scaled, steps, delta - 1.0, tail_q)
+        )
+    ]
     r_min, r_max = min(r_vals), max(r_vals)
     return CompactnessReport(
         delta=delta,

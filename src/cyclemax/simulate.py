@@ -555,9 +555,14 @@ def _simulate_batch(
     p_at, n_flat, p_list = tables.p_at, tables.n_flat, tables.p_list
     p_flat = float(p_at[-1])
     if n_flat == 1:
-        u = _excursion_peaks(rng.random(n_cycles), 0, top, p_flat)
-        np.maximum(u, 1.0, out=u)
-        peak = u.astype(np.int64)
+        # drawn into the maxima, viewed as float64, and computed slice by slice
+        peak = np.empty(n_cycles, dtype=np.int64)
+        u = peak.view(np.float64)
+        rng.random(out=u)
+        for lo in range(0, n_cycles, _SLICE):
+            s_u = _excursion_peaks(u[lo : lo + _SLICE], 0, top, p_flat)
+            np.maximum(s_u, 1.0, out=s_u)
+            peak[lo : lo + _SLICE] = s_u.astype(np.int64)
         if capped:
             return peak, 0
         back = peak < top
@@ -661,9 +666,11 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
     return h
 
 
-def _bucket_search(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The count of table values above each key: for a non-increasing table h
-    and keys g >= 0, the same int64 array as np.searchsorted(-h, -g, "left").
+def _bucket_search(h: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The count of table values above each key, written to the int64 array
+    out: for a non-increasing table h and keys g >= 0, the same values as
+    np.searchsorted(-h, -g, "left").  out may share g's memory: the keys are
+    searched in slices of _SLICE, and each slice is written once it is read.
 
     An indexed search (Chen and Asau, 1974).  The int64 bit pattern of a
     non-negative double rises with it, so its top bits split [min g, min(h[0],
@@ -685,17 +692,21 @@ def _bucket_search(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     edges = ((base + np.arange(n_buckets + 1, dtype=np.int64)) << shift).view(np.float64)
     counts = np.searchsorted(-h, -edges, side="left")  # table values above each edge
     width = int((counts[:-1] - counts[1:]).max())
-    key = g.view(np.int64) >> shift
-    key -= base
-    at = counts[1:].take(key, mode="clip")  # keys above the last bucket share its answer
-    steps = 1 << (width.bit_length() - 1) if width else 0
-    padded = np.concatenate((h, np.full(steps, -1.0)))  # never above a key
-    while steps > 1:
-        at += (padded.take(at + (steps - 1)) > g) * steps
-        steps >>= 1
-    if steps:  # the last pass, and the only one when no bucket holds two values
-        at += padded.take(at) > g
-    return at
+    first_steps = 1 << (width.bit_length() - 1) if width else 0
+    padded = np.concatenate((h, np.full(first_steps, -1.0)))  # never above a key
+    for lo in range(0, g.size, _SLICE):
+        keys = g[lo : lo + _SLICE]
+        at = keys.view(np.int64) >> shift
+        at -= base
+        at = counts[1:].take(at, mode="clip")  # keys above the last bucket share its answer
+        steps = first_steps
+        while steps > 1:
+            at += (padded.take(at + (steps - 1)) > keys) * steps
+            steps >>= 1
+        if steps:  # the last pass, and the only one when no bucket holds two values
+            at += padded.take(at) > keys
+        out[lo : lo + _SLICE] = at
+    return out
 
 
 def sample_maxima(
@@ -716,10 +727,14 @@ def sample_maxima(
     k, reps = _integer("k", k, 1), _integer("reps", reps, 1)
     if mode == "inversion":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-        g = rng.standard_exponential(reps)
-        dist = _as_dist(spec)
-        h = _inversion_table(dist, k, float(np.min(g)))
-        return 1 + _bucket_search(h, g)
+        # drawn into the records, viewed as float64, and searched slice by slice
+        best = np.empty(reps, dtype=np.int64)
+        g = best.view(np.float64)
+        rng.standard_exponential(out=g)
+        h = _inversion_table(_as_dist(spec), k, float(g.min()))
+        _bucket_search(h, g, best)
+        best += 1
+        return best
     if mode != "jump":
         raise ValueError(f"unknown mode {mode!r}")
 

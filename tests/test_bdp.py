@@ -230,20 +230,22 @@ def test_weight_sequences_are_immutable():
 
 
 @pytest.mark.parametrize(
-    "seq, tail",
+    "seq, tail, log_amp",
     [
-        (OnesSequence(), Tail(0, 0.0)),
-        (FactorialInverseSequence(), Tail(0, 0.0, factorial=1)),
-        (MultiServerSequence(1), Tail(0, 0.0, 1.0)),
-        (MultiServerSequence(3), Tail(2, 3.0 * math.log(3.0) - math.log(6.0), 1.0 / 3.0)),
-        (TableSequence((2.0,), tail_ratio=0.5), Tail(0, math.log(2.0), 0.5)),
-        (TableSequence((1.0, 0.8, 0.5), tail_ratio=0.5, poly_degree=1), Tail(2, 0.0, 0.5, 1)),  # 0.5^n n
+        (OnesSequence(), Tail(0, 0.0), 0.0),
+        (FactorialInverseSequence(), Tail(0, 0.0, factorial=1), 0.0),
+        (MultiServerSequence(1), Tail(0, 0.0, 1.0), 0.0),
+        (MultiServerSequence(3), Tail(2, -math.log(2.0), 1.0 / 3.0), 3.0 * math.log(3.0) - math.log(6.0)),
+        (TableSequence((2.0,), tail_ratio=0.5), Tail(0, math.log(2.0), 0.5), math.log(2.0)),
+        (TableSequence((1.0, 0.8, 0.5), tail_ratio=0.5, poly_degree=1), Tail(2, math.log(0.5), 0.5, 1), 0.0),  # 0.5^n n
     ],
     ids=["ones", "factorial", "mms1", "mms3", "table", "poly-table"],
 )
-def test_each_preset_and_table_states_its_tail_record(seq, tail):
-    assert seq.tail == dataclasses.replace(tail, log_amp=seq.tail.log_amp)
-    assert seq.tail.log_amp == pytest.approx(tail.log_amp, rel=1e-15, abs=1e-15)
+def test_each_preset_and_table_states_its_tail_record(seq, tail, log_amp):
+    # anchored at its start: the weight there, and the amplitude the law extrapolates to n = 0
+    assert seq.tail == dataclasses.replace(tail, log_start=seq.tail.log_start)
+    assert seq.tail.log_start == pytest.approx(tail.log_start, rel=1e-15, abs=1e-15)
+    assert seq.tail.log_amp == pytest.approx(log_amp, rel=1e-15, abs=1e-15)
     n = np.arange(tail.start, tail.start + 50)
     assert np.allclose(seq.tail.log_value(n), seq.log_value(n), rtol=1e-13, atol=1e-13)
     # the record of the reciprocal is the negated record, and the dual of the dual keeps it
@@ -780,3 +782,38 @@ def test_every_table_refuses_levels_past_the_ceiling(name):
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < tables * 8 * ((1 << 20) + 2)  # float64 tables of at most 2^20 + 1 levels
+
+
+def test_linear_equals_exp_bit_for_bit():
+    # normal lanes, subnormal ones (-708.4 to -745.1), lanes that underflow to
+    # 0 and are skipped, -inf, NaN and an overflow to inf with no warning
+    lanes = np.concatenate([
+        np.linspace(-700.0, 700.0, 1001),
+        np.linspace(-708.4, -745.1, 1001),
+        np.linspace(-745.2, -3000.0, 1001),
+        [-np.inf, np.nan, 709.0, 710.0, 1e300, np.inf],
+    ])
+    lanes = np.random.default_rng(4).permutation(lanes)
+    with np.errstate(over="ignore"):
+        expected = np.exp(lanes)
+    assert np.array_equal(bdp_module._linear(lanes), expected, equal_nan=True)
+    assert np.array_equal(bdp_module._linear(lanes[lanes > -700.0]), expected[lanes > -700.0], equal_nan=True)
+    for x in (-745.0, -746.5, -np.inf, 709.0, 710.0, 0.5):
+        with np.errstate(over="ignore"):
+            assert bdp_module._linear(x) == float(np.exp(x))
+
+
+@pytest.mark.parametrize(
+    "last, ratio, degree",
+    [(500, 0.5, 0), (10**5, 1e-3, 0), (1 << 20, 0.5, 0), (10**5, 0.5, 2)],
+    ids=["500-half", "1e5-1e-3", "2^20-half", "1e5-half-poly"],
+)
+def test_a_table_tail_is_anchored_at_its_last_entry(last, ratio, degree):
+    # past the table the weight steps on from log w(N), not from an amplitude
+    # extrapolated to n = 0, so it carries no rounding of N |log ratio|
+    logs = np.linspace(0.0, -3.0, last + 1)
+    seq = TableSequence.from_log(logs, tail_ratio=ratio, poly_degree=degree)
+    n = last + np.array([1, 10, 1000])
+    anchored = logs[-1] + (n - last) * math.log(ratio) + degree * np.log(n / last)
+    assert np.allclose(seq.log_value(n), anchored, rtol=1e-14, atol=0.0)
+    assert np.allclose(seq.tail.log_value(n), anchored, rtol=1e-14, atol=0.0)

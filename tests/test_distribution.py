@@ -486,3 +486,72 @@ def test_the_supercritical_probe_moves_down_the_falling_reciprocal(lam, doubles)
     assert ta.regime is TailRegime.SUPERCRITICAL
     assert abs(ta.empirical_value / ta.limit_constant - 1.0) < 1e-9
     assert (len(spec._law_tables.log_S) > 801) is doubles
+
+
+def _direct_failure_rate(dist, n):
+    """The per-call formula the law tables replaced, kept as the oracle."""
+    spec = dist.spec
+    nc = n if spec.cap is None else np.minimum(n, spec.cap)
+    out = np.exp(-spec.log_psi_rho(nc) - dist.log_cumulative(nc))
+    return out if spec.cap is None else np.where(n >= spec.cap, 1.0, out)
+
+
+def _direct_blocking_prob(dist, n):
+    spec = dist.spec
+    nc = n if spec.cap is None else np.minimum(n, spec.cap)
+    return np.exp(spec.log_psi_rho(nc) - dist.log_weight_cumulative(nc))
+
+
+_READ_SPECS = {
+    "mm1-0.3": mm1(0.3, 1.0),
+    "mm1-0.9": mm1(0.9, 1.0),
+    "mm1-2": mm1(2.0, 1.0),
+    "mms3-2.1": mms(3, 2.1, 1.0),
+    "mminf-1": mminf(1.0, 1.0),
+    "table": BirthDeathSpec(
+        TableSequence(np.exp(np.random.default_rng(6).uniform(-0.05, 0.05, 10**3)), 1.0),
+        TableSequence([1.0], 1.0),
+        0.8,
+        1.0,
+    ),
+    "callable": BirthDeathSpec(
+        CallableSequence(lambda n: 1.5 * np.log1p(np.asarray(n, dtype=float)), tail_ratio=1.0),
+        CallableSequence(lambda n: 1.5 * np.log1p(np.asarray(n, dtype=float)), tail_ratio=1.0),
+        0.5,
+        1.0,
+    ),
+    "capped": mms(3, 4.5, 1.0, cap=40),
+}
+
+
+@pytest.mark.parametrize("name", list(_READ_SPECS))
+def test_failure_rate_and_blocking_prob_read_the_tables_bit_for_bit(name):
+    spec = _READ_SPECS[name]
+    dist = CycleMaxDistribution(spec)
+    n = np.arange(1, 10**4 + 1)
+    assert np.array_equal(dist.failure_rate(n), _direct_failure_rate(dist, n))
+    assert np.array_equal(dist.blocking_prob(n), _direct_blocking_prob(dist, n))
+    for level in (1, 7, 40, 10**4):
+        assert dist.failure_rate(level) == float(_direct_failure_rate(dist, np.array(level)))
+        assert dist.blocking_prob(level) == float(_direct_blocking_prob(dist, np.array(level)))
+
+
+def test_each_level_weight_is_evaluated_once():
+    seen = []
+
+    def log_fn(n):
+        seen.append(np.array(n).ravel())
+        return -0.1 * np.asarray(n, dtype=float)
+
+    spec = BirthDeathSpec(CallableSequence(log_fn, tail_ratio=math.exp(-0.1)), TableSequence([1.0], 1.0), 0.5, 1.0)
+    dist = CycleMaxDistribution(spec)
+    first = len(spec._law_tables.log_S)  # the levels the tables start with
+    seen.clear()
+    n = np.arange(1, 10**4 + 1)
+    dist.cdf(n)
+    dist.failure_rate(n)
+    dist.blocking_prob(n)
+    counts = np.bincount(np.concatenate(seen), minlength=10**4 + 1)
+    # level 0 once more, as the scale psi(0); every other level the tables reach once
+    assert counts[0] == 1 and not counts[1:first].any()
+    assert np.all(counts[first : 10**4 + 1] == 1)

@@ -17,6 +17,7 @@ from cyclemax import (
     TailRegime,
     as_limit_constant,
     build_tail_function,
+    classify,
     compactness_diagnostic,
     default_norming_kind,
     duality_check,
@@ -629,3 +630,50 @@ def test_a_call_that_raises_keeps_no_knots():
         with pytest.raises(OutOfRangeError, match=r"^the root of target 0\.001 lies beyond the 1048576 levels"):
             invert_tail(f, 1e-3)
         assert f.n_max == 400
+
+
+def _per_point_integral(log_surv, x, delta, tail_q):
+    """integral_x^inf of (S / S(x))^delta summed for x alone: the formula the
+    one-pass grid evaluation replaced, kept as its oracle."""
+    m0 = int(math.floor(x))
+    scaled = np.exp(log_surv[m0:] - log_surv[m0])
+    body = float(np.sum(scaled[1:] ** delta))
+    qd = tail_q**delta
+    tail = (scaled[-1] ** delta) * qd / (1.0 - qd) if 0.0 < qd < 1.0 else 0.0
+    return m0 + 1 - x + body + tail
+
+
+def _per_point_r(spec, delta):
+    cls = classify(spec)
+    dist = CycleMaxDistribution(spec)
+    if cls.beta is not None and cls.beta * spec.rho > 1.0:
+        log_survival, tail_q = dist._log_conditional_survival, 1.0 / (cls.beta * spec.rho)
+    else:
+        log_survival, tail_q = dist.log_survival, cls.beta_upper * spec.rho
+    log_surv = log_survival(np.arange(641))
+    return np.array([
+        _per_point_integral(log_surv, x, delta, tail_q) / _per_point_integral(log_surv, x, delta - 1.0, tail_q)
+        for x in range(10, 41, 5)
+    ])
+
+
+_GRID_SPECS = {name: spec for name, (spec, _, _) in _COMPACT_R.items()}
+_GRID_SPECS.update({
+    "mm1-1e-20": mm1(1e-20, 1.0),
+    "mms2-1e-200": mms(2, 1e-200, 1.0),
+    "mm1-1e300": mm1(1e300, 1.0),
+    "wobbly": BirthDeathSpec(WOBBLY, WOBBLY, 1.0, 1.0),
+})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [1.5, 2.0, 1000.0, 1e5])
+@pytest.mark.parametrize("name", list(_GRID_SPECS))
+def test_the_compactness_grid_in_one_pass_keeps_the_per_point_values(name, delta):
+    spec = _GRID_SPECS[name]
+    report = compactness_diagnostic(spec, delta=delta)
+    expected = _per_point_r(spec, delta)
+    got = np.array(report.r_values)
+    assert np.all(np.abs(got - expected) <= 4 * np.spacing(expected))
+    verdict = "Compact" if 0.0 < expected.min() and expected.max() < 1.0 else "Undetermined"
+    assert report.verdict == verdict

@@ -117,8 +117,8 @@ class Recording:
         self.rng = rng
         self.draws = []
 
-    def random(self, size):
-        u = self.rng.random(size)
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
         self.draws.append(u.copy())
         return u
 
@@ -1049,7 +1049,11 @@ def test_bucket_search_equals_a_sorted_search(spec, k):
     g = np.random.default_rng(k).standard_exponential(10**5)
     h = _inversion_table(_as_dist(spec), k, float(g.min()))
     assert np.all(np.diff(h) <= 0.0)
-    assert np.array_equal(_bucket_search(h, g), np.searchsorted(-h, -g, side="left"))
+    expected = np.searchsorted(-h, -g, side="left")
+    # the answers overwrite the keys, slice by slice, as in sample_maxima
+    out = g.view(np.int64)
+    assert _bucket_search(h, g, out) is out
+    assert np.array_equal(out, expected)
 
 
 def test_bucket_search_on_wide_buckets():
@@ -1062,7 +1066,8 @@ def test_bucket_search_on_wide_buckets():
     assert np.all(np.diff(h) <= 0.0)
     assert np.count_nonzero((h >= g.min()) & (h <= g.max())) > 2 * simulate_module._BUCKETS
     keys = np.concatenate((g, h[(h >= g.min()) & (h <= g.max())]))  # ties with the table too
-    assert np.array_equal(_bucket_search(h, keys), np.searchsorted(-h, -keys, side="left"))
+    found = _bucket_search(h, keys, np.empty(keys.size, dtype=np.int64))
+    assert np.array_equal(found, np.searchsorted(-h, -keys, side="left"))
 
 
 @pytest.mark.parametrize(
@@ -1075,7 +1080,8 @@ def test_bucket_search_on_wide_buckets():
 )
 def test_bucket_search_on_hand_made_tables(h, g):
     h, g = np.array(h), np.array(g)
-    assert np.array_equal(_bucket_search(h, g), np.searchsorted(-h, -g, side="left"))
+    found = _bucket_search(h, g, np.empty(g.size, dtype=np.int64))
+    assert np.array_equal(found, np.searchsorted(-h, -g, side="left"))
 
 
 def _scripted_advance(paths, passes):
