@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -453,9 +452,9 @@ def _invert_limit(r):
 class BirthDeathSpec:
     """Immutable description of a birth-death chain.
 
-    Its classification, the tables of its cycle-maximum law, the knots of
-    its tail function and its simulator tables are computed on first use and kept
-    on the object.
+    Its classification, its weights' tail record, the one table of its
+    weights (whose head is its tail function's knots) with its law's sums,
+    and its simulator tables are computed on first use and kept on it.
     """
 
     psi: WeightSequence
@@ -483,15 +482,10 @@ class BirthDeathSpec:
 
     @cached_property
     def _law_tables(self) -> "_LawTables":
-        """The cumulative tables every cycle-maximum law of this spec grows."""
+        """The per-level tables every cycle-maximum law and the tail function of this spec grow."""
         from .distribution import _LawTables  # distribution imports this module
 
         return _LawTables()
-
-    @cached_property
-    def _tail_knots(self) -> SimpleNamespace:
-        """The knots (log_knots, y0) every tail function of this spec reads and grows."""
-        return SimpleNamespace(log_knots=np.empty(0), y0=0)
 
     @cached_property
     def _walk_tables(self) -> dict:
@@ -507,7 +501,7 @@ class BirthDeathSpec:
         base = float(self.psi.log_value(0))
         return self.psi.log_value(n) - base + n * math.log(self.rho)
 
-    @property
+    @cached_property
     def psi_rho_tail(self) -> Tail | None:
         """The record of psihat(n) rho^n, from psi's; None where psi states none."""
         t = self.psi.tail

@@ -48,28 +48,45 @@ __all__ = [
 
 
 class _LawTables:
-    """The cumulative tables of one spec's law, grown on demand.
+    """The per-level tables of one spec, grown on demand and read by its laws and tail function.
 
-    A spec keeps one, and every law of that spec reads and grows it.  It
-    holds no reference to the spec, so the pair forms no reference cycle.
+    ``log_w`` is the one place the spec holds its weights; ``log_S`` and
+    ``log_W`` extend from it only when a law reader asks.  The tail function's
+    knots are ``log_w[:falls_to + 1]``, checked to fall strictly from ``y0``
+    on (no knots while falls_to is 0).  No reference to the spec: no cycle.
     """
 
-    __slots__ = ("log_w", "log_S", "log_W", "log_s_inf")
+    __slots__ = ("log_w", "log_S", "log_W", "log_s_inf", "y0", "falls_to")
 
     def __init__(self):
         self.log_w = np.empty(0)  # log psihat(n) rho^n, the weights themselves
         self.log_S = np.empty(0)  # log S(n), reciprocal-weight partial sums
         self.log_W = np.empty(0)  # log sum_{i<=n} psihat(i) rho^i
         self.log_s_inf: float | None = None
+        self.y0 = self.falls_to = 0
+
+    def grow(self, spec: BirthDeathSpec, n: int) -> None:
+        """Evaluate log_w to cover level n, at least doubling it, within _MAX_LEVELS + 1 entries."""
+        cur = len(self.log_w)
+        if n < cur:
+            return
+        size = min(max(n + 1, 2 * cur, 64), _MAX_LEVELS + 1)
+        # the new levels first, so the old table and the new one are alone in memory
+        self.log_w = np.concatenate([self.log_w, spec.log_psi_rho(np.arange(cur, size))])
+        self.log_w.flags.writeable = False
+
+    def window(self, spec: BirthDeathSpec, lo: int, hi: int) -> np.ndarray:
+        """log_w on the levels lo..hi-1: read where the table holds them, else evaluated afresh."""
+        return self.log_w[lo:hi] if hi <= len(self.log_w) else spec.log_psi_rho(np.arange(lo, hi))
 
 
 class CycleMaxDistribution:
     """The cycle-maximum law of a spec, a view of the tables the spec keeps.
 
     The tables grow on demand and belong to the spec: every law of one spec
-    object reads and grows the same tables, the log weights and their two
-    cumulative sums, which live as long as the spec at 24 bytes per level.
-    Each level's weight is evaluated once, when the tables reach it; the
+    object reads and grows the same tables, the log weights (which the tail
+    function reads too) and their two cumulative sums, at 24 bytes per level.
+    Each level's weight is evaluated once, when the weights reach it; the
     per-level readers index the tables and exponentiate with ``_linear``,
     which leaves the lanes that underflow to 0 uncomputed.  A law holds its
     spec; the spec does not hold its laws, so building one per call costs no
@@ -85,12 +102,8 @@ class CycleMaxDistribution:
     def _log_S(self) -> np.ndarray:
         return self._tables.log_S
 
-    @property
-    def _log_W(self) -> np.ndarray:
-        return self._tables.log_W
-
     def _ensure(self, n: int) -> None:
-        """Grow tables to cover index n (clipped to the cap), within _MAX_LEVELS + 1 entries."""
+        """Grow the tables to cover index n (clipped to the cap), within _MAX_LEVELS + 1 entries."""
         if self.spec.cap is not None:
             n = min(n, self.spec.cap)
         tables = self._tables
@@ -99,15 +112,15 @@ class CycleMaxDistribution:
             return
         _check_levels("level", n)
         size = min(max(n + 1, 2 * cur, 64), _MAX_LEVELS + 1)
-        log_w, log_W, log_S = np.empty(size), np.empty(size), np.empty(size)
-        log_w[:cur], log_W[:cur], log_S[:cur] = tables.log_w, tables.log_W, tables.log_S
-        log_w[cur:] = self.spec.log_psi_rho(np.arange(cur, size))
-        log_W[cur:] = log_w[cur:]
-        np.negative(log_w[cur:], out=log_S[cur:])
+        tables.grow(self.spec, size - 1)
+        log_W, log_S = np.empty(size), np.empty(size)
+        log_W[:cur], log_S[:cur] = tables.log_W, tables.log_S
+        log_W[cur:] = tables.log_w[cur:size]
+        np.negative(tables.log_w[cur:size], out=log_S[cur:])
         # a left fold resumed in place from the last entry: growing in steps changes no bit
         for table in (log_W, log_S):
             np.logaddexp.accumulate(table[max(cur - 1, 0) :], out=table[max(cur - 1, 0) :])
-        tables.log_w, tables.log_W, tables.log_S = log_w, log_W, log_S
+        tables.log_W, tables.log_S = log_W, log_S
 
     def _checked(self, n, least: int = 0) -> np.ndarray:
         """n as integer levels of at least ``least``, clipped to the cap."""
@@ -169,10 +182,8 @@ class CycleMaxDistribution:
     def log_s_limit(self) -> float:
         """log S(inf): log S(cap) on a capped spec, else the tail margin at level 0."""
         if self._tables.log_s_inf is None:
-            if self.spec.cap is not None:
-                out = self.log_cumulative(self.spec.cap)
-            else:
-                out = np.logaddexp(0.0, self.log_tail_sum(0))
+            capped = self.spec.cap is not None
+            out = self.log_cumulative(self.spec.cap) if capped else np.logaddexp(0.0, self.log_tail_sum(0))
             self._tables.log_s_inf = float(out)
         return self._tables.log_s_inf
 
@@ -203,17 +214,17 @@ class CycleMaxDistribution:
         """log sum_{i>n} 1/(psihat(i) rho^i), the exact margin S(inf) - S(n),
         for a level or an integer array of levels.
 
-        One reverse log-accumulation over [min n + 1, max n + span] sums the
-        terms afresh, so large n costs no cancellation.  Where psi's record
-        states the terms exactly, as q^i at the term bound q = 1/(beta_lower
-        rho) or, at q within _TOL of 1, as i^-p / alpha, the window ends one
-        term past max n and the record's start, and its geometric or Hurwitz
-        sum closes it.  Otherwise the span, at least 8, reaches e^-60 below
-        each first term at q, whose geometric series closes the rest; at q = 0
-        it doubles until the window's last term lies e^-60 below the first
-        term past max n, and nothing closes it; at q within _TOL of 1 it is
-        _MAX_LEVELS and the Hurwitz sum of ``_power_law`` closes it.  Neither
-        the span nor max n - min n may pass _MAX_LEVELS levels.
+        One reverse log-accumulation over [min n + 1, max n + span] sums the terms
+        (read by ``_LawTables.window``), so large n costs no cancellation.  Where
+        psi's record states the terms exactly, as q^i at the term bound q = 1/(beta_lower
+        rho) or, at q within _TOL of 1, as i^-p / alpha, the window ends one term past
+        max n and the record's start, and its geometric or Hurwitz sum closes it.
+        Otherwise the span, at least 8, reaches e^-60 below each first term at q,
+        whose geometric series closes the rest; at q = 0 it doubles until the
+        window's last term lies e^-60 below the first term past max n, and nothing
+        closes it; at q within _TOL of 1 it is _MAX_LEVELS and the Hurwitz sum of
+        ``_power_law`` closes it.  Neither the span nor max n - min n may pass
+        _MAX_LEVELS levels.
         """
         cls = classify(self.spec)
         q = 1.0 / (cls.beta_lower * self.spec.rho) if cls.beta_lower > 0 else math.inf
@@ -237,10 +248,10 @@ class CycleMaxDistribution:
         span = _MAX_LEVELS if power else max(int(60.0 / -log_q), 8)
         if exact:  # the window ends one term past max n and the start
             span = max(tail.start + 2 - hi, 1)
-        lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
+        lt = -self._tables.window(self.spec, lo, hi + span)
         while q == 0.0 and lt[-1] > lt[hi - lo] - 60.0 and span < _MAX_LEVELS:
             span = min(2 * span, _MAX_LEVELS)
-            lt = -self.spec.log_psi_rho(np.arange(lo, hi + span))
+            lt = -self._tables.window(self.spec, lo, hi + span)
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
         if power:  # p fitted over the window's upper half where psi has no record
@@ -251,6 +262,11 @@ class CycleMaxDistribution:
         out = np.logaddexp(rev[n + 1 - lo], log_close)
         return float(out) if n.ndim == 0 else out
 
+    def _log_weight(self, n):
+        """log psihat(n) rho^n at a level or an integer array of levels, from the weights grown to cover it."""
+        self._tables.grow(self.spec, int(np.max(n)))
+        return self._tables.log_w[n]
+
     def _log_conditional_survival(self, n):
         """log P(Y > n | Y < inf), from the tail margin without cancellation."""
         return self.log_tail_sum(n) - self.log_cumulative(n) - self.log_s_limit() - self.log_p_finite
@@ -258,9 +274,7 @@ class CycleMaxDistribution:
 
 def _as_dist(obj) -> CycleMaxDistribution:
     """``obj`` itself if it is a law, else a law of the spec."""
-    if isinstance(obj, CycleMaxDistribution):
-        return obj
-    return CycleMaxDistribution(obj)
+    return obj if isinstance(obj, CycleMaxDistribution) else CycleMaxDistribution(obj)
 
 
 def cycle_max_cdf(dist, n):
@@ -397,21 +411,19 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
     n_probe = _PROBE
     sign = -1.0 if regime is TailRegime.SUPERCRITICAL else 1.0
     if regime is not TailRegime.CRITICAL:
-        while 2 * n_probe <= _MAX_LEVELS and sign * float(spec.log_psi_rho(n_probe)) >= -53.0 * math.log(2.0):
+        while 2 * n_probe <= _MAX_LEVELS and sign * dist._log_weight(n_probe) >= -53.0 * math.log(2.0):
             n_probe *= 2
     h = n_probe // 4
-    probes = (n_probe - 2 * h, n_probe - h, n_probe)
+    probes = np.array((n_probe - 2 * h, n_probe - h, n_probe))
     interval = alpha = p = fixed_point = None
 
-    if regime is TailRegime.NO_LIMIT:
-        scale, constant, interval = "(1 - F(n)) / (psi(n) rho^n)", None, (1.0 - q_hi, 1.0 - q_lo)
-        vals = _t_ratio(dist, np.array(probes))
-    elif regime is TailRegime.SUBCRITICAL:
-        scale, constant = "(1 - F(n)) / (psi(n) rho^n)", 1.0 - cls.beta * rho
-        vals = _t_ratio(dist, np.array(probes))
+    if regime in (TailRegime.NO_LIMIT, TailRegime.SUBCRITICAL):
+        no_limit = regime is TailRegime.NO_LIMIT
+        scale, constant = "(1 - F(n)) / (psi(n) rho^n)", None if no_limit else 1.0 - cls.beta * rho
+        interval = (1.0 - q_hi, 1.0 - q_lo) if no_limit else None
+        vals = np.exp(dist.log_survival(probes) - dist._log_weight(probes)).tolist()
     elif regime is TailRegime.SUPERCRITICAL:
-        at = np.array(probes)
-        vals = np.exp(spec.log_psi_rho(at) + dist._log_conditional_survival(at)).tolist()
+        vals = np.exp(dist._log_conditional_survival(probes) + dist._log_weight(probes)).tolist()
         q = cls.beta * rho
         b_star = 1.0 - dist.p_finite
         scale = "psi(n) rho^n * (1 - F(n | finite))"
@@ -479,8 +491,3 @@ def _power_law(spec: BirthDeathSpec, win: np.ndarray, least: float = -math.inf) 
     if resid > _FIT_RESID_TOL or not p > least:
         raise FitFailedError(f"terms on [{win[0]}, {win[-1]}] fit power {p:.6g}, residual {resid:.2e}")
     return p, log_alpha
-
-
-def _t_ratio(dist: CycleMaxDistribution, n: np.ndarray) -> list:
-    """(1 - F(n)) / (psihat(n) rho^n) at each of the levels n."""
-    return np.exp(dist.log_survival(n) - dist.spec.log_psi_rho(n)).tolist()

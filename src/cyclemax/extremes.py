@@ -2,7 +2,8 @@
 
 The sample maximum over k cycles concentrates where the tail weight
 psi(n) rho^n crosses 1/k.  A continuous decreasing interpolation f of that
-weight gives thresholds and norming constants; the Gumbel law exp(-e^-x)
+weight, whose knots head the one weight table a spec keeps for its laws,
+gives thresholds and norming constants; the Gumbel law exp(-e^-x)
 brackets the limit from above, with a matching lower envelope whenever the
 weight ratio has a positive lower limit.  Laws conditioned on a finite
 maximum come from ``CycleMaxDistribution.log_tail_sum``.
@@ -59,37 +60,58 @@ _TAIL_KNOTS = 400
 
 @dataclass(frozen=True, eq=False)
 class TailFunction:
-    """Continuous decreasing version of n -> psi(n) rho^n, a view of its spec's knots.
+    """Continuous decreasing version of n -> psi(n) rho^n, a view of its spec's weights.
 
-    Knots are the weights at integers (scaled so the 0th is 1), joined by
-    straight lines from y0 on; y0 is the first index after which the knots
-    strictly decrease.  Before y0 the function is the slope -1 line
-    f(y) = y0 - y + g(y0), which keeps f strictly decreasing on [0, inf).
-    Knots are held in log form so factorially small tails stay usable.  A
-    call past the last knot doubles them, to level _MAX_LEVELS at most.
+    Knots are the weights at integers (scaled so the 0th is 1), joined by straight
+    lines from y0 on; y0 is the first index after which the knots strictly decrease.
+    Before y0 the function is the slope -1 line f(y) = y0 - y + g(y0), which keeps f
+    strictly decreasing on [0, inf).  The knots head the spec's weight table, in log
+    form so factorially small tails stay usable.  Building one needs a subcritical
+    upper ratio.  The spec's first build takes _TAIL_KNOTS knots, doubled (to level
+    _MAX_LEVELS at most) while they end without a strictly decreasing run, which
+    fixes y0; a call past the last knot doubles them, each new one checked to fall
+    strictly.  The knots keep this doubling however far the table has grown, and a
+    call that raises leaves them as they were.
     """
 
     spec: BirthDeathSpec
-    log_knots = property(lambda self: self.spec._tail_knots.log_knots)
-    y0 = property(lambda self: self.spec._tail_knots.y0)
-    n_max = property(lambda self: len(self.log_knots) - 1)
+    _tables = property(lambda self: self.spec._law_tables)
+    log_knots = property(lambda self: self._tables.log_w[: self.n_max + 1])
+    y0 = property(lambda self: self._tables.y0)
+    n_max = property(lambda self: self._tables.falls_to)
+
+    def __post_init__(self):
+        tables, spec = self._tables, self.spec
+        if tables.falls_to:
+            return
+        _require_uncapped(spec)
+        cls = classify(spec)
+        if not cls.beta_upper * spec.rho < 1.0:
+            raise NotSubcriticalError(f"upper tail ratio {cls.beta_upper} * rho {spec.rho} is not below 1")
+        n = _TAIL_KNOTS
+        tables.grow(spec, n)
+        while tables.log_w[n] >= tables.log_w[n - 1]:  # no strictly decreasing run at the end
+            if n == _MAX_LEVELS:
+                raise NoMonotoneTailError(f"no strictly decreasing tail within {n} knots")
+            n = min(2 * n, _MAX_LEVELS)
+            tables.grow(spec, n)
+        rising = np.flatnonzero(np.diff(tables.log_w[: n + 1]) >= 0.0)
+        tables.y0, tables.falls_to = int(rising[-1]) + 1 if len(rising) else 0, n
 
     def _reach(self, short) -> bool:
         """Double the knots while short(log_knots) holds; False past level _MAX_LEVELS, and
         NoMonotoneTailError unless each new knot falls strictly.  Kept only on success."""
-        held = self.spec._tail_knots
-        log_g = held.log_knots
-        while short(log_g):
-            n = len(log_g) - 1
+        tables, n = self._tables, self._tables.falls_to
+        while short(tables.log_w[: n + 1]):
             if n == _MAX_LEVELS:
                 return False
-            new = self.spec.log_psi_rho(np.arange(n + 1, min(2 * n, _MAX_LEVELS) + 1))
-            rise = np.flatnonzero(np.diff(new, prepend=log_g[-1]) >= 0.0)
+            top = min(2 * n, _MAX_LEVELS)
+            tables.grow(self.spec, top)
+            rise = np.flatnonzero(np.diff(tables.log_w[n : top + 1]) >= 0.0)
             if len(rise):
-                raise NoMonotoneTailError(f"psi(n) rho^n rises at level {n + 1 + rise[0]}, past y0 = {held.y0}")
-            log_g = np.concatenate([log_g, new])
-        log_g.flags.writeable = False
-        held.log_knots = log_g
+                raise NoMonotoneTailError(f"psi(n) rho^n rises at level {n + 1 + rise[0]}, past y0 = {tables.y0}")
+            n = top
+        tables.falls_to = n
         return True
 
     def value(self, y: float) -> float:
@@ -106,30 +128,7 @@ class TailFunction:
 
 
 def build_tail_function(spec: BirthDeathSpec) -> TailFunction:
-    """Interpolate psi(n) rho^n into a strictly decreasing f.
-
-    Requires a subcritical upper ratio so that a decreasing tail exists at
-    all.  The first build of a spec takes _TAIL_KNOTS knots and doubles them, to
-    level _MAX_LEVELS at most, while they end without a strictly decreasing run,
-    which fixes y0.  The spec keeps the knots; a build that raises keeps none.
-    """
-    held = spec._tail_knots
-    if len(held.log_knots):
-        return TailFunction(spec)
-    _require_uncapped(spec)
-    cls = classify(spec)
-    if not cls.beta_upper * spec.rho < 1.0:
-        raise NotSubcriticalError(f"upper tail ratio {cls.beta_upper} * rho {spec.rho} is not below 1")
-    n = _TAIL_KNOTS
-    log_g = np.asarray(spec.log_psi_rho(np.arange(n + 1)), dtype=float)
-    while log_g[-1] >= log_g[-2]:  # no strictly decreasing run at the end
-        if n == _MAX_LEVELS:
-            raise NoMonotoneTailError(f"no strictly decreasing tail within {n} knots")
-        n = min(2 * n, _MAX_LEVELS)
-        log_g = np.asarray(spec.log_psi_rho(np.arange(n + 1)), dtype=float)
-    rising = np.nonzero(np.diff(log_g) >= 0.0)[0]
-    log_g.flags.writeable = False
-    held.log_knots, held.y0 = log_g, int(rising[-1]) + 1 if len(rising) else 0
+    """Interpolate psi(n) rho^n into a strictly decreasing f: ``TailFunction(spec)``."""
     return TailFunction(spec)
 
 
@@ -154,8 +153,7 @@ def invert_tail(f: TailFunction, v: float) -> float:
         raise OutOfRangeError(f"the root of target {v} lies beyond the {_MAX_LEVELS} levels a table may hold")
     log_knots = f.log_knots
     # log knots decrease strictly from y0; searchsorted over the negated tail
-    tail = -log_knots[f.y0:]
-    n = f.y0 + int(np.searchsorted(tail, -log_v, side="right")) - 1
+    n = f.y0 + int(np.searchsorted(-log_knots[f.y0 :], -log_v, side="right")) - 1
     n = min(max(n, f.y0), len(log_knots) - 2)
     # on [n, n + 1], f / g(n) = (1 - t) + t r with r = g(n + 1) / g(n) in (0, 1),
     # so t = (1 - v / g(n)) / (1 - r), each difference taken by expm1

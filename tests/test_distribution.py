@@ -349,7 +349,7 @@ def test_every_law_of_a_spec_grows_one_table():
     spec = mms(3, 2.1, 1.0)
     cycle_max_cdf(spec, 5000)
     direct = CycleMaxDistribution(spec)
-    assert len(direct._log_S) >= 5001 and len(direct._log_W) >= 5001
+    assert len(direct._log_S) >= 5001 and len(direct._tables.log_W) >= 5001
     direct.log_cumulative(30_000)
     assert len(_as_dist(spec)._log_S) >= 30_001
     assert CycleMaxDistribution(spec)._log_S is direct._log_S

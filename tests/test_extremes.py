@@ -14,6 +14,7 @@ from cyclemax import (
     SimConfig,
     Station,
     TableSequence,
+    TailFunction,
     TailRegime,
     as_limit_constant,
     build_tail_function,
@@ -537,7 +538,8 @@ def test_the_critical_band_is_critical_for_every_tail_function(spec):
 
 
 def test_one_tail_function_per_spec_and_n_max(monkeypatch):
-    # one set of knots per spec, whatever the calls: built once, grown by doubling
+    # one set of knots per spec, whatever the calls: the head of the law's weight
+    # table, built once, grown by doubling, each level evaluated once
     evaluated = []
     real = BirthDeathSpec.log_psi_rho
 
@@ -553,11 +555,14 @@ def test_one_tail_function_per_spec_and_n_max(monkeypatch):
     norming_constants(spec, "Numeric", [10, 100])
     assert evaluated == [(0, 400)]
     assert gumbel_bounds(spec, 0.5, 100) == first
-    assert build_tail_function(spec).log_knots is build_tail_function(spec).log_knots
-    gumbel_bounds(spec, 0.0, 10**200)  # a root near level 1300: two doublings
-    assert evaluated == [(0, 400), (401, 800), (801, 1600)]
+    assert np.shares_memory(build_tail_function(spec).log_knots, spec._law_tables.log_w)
+    assert spec._law_tables.log_S.size == 0  # the knots alone: no cumulative table
+    gumbel_bounds(spec, 0.0, 10**200)  # a root near level 1300: two doublings of the table
+    assert evaluated == [(0, 400), (401, 801), (802, 1603)]
     assert build_tail_function(spec).n_max == 1600
     assert gumbel_bounds(spec, 0.5, 100) == first
+    CycleMaxDistribution(spec).cdf(np.arange(1, 1601))  # the law reads the same weights
+    assert evaluated == [(0, 400), (401, 801), (802, 1603)]
     with pytest.raises(ValueError):  # the shared knots are read-only
         build_tail_function(spec).log_knots[0] = 0.0
     # a build that raises keeps nothing
@@ -565,7 +570,41 @@ def test_one_tail_function_per_spec_and_n_max(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotSubcriticalError):
             gumbel_bounds(transient, 0.5, 100)
-    assert transient._tail_knots.log_knots.size == 0
+    assert transient._law_tables.falls_to == 0
+
+
+def _counted_spec(slope):
+    """psi(n) = e^(slope n) at rho = 1, classified, and the levels each later evaluation reads."""
+    seen = []
+
+    def log_fn(n):
+        seen.append(np.array(n).ravel())
+        return slope * np.asarray(n, dtype=float)
+
+    spec = BirthDeathSpec(CallableSequence(log_fn, tail_ratio=math.exp(slope)), TableSequence([1.0], 1.0), 1.0, 1.0)
+    classify(spec)  # the classification sums its own series
+    seen.clear()
+    return spec, seen
+
+
+@pytest.mark.parametrize(
+    "slope, regime", [(-1e-3, TailRegime.SUBCRITICAL), (0.1, TailRegime.SUPERCRITICAL)], ids=["sub", "transient"]
+)
+def test_the_law_and_the_extremes_evaluate_each_level_once(slope, regime):
+    # the knots (to level 25,600 at k = 10^7), the probes (to 51,200 at this slow
+    # fall) and the transient margin all read the one weight table the law grows
+    spec, seen = _counted_spec(slope)
+    CycleMaxDistribution(spec).cdf(np.arange(1, 10**4 + 1))
+    if regime is TailRegime.SUBCRITICAL:
+        gumbel_bounds(spec, 0.0, 10**4)
+        norming_constants(spec, "Numeric", [10, 10**7])
+        assert build_tail_function(spec).n_max == 25_600
+    assert tail_asymptotics(spec).regime is regime
+    assert compactness_diagnostic(spec).conditional is (regime is TailRegime.SUPERCRITICAL)
+    counts = np.bincount(np.concatenate(seen))
+    # level 0 once more per evaluation, as the scale psi(0); every other level the table holds once
+    assert len(counts) == len(spec._law_tables.log_w) and np.all(counts[1:] == 1)
+    assert len(counts) > (51_200 if regime is TailRegime.SUBCRITICAL else 10**4)
 
 
 def _shallow_answers(spec):
@@ -609,20 +648,28 @@ def test_deep_targets_meet_their_closed_forms():
 
 
 def test_a_call_that_raises_keeps_no_knots():
-    # psi(n) = 2^-n but for a rise at n = 1000, past y0 = 0
+    # psi(n) = 2^-n but for a rise at n = 1000, past y0 = 0; the knots keep their
+    # own doubling when the law has grown the weight table past the rise first
     rising = CallableSequence(
         lambda n: -math.log(2.0) * np.asarray(n, dtype=float) + 50.0 * (np.asarray(n) == 1000), tail_ratio=0.5
     )
-    spec = BirthDeathSpec(rising, rising, 1.0, 1.0)
-    f = build_tail_function(spec)
-    shallow = invert_tail(f, 1e-100)
-    for _ in range(2):
-        with pytest.raises(NoMonotoneTailError, match="rises at level 1000"):
-            invert_tail(f, 1e-300)  # 2^-996.6: the knots double to 1600 and meet the rise
-        assert f.n_max == 400
-    y = invert_tail(f, 1e-200)  # 2^-664.4: 800 knots reach it
-    assert 664.0 < y < 665.0 and abs(y - _bisected_inverse(f, 1e-200)) <= 1e-10
-    assert f.n_max == 800 and invert_tail(f, 1e-100) == shallow
+    answers = []
+    for grown in (False, True):
+        spec = BirthDeathSpec(rising, rising, 1.0, 1.0)
+        if grown:
+            CycleMaxDistribution(spec).cdf(np.arange(1, 2001))
+            assert len(spec._law_tables.log_w) > 2000
+        f = build_tail_function(spec)
+        shallow = invert_tail(f, 1e-100)
+        for _ in range(2):
+            with pytest.raises(NoMonotoneTailError, match="rises at level 1000"):
+                invert_tail(f, 1e-300)  # 2^-996.6: the knots double to 1600 and meet the rise
+            assert f.n_max == 400
+        y = invert_tail(f, 1e-200)  # 2^-664.4: 800 knots reach it
+        assert 664.0 < y < 665.0 and abs(y - _bisected_inverse(f, 1e-200)) <= 1e-10
+        assert f.n_max == 800 and invert_tail(f, 1e-100) == shallow
+        answers.append((shallow, y))
+    assert answers[0] == answers[1]
     # rho = 1 - 1e-12: f(2^20) = e^-1.05e-6, far above 1e-3
     spec = mm1(1.0 - 1e-12, 1.0)
     f = build_tail_function(spec)
@@ -630,6 +677,34 @@ def test_a_call_that_raises_keeps_no_knots():
         with pytest.raises(OutOfRangeError, match=r"^the root of target 0\.001 lies beyond the 1048576 levels"):
             invert_tail(f, 1e-3)
         assert f.n_max == 400
+    # the refused call keeps the weights it evaluated, and no cumulative table
+    assert len(spec._law_tables.log_w) == (1 << 20) + 1 and spec._law_tables.log_S.size == 0
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: mm1(0.5, 1.0), None),
+        (lambda: mminf(300.0, 1.0), None),
+        (lambda: mm1(2.0, 1.0), NotSubcriticalError),
+        (lambda: mm1(0.5, 1.0, cap=5), NotApplicableError),
+    ],
+    ids=["mm1", "mminf-knee", "mm1-transient", "mm1-capped"],
+)
+def test_a_tail_function_built_directly_is_the_one_build_tail_function_returns(make, error):
+    if error is not None:
+        for build in (TailFunction, build_tail_function):
+            spec = make()
+            for _ in range(2):  # a refusal keeps no knots
+                with pytest.raises(error):
+                    build(spec)
+            assert spec._law_tables.falls_to == 0
+        return
+    direct, built = TailFunction(make()), build_tail_function(make())
+    assert (direct.y0, direct.n_max) == (built.y0, built.n_max)
+    for v in (0.5, 1e-3, 1e-30):
+        assert invert_tail(direct, v) == invert_tail(built, v)
+    assert direct(3.5) == built(3.5)
 
 
 def _per_point_integral(log_surv, x, delta, tail_q):

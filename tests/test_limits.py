@@ -106,10 +106,20 @@ def test_extreme_queues_answer_in_logs(tmp_path, lam, table):
 
 
 def test_the_tail_function_reaches_heavy_traffic_and_factorial_knee_targets():
+    # the heavy-traffic knots (51,200 levels) are the weight table alone, at 8 bytes a
+    # level: the call peaks below 1.5 MiB and grows no cumulative table of the law
     proc = _program("""
         import math
+        import tracemalloc
         from cyclemax import gumbel_bounds, mm1, mminf, norming_constants
-        for gb in (gumbel_bounds(mm1(0.999, 1), 0, 10**15), gumbel_bounds(mminf(300, 1), 0, 1000)):
+        heavy = mm1(0.999, 1)
+        tracemalloc.start()
+        gb = gumbel_bounds(heavy, 0, 10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
+        assert heavy._law_tables.log_S.size == 0
+        for gb in (gb, gumbel_bounds(mminf(300, 1), 0, 1000)):
             assert math.isfinite(gb.y_lower) and math.isfinite(gb.y_upper), gb
         nc = norming_constants(mminf(800, 1), "Numeric", [1000])
         assert all(math.isfinite(v) for v in nc.a + nc.b), nc
