@@ -18,18 +18,10 @@ import sys
 
 import numpy as np
 
+# every command needs these; each command imports its own layers, so a
+# process loads only the layers it runs
 from .bdp import _TOL, Verdict, _check_levels, classify, load_spec, spec_to_dict
-from .distribution import _as_dist, tail_asymptotics
 from .errors import CycleMaxError
-from .extremes import (
-    compactness_diagnostic,
-    default_norming_kind,
-    norming_constants,
-    partial_limit_envelope,
-)
-from .networks import load_network, norton_reduce
-from .simulate import SimConfig, empirical_cdf, simulate_cycles, verify_as_convergence
-from .verification import run_all
 
 __all__ = ["main"]
 
@@ -110,6 +102,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
+    from .distribution import _as_dist
+
     spec = load_spec(args.spec)
     dist = _as_dist(spec)
     n = np.arange(1, _check_levels("--nmax", args.nmax if spec.cap is None else min(args.nmax, spec.cap)) + 1)
@@ -120,6 +114,8 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_tail(args) -> int:
+    from .distribution import tail_asymptotics
+
     if args.format == "csv":
         raise ValueError("tail emits a JSON summary; csv is not supported here")
     spec = load_spec(args.spec)
@@ -128,6 +124,8 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_extremes(args) -> int:
+    from .extremes import compactness_diagnostic, default_norming_kind, norming_constants, partial_limit_envelope
+
     spec = load_spec(args.spec)
     if args.table == "norming":
         ks = _parse_k_list(args.k)
@@ -151,6 +149,9 @@ def _cmd_extremes(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .distribution import _as_dist
+    from .simulate import SimConfig, empirical_cdf, simulate_cycles, verify_as_convergence
+
     spec = load_spec(args.spec)
     if args.k:
         ks = _parse_k_list(args.k)
@@ -176,6 +177,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_network_reduce(args) -> int:
+    from .networks import load_network, norton_reduce
+
     net = load_network(args.infile)
     reduction = norton_reduce(net, n_max=_check_levels("--nmax", args.nmax))
     _emit_object(args, spec_to_dict(reduction.induced))
@@ -186,6 +189,8 @@ def _cmd_network_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_all
+
     results = run_all(suite=args.suite, seed=args.seed)
     width = max(len(r.name) for r in results)
     blocking = 0

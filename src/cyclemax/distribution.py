@@ -255,7 +255,8 @@ class CycleMaxDistribution:
         # rev[i - lo] = log sum of the terms from i to the end of the window
         rev = np.logaddexp.accumulate(lt[::-1])[::-1]
         if power:  # p fitted over the window's upper half where psi has no record
-            p, log_alpha = _power_law(self.spec, np.arange(hi + span // 2, hi + span), least=1.0)
+            half = hi + span // 2
+            p, log_alpha = _power_law(self.spec, np.arange(half, hi + span), -lt[half - lo:], least=1.0)
             log_close = math.log(_hurwitz_zeta(p, hi + span)) - log_alpha
         else:
             log_close = lt[-1] + log_q - math.log1p(-q)
@@ -429,7 +430,8 @@ def tail_asymptotics(spec: BirthDeathSpec) -> TailAsymptotics:
         scale = "psi(n) rho^n * (1 - F(n | finite))"
         constant = fixed_point = b_star * b_star / ((q - 1.0) * dist.p_finite)  # 1 - b*, which rounds to 0
     else:
-        p, log_alpha = _power_law(spec, np.arange(max(1, n_probe // 2), n_probe + 1))
+        win = np.arange(max(1, n_probe // 2), n_probe + 1)
+        p, log_alpha = _power_law(spec, win, dist._log_weight(win))
         alpha = math.exp(log_alpha)
         # within _P_MARGIN of p = 1 bdp's power-law probe cannot tell S from the harmonic series
         if p < 1.0 - _P_MARGIN:
@@ -481,13 +483,16 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return head + tail
 
 
-def _power_law(spec: BirthDeathSpec, win: np.ndarray, least: float = -math.inf) -> tuple[float, float]:
+def _power_law(
+    spec: BirthDeathSpec, win: np.ndarray, log_w: np.ndarray, least: float = -math.inf
+) -> tuple[float, float]:
     """(p, log alpha) of a critical psihat(n) rho^n ~ alpha n^p: psi's record's, else fitted
-    on the levels win, where a residual past _FIT_RESID_TOL or p not above least raises."""
+    to log_w, the caller's log psihat(n) rho^n on the levels win, where a residual past
+    _FIT_RESID_TOL or p not above least raises."""
     tail = spec.psi_rho_tail
     if tail is not None:
         return float(tail.degree), tail.log_amp
-    p, log_alpha, resid = _power_fit(win, spec.log_psi_rho(win))
+    p, log_alpha, resid = _power_fit(win, log_w)
     if resid > _FIT_RESID_TOL or not p > least:
         raise FitFailedError(f"terms on [{win[0]}, {win[-1]}] fit power {p:.6g}, residual {resid:.2e}")
     return p, log_alpha

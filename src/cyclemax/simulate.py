@@ -29,7 +29,6 @@ import numpy as np
 from .bdp import BirthDeathSpec, _check_levels, _integer
 from .distribution import CycleMaxDistribution, _as_dist
 from .errors import EscapedCycleError, NotApplicableError
-from .extremes import as_limit_constant
 
 __all__ = [
     "ESCAPED",
@@ -778,6 +777,8 @@ def verify_as_convergence(
     cfg: SimConfig | None = None,
 ) -> list[ConvergenceRow]:
     """Summaries of Y^(k)/b_k per k, each at least 2; the band should tighten around 1."""
+    from .extremes import as_limit_constant  # extremes is not needed to simulate
+
     cfg = cfg if cfg is not None else SimConfig()
     rows = []
     for i, k in enumerate([_integer("k", k, 2) for k in k_grid]):

@@ -29,6 +29,23 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert bdp.OnesSequence.__dict__["log_value"] is log_value
 
 
+def test_the_tracer_wraps_and_restores_a_lazily_loaded_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    from cyclemax import extremes
+
+    norming_constants = cyclemax.norming_constants  # loads and keeps it in the package
+    restore = tracing.install(tracing.Tracer())
+    try:
+        assert cyclemax.norming_constants is not norming_constants
+        assert cyclemax.norming_constants is extremes.norming_constants
+    finally:
+        restore()
+    assert cyclemax.norming_constants is norming_constants is extremes.norming_constants
+
+
 def test_a_traced_check_keeps_its_name_and_records_one_span(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)

@@ -372,11 +372,84 @@ def test_unknown_command_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_import_leaves_scipy_unloaded():
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, cyclemax.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=60, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _fresh_python("import sys, cyclemax.cli; sys.exit('scipy' in sys.modules)").returncode == 0
+
+
+_CORE = {"cyclemax", "cyclemax.bdp", "cyclemax.errors"}
+_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'cyclemax')"
+
+
+def test_import_loads_only_the_chain_core():
+    proc = _fresh_python(f"import json, sys, cyclemax; print(json.dumps({_LOADED}))")
+    assert set(json.loads(proc.stdout)) == _CORE
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["classify"], set()),
+        (["cdf", "--nmax", "5"], {"distribution"}),
+        (["tail"], {"distribution"}),
+        (["extremes", "--k", "1000"], {"distribution", "extremes"}),
+        (["simulate", "--reps", "200", "--nmax", "5"], {"distribution", "simulate"}),
+    ],
+    ids=["classify", "cdf", "tail", "extremes", "simulate"],
+)
+def test_a_command_imports_only_its_layers(half_spec, tmp_path, argv, layers):
+    code = f"import json, sys, cyclemax.cli; print(json.dumps([cyclemax.cli.main(sys.argv[1:]), {_LOADED}]))"
+    proc = _fresh_python(code, *argv, "--spec", half_spec, "--out", str(tmp_path / "out"))
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert set(loaded) == _CORE | {"cyclemax.cli"} | {f"cyclemax.{m}" for m in layers}
+
+
+_PUBLIC = """
+    BirthDeathSpec CallableSequence CapExceededError Classification CoincidentLoadsError
+    CompactnessReport ConvergenceRow CycleMaxDistribution CycleMaxError CycleSample ESCAPED
+    EscapedCycleError FactorialInverseSequence FitFailedError GumbelBounds KindMismatchError
+    MultiServerSequence NetworkSpec NoMonotoneTailError NonSeparableError NormingConstants
+    NormingKind NortonReduction NotApplicableError NotIrreducibleError NotPositiveRecurrentError
+    NotStableError NotSubcriticalError NotTransientError OnesSequence OutOfRangeError
+    PalmUndefinedError SimConfig SingularSystemError SpecFormatError Station TableSequence Tail
+    TailAsymptotics TailFunction TailRegime Verdict aggregate_constants as_limit_constant
+    blocking_prob build_tail_function classify compactness_diagnostic conditional_cdf_transient
+    cycle_max_cdf default_norming_kind dual_process duality_check empirical_cdf failure_rate
+    gumbel_bounds harrison_closed_form invert_tail ks_two_sample lambert_w lattice_constants
+    load_network load_spec mm1 mminf mms network_beta network_from_dict network_to_dict
+    norming_constants norton_reduce palm_distribution partial_limit_envelope sample_maxima
+    save_network save_spec simulate_cycle simulate_cycles simulate_network_cycles solve_traffic
+    spec_from_dict spec_to_dict station_loads stationary_distribution stirling_tail tail_asymptotics
+    verify_as_convergence
+""".split()
+
+
+def test_the_package_lists_and_star_imports_every_public_name():
+    code = (
+        "import json, cyclemax\n"
+        "star = {}\n"
+        "exec('from cyclemax import *', star)\n"
+        "print(json.dumps([[n for n in names if not n.startswith('_')] for names in (dir(cyclemax), star)]))"
+    )
+    listed, bound = json.loads(_fresh_python(code).stdout)
+    assert len(_PUBLIC) == 87
+    assert sorted(listed) == sorted(bound) == sorted(_PUBLIC)
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    import cyclemax
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cyclemax.no_such_name
+    with pytest.raises(ImportError):
+        from cyclemax import no_such_name  # noqa: F401
 
 
 def test_network_reduce_refuses_tables_past_the_float_range(capsys, tmp_path):

@@ -270,6 +270,28 @@ def test_critical_constant_is_the_escape_mass():
     assert ta.limit_constant == pytest.approx(1.0 - _as_dist(spec).p_finite, rel=1e-15, abs=0.0)
 
 
+def test_the_power_fit_reads_the_weights_its_caller_holds():
+    seen = []
+
+    def log_fn(n):
+        seen.append(np.array(n).ravel())
+        return 2.0 * np.log(np.asarray(n, dtype=float) + 1.0)
+
+    seq = CallableSequence(log_fn, tail_ratio=1.0)
+    spec = BirthDeathSpec(seq, seq, 1.0, 1.0)
+    classify(spec)
+    dist = CycleMaxDistribution(spec)
+    first = len(spec._law_tables.log_w)  # the levels the tables start with
+    seen.clear()
+    dist.p_finite  # the margin's window of 2^20 levels, whose upper half fits p
+    window = np.bincount(np.concatenate(seen))
+    seen.clear()
+    tail_asymptotics(spec)  # the tables grown past the probe 400, whose upper half fits p
+    tables = np.bincount(np.concatenate(seen))
+    assert len(window) == (1 << 20) + 1 and window[first:].max() == 1
+    assert len(tables) > 400 and tables[1:].max() == 1
+
+
 @pytest.mark.parametrize("spec", [mm1(0.5, 1.0), mminf(2.0, 1.0)], ids=["mm1", "mminf"])
 def test_s_limit_of_a_recurrent_chain_is_refused(spec):
     dist = CycleMaxDistribution(spec)
