@@ -132,14 +132,19 @@ def build_tail_function(spec: BirthDeathSpec) -> TailFunction:
     return TailFunction(spec)
 
 
-def invert_tail(f: TailFunction, v: float) -> float:
+def invert_tail(f: TailFunction, v):
     """The unique y with f(y) = v, the root of the chord between two knots.
 
     The knot bracket is found in log space and the chord is scaled by its
     upper knot, so targets far below double-precision underflow of the raw
     weights, and head knots past the float range, still invert cleanly.  The
     knots double until one lies below v; past level _MAX_LEVELS, OutOfRangeError.
+    An array of targets, in any order, gives the array of their roots in its
+    shape, from one doubling for its smallest target, one bracket search and
+    one chord; a float keeps the scalar path, which is faster for one target.
     """
+    if not isinstance(v, float) and np.ndim(v):
+        return _invert_tails(f, np.asarray(v, dtype=float))
     if not (v > 0.0 and math.isfinite(v)):
         raise OutOfRangeError(f"target {v} must be a positive real")
     log_v = math.log(v)
@@ -160,6 +165,38 @@ def invert_tail(f: TailFunction, v: float) -> float:
     shift = float(log_knots[n])
     t = math.expm1(log_v - shift) / math.expm1(float(log_knots[n + 1]) - shift)
     return n + min(max(t, 0.0), 1.0)
+
+
+def _invert_tails(f: TailFunction, v: np.ndarray) -> np.ndarray:
+    """invert_tail of each target in the array v, by the scalar path's steps.
+    Every check runs before the knots grow, so a call that raises keeps none."""
+    bad = ~((v > 0.0) & np.isfinite(v))
+    if bad.any():
+        raise OutOfRangeError(f"target {float(v[bad][0])} must be a positive real")
+    log_v = np.log(v)
+    log_g0 = float(f.log_knots[f.y0])
+    head = log_v >= log_g0
+    y = np.empty_like(v)
+    if head.any():
+        y[head] = f.y0 + math.exp(log_g0) - v[head]
+        if y[head].min() < 0.0:
+            raise OutOfRangeError(f"target {float(v[head].max())} exceeds f(0)")
+    rest = ~head
+    if rest.any():
+        log_v = log_v[rest]
+        low = float(log_v.min())
+        if not f._reach(lambda log_g: low < log_g[-1]):
+            smallest = float(v[rest].min())
+            raise OutOfRangeError(
+                f"the root of target {smallest} lies beyond the {_MAX_LEVELS} levels a table may hold"
+            )
+        log_knots = f.log_knots
+        n = f.y0 + np.searchsorted(-log_knots[f.y0 :], -log_v, side="right") - 1
+        n = np.clip(n, f.y0, len(log_knots) - 2)
+        shift = log_knots[n]
+        t = np.expm1(log_v - shift) / np.expm1(log_knots[n + 1] - shift)
+        y[rest] = n + np.clip(t, 0.0, 1.0)
+    return y
 
 
 @dataclass(frozen=True)
@@ -296,8 +333,9 @@ def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> 
     Geometric needs a subcritical tail (``_tail_regime``) with beta > 0;
     StirlingFactorial needs beta = 0 (factorial family) and inverts the
     closed-form Stirling tail; Numeric inverts the interpolated tail
-    function directly, whose knots grow as deep as the largest k needs
-    (to level _MAX_LEVELS), and fits a_k by least squares; LambertW handles
+    function directly, every target of every k in one ``invert_tail`` call,
+    whose knots grow as deep as the largest k needs (to level _MAX_LEVELS),
+    and fits every a_k in one least-squares solve; LambertW handles
     weights with a polynomial-times-geometric tail, inverting
     y^m q^y = v on the lower real branch which is the root that grows
     with k.
@@ -331,11 +369,11 @@ def norming_constants(spec: BirthDeathSpec, kind: NormingKind | str, k_list) -> 
         f = build_tail_function(spec)
         grid = np.linspace(-2.0, 5.0, 29)
         design = np.column_stack([grid, np.ones_like(grid)])
-        for k in ks:
-            ys = np.array([invert_tail(f, math.exp(-y) / k) for y in grid])
-            coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-            a.append(float(coef[0]))
-            b.append(invert_tail(f, 1.0 / k))
+        # column j: the grid targets e^-y / k_j, then the b-target 1 / k_j
+        k_row = np.array(ks, dtype=float)
+        roots = invert_tail(f, np.vstack([np.exp(-grid)[:, None] / k_row, 1.0 / k_row]))
+        coef, *_ = np.linalg.lstsq(design, roots[:-1], rcond=None)
+        a, b = coef[0].tolist(), roots[-1].tolist()
 
     else:  # LambertW
         tail = _lambert_tail(spec)

@@ -17,7 +17,6 @@ Explicit weights take the lattice sum, limited to small networks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,9 +44,6 @@ from .errors import (
     NotIrreducibleError,
     SingularSystemError,
     SpecFormatError,
-)
-from .simulate import (
-    _TABLE_CELLS, CycleSample, SimConfig, _alias_entries, _alias_rows, _charge, _log_expected_jumps, _run_cycles
 )
 
 __all__ = [
@@ -285,15 +281,26 @@ def _occupancies(n_max: int, parts: int) -> np.ndarray:
     """Occupancy vectors with totals 0..n_max as rows, ordered by total and
     lexicographically within a total.
 
-    A vector with its slack n_max - total is a composition of n_max into
-    parts + 1 parts, read off the places of ``parts`` bars among
-    n_max + parts slots; itertools yields those in lexicographic order.
+    The rows of total t are the vectors of parts - 1 coordinates with sum at
+    most t, in lexicographic order, each completed by t minus its sum.  The
+    vectors of p coordinates with sum at most n_max are, in that order, for
+    each first coordinate a = 0..n_max in turn, a followed by those of
+    p - 1 coordinates with sum at most n_max - a, and a filter by sum keeps
+    their order, so each coordinate and the totals take one mask over the
+    vectors built so far, row-major.
     """
-    count = math.comb(n_max + parts, parts)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n_max + parts), parts))
-    bars = np.fromiter(flat, dtype=np.int64, count=count * parts).reshape(count, parts)
-    occ = np.diff(bars, axis=1, prepend=-1) - 1
-    return occ[np.argsort(bars[:, -1], kind="stable")]  # the last bar is total + parts - 1
+    columns, sums = [], np.zeros(1, dtype=np.int64)
+    levels = np.arange(n_max + 1)
+    for _ in range(parts - 1):
+        keep = sums <= n_max - levels[:, None]
+        first = np.repeat(levels, keep.sum(axis=1))
+        rows = np.flatnonzero(keep) - first * sums.size
+        columns = [first] + [c.take(rows) for c in columns]
+        sums = first + sums.take(rows)
+    keep = sums <= levels[:, None]
+    total = np.repeat(levels, keep.sum(axis=1))
+    rows = np.flatnonzero(keep) - total * sums.size
+    return np.stack([c.take(rows) for c in columns] + [total - sums.take(rows)], axis=1)
 
 
 def _rank(occupancy: list, n_max: int) -> np.ndarray:
@@ -522,6 +529,8 @@ class _EventTable:
         of _TABLE_TOTALS, twice that, ... at or above ``need``, within top - 1
         and the most totals that fit in _TABLE_CELLS cells, which lie below
         ``need`` when its rows do not fit."""
+        from .simulate import _TABLE_CELLS
+
         totals = _TABLE_TOTALS << max(0, (need - 1) // _TABLE_TOTALS).bit_length()
         most = min(totals, top - 1)
         fits = most if self.rows(most) * self.width <= _TABLE_CELLS else -1  # rows(-1) = 0 fits
@@ -551,6 +560,8 @@ class _EventTable:
     def _build(self, states: np.ndarray, sums: np.ndarray, lo: int, hi: int) -> tuple:
         """(bound, next, after) of the rows of states lo..hi-1, flat; ``sums``
         holds the total of each state."""
+        from .simulate import _alias_rows
+
         occ = states[lo:hi]
         weight = np.zeros((hi - lo, self.width))
         weight[:, : self.routing.size] = (self.rates(occ)[:, :, None] * self.routing).reshape(hi - lo, -1)
@@ -577,6 +588,8 @@ def _log_events_per_cycle(net: NetworkSpec, horizon: int) -> float:
     share r_00 of the returns is one arrival that leaves at once.  Where the
     horizon binds, as for every beta mu0 >= 1, the walk's count stands in.
     """
+    from .simulate import _log_expected_jumps
+
     log_psi, _ = log_aggregate_constants(net, horizon - 1)
     log_jumps = _log_expected_jumps(log_psi + np.arange(horizon) * math.log(net.mu0))
     log_z = log_jumps + math.log1p(math.exp(-log_jumps)) - math.log(2.0)  # log (E + 1) / 2
@@ -640,6 +653,9 @@ def simulate_network_cycles(net: NetworkSpec, cfg: SimConfig) -> CycleSample:
     (``_log_events_per_cycle``), kept per horizon, for at least
     _MIN_CHARGED_CYCLES cycles.
     """
+    # the simulator's module loads with the first network simulated, not with this one
+    from .simulate import CycleSample, _alias_entries, _charge, _run_cycles
+
     if not net.separable:
         raise NonSeparableError("the network simulator follows station rates, not explicit weights")
     table = net._event_table

@@ -411,6 +411,25 @@ def test_a_command_imports_only_its_layers(half_spec, tmp_path, argv, layers):
     assert set(loaded) == _CORE | {"cyclemax.cli"} | {f"cyclemax.{m}" for m in layers}
 
 
+def test_simulate_with_k_leaves_numpy_ma_unloaded(half_spec, tmp_path):
+    # np.median and np.quantile import numpy.ma for their NaN check
+    code = (
+        "import json, sys, cyclemax.cli; "
+        "print(json.dumps([cyclemax.cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules]))"
+    )
+    argv = ["simulate", "--k", "1000,100000", "--reps", "200", "--spec", half_spec, "--out", str(tmp_path / "out")]
+    assert json.loads(_fresh_python(code, *argv).stdout) == [0, False]
+
+
+def test_networks_and_network_reduce_leave_the_simulator_unloaded(pool_net, tmp_path):
+    proc = _fresh_python(f"import json, sys, cyclemax.networks; print(json.dumps({_LOADED}))")
+    assert set(json.loads(proc.stdout)) == _CORE | {"cyclemax.networks"}
+    code = f"import json, sys, cyclemax.cli; print(json.dumps([cyclemax.cli.main(sys.argv[1:]), {_LOADED}]))"
+    proc = _fresh_python(code, "network-reduce", "--in", pool_net, "--nmax", "120", "--out", str(tmp_path / "out"))
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == 0 and set(loaded) == _CORE | {"cyclemax.cli", "cyclemax.networks"}
+
+
 _PUBLIC = """
     BirthDeathSpec CallableSequence CapExceededError Classification CoincidentLoadsError
     CompactnessReport ConvergenceRow CycleMaxDistribution CycleMaxError CycleSample ESCAPED

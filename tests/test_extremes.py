@@ -681,6 +681,24 @@ def test_a_call_that_raises_keeps_no_knots():
     assert len(spec._law_tables.log_w) == (1 << 20) + 1 and spec._law_tables.log_S.size == 0
 
 
+def test_a_norming_call_that_raises_keeps_no_knots():
+    # the targets of k = 10 lie within 2^20 levels of rho = 0.99999, those of
+    # k = 10^7 past them: one doubling for the smallest target refuses the call
+    spec = mm1(0.99999, 1.0)
+    f = build_tail_function(spec)
+    for _ in range(2):
+        with pytest.raises(OutOfRangeError, match=r"^the root of target 6\.73\d*e-10 lies beyond the 1048576 levels"):
+            norming_constants(spec, "Numeric", [10, 10**7])
+        assert f.n_max == 400
+    # an array of targets refuses as a whole, whichever target raises
+    for targets in ([0.5, 1e-3, 1e-7], [0.5, 1.5], [0.5, 0.0]):
+        with pytest.raises(OutOfRangeError):
+            invert_tail(f, targets)
+        assert f.n_max == 400
+    assert norming_constants(spec, "Numeric", [10]).b[0] == pytest.approx(math.log(0.1) / math.log(0.99999), rel=1e-4)
+    assert f.n_max == 819_200  # 400 doubled 11 times
+
+
 @pytest.mark.parametrize(
     "make, error",
     [

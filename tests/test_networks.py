@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cyclemax import networks
+from cyclemax import simulate as simulate_module
 from cyclemax import (
     CycleMaxDistribution,
     NetworkSpec,
@@ -452,7 +454,7 @@ def test_network_simulation_matches_the_lattice_law_on_other_shapes(net, horizon
 def test_network_simulation_hands_off_past_the_cell_cap(monkeypatch, cells):
     # a cap below the first total's 4 states of 16 cells hands off before the
     # first pass; 35 x 16 cells hold the totals up to 4, and cycles climb past
-    monkeypatch.setattr(networks, "_TABLE_CELLS", cells)
+    monkeypatch.setattr(simulate_module, "_TABLE_CELLS", cells)
     net = heavy_mixed()
     sample = simulate_network_cycles(net, SimConfig(seed=37, cycles=20_000, escape_horizon=12))
     assert net._event_table.totals == (-1 if cells == 16 else 4)
@@ -468,7 +470,7 @@ def test_network_simulation_hands_off_past_the_cell_cap(monkeypatch, cells):
 def test_per_event_step_equals_one_jump_per_pass(monkeypatch, net, horizon, escapes):
     # with no room for a table the whole call runs the per-event step after
     # the entry draw, and so draws as the reference loop does
-    monkeypatch.setattr(networks, "_TABLE_CELLS", 0)
+    monkeypatch.setattr(simulate_module, "_TABLE_CELLS", 0)
     cfg = SimConfig(seed=23, cycles=2_000, escape_horizon=horizon)
     maxima, escaped = _one_jump_per_pass(net, cfg)
     sample = simulate_network_cycles(net, cfg)
@@ -488,6 +490,26 @@ def test_occupancy_rank_inverts_the_enumeration():
             occ = networks._occupancies(n_max, parts)
             assert np.array_equal(occ, cube(n_max, parts))
             assert np.array_equal(networks._rank(list(occ.T), n_max), np.arange(len(occ)))
+
+
+def _occupancies_by_bars(n_max, parts):
+    """The occupancy vectors read off the places of ``parts`` bars among
+    n_max + parts slots, which itertools yields in lexicographic order, then
+    sorted stably by total: the enumeration the masked build replaced."""
+    count = math.comb(n_max + parts, parts)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n_max + parts), parts))
+    bars = np.fromiter(flat, dtype=np.int64, count=count * parts).reshape(count, parts)
+    occ = np.diff(bars, axis=1, prepend=-1) - 1
+    return occ[np.argsort(bars[:, -1], kind="stable")]  # the last bar is total + parts - 1
+
+
+def test_occupancies_are_the_enumeration_by_bars():
+    # every size up to 12 totals, and the larger ones the tests and the benchmark build
+    sizes = [(n_max, parts) for parts in range(1, 9) for n_max in range(13)]
+    sizes += [(16, 5), (17, 3), (20, 3), (30, 3), (33, 3), (65, 3), (72, 3), (100, 2), (129, 2), (200, 2), (33, 1)]
+    for n_max, parts in sizes:
+        occ = networks._occupancies(n_max, parts)
+        assert occ.dtype == np.int64 and np.array_equal(occ, _occupancies_by_bars(n_max, parts)), (n_max, parts)
 
 
 @pytest.mark.parametrize(
@@ -635,8 +657,8 @@ def _event_counts(monkeypatch, net, cfg):
     def set_bound(table, value):
         table.__dict__["bound"] = np.asarray(value)
 
-    run_cycles = networks._run_cycles
-    monkeypatch.setattr(networks, "_run_cycles", counted)
+    run_cycles = simulate_module._run_cycles
+    monkeypatch.setattr(simulate_module, "_run_cycles", counted)
     monkeypatch.setattr(networks._EventTable, "bound", property(bound, set_bound), raising=False)
     monkeypatch.setattr(_Reads, "on_read", staticmethod(on_read))
     sample = simulate_network_cycles(net, cfg)
@@ -738,7 +760,7 @@ def test_one_station_budget_leaves_the_draws_unchanged(monkeypatch, net, cfg):
     # of one station, its induced chain, has the induced chain's law
     sample = simulate_network_cycles(net, cfg)
     charged = []
-    monkeypatch.setattr(networks, "_charge", lambda *args: charged.append(args))
+    monkeypatch.setattr(simulate_module, "_charge", lambda *args: charged.append(args))
     free = simulate_network_cycles(net, cfg)
     assert len(charged) == 1 and charged[0][1] == cfg.cycles
     assert np.array_equal(sample.maxima, free.maxima) and sample.escaped == free.escaped == 0

@@ -1,8 +1,9 @@
 """Property tests over generated preset and table specs: every public call
 on a spec that builds answers, or refuses with a package error or a
 ValueError, without a RuntimeWarning and within a second; a queue's series
-match their closed forms, also within 10^-3 of its critical load; and a
-table's tail record is the law its docstring states."""
+match their closed forms, also within 10^-3 of its critical load; a
+table's tail record is the law its docstring states; and the tail function
+inverts an array of targets as it inverts each alone."""
 
 import math
 import time
@@ -21,10 +22,12 @@ from cyclemax import (
     TableSequence,
     Verdict,
     as_limit_constant,
+    build_tail_function,
     classify,
     compactness_diagnostic,
     default_norming_kind,
     gumbel_bounds,
+    invert_tail,
     mm1,
     mminf,
     mms,
@@ -174,3 +177,91 @@ def test_a_table_near_its_critical_ratio_states_its_tail_and_answers(log_values,
         warnings.simplefilter("error", RuntimeWarning)
         cdf = CycleMaxDistribution(spec).cdf(np.arange(big_n + 50))
     assert np.all(np.diff(cdf) >= 0.0) and cdf[0] >= 0.0 and cdf[-1] <= 1.0, cdf
+
+
+def _per_k_numeric_norming(spec, ks):
+    """Numeric norming as a loop over k of scalar inversions and one
+    least-squares fit each: the reference of the one-call version."""
+    f = build_tail_function(spec)
+    grid = np.linspace(-2.0, 5.0, 29)
+    design = np.column_stack([grid, np.ones_like(grid)])
+    a, b = [], []
+    for k in ks:
+        ys = np.array([invert_tail(f, math.exp(-y) / k) for y in grid])
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        a.append(float(coef[0]))
+        b.append(invert_tail(f, 1.0 / k))
+    return a, b
+
+
+def _subcritical_spec(kind, s, load, log_values):
+    if kind == "table":
+        seq = TableSequence.from_log(log_values, tail_ratio=load)
+        return BirthDeathSpec(seq, seq, 1.0, 1.0, label=f"table(len={len(log_values)}, q={load!r})")
+    return {"mm1": lambda: mm1(load, 1.0), "mms": lambda: mms(s, s * load, 1.0),
+            "mminf": lambda: mminf(300.0 * load, 1.0)}[kind]()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["mm1", "mms", "mminf", "table"]),
+    s=st.integers(1, 8),
+    load=st.floats(0.01, 0.99),
+    log_values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=50),
+    heights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    ks=st.lists(st.integers(2, 10**12), min_size=1, max_size=4),
+)
+# y0 = 150: targets on the head line and past its knots; and a knee at s = 3
+@example(kind="mminf", s=1, load=0.5, log_values=[0.0, 0.0], heights=[0.999, 0.9, 0.6, 0.3, 0.0], ks=[10, 10**9])
+@example(kind="mms", s=3, load=0.9, log_values=[0.0, 0.0], heights=[1.0, 0.99, 0.5, 0.0], ks=[10**12, 100])
+def test_the_tail_function_inverts_an_array_as_each_target_alone(kind, s, load, log_values, heights, ks):
+    spec = _subcritical_spec(kind, s, load, log_values)
+    f = build_tail_function(spec)
+    f0 = f(0.0)
+    # targets from 1e-300 to 10 f(0), unsorted, the first half repeated at the end
+    targets = [10.0 ** (-300.0 + h * (math.log10(f0) + 301.0)) for h in heights]
+    targets += targets[: (len(targets) + 1) // 2]
+    good = [v for v in targets if v <= f0]
+    want = [invert_tail(f, v) for v in good]
+    # and one within the last interval of the knots held, the bracket's last,
+    # unless that lies below the float range
+    last = math.exp(0.5 * float(f.log_knots[-2] + f.log_knots[-1]))
+    if last > 0.0:
+        good, want = good + [last], want + [invert_tail(f, last)]
+    good, want = np.array(good), np.array(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = invert_tail(f, good)
+    # numpy's exp, expm1 and log may differ from math's by an ulp
+    assert got.shape == good.shape and np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+    # a target past f(0), non-positive or not finite raises as it does alone, and grows no knots
+    knots = f.n_max
+    for bad in [v for v in targets if v > f0] + [2.0 * f0, 0.0, -1.0, math.nan, math.inf]:
+        with pytest.raises(CycleMaxError) as alone:
+            invert_tail(f, bad)
+        with pytest.raises(alone.type):
+            invert_tail(f, np.append(good[::-1], bad))
+        assert f.n_max == knots
+    # Numeric norming in one call is the per-k loop, on fresh knots of each;
+    # a small k puts its grid targets past f(0), and then both raise
+    looped, batched, fresh = (_subcritical_spec(kind, s, load, log_values) for _ in range(3))
+    want = _outcome(lambda: _per_k_numeric_norming(looped, ks))
+    got = _outcome(lambda: norming_constants(batched, "Numeric", ks))
+    if isinstance(want, type):
+        assert got is want
+        assert build_tail_function(batched).n_max == build_tail_function(fresh).n_max
+    else:
+        # one solve for every k rounds apart from a solve per k: the slope of
+        # roots near b_k over the grid's span of 7 carries about eps b_k of error
+        a, b = np.array(want)
+        assert np.all(np.abs(np.array(got.a) - a) <= 1e-14 * np.maximum(np.abs(a), b))
+        assert np.allclose(got.b, b, rtol=1e-14, atol=0.0)
+        assert build_tail_function(batched).n_max == build_tail_function(looped).n_max
+
+
+def _outcome(call):
+    """The call's answer, or the type of the package error it raised."""
+    try:
+        return call()
+    except CycleMaxError as exc:
+        return type(exc)

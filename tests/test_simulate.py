@@ -922,6 +922,18 @@ def test_convergence_table_centres_on_one():
         assert r.q05 < r.median_ratio < r.q95
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 199, 200, 399, 400, 401])
+def test_sorted_order_statistics_are_numpy_median_and_quantile(size):
+    # integer maxima over irrational b_k, as the convergence table reads them,
+    # so the sample ties as maxima do, and random reals; to the bit
+    rng = np.random.default_rng(size)
+    for sample in (rng.integers(5, 15, size) / math.log(1e3, 2), rng.standard_normal(size) * 1e3):
+        ordered = np.sort(sample)
+        assert simulate_module._sorted_median(ordered) == np.median(sample)
+        for q in (0.0, 0.05, 0.25, 0.5, 0.95, 0.999, 1.0):
+            assert simulate_module._sorted_quantile(ordered, q) == np.quantile(sample, q), q
+
+
 def test_convergence_table_needs_a_normaliser():
     with pytest.raises(NotApplicableError):
         verify_as_convergence(mm1(1.0, 1.0), [100], reps=10, cfg=SimConfig(seed=2))
