@@ -199,17 +199,28 @@ class WeightSequence:
     """Positive sequence w(0), w(1), ... evaluated in log space.
 
     ``tail`` records the exact law past some level where the representation
-    states it; ``tail_ratio`` is the exact limit of w(n+1)/w(n) when it pins
-    it down (0.0 and inf are legal limits); ``tail_bounds`` gives (liminf,
-    limsup) when only bounds are known.  Each may be None.
+    states it.  ``tail_bounds``, (liminf, limsup) of w(n+1)/w(n), derives from
+    the record (its ratio, or 0.0 or inf for a factorial), else is a
+    callable's hint; ``tail_ratio`` is the limit where the two bounds agree.
+    Each may be None.
 
     Sequences are immutable: a spec caches its classification, which must
     not go stale.
     """
 
     tail: Tail | None = None
-    tail_ratio: float | None = None
-    tail_bounds: tuple[float, float] | None = None
+    _hint: tuple[float, float] | None = None
+
+    @property
+    def tail_bounds(self) -> tuple[float, float] | None:
+        t = self.tail
+        r = t and (t.ratio if not t.factorial else 0.0 if t.factorial > 0 else math.inf)
+        return self._hint if t is None else (r, r)
+
+    @property
+    def tail_ratio(self) -> float | None:
+        bounds = self.tail_bounds
+        return bounds[0] if bounds is not None and bounds[0] == bounds[1] else None
 
     def _set(self, **fields):
         for name, value in fields.items():
@@ -244,7 +255,6 @@ class OnesSequence(WeightSequence):
     """w(n) = 1 for all n (single-server pattern)."""
 
     tail = Tail(0, 0.0)
-    tail_ratio = 1.0
 
     def log_value(self, n):
         return np.zeros_like(np.asarray(n), dtype=float)
@@ -261,7 +271,6 @@ class FactorialInverseSequence(WeightSequence):
     """w(n) = 1/n! (infinite-server pattern); ratio w(n+1)/w(n) -> 0."""
 
     tail = Tail(0, 0.0, factorial=1)
-    tail_ratio = 0.0
 
     def log_value(self, n):
         return -log_factorial(n)
@@ -278,7 +287,7 @@ class MultiServerSequence(WeightSequence):
 
     def __post_init__(self):
         s = _integer("server count", self.s, 1, SpecFormatError)
-        self._set(s=s, tail_ratio=1.0 / s, tail=Tail(s - 1, -float(log_factorial(s - 1)), 1.0 / s))
+        self._set(s=s, tail=Tail(s - 1, -float(log_factorial(s - 1)), 1.0 / s))
 
     def log_value(self, n):
         n = np.asarray(n)
@@ -335,8 +344,9 @@ class TableSequence(WeightSequence):
             raise SpecFormatError("polynomial tail needs a table of length >= 2")
         values.flags.writeable = False
         logs.flags.writeable = False
-        tail = Tail(len(logs) - 1, float(logs[-1]), tail_ratio, poly_degree)
-        self._set(_values=values, tail_ratio=tail_ratio, poly_degree=poly_degree, _log_values=logs, tail=tail)
+        self._set(_values=values, _log_values=logs, tail=Tail(len(logs) - 1, float(logs[-1]), tail_ratio, poly_degree))
+
+    poly_degree = property(lambda self: self.tail.degree)
 
     @property
     def values(self) -> tuple:
@@ -365,16 +375,12 @@ class TableSequence(WeightSequence):
 
     def __eq__(self, other):
         # the logs, as the linear values of distinct tables can underflow alike
-        return (
-            isinstance(other, TableSequence)
-            and np.array_equal(other._log_values, self._log_values)
-            and other.tail_ratio == self.tail_ratio
-            and other.poly_degree == self.poly_degree
-        )
+        same_tail = isinstance(other, TableSequence) and other.tail == self.tail
+        return same_tail and np.array_equal(other._log_values, self._log_values)
 
     def __hash__(self):
         # consistent with __eq__: the logs are never NaN, and + 0.0 turns -0.0 into 0.0
-        return hash((TableSequence, (self._log_values + 0.0).tobytes(), self.tail_ratio, self.poly_degree))
+        return hash((TableSequence, (self._log_values + 0.0).tobytes(), self.tail))
 
     def __repr__(self):
         return (
@@ -384,29 +390,28 @@ class TableSequence(WeightSequence):
 
 
 class CallableSequence(WeightSequence):
-    """Arbitrary log-weight function; tail behaviour may be hinted.
+    """Arbitrary log-weight function; its tail ratio may be hinted.
 
-    ``log_fn`` must accept numpy integer arrays.  Without hints the tail
-    geometry is estimated from a ratio window during classification.
+    ``log_fn`` must accept numpy integer arrays.  One hint may be given: the
+    ratio's limit, or bounds on it.  Without one the tail geometry is
+    estimated from a ratio window during classification.
     """
 
     def __init__(self, log_fn, tail_ratio=None, tail_bounds=None):
+        if tail_ratio is not None and tail_bounds is not None:
+            raise SpecFormatError("hint tail_ratio or tail_bounds, not both")
+        name, given, hint = "tail_bounds", tail_bounds, tail_bounds
         if tail_ratio is not None:
-            tail_ratio = self._limits("tail_ratio", tail_ratio, (tail_ratio, tail_ratio))[0]
-        if tail_bounds is not None:
-            tail_bounds = self._limits("tail_bounds", tail_bounds, tail_bounds)
-        self._set(_log_fn=log_fn, tail_ratio=tail_ratio, tail_bounds=tail_bounds)
-
-    @staticmethod
-    def _limits(name: str, given, pair) -> tuple[float, float]:
-        """pair as floats with 0 <= lo <= hi <= inf: a ratio limit, or bounds on it."""
-        try:
-            lo, hi = (float(b) for b in pair)
-        except (TypeError, ValueError):
-            raise SpecFormatError(f"{name} must be numbers, got {given!r}") from None
-        if not 0.0 <= lo <= hi:  # NaN fails every comparison
-            raise SpecFormatError(f"{name} must lie in [0, inf], as lo <= hi for a pair, got {given!r}")
-        return lo, hi
+            name, given, hint = "tail_ratio", tail_ratio, (tail_ratio, tail_ratio)
+        if hint is not None:  # as floats with 0 <= lo <= hi <= inf
+            try:
+                lo, hi = (float(b) for b in hint)
+            except (TypeError, ValueError):
+                raise SpecFormatError(f"{name} must be numbers, got {given!r}") from None
+            if not 0.0 <= lo <= hi:  # NaN fails every comparison
+                raise SpecFormatError(f"{name} must lie in [0, inf], as lo <= hi for a pair, got {given!r}")
+            hint = lo, hi
+        self._set(_log_fn=log_fn, _hint=hint)
 
     def log_value(self, n):
         out = np.asarray(self._log_fn(np.asarray(n)), dtype=float)
@@ -422,10 +427,9 @@ class ReciprocalSequence(WeightSequence):
     base: WeightSequence
 
     def __post_init__(self):
-        self._set(tail=self.base.tail and self.base.tail.reciprocal(), tail_ratio=_invert_limit(self.base.tail_ratio))
-        if self.base.tail_bounds is not None:
-            lo, hi = self.base.tail_bounds
-            self._set(tail_bounds=(_invert_limit(hi), _invert_limit(lo)))
+        self._set(tail=self.base.tail and self.base.tail.reciprocal())
+
+    _hint = property(lambda self: self.base._hint and tuple(map(_invert_limit, self.base._hint[::-1])))
 
     def log_value(self, n):
         return -self.base.log_value(n)
@@ -435,13 +439,7 @@ class ReciprocalSequence(WeightSequence):
 
 
 def _invert_limit(r):
-    if r is None:
-        return None
-    if r == 0.0:
-        return math.inf
-    if math.isinf(r):
-        return 0.0
-    return 1.0 / r
+    return math.inf if r == 0.0 else 1.0 / r  # 1 / inf is 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +622,12 @@ _TRUNC_MAX = 8 * _TRUNC
 def _tail_geometry(seq: WeightSequence, log_head: np.ndarray):
     """(liminf, limsup, limit-or-None) of w(n+1)/w(n).
 
-    Declared tail behaviour (presets, tables) is used directly; otherwise the
-    ratios over the window [_TRUNC/2, _TRUNC] of ``log_head``, the log
-    weights on 0.._TRUNC, supply empirical bounds.
+    Declared bounds (a record's, or a callable's hint) are used directly;
+    otherwise the ratios over the window [_TRUNC/2, _TRUNC] of ``log_head``,
+    the log weights on 0.._TRUNC, supply empirical bounds.
     """
-    if seq.tail_ratio is not None:
-        r = float(seq.tail_ratio)
-        return r, r, r
     if seq.tail_bounds is not None:
-        lo, hi = (float(b) for b in seq.tail_bounds)
-        return lo, hi, (lo if lo == hi else None)
+        return *seq.tail_bounds, seq.tail_ratio
     with np.errstate(over="ignore"):
         # an overflowing ratio is a valid (divergent) bound, not an error
         ratios = np.exp(np.diff(log_head[_TRUNC // 2:]))
@@ -720,12 +714,13 @@ def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float, tail
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
     ``log_t`` holds the log terms for n = 0.._TRUNC; ``log_term_fn`` gives
-    them past _TRUNC.  Terms that a ``tail`` record makes geometric from a
-    start within log_t are their head closed there by the geometric series;
+    them past _TRUNC.  Terms that their ``tail`` record makes geometric from
+    a start within log_t are their head closed there by the geometric series;
     else the ratio test, which may extend the sum, comes first; near the
-    boundary a power-law probe of the terms over [_TRUNC/2, _TRUNC] decides;
-    as a last resort, non-decreasing terms with partial sums past 1/_TOL are
-    called divergent.
+    boundary a record without a factorial decides by its degree (convergent,
+    to the head's sum, below -1), else a power-law probe of the terms over
+    [_TRUNC/2, _TRUNC]; as a last resort, non-decreasing terms with partial
+    sums past 1/_TOL are called divergent.
     """
     if q_hi < 1.0 - _TOL and tail is not None and not (tail.degree or tail.factorial) and tail.start < log_t.size:
         log_close = log_t[tail.start] + math.log(q_hi) - math.log1p(-q_hi)
@@ -736,6 +731,8 @@ def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float, tail
         return _SeriesJudgement(math.inf, False)
 
     log_partial = logsumexp(log_t)
+    if tail is not None and not tail.factorial:
+        return _SeriesJudgement(log_partial, True) if tail.degree < -1 else _SeriesJudgement(math.inf, False)
     win = np.arange(_TRUNC // 2, _TRUNC + 1)
     p, _, resid = _power_fit(win, log_t[win])
     if resid < _FIT_RESID_TOL:
@@ -793,12 +790,9 @@ def _classify(spec: BirthDeathSpec) -> Classification:
         s_psi = _judge_series(psi_head, psi_terms, b_lo * rho, b_hi * rho, spec.psi.tail)
         if same:
             s_phi = s_psi
+        star_tail = spec.psi.tail and spec.psi.tail.reciprocal()
         s_star = _judge_series(
-            -psi_head,
-            lambda n: -psi_terms(n),
-            _invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
-            _invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
-            spec.psi.tail,
+            -psi_head, lambda n: -psi_terms(n), _invert_limit(b_hi * rho), _invert_limit(b_lo * rho), star_tail
         )
         regularity_ok = _regularity(spec, log_psi, log_phi, b_lo)
 
@@ -833,12 +827,14 @@ def _regularity(spec: BirthDeathSpec, log_psi: np.ndarray, log_phi: np.ndarray, 
     the lower bound of psi's tail ratio.
     Divergence rules out explosion; treated as diagnostic only, so the series
     is flagged non-regular only when conclusively convergent.  With phi = psi
-    the terms are 1/(1 + psi(n-1)/psi(n)); a declared lower ratio bound
-    b_lo > 0 keeps them at or above b_lo/(1 + b_lo) in the tail, so the
-    series diverges without being summed.
+    the terms are 1/(1 + psi(n-1)/psi(n)), not summed: a record keeps the
+    ratio bounded, or growing like n for one factorial, so they diverge
+    unless its factorial is above 1; a hinted lower ratio bound b_lo > 0
+    keeps them at or above b_lo/(1 + b_lo) in the tail.
     """
-    declared = spec.psi.tail_ratio is not None or spec.psi.tail_bounds is not None
-    if spec.phi == spec.psi and declared and b_lo > 0.0:
+    if spec.phi == spec.psi and spec.psi.tail is not None:
+        return spec.psi.tail.factorial <= 1
+    if spec.phi == spec.psi and spec.psi.tail_bounds is not None and b_lo > 0.0:
         return True
 
     def u_terms(idx):

@@ -76,8 +76,11 @@ class _LawTables:
         self.log_w.flags.writeable = False
 
     def window(self, spec: BirthDeathSpec, lo: int, hi: int) -> np.ndarray:
-        """log_w on the levels lo..hi-1: read where the table holds them, else evaluated afresh."""
-        return self.log_w[lo:hi] if hi <= len(self.log_w) else spec.log_psi_rho(np.arange(lo, hi))
+        """log_w on the levels lo..hi-1, grown to cover them; evaluated afresh past _MAX_LEVELS + 1."""
+        if hi > _MAX_LEVELS + 1:
+            return spec.log_psi_rho(np.arange(lo, hi))
+        self.grow(spec, hi - 1)
+        return self.log_w[lo:hi]
 
 
 class CycleMaxDistribution:

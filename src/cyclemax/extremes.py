@@ -157,9 +157,8 @@ def invert_tail(f: TailFunction, v):
     if not f._reach(lambda log_g: log_v < log_g[-1]):
         raise OutOfRangeError(f"the root of target {v} lies beyond the {_MAX_LEVELS} levels a table may hold")
     log_knots = f.log_knots
-    # log knots decrease strictly from y0; searchsorted over the negated tail
-    n = f.y0 + int(np.searchsorted(-log_knots[f.y0 :], -log_v, side="right")) - 1
-    n = min(max(n, f.y0), len(log_knots) - 2)
+    tail = log_knots[f.y0 :]  # falls strictly: its reversed view is searched ascending, with no copy
+    n = min(max(f.y0 + tail.size - 1 - int(np.searchsorted(tail[::-1], log_v)), f.y0), len(log_knots) - 2)
     # on [n, n + 1], f / g(n) = (1 - t) + t r with r = g(n + 1) / g(n) in (0, 1),
     # so t = (1 - v / g(n)) / (1 - r), each difference taken by expm1
     shift = float(log_knots[n])
@@ -191,8 +190,8 @@ def _invert_tails(f: TailFunction, v: np.ndarray) -> np.ndarray:
                 f"the root of target {smallest} lies beyond the {_MAX_LEVELS} levels a table may hold"
             )
         log_knots = f.log_knots
-        n = f.y0 + np.searchsorted(-log_knots[f.y0 :], -log_v, side="right") - 1
-        n = np.clip(n, f.y0, len(log_knots) - 2)
+        tail = log_knots[f.y0 :]
+        n = np.clip(f.y0 + tail.size - 1 - np.searchsorted(tail[::-1], log_v), f.y0, len(log_knots) - 2)
         shift = log_knots[n]
         t = np.expm1(log_v - shift) / np.expm1(log_knots[n + 1] - shift)
         y[rest] = n + np.clip(t, 0.0, 1.0)

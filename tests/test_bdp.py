@@ -157,6 +157,26 @@ def test_reciprocal_sequence_inverts_valid_tail_bounds():
     assert seq.reciprocal().tail_bounds == (0.5, math.inf)
 
 
+def test_a_callable_takes_one_tail_hint():
+    # classify would read only the ratio, while the reciprocal inverted both
+    with pytest.raises(SpecFormatError, match="not both"):
+        CallableSequence(lambda n: -0.5 * np.asarray(n, dtype=float), tail_ratio=0.5, tail_bounds=(0.25, 1.0))
+    seq = CallableSequence(lambda n: -0.5 * np.asarray(n, dtype=float), tail_ratio=0.5)
+    assert (seq.tail_ratio, seq.tail_bounds, seq.reciprocal().tail_ratio) == (0.5, (0.5, 0.5), 2.0)
+
+
+def test_a_record_states_the_tail_ratio_and_bounds():
+    for seq, ratio in [
+        (OnesSequence(), 1.0),
+        (FactorialInverseSequence(), 0.0),
+        (FactorialInverseSequence().reciprocal(), math.inf),
+        (MultiServerSequence(3).reciprocal(), 3.0),
+        (TableSequence((1.0, 0.5), tail_ratio=0.25, poly_degree=1), 0.25),
+    ]:
+        assert (seq.tail_ratio, seq.tail_bounds) == (ratio, (ratio, ratio))
+    assert TableSequence((1.0, 0.5), tail_ratio=0.25, poly_degree=1).poly_degree == 1
+
+
 def test_failed_classification_is_not_cached():
     nan_seq = CallableSequence(lambda n: np.full(np.shape(n), np.nan))
     spec = BirthDeathSpec(nan_seq, nan_seq, 0.5, 1.0)
@@ -571,15 +591,16 @@ def test_table_to_json_refuses_overflowed_values():
 def _per_series_judgements(spec):
     """(head, q_lo, q_hi, tail) of the phi, psi, star and regularity series,
     each head evaluated through its own term function and tail the record of
-    the weights it sums: the reference for the shared weight evaluations of
-    _classify.  Also returns the psi tail geometry."""
+    the weights it sums (psi's reciprocal record for star): the reference for
+    the shared weight evaluations of _classify.  Also returns the psi tail
+    geometry."""
     trunc = bdp_module._TRUNC
     idx = np.arange(trunc + 1)
     win = np.arange(trunc // 2, trunc)
     log_rho = math.log(spec.rho)
 
     def geometry(seq):
-        if seq.tail_ratio is not None or seq.tail_bounds is not None:
+        if seq.tail_bounds is not None:
             return bdp_module._tail_geometry(seq, None)
         with np.errstate(over="ignore"):
             ratios = np.exp(seq.log_ratio(win))
@@ -610,7 +631,7 @@ def _per_series_judgements(spec):
             -psi_terms(idx),
             bdp_module._invert_limit(b_hi * rho) if b_hi > 0 else math.inf,
             bdp_module._invert_limit(b_lo * rho) if b_lo > 0 else math.inf,
-            spec.psi.tail,
+            spec.psi.tail and spec.psi.tail.reciprocal(),
         ),
         "u": (u_terms(idx), q_lo, q_hi, None),
     }
@@ -621,13 +642,19 @@ def _reference_judgement(head, lo, hi, tail):
     """The series judged as _classify's reference: terms that a record of
     degree 0 and no factorial makes geometric, at ratio hi < 1 - _TOL, from a
     start within the head are that head closed by their geometric series;
-    any other series is left to _judge_series."""
+    terms with a record and no factorial whose ratio bounds lie within _TOL
+    of 1 converge, to the head's sum, exactly when the record's degree is
+    below -1; any other series is left to _judge_series."""
     head = np.asarray(head, dtype=float)
+    tol = bdp_module._TOL
     geometric = tail is not None and tail.degree == 0 and tail.factorial == 0
-    if geometric and tail.start < head.size and hi < 1.0 - bdp_module._TOL:
+    if geometric and tail.start < head.size and hi < 1.0 - tol:
         start = tail.start
         close = head[start] + math.log(hi) - math.log1p(-hi)
         return bdp_module._SeriesJudgement(bdp_module.logsumexp(np.append(head[: start + 1], close)), True)
+    if tail is not None and tail.factorial == 0 and 1.0 - tol <= lo <= hi <= 1.0 + tol:
+        convergent = tail.degree < -1
+        return bdp_module._SeriesJudgement(bdp_module.logsumexp(head) if convergent else math.inf, convergent)
     return bdp_module._judge_series(head, None, lo, hi)
 
 
@@ -702,9 +729,10 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
 
     monkeypatch.setattr(bdp_module, "_judge_series", recorded)
     cls = bdp_module._classify(spec)
-    # phi = psi with a declared positive lower ratio bound is regular in closed form
-    declared = spec.psi.tail_ratio is not None or spec.psi.tail_bounds is not None
-    closed_form = spec.phi == spec.psi and declared and geometry[0] > 0.0
+    # phi = psi with a record, or with a hinted positive lower ratio bound, is
+    # regular in closed form
+    hinted = spec.psi.tail_bounds is not None and geometry[0] > 0.0
+    closed_form = spec.phi == spec.psi and (spec.psi.tail is not None or hinted)
     names = ["psi", "star"] if spec.phi == spec.psi else ["phi", "psi", "star"]
     names += [] if closed_form else ["u"]
     assert len(calls) == len(names)
@@ -720,6 +748,63 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
     u_head, u_lo, u_hi, _ = judged["u"]
     s_u = judge(np.asarray(u_head, dtype=float), None, u_lo, u_hi)
     assert cls.regularity_ok is (s_u.convergent is not True)
+    if closed_form and spec.psi.tail is not None:
+        assert cls.regularity_ok is (spec.psi.tail.factorial <= 1)
+
+
+def _declared_specs():
+    """Presets, power tables and network reductions near and at their critical
+    loads, and their duals: every tail here is a record."""
+    specs = {}
+    for load in (0.5, 1.0 - 1e-10, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-10, 2.0):
+        specs[f"mm1-{load!r}"] = mm1(load, 1.0)
+        for s in (2, 3, 8):
+            specs[f"mms{s}-{load!r}"] = mms(s, s * load, 1.0)
+    for lam in (1e-3, 5.0, 5e4):
+        specs[f"mminf-{lam!r}"] = mminf(lam, 1.0)
+    for degree in range(4):
+        table = TableSequence([(n + 1.0) ** degree for n in range(64)], tail_ratio=1.0, poly_degree=degree)
+        for z in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
+            specs[f"table{degree}-{z!r}"] = BirthDeathSpec(table, table, z, 1.0)
+    for mu0 in (1.0, 2.0, 2.5):
+        twin = NetworkSpec(
+            mu0=mu0,
+            stations=(Station("ss", 1.0), Station("ss", 1.0)),
+            routing=((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        )
+        specs[f"twin-{mu0!r}"] = norton_reduce(twin, 500).induced
+    return {**specs, **{f"dual-{name}": spec.dual() for name, spec in specs.items()}}
+
+
+def test_a_declared_tail_is_classified_without_a_probe(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("power-law probe reached")
+
+    judged = []
+    judge = bdp_module._judge_series
+
+    def counted(*args):
+        judged.append(args)
+        return judge(*args)
+
+    monkeypatch.setattr(bdp_module, "_power_fit", no_fit)
+    monkeypatch.setattr(bdp_module, "_judge_series", counted)
+    tol = bdp_module._TOL
+    for name, spec in _declared_specs().items():
+        judged.clear()
+        cls = bdp_module._classify(spec)
+        # phi = psi with a record: psi and star only, no regularity series
+        assert spec.phi == spec.psi and len(judged) == 2, name
+        q = spec.psi.tail_ratio * spec.rho
+        degree = spec.psi.tail.degree if abs(q - 1.0) <= tol else 0
+        if q > 1.0 + tol or degree > 1:
+            want = Verdict.TRANSIENT
+        elif q < 1.0 - tol or degree < -1:
+            want = Verdict.POSITIVE_RECURRENT
+        else:  # sum n^d and sum n^-d both diverge for |d| <= 1
+            want = Verdict.NULL_RECURRENT
+        assert cls.verdict is want, name
+        assert cls.regularity_ok, name
 
 
 def test_classify_evaluates_each_weight_sequence_once(monkeypatch):

@@ -14,6 +14,8 @@ from cyclemax import (
     NetworkSpec,
     SimConfig,
     Station,
+    Verdict,
+    classify,
     load_spec,
     mm1,
     mminf,
@@ -271,6 +273,25 @@ def test_a_declared_critical_tail_prints_its_exponent_as_a_float(capsys, tmp_pat
     assert code == 0
     lines = [line.strip() for line in out.splitlines()]
     assert '"p_exponent": 0.0,' in lines and '"limit_constant": 2.0,' in lines
+
+
+def test_the_critical_twin_reduction_is_null_recurrent(capsys, tmp_path):
+    # two unit single servers in parallel at load 1 each: the induced weights
+    # grow like n 0.5^n at rho = 2, so sum 1/n decides, and it diverges
+    net = NetworkSpec(
+        mu0=2.0,
+        stations=(Station("ss", 1.0), Station("ss", 1.0)),
+        routing=((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    )
+    path, out_path = tmp_path / "twin.json", tmp_path / "induced.json"
+    save_network(net, path)
+    code, _, err = run(capsys, "network-reduce", "--in", str(path), "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert classify(load_spec(out_path)).verdict is Verdict.NULL_RECURRENT
+    assert classify(norton_reduce(net).induced).verdict is Verdict.NULL_RECURRENT
+    code, out, err = run(capsys, "classify", "--spec", str(out_path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "NullRecurrent"
 
 
 def test_network_reduce_refuses_tied_loads_at_level_zero(capsys, tmp_path):

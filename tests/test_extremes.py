@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -573,13 +574,14 @@ def test_one_tail_function_per_spec_and_n_max(monkeypatch):
     assert transient._law_tables.falls_to == 0
 
 
-def _counted_spec(slope):
-    """psi(n) = e^(slope n) at rho = 1, classified, and the levels each later evaluation reads."""
+def _counted_spec(slope, power=0.0):
+    """psi(n) = e^(slope n) (n + 1)^power at rho = 1, classified, and the levels each
+    later evaluation reads."""
     seen = []
 
     def log_fn(n):
         seen.append(np.array(n).ravel())
-        return slope * np.asarray(n, dtype=float)
+        return slope * np.asarray(n, dtype=float) + power * np.log1p(n)
 
     spec = BirthDeathSpec(CallableSequence(log_fn, tail_ratio=math.exp(slope)), TableSequence([1.0], 1.0), 1.0, 1.0)
     classify(spec)  # the classification sums its own series
@@ -588,23 +590,31 @@ def _counted_spec(slope):
 
 
 @pytest.mark.parametrize(
-    "slope, regime", [(-1e-3, TailRegime.SUBCRITICAL), (0.1, TailRegime.SUPERCRITICAL)], ids=["sub", "transient"]
+    "slope, power, regime",
+    [(-1e-3, 0.0, TailRegime.SUBCRITICAL), (0.1, 0.0, TailRegime.SUPERCRITICAL), (0.0, 2.0, TailRegime.CRITICAL)],
+    ids=["sub", "transient", "critical-power"],
 )
-def test_the_law_and_the_extremes_evaluate_each_level_once(slope, regime):
+def test_the_law_and_the_extremes_evaluate_each_level_once(slope, power, regime):
     # the knots (to level 25,600 at k = 10^7), the probes (to 51,200 at this slow
-    # fall) and the transient margin all read the one weight table the law grows
-    spec, seen = _counted_spec(slope)
-    CycleMaxDistribution(spec).cdf(np.arange(1, 10**4 + 1))
+    # fall) and the transient margin, whose window reaches level 2^20 on the
+    # critical (n + 1)^2, all read the one weight table the law grows
+    spec, seen = _counted_spec(slope, power)
+    dist = CycleMaxDistribution(spec)
+    dist.cdf(np.arange(1, 10**4 + 1))
     if regime is TailRegime.SUBCRITICAL:
         gumbel_bounds(spec, 0.0, 10**4)
         norming_constants(spec, "Numeric", [10, 10**7])
         assert build_tail_function(spec).n_max == 25_600
+    if regime is TailRegime.CRITICAL:  # the margin's window before the probes
+        assert dist.p_finite == pytest.approx(1.0 - 6.0 / math.pi**2, abs=1e-11)
     assert tail_asymptotics(spec).regime is regime
-    assert compactness_diagnostic(spec).conditional is (regime is TailRegime.SUPERCRITICAL)
+    if regime is not TailRegime.CRITICAL:
+        assert compactness_diagnostic(spec).conditional is (regime is TailRegime.SUPERCRITICAL)
     counts = np.bincount(np.concatenate(seen))
     # level 0 once more per evaluation, as the scale psi(0); every other level the table holds once
     assert len(counts) == len(spec._law_tables.log_w) and np.all(counts[1:] == 1)
-    assert len(counts) > (51_200 if regime is TailRegime.SUBCRITICAL else 10**4)
+    least = {TailRegime.SUBCRITICAL: 51_200, TailRegime.SUPERCRITICAL: 10**4, TailRegime.CRITICAL: 1 << 20}
+    assert len(counts) > least[regime]
 
 
 def _shallow_answers(spec):
@@ -628,6 +638,35 @@ def test_shallow_answers_keep_their_bits_after_a_deep_call(make):
     f(1000.5)  # a value past the knots grows them too
     assert f.n_max >= 1600
     assert _shallow_answers(spec) == fresh  # == on floats: the same bits
+
+
+def test_a_deep_root_is_bracketed_without_copying_the_knots():
+    f = build_tail_function(mm1(0.99999, 1.0))
+    invert_tail(f, math.exp(-5.0))  # a root near level 5e5
+    assert f.n_max == 819_200
+    log_knots = f.log_knots
+    # targets on knots (ties), between them and past the head
+    targets = [math.exp(float(log_knots[i])) for i in (f.y0, 1, 17, 1000, 400_000, f.n_max - 1)]
+    targets += [math.exp(-5.0), 0.5, 1e-3, 0.9, 0.999]
+
+    def chord_root(v):  # bracketing by a search over the negated log knots
+        log_v = math.log(v)
+        n = f.y0 + int(np.searchsorted(-log_knots[f.y0 :], -log_v, side="right")) - 1
+        n = min(max(n, f.y0), len(log_knots) - 2)
+        shift = float(log_knots[n])
+        t = math.expm1(log_v - shift) / math.expm1(float(log_knots[n + 1]) - shift)
+        return n + min(max(t, 0.0), 1.0)
+
+    want = [chord_root(v) for v in targets]
+    assert [invert_tail(f, v) for v in targets] == want  # == on floats: the same bits
+    assert invert_tail(f, np.array(targets)).tolist() == want
+    tracemalloc.start()
+    try:
+        invert_tail(f, math.exp(-4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the knot tail is 6.5 MB
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
