@@ -238,11 +238,6 @@ class WeightSequence:
     def value(self, n):
         return np.exp(self.log_value(n))
 
-    def log_ratio(self, n):
-        """log(w(n+1) / w(n))."""
-        n = np.asarray(n)
-        return self.log_value(n + 1) - self.log_value(n)
-
     def reciprocal(self) -> "WeightSequence":
         return ReciprocalSequence(self)
 
@@ -294,10 +289,6 @@ class MultiServerSequence(WeightSequence):
         head = -log_factorial(np.minimum(n, self.s))  # only read where n <= s
         tail = (self.s - n.astype(float)) * math.log(self.s) - log_factorial(self.s)
         return np.where(n <= self.s, head, tail)
-
-    def log_ratio(self, n):
-        """-log min(n + 1, s): exactly -log s from n = s - 1 on."""
-        return -np.log(np.minimum(np.asarray(n) + 1, self.s).astype(float))
 
     def to_json(self):
         return {"kind": "preset", "name": "mms", "s": self.s}
@@ -710,24 +701,33 @@ def _ratio_test_total(log_term_fn, log_t: np.ndarray, log_partial: float, q: flo
         n_end *= 2
 
 
-def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float, tail=None) -> _SeriesJudgement:
+def _band_side(q_lo: float, q_hi: float) -> int:
+    """-1, 0 or 1 as the term-ratio bounds [q_lo, q_hi] lie below 1 - _TOL,
+    within _TOL of 1, or above 1 + _TOL."""
+    return -1 if q_hi < 1.0 - _TOL else 1 if q_lo > 1.0 + _TOL else 0
+
+
+def _judge_series(log_t: np.ndarray, log_term_fn, q_lo: float, q_hi: float, tail=None, side=None) -> _SeriesJudgement:
     """Decide convergence of sum(t_n) with term-ratio bounds [q_lo, q_hi].
 
     ``log_t`` holds the log terms for n = 0.._TRUNC; ``log_term_fn`` gives
-    them past _TRUNC.  Terms that their ``tail`` record makes geometric from
-    a start within log_t are their head closed there by the geometric series;
-    else the ratio test, which may extend the sum, comes first; near the
-    boundary a record without a factorial decides by its degree (convergent,
+    them past _TRUNC.  ``side`` is where the terms are judged against the
+    _TOL band about ratio 1, ``_band_side(q_lo, q_hi)`` unless given.  Below
+    it, terms that their ``tail`` record makes geometric from a start within
+    log_t are their head closed there by the geometric series; else the
+    ratio test, which may extend the sum, decides; above it they diverge.
+    Within it a record without a factorial decides by its degree (convergent,
     to the head's sum, below -1), else a power-law probe of the terms over
     [_TRUNC/2, _TRUNC]; as a last resort, non-decreasing terms with partial
     sums past 1/_TOL are called divergent.
     """
-    if q_hi < 1.0 - _TOL and tail is not None and not (tail.degree or tail.factorial) and tail.start < log_t.size:
+    side = _band_side(q_lo, q_hi) if side is None else side
+    if side < 0 and tail is not None and not (tail.degree or tail.factorial) and tail.start < log_t.size:
         log_close = log_t[tail.start] + math.log(q_hi) - math.log1p(-q_hi)
         return _SeriesJudgement(logsumexp(np.append(log_t[: tail.start + 1], log_close)), True)
-    if q_hi < 1.0 - _TOL:
+    if side < 0:
         return _SeriesJudgement(float(_ratio_test_total(log_term_fn, log_t, logsumexp(log_t), q_hi)), True)
-    if q_lo > 1.0 + _TOL:
+    if side > 0:
         return _SeriesJudgement(math.inf, False)
 
     log_partial = logsumexp(log_t)
@@ -791,8 +791,11 @@ def _classify(spec: BirthDeathSpec) -> Classification:
         if same:
             s_phi = s_psi
         star_tail = spec.psi.tail and spec.psi.tail.reciprocal()
+        # B* mirrors B_psi's side of the band, so the rounding of 1 / (beta rho)
+        # cannot judge one of them within it and the other outside
+        side = -_band_side(b_lo * rho, b_hi * rho)
         s_star = _judge_series(
-            -psi_head, lambda n: -psi_terms(n), _invert_limit(b_hi * rho), _invert_limit(b_lo * rho), star_tail
+            -psi_head, lambda n: -psi_terms(n), _invert_limit(b_hi * rho), _invert_limit(b_lo * rho), star_tail, side
         )
         regularity_ok = _regularity(spec, log_psi, log_phi, b_lo)
 

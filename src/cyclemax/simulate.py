@@ -2,10 +2,12 @@
 
 A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
 maximum over the cycle depends only on the embedded up/down decisions, so
-holding times are never sampled.  From a state n_flat on, the up-step
-probability of most chains is constant (n_flat = 1 for M/M/1, s for M/M/s),
-so there a cycle is a simple random walk, and each of its excursions above
-n_flat - 1 is one move, whose maximum follows the gambler's-ruin law.  A
+holding times are never sampled.  The up-step probabilities are read off
+the spec's one weight table.  Where psi's tail record is geometric, the
+up-step probability is constant from n_flat, one level past the record's
+start (n_flat = 1 for M/M/1, s for M/M/s), so there a cycle is a simple
+random walk, and each of its excursions above n_flat - 1 is one move, whose
+maximum follows the gambler's-ruin law.  A
 pass moves each live cycle _BLOCK_MOVES moves from one uniform, read through
 an alias table of the exact law of those moves from its level, and draws
 the highest of the excursions among them from one more.  It walks the live
@@ -128,18 +130,6 @@ class CycleSample:
         return self.escaped / self.cycles
 
 
-def _up_probabilities(spec: BirthDeathSpec, top: int) -> np.ndarray:
-    """P(step up | leave n) for n = 1..top-1.
-
-    phi cancels between the birth and death rate at the same state, so only
-    the psi ratio and the intensity ratio enter.
-    """
-    n = np.arange(1, top)
-    log_psi_ratio = np.asarray(spec.psi.log_ratio(n - 1), dtype=float)  # log psi(n)/psi(n-1)
-    logit = math.log(spec.lam) - math.log(spec.mu) + log_psi_ratio
-    return 1.0 / (1.0 + np.exp(-logit))
-
-
 def _log_expected_jumps(log_w: np.ndarray, n_flat: int | None = None) -> float:
     """log of the mean jump count E_1[min(T_0, T_top)] of one cycle from
     level 1 of the birth-death walk of weights w(m) = e^log_w[m] (w(0) = 1)
@@ -190,11 +180,13 @@ class _WalkTables:
 
     ``log_jumps`` is the log of the jumps a cycle is charged, its stepped
     jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
-    ``p_at`` is P(step up | leave n) by level, 0 at level 0, read-only;
+    ``p_at`` is P(step up | leave n) by level, 0 at level 0, read-only, on
+    0..n_flat where a constant run exists and on 0..top-1 where none does;
     ``p_list`` holds its head as Python floats for the Python-stepped walk,
     extended on demand to the levels a block of draws can reach; ``n_flat``
-    is ``_flat_start``'s state.  ``blocks`` is the latest ``_BlockTable`` or
-    None (``_block_table`` grows it with the highest level reached).
+    is where the run starts, read from psi's tail record, or None.
+    ``blocks`` is the latest ``_BlockTable`` or None (``_block_table`` grows
+    it with the highest level reached).
     """
 
     log_jumps: float
@@ -205,17 +197,33 @@ class _WalkTables:
 
 
 def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
-    """The tables for (spec, top), built on first use and kept on the spec."""
+    """The tables for (spec, top), built on first use and kept on the spec.
+
+    They read the spec's one weight table, w(n) = psihat(n) rho^n on 0..top-1
+    (phi cancels between the birth and death rate at a state), where
+    p_up(n) = 1 / (1 + w(n-1)/w(n)).  A geometric tail record (degree 0, no
+    factorial) makes p_up constant from n_flat, one level past its start,
+    at 1 / (1 + mu / (lam ratio)); a run that would start at top - 1 or
+    above is none.  mminf, a record with a degree (a polynomial table, a
+    reduction whose bottleneck loads tie) and a callable have no run and are
+    stepped to the top.
+    """
     tables = spec._walk_tables.get(top)
     if tables is not None:
         return tables
     _check_levels("escape horizon or cap", top)
-    p_up = _up_probabilities(spec, top)
-    p_at = np.concatenate(([0.0], p_up))  # indexed by level
-    n_flat = _flat_start(p_up, top) if p_up.size else None
+    log_w = spec._law_tables.window(spec, 0, top)
+    tail = spec.psi.tail
+    geometric = tail is not None and not (tail.degree or tail.factorial)
+    n_flat = tail.start + 1 if geometric and tail.start + 1 < top - 1 else None
+    if n_flat is None:
+        logit = np.diff(log_w)
+    else:
+        logit = np.append(np.diff(log_w[:n_flat]), math.log(spec.lam) - math.log(spec.mu) + math.log(tail.ratio))
+    p_at = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logit))))  # indexed by level
     p_at.flags.writeable = False
     tables = spec._walk_tables[top] = _WalkTables(
-        log_jumps=_log_expected_jumps(spec.log_psi_rho(np.arange(top)), n_flat),
+        log_jumps=_log_expected_jumps(log_w, n_flat),
         p_at=p_at,
         n_flat=n_flat,
     )
@@ -245,19 +253,6 @@ def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizo
     _refuse_long_runs(spec, 1, escape_horizon)
     maxima, escaped = _simulate_batch(spec, 1, rng, escape_horizon)
     return ESCAPED if escaped else int(maxima[0])
-
-
-def _flat_start(p_up: np.ndarray, top: int) -> int | None:
-    """Lowest state n_flat with p_up constant on n_flat..top-1, or None.
-
-    None when that is the level top - 1 alone, as it is for every chain whose
-    p_up varies up to the top (mminf): such a chain is stepped at every level.
-    Equality is exact, so the excursions drawn from n_flat follow the very
-    walk that stepping by level would.
-    """
-    varying = np.flatnonzero(p_up != p_up[-1])
-    n_flat = int(varying[-1]) + 2 if varying.size else 1
-    return None if n_flat == top - 1 else n_flat
 
 
 def _block_law(p_at: np.ndarray, n_flat: int | None, levels: np.ndarray, d: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from cyclemax import (
     Station,
     TableSequence,
     Tail,
+    TailRegime,
     Verdict,
     build_tail_function,
     classify,
@@ -46,6 +47,7 @@ from cyclemax import (
     tail_asymptotics,
 )
 from cyclemax.bdp import log_factorial
+from cyclemax.distribution import _tail_regime
 from cyclemax.errors import NotApplicableError, OutOfRangeError, SpecFormatError
 
 # log n! from scipy.special.gammaln(n + 1.0), computed once and pinned here
@@ -280,16 +282,6 @@ def test_a_record_starts_where_its_law_first_holds():
     assert seq.tail.start == 3
     assert seq.tail.log_value(2) != pytest.approx(float(seq.log_value(2)))
     assert CallableSequence(lambda n: -np.asarray(n, dtype=float), tail_ratio=0.5).tail is None
-
-
-def test_multi_server_log_ratio_is_exact_beyond_s():
-    for s in (1, 2, 3, 8):
-        seq = MultiServerSequence(s)
-        n = np.arange(0, 2000)
-        got = seq.log_ratio(n)
-        assert np.all(got[s - 1:] == -math.log(s))
-        assert np.array_equal(got[: s - 1], -np.log(np.arange(1, s)))
-        assert np.allclose(got, seq.log_value(n + 1) - seq.log_value(n), rtol=0.0, atol=1e-12)
 
 
 def test_equal_sequences_and_specs_hash_alike():
@@ -603,7 +595,7 @@ def _per_series_judgements(spec):
         if seq.tail_bounds is not None:
             return bdp_module._tail_geometry(seq, None)
         with np.errstate(over="ignore"):
-            ratios = np.exp(seq.log_ratio(win))
+            ratios = np.exp(np.diff(seq.log_value(np.append(win, trunc))))
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         return lo, hi, float(np.mean(ratios)) if hi - lo <= 1e-9 * max(1.0, abs(hi)) else None
 
@@ -722,8 +714,8 @@ def test_classify_equals_the_per_series_reference(spec, monkeypatch):
     calls = []
     judge = bdp_module._judge_series
 
-    def recorded(log_t, log_term_fn, q_lo, q_hi, tail=None):
-        out = judge(log_t, log_term_fn, q_lo, q_hi, tail)
+    def recorded(log_t, log_term_fn, q_lo, q_hi, tail=None, side=None):
+        out = judge(log_t, log_term_fn, q_lo, q_hi, tail, side)
         calls.append((np.asarray(log_t, dtype=float).tobytes(), q_lo, q_hi, tail, out))
         return out
 
@@ -805,6 +797,25 @@ def test_a_declared_tail_is_classified_without_a_probe(monkeypatch):
             want = Verdict.NULL_RECURRENT
         assert cls.verdict is want, name
         assert cls.regularity_ok, name
+
+
+_REGIME_VERDICTS = {
+    TailRegime.SUBCRITICAL: Verdict.POSITIVE_RECURRENT,
+    TailRegime.CRITICAL: Verdict.NULL_RECURRENT,
+    TailRegime.SUPERCRITICAL: Verdict.TRANSIENT,
+}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3], ids=["mm1", "mms2", "mms3"])
+def test_one_band_decision_per_chain(s):
+    # B* is judged within _TOL of ratio 1 exactly when B_psi is, so a chain is
+    # NullRecurrent exactly where its tail regime is Critical; at the band's
+    # edge the rounding of 1 / (beta rho) once judged B* outside it alone, and
+    # mm1(1 + 1e-9, 1) came out Transient
+    for gap in (-2e-9, -1e-9, 1e-9, 2e-9):
+        for lam in {s * (1.0 + gap), s + s * gap}:
+            spec = mm1(lam, 1.0) if s == 1 else mms(s, lam, 1.0)
+            assert classify(spec).verdict is _REGIME_VERDICTS[_tail_regime(spec)], (s, lam)
 
 
 def test_classify_evaluates_each_weight_sequence_once(monkeypatch):

@@ -35,6 +35,7 @@ from cyclemax import (
     norton_reduce,
     partial_limit_envelope,
     sample_maxima,
+    simulate_cycles,
     stationary_distribution,
     stirling_tail,
     tail_asymptotics,
@@ -595,10 +596,12 @@ def _counted_spec(slope, power=0.0):
     ids=["sub", "transient", "critical-power"],
 )
 def test_the_law_and_the_extremes_evaluate_each_level_once(slope, power, regime):
-    # the knots (to level 25,600 at k = 10^7), the probes (to 51,200 at this slow
-    # fall) and the transient margin, whose window reaches level 2^20 on the
-    # critical (n + 1)^2, all read the one weight table the law grows
+    # the simulator's walk to horizon 1,000, the knots (to level 25,600 at
+    # k = 10^7), the probes (to 51,200 at this slow fall) and the transient
+    # margin, whose window reaches level 2^20 on the critical (n + 1)^2, all
+    # read the one weight table the law grows
     spec, seen = _counted_spec(slope, power)
+    assert simulate_cycles(spec, SimConfig(seed=1, cycles=100)).cycles == 100
     dist = CycleMaxDistribution(spec)
     dist.cdf(np.arange(1, 10**4 + 1))
     if regime is TailRegime.SUBCRITICAL:

@@ -153,6 +153,10 @@ def test_a_queue_near_its_critical_load_matches_its_closed_form(s, single, k, ab
     k=st.none() | st.integers(2, 9),
     above=st.booleans(),
 )
+# the critical table psi = [1, 1] at rho = 10: its run from level 2 is read off
+# the record; found by equality of the rounded up-step odds, it was stepped at
+# every level, and the call overran its second
+@example(log_values=[0.0, 0.0], degree=0, log10_rho=1.0, k=None, above=False)
 def test_a_table_near_its_critical_ratio_states_its_tail_and_answers(log_values, degree, log10_rho, k, above):
     # tail_ratio rho = 1 +- 10^-k, or exactly 1 when k is None
     rho = 10.0**log10_rho

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import cyclemax.simulate as simulate_module
 from cyclemax import (
     BirthDeathSpec,
+    CallableSequence,
     CycleMaxDistribution,
     NetworkSpec,
+    OnesSequence,
     SimConfig,
     Station,
     TableSequence,
@@ -30,15 +32,13 @@ from cyclemax import (
 )
 from cyclemax.bdp import _MAX_LEVELS
 from cyclemax.errors import EscapedCycleError, NotApplicableError
-from cyclemax.distribution import _as_dist
+from cyclemax.distribution import _LawTables, _as_dist
 from cyclemax.simulate import (
     ESCAPED,
     _bucket_search,
-    _flat_start,
     _inversion_table,
     _run_cycles,
     _simulate_batch,
-    _up_probabilities,
 )
 
 
@@ -157,9 +157,23 @@ def _block_outcome(table, level, u):
     return int(table.rise[entry]), int(table.high[entry]), count
 
 
+def _rate_up_probabilities(spec, top, n_flat):
+    """P(step up | leave n) on 0..top-1 from the birth and death rates, 0 at
+    level 0: independent of the weight table the simulator reads.  From the
+    tables' n_flat on it must be constant, to 1e-15 per unit of the log
+    weights the rates exponentiate, each of which carries its own rounding."""
+    p = [0.0] + [b / (b + d) for b, d in ((spec.birth_rate(n), spec.death_rate(n)) for n in range(1, top))]
+    if n_flat is not None:
+        n = np.arange(n_flat, top)
+        scale = 1.0 + sum(np.abs(w.log_value(m)) for w, m in ((spec.psi, n), (spec.psi, n - 1), (spec.phi, n)))
+        assert np.all(np.abs(np.array(p[n_flat:]) - p[n_flat]) <= 1e-15 * scale)
+    return p
+
+
 def _replay(spec, cycles, horizon, draws):
     """Reference: the (maxima, escaped) that ``draws`` give when each
-    cycle is moved alone in a Python loop.
+    cycle is moved alone in a Python loop, with up-step probabilities from
+    the rates (``_rate_up_probabilities``) and n_flat from the walk tables.
 
     Each draw is for the live cycles in cycle order.  With n_flat = 1 the
     one 1-D draw gives each cycle its whole excursion (``_excursion_top``).
@@ -178,11 +192,10 @@ def _replay(spec, cycles, horizon, draws):
     if top == 1:
         assert not draws
         return np.array(peak, dtype=np.int64), 0
-    p_up = _up_probabilities(spec, top)
-    p_at = [0.0] + p_up.tolist()
-    n_flat = _flat_start(p_up, top)
-    stop = top if n_flat is None else n_flat
     tables = simulate_module._walk_tables(spec, top)
+    n_flat = tables.n_flat
+    p_at = _rate_up_probabilities(spec, top, n_flat)
+    stop = top if n_flat is None else n_flat
     live = list(range(cycles))
     draws = iter(draws)
     for u in draws:
@@ -198,7 +211,7 @@ def _replay(spec, cycles, horizon, draws):
         elif n_flat == 1:
             assert u.shape == (cycles,) and len(live) == cycles
             for i in live:
-                peak[i] = max(peak[i], _excursion_top(p_at[-1], 1.0 - float(u[i]), top))
+                peak[i] = max(peak[i], _excursion_top(p_at[n_flat], 1.0 - float(u[i]), top))
                 level[i] = top if peak[i] == top else 0
         else:
             size = simulate_module._SLICE
@@ -222,7 +235,7 @@ def _replay(spec, cycles, horizon, draws):
                 assert v.shape == (len(counted),)
                 low = n_flat - 1
                 for (i, count), w in zip(counted, v.tolist()):
-                    highest = low + _excursion_top(p_at[-1], _highest_of(w, count), top - low)
+                    highest = low + _excursion_top(p_at[n_flat], _highest_of(w, count), top - low)
                     peak[i] = max(peak[i], highest)
                     if highest == top:
                         level[i] = top
@@ -575,13 +588,13 @@ def test_one_level_dependent_cycle_takes_a_handful_of_draws():
 _TABLE = _CHAINS[_CHAIN_IDS.index("table")][0]
 _TRANSIENT_TABLE = _CHAINS[_CHAIN_IDS.index("table-transient")][0]
 # (spec, top, start levels to check): chains without a constant run, with one
-# (from 3), with a cap on either, and the table, whose run starts at 998
+# (from 3), with a cap on either, and the table, whose run starts at 5
 _BLOCK_CHAINS = [
     (mminf(2.0, 1.0), 1_000, [1, 2, 3, 5, 17, 40]),
     (mms(3, 2.1, 1.0), 1_000, [1, 2, 3]),
     (mminf(2.0, 1.0, cap=12), 12, list(range(1, 12))),
     (mms(3, 4.5, 1.0, cap=40), 40, [1, 2, 3]),
-    (_TABLE, 1_000, [1, 2, 3, 4, 5, 6, 990, 997, 998]),
+    (_TABLE, 1_000, [1, 2, 3, 4, 5]),
 ]
 _BLOCK_IDS = ["mminf2", "mms3", "mminf2-capped", "mms3-capped", "table"]
 
@@ -789,6 +802,48 @@ def test_transient_chain_without_a_run_escapes_at_its_exact_rate():
     assert abs(sample.escaped_fraction - want) <= 3.0 * math.sqrt(want * (1.0 - want) / cycles)
 
 
+_CRITICAL_TABLE = TableSequence([1.0, 1.0], tail_ratio=0.1)
+# (spec, where its tail record starts the constant run at horizon 1,000)
+_RUNS = {
+    "table": (_TABLE, 5),
+    "dual-mms3": (mms(3, 2.1, 1.0).dual(), 3),
+    "dual-mms2": (mms(2, 1.4, 1.0).dual(), 2),
+    "critical-table": (BirthDeathSpec(_CRITICAL_TABLE, _CRITICAL_TABLE, 10.0, 1.0), 2),
+    "mminf": (mminf(2.0, 1.0), None),
+    "table-degree-2": (_TRANSIENT_TABLE, None),
+    "callable": (BirthDeathSpec(CallableSequence(lambda n: -0.5 * n, tail_ratio=math.exp(-0.5)),
+                                OnesSequence(), 1.0, 1.0), None),
+}
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_the_constant_run_starts_one_past_the_tail_record(name):
+    # a geometric record (degree 0, no factorial) starts the run one level past
+    # its start, whatever the rounding of the weights; mminf, a record of
+    # degree 2 and a callable, even a geometric one, have none
+    spec, n_flat = _RUNS[name]
+    tables = simulate_module._walk_tables(spec, 1_000)
+    assert tables.n_flat == n_flat
+    assert tables.p_at.size == (1_000 if n_flat is None else n_flat + 1)
+    _rate_up_probabilities(spec, 1_000, n_flat)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["table", "dual-mms3", "dual-mms2", "critical-table"])
+def test_declared_runs_follow_the_exact_law(name, seed):
+    # the draws of these chains moved when their runs came to be read from the
+    # record; they escape at 1 - F(top - 1) (3 sigma) and stay in the DKW band
+    # of alpha = 1e-6
+    spec, cycles, top = _RUNS[name][0], 20_000, 1_000
+    sample = simulate_cycles(spec, SimConfig(seed=seed, cycles=cycles, escape_horizon=top))
+    assert sample.cycles == cycles
+    exact = CycleMaxDistribution(spec).cdf(np.arange(1, top))
+    want = 1.0 - exact[-1]
+    assert abs(sample.escaped_fraction - want) <= 3.0 * math.sqrt(want * (1.0 - want) / cycles)
+    emp = np.searchsorted(np.sort(sample.maxima), np.arange(1, top), side="right") / cycles
+    assert np.max(np.abs(emp - exact)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cycles))
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -893,8 +948,10 @@ def test_block_sizer_is_total(rho):
 
 @pytest.mark.parametrize("s", [2, 3, 8])
 def test_multi_server_up_probability_is_flat_from_s(s):
-    p_up = _up_probabilities(mms(s, 0.8 * s, 1.0), 1_000)
-    assert _flat_start(p_up, 1_000) == s
+    spec = mms(s, 0.8 * s, 1.0)
+    n_flat = simulate_module._walk_tables(spec, 1_000).n_flat
+    assert n_flat == s
+    _rate_up_probabilities(spec, 1_000, n_flat)  # constant from s on
 
 
 def test_inversion_sampler_reaches_deep_critical_records():
@@ -947,8 +1004,7 @@ def _jump_counts(spec, cycles, horizon, seed, n_flat=None):
     # starts in one when n_flat = 1).
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
     flat = top if n_flat is None else n_flat
-    rates = [(spec.birth_rate(n), spec.death_rate(n)) for n in range(1, top)]
-    p_up = np.array([0.0] + [b / (b + d) for b, d in rates])
+    p_up = np.array(_rate_up_probabilities(spec, top, n_flat))
     rng = np.random.default_rng(seed)
     state = np.ones(cycles, dtype=np.int64)
     jumps = np.full(cycles, float(n_flat == 1))
@@ -1030,25 +1086,37 @@ def test_charged_jumps_match_a_simulated_count(spec, horizon):
 
 
 def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
-    builds = []
-    for name in ("_up_probabilities", "_log_expected_jumps", "_flat_start"):
-        def counted(*args, _fn=getattr(simulate_module, name), _name=name):
-            builds.append(_name)
-            return _fn(*args)
+    builds, growths = [], []
+    jumps, grow = simulate_module._log_expected_jumps, _LawTables.grow
 
-        monkeypatch.setattr(simulate_module, name, counted)
+    def counted(*args):
+        builds.append(args)
+        return jumps(*args)
+
+    def growing(tables, spec, n):
+        before = len(tables.log_w)
+        grow(tables, spec, n)
+        if len(tables.log_w) > before:
+            growths.append((before, len(tables.log_w)))
+
+    monkeypatch.setattr(simulate_module, "_log_expected_jumps", counted)
+    monkeypatch.setattr(_LawTables, "grow", growing)
     spec = mms(3, 2.1, 1.0)  # a varying head and a constant run, so every table is built
     rng = np.random.default_rng(5)
     for _ in range(20):
         simulate_cycle(spec, rng)
     simulate_cycles(spec, SimConfig(seed=5, cycles=100))
     sample_maxima(spec, 10, 10, SimConfig(seed=5), mode="jump")
-    assert sorted(builds) == ["_flat_start", "_log_expected_jumps", "_up_probabilities"]
+    # one build, charged on levels 0..999 of the spec's one weight table, grown once
+    log_w = spec._law_tables.log_w
+    assert len(builds) == 1 and growths == [(0, 1_000)]
+    assert np.shares_memory(builds[0][0], log_w)
     tables = spec._walk_tables[1_000]
-    assert tables.n_flat == 3 and tables.p_list is not None
+    assert tables.n_flat == 3 and tables.p_list is not None and tables.p_at.size == 4
     assert not tables.p_at.flags.writeable
-    simulate_cycle(spec, rng, 200)  # another horizon builds its own tables
-    assert len(builds) == 6 and set(spec._walk_tables) == {200, 1_000}
+    simulate_cycle(spec, rng, 200)  # another horizon builds its own tables, from the weights held
+    assert len(builds) == 2 and set(spec._walk_tables) == {200, 1_000}
+    assert growths == [(0, 1_000)] and np.shares_memory(builds[1][0], log_w)
 
 
 @pytest.mark.parametrize("k", [10, 10**3, 10**7])
