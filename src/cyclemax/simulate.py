@@ -1,25 +1,25 @@
 """Regenerative Monte-Carlo for cycle maxima.
 
-A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  The
-maximum over the cycle depends only on the embedded up/down decisions, so
-holding times are never sampled.  The up-step probabilities are read off
-the spec's one weight table.  Where psi's tail record is geometric, the
-up-step probability is constant from n_flat, one level past the record's
-start (n_flat = 1 for M/M/1, s for M/M/s), so there a cycle is a simple
-random walk, and each of its excursions above n_flat - 1 is one move, whose
-maximum follows the gambler's-ruin law.  A
-pass moves each live cycle _BLOCK_MOVES moves from one uniform, read through
-an alias table of the exact law of those moves from its level, and draws
-the highest of the excursions among them from one more.  It walks the live
-cycles in slices of _SLICE, so its temporaries are small enough to reuse
-the allocator's pages, and draws what one pass over them all would.  Every
+A busy cycle starts with the jump 0 -> 1 and ends on the return to 0.  Its
+maximum depends only on the embedded up/down decisions, so holding times
+are never sampled.  The up-step probabilities are read off the spec's one
+weight table.  Where psi's tail record is geometric, the up-step
+probability is constant from n_flat, one level past the record's start
+(n_flat = 1 for M/M/1, s for M/M/s), and there a cycle is a simple random
+walk.  By the strong Markov property at a = n_flat - 1, a cycle of such a
+chain stays below n_flat, by the law 1/S(n - 1), or makes 1 + Geom(P_ret)
+excursions above a, whose highest peak follows the gambler's-ruin law: its
+maximum is drawn from one uniform (``_run_maxima``).  A chain without a run
+(M/M/inf, a polynomial table, a callable) is walked: a pass moves each live
+cycle _BLOCK_MOVES moves from one uniform, read through an alias table of
+the exact law of those moves from its level.  Both work in slices of
+_SLICE cycles, so their temporaries reuse the allocator's pages.  Every
 call draws from one generator seeded by ``SimConfig.seed``, so equal seeds
-give equal results; which uniforms a cycle uses is set out in
-``_simulate_batch``.  A call charged more than _MAX_JUMPS jumps raises
-before its first draw: it is charged its expected stepped jumps plus one
-per excursion, not the jumps inside the excursions.  The record of k cycles
-is also drawn by inversion of its exact law, one exponential per record,
-located in the table by a bucketed search."""
+give equal results (``_simulate_batch`` sets out which uniforms a cycle
+uses).  A call charged more than _MAX_JUMPS jumps raises before its first
+draw: one jump a cycle with a run, else its expected jumps.  The record of
+k cycles is also drawn by inversion of its exact law, one exponential per
+record, located in the table by a bucketed search."""
 
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ __all__ = [
     "ks_two_sample",
 ]
 
-# Most live cycles stepped one by one in Python below the constant run, at
-# about 100 ns a jump, when a block pass moves each cycle _BLOCK_MOVES times:
+# Most live cycles stepped one by one in Python, at about 100 ns a jump,
+# when a block pass moves each cycle _BLOCK_MOVES times:
 # such a pass costs about 12 us, so over fewer cycles it costs more per jump
 # (measured best of 6 to 32).  A table of fewer moves a pass hands
 # proportionally more cycles to Python.
@@ -80,9 +80,12 @@ _BUCKETS = 1 << 12
 # 2-vCPU host (4 ns in full passes, 70 ns for a few long cycles, 140 ns for
 # a transient walk to 2^16 levels in 4-move blocks), so about 15 s at most.
 # That cost holds however few cycles are live, since those are stepped in
-# Python, so one cycle is charged for its own jumps only.  An excursion in
-# the constant run is drawn whole, so it is charged as one jump.
+# Python, so one cycle is charged for its own jumps only.  A cycle of a
+# chain with a constant run is drawn whole, so it is charged as one jump.
 _MAX_JUMPS = 1e8
+# Most levels below a constant run compared one by one with a draw, at about
+# 6 us a slice each; a longer head is searched by buckets, at about 40 us.
+_HEAD_COMPARES = 8
 
 
 class _Escaped:
@@ -130,26 +133,20 @@ class CycleSample:
         return self.escaped / self.cycles
 
 
-def _log_expected_jumps(log_w: np.ndarray, n_flat: int | None = None) -> float:
+def _log_expected_jumps(log_w: np.ndarray) -> float:
     """log of the mean jump count E_1[min(T_0, T_top)] of one cycle from
     level 1 of the birth-death walk of weights w(m) = e^log_w[m] (w(0) = 1)
-    run to top = len(log_w), or with ``n_flat`` its stepped jumps below
-    n_flat plus its excursions above n_flat - 1.
+    run to top = len(log_w).
 
     With S(n) = sum_{i<=n} 1/w(i), a cycle visits level m on average
     v(m) = (1 - S(m-1)/S(top-1)) w(m) / p_up(m) times, and
-    w(m) / p_up(m) = w(m) + w(m-1).  It enters n_flat from n_flat - 1
-    v(n_flat - 1) p_up(n_flat - 1) = (1 - S(n_flat-2)/S(top-1)) w(n_flat - 1)
-    times, once when n_flat = 1.  The margin S(top-1) - S(m-1) is summed
+    w(m) / p_up(m) = w(m) + w(m-1).  The margin S(top-1) - S(m-1) is summed
     afresh from its positive terms, so a converging S costs no cancellation.
     """
     log_w = np.asarray(log_w, dtype=float)
     margin = np.logaddexp.accumulate(-log_w[::-1])[::-1]  # log (S(top-1) - S(m-1))
     log_visits = margin[1:] + np.logaddexp(log_w[1:], log_w[:-1]) - margin[0]
-    if n_flat is None:
-        return float(np.logaddexp.reduce(log_visits))
-    log_entries = margin[n_flat - 1] + log_w[n_flat - 1] - margin[0]
-    return float(np.logaddexp.reduce(log_visits[: n_flat - 1], initial=log_entries))
+    return float(np.logaddexp.reduce(log_visits))
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,7 @@ class _BlockTable:
     starting at flat index x * width (row 0 is never read), in the layout of
     ``_alias_rows``: a draw is read by ``_alias_entries`` with offset
     x * width.  The outcome arrays hold, by entry, the end level
-    x + ``rise``, the stepped maximum x + ``high`` and, for a chain with a
-    constant run, the count of whole ``excursions``.  ``bound`` is float64
+    x + ``rise`` and the stepped maximum x + ``high``.  ``bound`` is float64
     and the outcome arrays int8.
     """
 
@@ -171,27 +167,30 @@ class _BlockTable:
     bound: np.ndarray
     rise: np.ndarray
     high: np.ndarray
-    excursions: np.ndarray | None
 
 
 @dataclass(eq=False)
 class _WalkTables:
     """What a walk from level 1 to ``top`` reads.
 
-    ``log_jumps`` is the log of the jumps a cycle is charged, its stepped
-    jumps and its excursions (``_log_expected_jumps`` with ``n_flat``);
-    ``p_at`` is P(step up | leave n) by level, 0 at level 0, read-only, on
-    0..n_flat where a constant run exists and on 0..top-1 where none does;
-    ``p_list`` holds its head as Python floats for the Python-stepped walk,
-    extended on demand to the levels a block of draws can reach; ``n_flat``
-    is where the run starts, read from psi's tail record, or None.
-    ``blocks`` is the latest ``_BlockTable`` or None (``_block_table`` grows
-    it with the highest level reached).
+    ``n_flat`` is where the constant run starts, from psi's tail record, or
+    None; ``p_at`` is P(step up | leave n), 0 at level 0, read-only, on
+    0..n_flat with a run and on 0..top-1 without; ``log_jumps`` is the log
+    of a cycle's charge: 0 with a run, else its expected jumps.  With a run
+    (a = n_flat - 1), ``reach`` holds P(Y >= j) = 1/S(j-1) for j = 1..n_flat,
+    ``q`` = 1 - P_ret = 1/(w(a) S(a)), and ``buckets`` is a bucket index of
+    reach[:a] from just below t where a > _HEAD_COMPARES.  Without one,
+    ``p_list`` holds p_at's head as Python floats for the Python-stepped
+    walk, extended on demand, and ``blocks`` is the latest ``_BlockTable``
+    (``_block_table`` grows it with the highest level reached).
     """
 
     log_jumps: float
     p_at: np.ndarray
     n_flat: int | None
+    reach: np.ndarray | None = None
+    q: float = 1.0
+    buckets: tuple | None = None
     p_list: list = field(default_factory=list)
     blocks: _BlockTable | None = None
 
@@ -199,40 +198,40 @@ class _WalkTables:
 def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
     """The tables for (spec, top), built on first use and kept on the spec.
 
-    They read the spec's one weight table, w(n) = psihat(n) rho^n on 0..top-1
-    (phi cancels between the birth and death rate at a state), where
+    They read the spec's one weight table, w(n) = psihat(n) rho^n (phi
+    cancels between the birth and death rate at a state), where
     p_up(n) = 1 / (1 + w(n-1)/w(n)).  A geometric tail record (degree 0, no
     factorial) makes p_up constant from n_flat, one level past its start,
     at 1 / (1 + mu / (lam ratio)); a run that would start at top - 1 or
-    above is none.  mminf, a record with a degree (a polynomial table, a
-    reduction whose bottleneck loads tie) and a callable have no run and are
-    stepped to the top.
+    above is none.  A chain with a run reads levels 0..n_flat-1 only, where
+    S(j) = sum_{i<=j} 1/w(i) is summed.  mminf, a record with a degree (a
+    polynomial table, a reduction whose bottleneck loads tie) and a callable
+    have no run: they read levels 0..top-1 and are stepped to the top.
     """
     tables = spec._walk_tables.get(top)
     if tables is not None:
         return tables
     _check_levels("escape horizon or cap", top)
-    log_w = spec._law_tables.window(spec, 0, top)
     tail = spec.psi.tail
     geometric = tail is not None and not (tail.degree or tail.factorial)
     n_flat = tail.start + 1 if geometric and tail.start + 1 < top - 1 else None
-    if n_flat is None:
-        logit = np.diff(log_w)
-    else:
-        logit = np.append(np.diff(log_w[:n_flat]), math.log(spec.lam) - math.log(spec.mu) + math.log(tail.ratio))
-    p_at = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logit))))  # indexed by level
+    log_w = spec._law_tables.window(spec, 0, top if n_flat is None else n_flat)
+    run_logit = [] if n_flat is None else [math.log(spec.lam) - math.log(spec.mu) + math.log(tail.ratio)]
+    p_at = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-np.append(np.diff(log_w), run_logit)))))  # indexed by level
     p_at.flags.writeable = False
-    tables = spec._walk_tables[top] = _WalkTables(
-        log_jumps=_log_expected_jumps(log_w, n_flat),
-        p_at=p_at,
-        n_flat=n_flat,
-    )
+    if n_flat is None:
+        tables = spec._walk_tables[top] = _WalkTables(_log_expected_jumps(log_w), p_at, None)
+        return tables
+    log_s = np.logaddexp.accumulate(-log_w)  # log S(j), j = 0..a
+    tables = spec._walk_tables[top] = _WalkTables(0.0, p_at, n_flat, np.exp(-log_s), math.exp(-(log_w[-1] + log_s[-1])))
+    if n_flat - 1 > _HEAD_COMPARES:
+        tables.buckets = _bucket_index(tables.reach[:-1], np.nextafter(tables.reach[-1], 0.0), 1.0)
     return tables
 
 
 def _refuse_long_runs(spec: BirthDeathSpec, n_cycles: int, horizon: int) -> None:
     """Raise before the first draw when n_cycles cycles are charged more than
-    _MAX_JUMPS jumps: the stepped ones plus one per excursion drawn whole."""
+    _MAX_JUMPS jumps: one a cycle with a run, else its expected jumps."""
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
     _charge(_walk_tables(spec, top).log_jumps, n_cycles, horizon)
 
@@ -255,43 +254,33 @@ def simulate_cycle(spec: BirthDeathSpec, rng: np.random.Generator, escape_horizo
     return ESCAPED if escaped else int(maxima[0])
 
 
-def _block_law(p_at: np.ndarray, n_flat: int | None, levels: np.ndarray, d: int) -> np.ndarray:
+def _block_law(p_at: np.ndarray, levels: np.ndarray, d: int) -> np.ndarray:
     """The exact law of d moves from each of ``levels``, by a forward DP over
     ``p_at`` alone.
 
-    Entry [r, m, g, e] is the probability that the moves from x = levels[r]
-    reach the stepped maximum x + m and end g below it, at x + m - g, after
-    e excursions.  Level 0 is absorbing, and so is the top, p_at.size,
-    without a constant run.  With one, levels stop at n_flat, and the move
-    from there is a whole excursion back to n_flat - 1, counted in e:
-    whether one of them reached the top is drawn later with their maximum.
+    Entry [r, m, g] is the probability that the moves from x = levels[r]
+    reach the stepped maximum x + m and end g below it, at x + m - g.
+    Level 0 and the top, p_at.size, are absorbing.
     """
     top = p_at.size
-    ceiling = top if n_flat is None else n_flat  # no move climbs above it
-    ne = 1 if n_flat is None else (d + 1) // 2 + 1
-    reach = min(d, ceiling - int(levels[0]))  # the most any maximum can rise
+    reach = min(d, top - int(levels[0]))  # the most any maximum can rise
     m = np.arange(reach + 1)
     y = levels[:, None, None] + m[:, None] - np.arange(d + 1)  # the level at (m, g)
-    stepped = (y > 0) & (y < ceiling)
+    stepped = (y > 0) & (y < top)
     p = np.where(stepped, p_at.take(np.clip(y, 0, top - 1)), 0.0)
-    q = np.where(stepped, 1.0 - p, 0.0)[..., None]
-    p = p[..., None]
-    stay = ((y == 0) | (y == top) if n_flat is None else y == 0)[..., None]
-    flat = None if n_flat is None else (y == n_flat)[..., None]
-    law = np.zeros((levels.size, reach + 1, d + 1, ne))
-    law[:, 0, 0, 0] = 1.0
+    q = np.where(stepped, 1.0 - p, 0.0)
+    stay = (y == 0) | (y == top)
+    law = np.zeros((levels.size, reach + 1, d + 1))
+    law[:, 0, 0] = 1.0
     for t in range(d):
-        mw, gw, ew = min(t, reach) + 1, t + 1, min(ne, (t + 1) // 2 + 1)  # what t moves reach
-        now = law[:, :mw, :gw, :ew]
+        mw, gw = min(t, reach) + 1, t + 1  # what t moves reach
+        now = law[:, :mw, :gw]
         law = np.zeros_like(law)
-        law[:, :mw, :gw, :ew] = now * stay[:, :mw, :gw]
-        law[:, :mw, 1 : gw + 1, :ew] += now * q[:, :mw, :gw]
-        if flat is not None:
-            f = min(ew, ne - 1)
-            law[:, :mw, 1 : gw + 1, 1 : f + 1] += now[..., :f] * flat[:, :mw, :gw]
-        law[:, :mw, : gw - 1, :ew] += now[:, :, 1:] * p[:, :mw, 1:gw]
+        law[:, :mw, :gw] = now * stay[:, :mw, :gw]
+        law[:, :mw, 1 : gw + 1] += now * q[:, :mw, :gw]
+        law[:, :mw, : gw - 1] += now[:, :, 1:] * p[:, :mw, 1:gw]
         top_up = min(mw, reach)  # a step up from the maximum raises it
-        law[:, 1 : top_up + 1, 0, :ew] += now[:, :top_up, 0] * p[:, :top_up, 0]
+        law[:, 1 : top_up + 1, 0] += now[:, :top_up, 0] * p[:, :top_up, 0]
     return law
 
 
@@ -356,16 +345,15 @@ def _alias_entries(u: np.ndarray, offset: np.ndarray, width: int, bound: np.ndar
     return entry
 
 
-def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -> _BlockTable:
+def _build_blocks(p_at: np.ndarray, rows: int, moves: int) -> _BlockTable:
     """The block table of levels 1..rows, of ``moves`` moves, halved while
     the table would hold more than _TABLE_CELLS cells, down to one move."""
     d = moves
     while True:
-        ne = 1 if n_flat is None else (d + 1) // 2 + 1
-        chunk = max(1, _LAW_CELLS // ((d + 1) * (d + 1) * ne))
+        chunk = max(1, _LAW_CELLS // ((d + 1) * (d + 1)))
         width, parts = 1, []
         for lo in range(1, rows + 1, chunk):
-            law = _block_law(p_at, n_flat, np.arange(lo, min(lo + chunk, rows + 1)), d)
+            law = _block_law(p_at, np.arange(lo, min(lo + chunk, rows + 1)), d)
             law = law.reshape(law.shape[0], -1)
             seen = law > 0.0
             used = int(seen.sum(axis=1).max())
@@ -383,8 +371,7 @@ def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -
         b, source = _alias_rows(np.pad(law, pad))
         bound.append(b)
         pairs.append(np.take_along_axis(np.pad(code, pad), source, axis=1).ravel())
-    code = np.concatenate(pairs)
-    high, below = code // ((d + 1) * ne), code // ne % (d + 1)
+    high, below = np.divmod(np.concatenate(pairs), d + 1)
     return _BlockTable(
         moves=d,
         rows=rows,
@@ -392,20 +379,18 @@ def _build_blocks(p_at: np.ndarray, n_flat: int | None, rows: int, moves: int) -
         bound=np.concatenate(bound),
         rise=(high - below).astype(np.int8),
         high=high.astype(np.int8),
-        excursions=None if n_flat is None else (code % ne).astype(np.int8),
     )
 
 
 def _block_table(tables: _WalkTables, level: int) -> _BlockTable:
     """The cached block table of a walk, with a row for ``level``: when it
     has none, it is rebuilt with twice its rows, or up to ``level``, within
-    the levels a cycle can stand on (below the top, at most n_flat)."""
+    the levels a cycle can stand on (below the top)."""
     held = tables.blocks
     if held is not None and held.rows >= level:
         return held
-    limit = tables.n_flat or tables.p_at.size - 1
-    rows = min(max(level, 2 * held.rows if held else _BLOCK_ROWS), limit)
-    tables.blocks = _build_blocks(tables.p_at, tables.n_flat, rows, held.moves if held else _BLOCK_MOVES)
+    rows = min(max(level, 2 * held.rows if held else _BLOCK_ROWS), tables.p_at.size - 1)
+    tables.blocks = _build_blocks(tables.p_at, rows, held.moves if held else _BLOCK_MOVES)
     return tables.blocks
 
 
@@ -456,40 +441,39 @@ def _run_cycles(
         rest = tuple(a.take(keep) for a in rest)
 
 
-def _excursion_peaks(u: np.ndarray, low: int, top: int, p: float, count=None) -> np.ndarray:
-    """The peaks low + J of walks from low + 1 with up-step probability p that
-    stop on leaving (low, top), one per uniform in u, computed in place in u;
-    with ``count``, the highest peak of count[i] such walks for u[i].
+def _excursion_peaks(u: np.ndarray, cap: int, p: float, q: float = 1.0) -> np.ndarray:
+    """The highest rise J, one per uniform in u and computed in place in u,
+    of the excursions above a level a of cycles in a run of up-step
+    probability p, each from a + 1 until it falls back to a or reaches
+    a + cap; a cycle makes one, and after each another with probability 1 - q.
 
-    By gambler's ruin such a walk reaches low + j before low with probability
-    h(j) = 1 / sum_{i<j} r^i, r = (1 - p) / p, so J, the largest j with h(j)
-    at least v = 1 - u, is floor(log1p(expm1(log r) / v) / log r), or
-    floor(1 / v) at r = 1.  Where the log1p argument is at most -1 the walk
-    may never come back and J is unbounded.  J is capped at top - low, where
-    the walk leaves at the top.  The highest of E walks reaches low + j with
-    probability 1 - (1 - h(j))^E, so for it v = 1 - u^(1/E), computed as
-    -expm1(log(u) / E).
+    By gambler's ruin one reaches a + j with probability h(j) =
+    1 / sum_{i<j} r^i, r = (1 - p) / p, so the highest does with probability
+    h / (h + q (1 - h)).  J, the largest j where that is at least v = 1 - u,
+    is the largest with h(j) >= h* = v q / (u + v q) (h* = v at q = 1):
+    floor(log1p(expm1(log r) / h*) / log r), or floor(1 / h*) at r = 1.
+    Where the log1p argument is at most -1 the walk may never come back and
+    J is unbounded.  J is capped at ``cap`` and is at least 1.
     """
     p = min(max(p, 2.0**-60), 1.0 - 2.0**-53)  # log r finite; changes no draw with u > 0
     log_r = math.log1p(-p) - math.log(p)
-    if count is None:
-        np.subtract(1.0, u, out=u)
-    else:
-        with np.errstate(divide="ignore"):
-            np.log(u, out=u)  # -inf at u = 0, where v = 1
-        u /= count
-        np.expm1(u, out=u)
-        np.negative(u, out=u)
-    if log_r == 0.0:
-        np.divide(1.0, u, out=u)
-    else:
-        np.divide(math.expm1(log_r), u, out=u)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # h* may underflow to 0 with q
+        if q == 1.0:
+            np.subtract(1.0, u, out=u)
+        else:
+            v = np.subtract(1.0, u)
+            v *= q
+            u += v
+            np.divide(v, u, out=u)
+        if log_r == 0.0:
+            np.divide(1.0, u, out=u)
+        else:
+            np.divide(math.expm1(log_r), u, out=u)
             np.log1p(u, out=u)  # -inf or nan where J is unbounded
-        u *= 1.0 / log_r
+            u *= 1.0 / log_r
     np.floor(u, out=u)
-    np.fmin(u, top - low, out=u)  # also replaces nan by the cap
-    u += low
+    np.fmin(u, cap, out=u)  # also replaces nan by the cap
+    np.maximum(u, 1.0, out=u)
     return u
 
 
@@ -509,99 +493,99 @@ def _walk(draws: list, level: int, peak: int, p_at: list, stop: int) -> tuple[in
     return level, peak
 
 
+def _run_maxima(tables: _WalkTables, n_cycles: int, rng: np.random.Generator, top: int) -> np.ndarray:
+    """The int64 maxima, capped at ``top``, of n_cycles cycles of a chain
+    with a run, one uniform u each, drawn into the returned array (viewed as
+    float64) and turned into maxima slice by slice.
+
+    With a = n_flat - 1, t = P(Y >= n_flat) = 1/S(a).  From u >= t the
+    maximum is the count of levels j <= a with P(Y >= j) above u, compared
+    one by one or searched by buckets.  From u < t, where that count is a
+    (each P(Y >= j) is at least t, above the index's lowest key), it is
+    a + J for the highest of the cycle's excursions above a, from u / t
+    (``_excursion_peaks``): by the strong Markov property at a, another
+    follows each with P_ret = S(a-1)/S(a) = 1 - q, the chance to step up
+    from a before falling to 0.  M/M/1 (a = 0, t = q = 1) reads u alone.
+    """
+    a, t, p = tables.n_flat - 1, float(tables.reach[-1]), float(tables.p_at[-1])
+    head = tables.reach[1:a].tolist() if tables.buckets is None else None
+    peak = np.empty(n_cycles, dtype=np.int64)
+    u = peak.view(np.float64)
+    rng.random(out=u)
+    for lo in range(0, n_cycles, _SLICE):
+        s_u = u[lo : lo + _SLICE]
+        if not a:
+            peak[lo : lo + _SLICE] = _excursion_peaks(s_u, top, p).astype(np.int64)
+            continue
+        # P(Y >= 1) = 1 lies above every u
+        stepped = _bucket_counts(tables.buckets, s_u) if head is None else sum((s_u < h for h in head), 1)
+        run = s_u < t
+        s_u *= 1.0 / t if t >= 2.0**-1022 else 0.0  # u / t, read as 0 where t is not normal
+        np.minimum(s_u, 1.0 - 2.0**-53, out=s_u)  # u / t < 1, also where it rounds up
+        s_u = _excursion_peaks(s_u, top - a, p, tables.q)
+        s_u *= run
+        peak[lo : lo + _SLICE] = s_u.astype(np.int64)
+        peak[lo : lo + _SLICE] += stepped
+    return peak
+
+
 def _simulate_batch(
     spec: BirthDeathSpec, n_cycles: int, rng: np.random.Generator, horizon: int
 ) -> tuple[np.ndarray, int]:
     """Vectorised cycles; returns (recorded maxima, escaped count).
 
-    Each pass draws from ``rng`` for the live cycles, in cycle order, and a
-    draw's shape says how it is used:
-    - With n_flat = 1 (M/M/1) each cycle is one excursion from level 1: one
-      1-D draw, and its uniforms give the peaks (``_excursion_peaks``).
-    - Otherwise every pass not listed below moves each live cycle by
-      _BLOCK_MOVES moves at once (fewer past _TABLE_CELLS), one 1-D draw for
-      each slice of _SLICE live cycles, each uniform read through the alias
-      table of the exact law of the moves from its cycle's level
-      (``_block_table``).  A move from n_flat is a whole excursion back to
-      a = n_flat - 1.  After the last slice, each slice in which the block
-      of some cycles holds E > 0 excursions draws one uniform for each such
-      cycle in cycle order, from which their highest peak is drawn
-      (``_excursion_peaks`` with count E).  So the stream is read as by one
-      draw for all live cycles and then one for all cycles with excursions.
-      A cycle whose highest excursion reaches the top ends the pass there
-      with peak top; the others end where their block ends, with the higher
-      of its stepped maximum and that peak.  0 is absorbing, and so is the
-      top without a constant run.
+    A chain with a constant run makes one draw of a uniform per cycle, in
+    cycle order, that gives its maximum (``_run_maxima``).  A chain without
+    one draws in passes, each for the live cycles in cycle order:
+    - Most passes move each live cycle by _BLOCK_MOVES moves (fewer past
+      _TABLE_CELLS), one 1-D draw for each slice of _SLICE live cycles, each
+      uniform read through the alias table of the exact law of the moves
+      from its cycle's level (``_block_table``); 0 and the top absorb.
     - A (B, live) draw, made when at most _TAIL_CYCLES cycles are live (more
-      if the table makes fewer moves) and none is at n_flat, moves column
-      j's cycle, stepped in Python, until it reaches 0 or n_flat (the top,
-      without a constant run) or the column ends.  B starts at _TAIL_ROWS
-      and doubles after each such draw in which some cycle used up its
+      if the table makes fewer moves), moves column j's cycle, stepped in
+      Python, until it reaches 0 or the top or the column ends.  B starts at
+      _TAIL_ROWS and doubles after each draw in which a cycle used up its
       column.
-    A cycle that reaches a cap below the horizon has its maximum and retires
-    there.
+    A cycle that reaches a cap below the horizon retires there.
     """
     capped = spec.cap is not None and spec.cap < horizon
     top = spec.cap if capped else horizon
     if top == 1:
         return np.ones(n_cycles, dtype=np.int64), 0
     tables = _walk_tables(spec, top)
-    p_at, n_flat, p_list = tables.p_at, tables.n_flat, tables.p_list
-    p_flat = float(p_at[-1])
-    if n_flat == 1:
-        # drawn into the maxima, viewed as float64, and computed slice by slice
-        peak = np.empty(n_cycles, dtype=np.int64)
-        u = peak.view(np.float64)
-        rng.random(out=u)
-        for lo in range(0, n_cycles, _SLICE):
-            s_u = _excursion_peaks(u[lo : lo + _SLICE], 0, top, p_flat)
-            np.maximum(s_u, 1.0, out=s_u)
-            peak[lo : lo + _SLICE] = s_u.astype(np.int64)
+    if tables.n_flat is not None:
+        peak = _run_maxima(tables, n_cycles, rng, top)
         if capped:
             return peak, 0
         back = peak < top
         n_back = int(np.count_nonzero(back))
         return (peak if n_back == n_cycles else peak[back]), n_cycles - n_back
-    stop = top if n_flat is None else n_flat  # where a Python-stepped walk stops
+    p_at, p_list = tables.p_at, tables.p_list
     tail_rows = _TAIL_ROWS
 
     def tail(state, peak):
         nonlocal tail_rows
         live = state.size
         draws = rng.random((min(tail_rows, _TAIL_CELLS // live), live))
-        reach = min(stop, int(state.max()) + draws.shape[0])  # no walk reads a level past it
+        reach = min(top, int(state.max()) + draws.shape[0])  # no walk reads a level past it
         if len(p_list) < reach:
             p_list.extend(p_at[len(p_list) : reach].tolist())
         for j in range(live):
-            state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, stop)
-        if ((state > 0) & (state < stop)).any():  # a cycle used up its column
+            state[j], peak[j] = _walk(draws[:, j].tolist(), int(state[j]), int(peak[j]), p_list, top)
+        if ((state > 0) & (state < top)).any():  # a cycle used up its column
             tail_rows *= 2
 
     def blocks(state, peak):
         table = _block_table(tables, int(state.max()))
-        groups = []  # (positions, counts) of each slice's cycles with excursions
         for lo in range(0, state.size, _SLICE):
             s_state, s_peak = state[lo : lo + _SLICE], peak[lo : lo + _SLICE]
             entry = _alias_entries(rng.random(s_state.size), s_state * table.width, table.width, table.bound)
             np.maximum(s_peak, s_state + table.high.take(entry), out=s_peak)
             s_state += table.rise.take(entry)
-            if table.excursions is not None:
-                count = table.excursions.take(entry)
-                at = np.flatnonzero(count > 0)
-                if at.size:
-                    groups.append((at + lo, count.take(at)))
-        for at, count in groups:
-            highest = _excursion_peaks(rng.random(at.size), n_flat - 1, top, p_flat, count)
-            state[at[highest == top]] = top
-            peak[at] = np.maximum(highest, peak.take(at), out=highest)
 
     def advance(state, peak):
         moves = tables.blocks.moves if tables.blocks else _BLOCK_MOVES
-        few = state.size * moves <= _TAIL_CYCLES * _BLOCK_MOVES
-        if few and (n_flat is None or not (state == n_flat).any()):
-            tail(state, peak)
-        else:
-            blocks(state, peak)
+        (tail if state.size * moves <= _TAIL_CYCLES * _BLOCK_MOVES else blocks)(state, peak)
 
     return _run_cycles(n_cycles, top, advance, escapes=not capped)
 
@@ -660,46 +644,56 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
     return h
 
 
-def _bucket_search(h: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The count of table values above each key, written to the int64 array
-    out: for a non-increasing table h and keys g >= 0, the same values as
-    np.searchsorted(-h, -g, "left").  out may share g's memory: the keys are
-    searched in slices of _SLICE, and each slice is written once it is read.
-
-    An indexed search (Chen and Asau, 1974).  The int64 bit pattern of a
-    non-negative double rises with it, so its top bits split [min g, min(h[0],
-    max g)] into at most _BUCKETS buckets, each a fixed share of a binade.
-    One search of the bucket edges bounds each bucket's answer by the counts
-    at its two edges.  Each key then takes its bucket's lower count and
-    closes the gap, at most the widest bucket's, by a branch-free binary
-    search: one pass when no two table values share a bucket, as on
-    geometric tails.  Keys above the last bucket share its answer, which
-    is 0 there.
+def _bucket_index(h: np.ndarray, lo: float, hi: float) -> tuple:
+    """The index (shift, base, counts, steps, padded) of a non-increasing
+    table h for ``_bucket_counts`` on keys in [lo, hi], lo >= 0: an indexed
+    search (Chen and Asau, 1974).  The int64 bit pattern of a non-negative
+    double rises with it, so its top bits, past ``shift``, split [lo,
+    min(h[0], hi)] into at most _BUCKETS buckets from ``base``, each a fixed
+    share of a binade.  ``counts`` holds the table values above each
+    bucket's upper edge, ``steps`` the first step of a binary search over
+    the most values a bucket holds, and ``padded`` is h padded for it.
     """
-    lo = int(g.min().view(np.int64))
-    hi = max(int(np.float64(min(h[0], g.max())).view(np.int64)), lo)
+    lo_bits = int(np.float64(lo).view(np.int64))
+    hi_bits = max(int(np.float64(min(h[0], hi)).view(np.int64)), lo_bits)
     shift = 0
-    while (hi >> shift) - (lo >> shift) >= _BUCKETS:
+    while (hi_bits >> shift) - (lo_bits >> shift) >= _BUCKETS:
         shift += 1
-    base = lo >> shift
-    n_buckets = (hi >> shift) - base + 1
+    base = lo_bits >> shift
+    n_buckets = (hi_bits >> shift) - base + 1
     edges = ((base + np.arange(n_buckets + 1, dtype=np.int64)) << shift).view(np.float64)
     counts = np.searchsorted(-h, -edges, side="left")  # table values above each edge
     width = int((counts[:-1] - counts[1:]).max())
-    first_steps = 1 << (width.bit_length() - 1) if width else 0
-    padded = np.concatenate((h, np.full(first_steps, -1.0)))  # never above a key
+    steps = 1 << (width.bit_length() - 1) if width else 0
+    return shift, base, counts[1:], steps, np.concatenate((h, np.full(steps, -1.0)))  # never above a key
+
+
+def _bucket_counts(index: tuple, keys: np.ndarray) -> np.ndarray:
+    """The int64 count of table values above each key (``_bucket_index``):
+    its bucket's lower count, raised by a branch-free binary search of at
+    most the widest bucket, one pass when no two values share a bucket, as
+    on geometric tails.  Keys above the last bucket share its answer, 0; a
+    key below lo gets its count too where every table value lies above lo."""
+    shift, base, counts, steps, padded = index
+    at = keys.view(np.int64) >> shift
+    at -= base
+    at = counts.take(at, mode="clip")
+    while steps > 1:
+        at += (padded.take(at + (steps - 1)) > keys) * steps
+        steps >>= 1
+    if steps:  # the last pass, and the only one when no bucket holds two values
+        at += padded.take(at) > keys
+    return at
+
+
+def _bucket_search(h: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The count of table values above each key, np.searchsorted(-h, -g,
+    "left") for a non-increasing table h and keys g >= 0, written to the
+    int64 array out, which may share g's memory: the keys are searched in
+    slices of _SLICE, and each slice is written once it is read."""
+    index = _bucket_index(h, float(g.min()), float(g.max()))
     for lo in range(0, g.size, _SLICE):
-        keys = g[lo : lo + _SLICE]
-        at = keys.view(np.int64) >> shift
-        at -= base
-        at = counts[1:].take(at, mode="clip")  # keys above the last bucket share its answer
-        steps = first_steps
-        while steps > 1:
-            at += (padded.take(at + (steps - 1)) > keys) * steps
-            steps >>= 1
-        if steps:  # the last pass, and the only one when no bucket holds two values
-            at += padded.take(at) > keys
-        out[lo : lo + _SLICE] = at
+        out[lo : lo + _SLICE] = _bucket_counts(index, g[lo : lo + _SLICE])
     return out
 
 

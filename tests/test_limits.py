@@ -160,6 +160,40 @@ def test_block_tables_grow_with_the_levels_reached_not_the_horizon():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_chain_with_a_run_is_charged_one_jump_a_cycle():
+    # each M/M/8 cycle is one uniform, so 4e5 of them fit the jump budget
+    proc = _program("""
+        import time
+        from cyclemax import SimConfig, mms, simulate_cycles
+        start = time.perf_counter()
+        assert simulate_cycles(mms(8, 5.6, 1), SimConfig(cycles=4 * 10**5)).cycles == 4 * 10**5
+        assert time.perf_counter() - start < 1.0
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_chain_with_a_run_reads_its_head_not_the_horizon():
+    # at horizon 2^20 an M/M/3 call reads levels 0..2 of its weights, which
+    # grow to their least table of 64 levels, and allocates little besides
+    # its 10^5 maxima (0.8 MB)
+    proc = _program("""
+        import time
+        import tracemalloc
+        from cyclemax import SimConfig, mms, simulate_cycles
+        spec = mms(3, 2.1, 1)
+        tracemalloc.start()
+        start = time.perf_counter()
+        assert simulate_cycles(spec, SimConfig(cycles=10**5, escape_horizon=1 << 20)).cycles == 10**5
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert seconds < 1.0, seconds
+        assert peak < 2 * 2**20, peak
+        assert spec._law_tables.log_w.size <= 64, spec._law_tables.log_w.size
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_transient_walk_keeps_its_tables_within_the_cell_cap():
     proc = _program("""
         from cyclemax import BirthDeathSpec, SimConfig, TableSequence, simulate_cycles

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 import time
 import tracemalloc
 
@@ -57,9 +56,11 @@ _CHAINS = [
     # up-step odds 3, 2/3, 2, 1/4 below 5 and 0.7 from 5 on
     (BirthDeathSpec(TableSequence([1.0, 3.0, 2.0, 4.0, 1.0], 0.7), TableSequence([1.0], 0.5), 1.0, 1.0),
      1_000, False),
+    # a head of 19 levels below the run, counted by the bucketed search
+    (mms(20, 15.0, 1.0), 1_000, False),
 ]
 _CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped", "table-transient",
-              "table"]
+              "table", "mms20"]
 
 
 def test_config_validation():
@@ -138,23 +139,37 @@ def _excursion_top(p, v, cap):
     return j
 
 
-def _highest_of(u, count):
-    """v = 1 - u^(1/count) for the highest of count excursions, as the
-    simulator computes it: -expm1(log(u) / count), 1 at u = 0."""
-    if u == 0.0:
-        return 1.0
-    return float(-np.expm1(np.log(np.array([u])) / count)[0])
+def _run_maximum(p_at, n_flat, u, top):
+    """The maximum of one cycle of a chain whose up-step probability is
+    p_at[n_flat] from n_flat on, from its uniform u, in closed form with
+    S(j) = sum_{i<=j} 1/w(i) summed from the odds of p_at, 1/w(i) =
+    prod_{k<=i} (1 - p_at[k]) / p_at[k].  With a = n_flat - 1 a cycle
+    reaches n_flat with probability t = 1/S(a).  From u >= t its maximum is
+    the count of j <= a with 1/S(j-1) above u.  From u < t it is a + J, where
+    J is that of ``_excursion_top`` at h* = v q / (x + v q), x = u / t,
+    v = 1 - x and q = 1 - S(a-1)/S(a); h* = v when q = 1 (M/M/1)."""
+    a = n_flat - 1
+    s, inv_w = [1.0], 1.0
+    for k in range(1, a + 1):
+        inv_w *= (1.0 - p_at[k]) / p_at[k]
+        s.append(s[-1] + inv_w)
+    t = 1.0 / s[a]
+    if u >= t:
+        return sum(1.0 / s[j - 1] > u for j in range(1, a + 1))
+    q = inv_w / s[a]
+    x = u / t
+    v = 1.0 - x
+    return a + _excursion_top(p_at[n_flat], v if q == 1.0 else v * q / (x + v * q), top - a)
 
 
 def _block_outcome(table, level, u):
-    """(rise, high, excursions) of one cycle's block from ``level``, read
-    from the block table with its uniform u: cell floor(u width) of the row,
-    kept when u width lies below its bound, else its alias."""
+    """(rise, high) of one cycle's block from ``level``, read from the block
+    table with its uniform u: cell floor(u width) of the row, kept when
+    u width lies below its bound, else its alias."""
     scaled = u * table.width
     cell = level * table.width + int(scaled)
     entry = 2 * cell + (scaled < table.bound[cell])
-    count = 0 if table.excursions is None else int(table.excursions[entry])
-    return int(table.rise[entry]), int(table.high[entry]), count
+    return int(table.rise[entry]), int(table.high[entry])
 
 
 def _rate_up_probabilities(spec, top, n_flat):
@@ -175,16 +190,13 @@ def _replay(spec, cycles, horizon, draws):
     cycle is moved alone in a Python loop, with up-step probabilities from
     the rates (``_rate_up_probabilities``) and n_flat from the walk tables.
 
-    Each draw is for the live cycles in cycle order.  With n_flat = 1 the
-    one 1-D draw gives each cycle its whole excursion (``_excursion_top``).
+    Each draw is for the live cycles in cycle order.  With a constant run
+    the one 1-D draw gives each cycle its maximum (``_run_maximum``).
     Otherwise a run of 1-D draws, one per slice of _SLICE live cycles, moves
     each cycle by one block, its uniform decoded through the block table
-    (``_block_outcome``); after the last slice, each slice whose blocks hold
-    excursions draws one uniform for each such cycle, in cycle order, for
-    the highest of them.  A 2-D (B, live) draw moves column j's cycle until
-    it reaches 0 or n_flat (or the top, without a constant run), or until
-    the column ends.  A cycle that reaches a cap below the horizon has its
-    maximum and ends there.
+    (``_block_outcome``).  A 2-D (B, live) draw moves column j's cycle until
+    it reaches 0 or the top, or until the column ends.  A cycle that reaches
+    a cap below the horizon has its maximum and ends there.
     """
     capped = spec.cap is not None and spec.cap < horizon
     top = spec.cap if capped else horizon
@@ -195,50 +207,33 @@ def _replay(spec, cycles, horizon, draws):
     tables = simulate_module._walk_tables(spec, top)
     n_flat = tables.n_flat
     p_at = _rate_up_probabilities(spec, top, n_flat)
-    stop = top if n_flat is None else n_flat
     live = list(range(cycles))
     draws = iter(draws)
     for u in draws:
         if u.ndim == 2:
-            assert u.shape[1] == len(live)
+            assert n_flat is None and u.shape[1] == len(live)
             for j, i in enumerate(live):
-                assert level[i] != n_flat, "a column was drawn for a cycle at n_flat"
                 for x in u[:, j].tolist():
                     level[i] += 1 if x < p_at[level[i]] else -1
                     peak[i] = max(peak[i], level[i])
-                    if level[i] in (0, stop):
+                    if level[i] in (0, top):
                         break
-        elif n_flat == 1:
+        elif n_flat is not None:
             assert u.shape == (cycles,) and len(live) == cycles
             for i in live:
-                peak[i] = max(peak[i], _excursion_top(p_at[n_flat], 1.0 - float(u[i]), top))
+                peak[i] = _run_maximum(p_at, n_flat, float(u[i]), top)
                 level[i] = top if peak[i] == top else 0
         else:
             size = simulate_module._SLICE
             slices = [live[lo : lo + size] for lo in range(0, len(live), size)]
             table = simulate_module._block_table(tables, max(level[i] for i in live))
-            groups = []
             for k, cycles_here in enumerate(slices):
                 u = u if k == 0 else next(draws)
                 assert u.shape == (len(cycles_here),)
-                counted = []
                 for i, w in zip(cycles_here, u.tolist()):
-                    rise, high, count = _block_outcome(table, level[i], w)
+                    rise, high = _block_outcome(table, level[i], w)
                     peak[i] = max(peak[i], level[i] + high)
                     level[i] += rise
-                    if count:
-                        counted.append((i, count))
-                if counted:
-                    groups.append(counted)
-            for counted in groups:
-                v = next(draws)
-                assert v.shape == (len(counted),)
-                low = n_flat - 1
-                for (i, count), w in zip(counted, v.tolist()):
-                    highest = low + _excursion_top(p_at[n_flat], _highest_of(w, count), top - low)
-                    peak[i] = max(peak[i], highest)
-                    if highest == top:
-                        level[i] = top
         live = [i for i in live if 0 < level[i] < top]
     assert not live, "the draws ran out before every cycle finished"
     escaped = 0 if capped else sum(lv == top for lv in level)
@@ -404,9 +399,9 @@ _SLICED = {
 @pytest.mark.parametrize("name", sorted(_SLICED))
 def test_block_passes_in_slices_draw_what_one_slice_draws(monkeypatch, name, size):
     # 300 cycles fit one slice by default; in slices of 3 or 64 each block
-    # draw holds at most that many uniforms, a pass's excursion draws follow
-    # all of its block draws (``_replay`` checks the order), and the stream,
-    # so every maximum, is the same
+    # draw holds at most that many uniforms, and the stream, so every
+    # maximum, is the same.  A chain with a run draws once, whatever the
+    # slice, and turns the draw into maxima slice by slice
     spec, horizon = _SLICED[name]
     whole = _simulate_batch(spec, 300, np.random.default_rng(np.random.SeedSequence([31])), horizon)
     monkeypatch.setattr(simulate_module, "_SLICE", size)
@@ -416,7 +411,10 @@ def test_block_passes_in_slices_draw_what_one_slice_draws(monkeypatch, name, siz
     assert np.array_equal(got[0], whole[0]) and got[1] == whole[1] == escaped == 0
     assert np.array_equal(got[0], maxima)
     flat = [u.size for u in rng.draws if u.ndim == 1]
-    assert max(flat) <= size and len(flat) > 300 // size
+    if name == "mminf":
+        assert max(flat) <= size and len(flat) > 300 // size
+    else:
+        assert [u.shape for u in rng.draws] == [(300,)]
 
 
 def test_capped_overloaded_chain_retires_at_the_cap():
@@ -426,9 +424,9 @@ def test_capped_overloaded_chain_retires_at_the_cap():
     cfg = SimConfig(seed=1, cycles=10)
 
     class Bounded(Recording):
-        def random(self, size):
+        def random(self, size=None, out=None):
             assert len(self.draws) < 10_000, "the cycles did not finish"
-            return super().random(size)
+            return super().random(size, out=out)
 
     rng = Bounded(np.random.default_rng(np.random.SeedSequence([cfg.seed])))
     got = _simulate_batch(spec, cfg.cycles, rng, cfg.escape_horizon)
@@ -517,28 +515,27 @@ def test_constant_rate_cycles_take_one_draw(monkeypatch):
         return rng
 
     cfg = SimConfig(seed=31, cycles=1_000, escape_horizon=200)
-    for spec in (mm1(0.3, 1.0), mm1(1.0, 1.0), mm1(1.5, 1.0), mm1(0.9, 1.0, cap=5)):
+    runs = (mms(2, 1.4, 1.0), mms(3, 4.5, 1.0), mms(3, 2.1, 1.0).dual(), _CHAINS[_CHAIN_IDS.index("table")][0])
+    for spec in (mm1(0.3, 1.0), mm1(1.0, 1.0), mm1(1.5, 1.0), mm1(0.9, 1.0, cap=5)) + runs:
         want = simulate_cycles(spec, cfg)
         with monkeypatch.context() as m:
             m.setattr(np.random, "default_rng", recorded)
             got = simulate_cycles(spec, cfg)
         assert [u.shape for u in draws[-1]] == [(1_000,)]  # every cycle ends in the first pass
         assert np.array_equal(got.maxima, want.maxima) and got.escaped == want.escaped
-    # one M/M/s cycle is stepped in Python below s only: each of its stays
-    # below s takes one column (a stay is short: a step leaves {1, 2} with
-    # probability 0.69 from 2 and 0.18 from 1).  Each visit to s takes one
-    # block of moves, which starts with an excursion, and one uniform for
-    # the highest excursion of the block
+    # one transient M/M/s cycle, whether it stays below s, returns from its
+    # excursions above s - 1 or escapes, is one uniform, whose closed form
+    # gives its maximum
     spec = mms(3, 4.5, 1.0)
-    for seed in range(5):
+    seen = set()
+    for seed in range(20):
         rng = Recording(np.random.default_rng(seed))
         got = simulate_cycle(spec, rng, 1_000)
-        assert got is ESCAPED or got >= 1
-        kinds = "".join("U" if u.ndim == 1 else "B" for u in rng.draws)
-        assert re.fullmatch(r"B((UU)+B)*(UU)*", kinds)
-        assert all(u.shape == (1,) for u in rng.draws if u.ndim == 1)
-        # no column was used up, so none grew
-        assert all(u.shape == (simulate_module._TAIL_ROWS, 1) for u in rng.draws if u.ndim == 2)
+        assert [u.shape for u in rng.draws] == [(1,)]
+        maxima, escaped = _replay(spec, 1, 1_000, rng.draws)
+        assert got == (ESCAPED if escaped else int(maxima[0]))
+        seen.add("escaped" if got is ESCAPED else "below" if got < 3 else "run")
+    assert seen == {"escaped", "below", "run"}
 
 
 _LAW_CHAINS = [
@@ -587,8 +584,22 @@ def test_one_level_dependent_cycle_takes_a_handful_of_draws():
 
 _TABLE = _CHAINS[_CHAIN_IDS.index("table")][0]
 _TRANSIENT_TABLE = _CHAINS[_CHAIN_IDS.index("table-transient")][0]
-# (spec, top, start levels to check): chains without a constant run, with one
-# (from 3), with a cap on either, and the table, whose run starts at 5
+
+
+def _stepped_tables(spec, top):
+    """The walk tables of (spec, top), or, for a chain with a constant run,
+    tables that step its whole walk to the top as a chain without one does,
+    with up-step probabilities from the rates: block tables serve only
+    chains without a run, but their law holds on any walk."""
+    tables = simulate_module._walk_tables(spec, top)
+    if tables.n_flat is None:
+        return tables
+    return simulate_module._WalkTables(0.0, np.array(_rate_up_probabilities(spec, top, None)), None)
+
+
+# (spec, top, start levels to check): chains without a constant run, walks
+# that step through one (from 3), with a cap on either, and the table's walk,
+# whose up-step odds vary below 5
 _BLOCK_CHAINS = [
     (mminf(2.0, 1.0), 1_000, [1, 2, 3, 5, 17, 40]),
     (mms(3, 2.1, 1.0), 1_000, [1, 2, 3]),
@@ -599,78 +610,73 @@ _BLOCK_CHAINS = [
 _BLOCK_IDS = ["mminf2", "mms3", "mminf2-capped", "mms3-capped", "table"]
 
 
-def _path_sum(p_at, n_flat, x, d):
+def _path_sum(p_at, x, d):
     """The law of d moves from x as a sum over all 2^d up/down patterns: a
     pattern's probability is the product of its moves', where a forced move
-    (staying at 0 or at the top without a run, a whole excursion from
-    n_flat) has probability 1 for bit 0 and 0 for bit 1.  Returns
-    {(rise, high, excursions): probability}."""
+    (staying at 0 or at the top) has probability 1 for bit 0 and 0 for bit
+    1.  Returns {(rise, high): probability}."""
     top = p_at.size
     bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
     level = np.full(1 << d, x)
     high = level.copy()
-    count = np.zeros(1 << d, dtype=np.int64)
     prob = np.ones(1 << d)
     for b in bits.T:
-        stays = (level == 0) | ((level == top) if n_flat is None else False)
-        whole = level == n_flat
+        stays = (level == 0) | (level == top)
         p = p_at[np.clip(level, 0, top - 1)]
-        prob *= np.where(stays | whole, ~b, np.where(b, p, 1.0 - p))
-        level = np.where(stays, level, np.where(b & ~whole, level + 1, level - 1))
-        count += whole
+        prob *= np.where(stays, ~b, np.where(b, p, 1.0 - p))
+        level = np.where(stays, level, np.where(b, level + 1, level - 1))
         high = np.maximum(high, level)
     law = {}
-    for key, pr in zip(zip((level - x).tolist(), (high - x).tolist(), count.tolist()), prob.tolist()):
+    for key, pr in zip(zip((level - x).tolist(), (high - x).tolist()), prob.tolist()):
         if pr:
             law[key] = law.get(key, 0.0) + pr
     return law
 
 
-def _dp_outcomes(p_at, n_flat, x, d):
-    law = simulate_module._block_law(p_at, n_flat, np.array([x]), d)[0]
-    return {(m - g, m, e): pr for (m, g, e), pr in np.ndenumerate(law) if pr}
+def _dp_outcomes(p_at, x, d):
+    law = simulate_module._block_law(p_at, np.array([x]), d)[0]
+    return {(m - g, m): pr for (m, g), pr in np.ndenumerate(law) if pr}
 
 
 @pytest.mark.parametrize("d", [16, 1])
 @pytest.mark.parametrize("spec, top, levels", _BLOCK_CHAINS, ids=_BLOCK_IDS)
 def test_block_law_equals_a_path_sum(spec, top, levels, d):
-    tables = simulate_module._walk_tables(spec, top)
+    tables = _stepped_tables(spec, top)
     for x in levels:
-        want = _path_sum(tables.p_at, tables.n_flat, x, d)
-        got = _dp_outcomes(tables.p_at, tables.n_flat, x, d)
+        want = _path_sum(tables.p_at, x, d)
+        got = _dp_outcomes(tables.p_at, x, d)
         assert set(got) == set(want)
         assert max(abs(got[k] - want[k]) for k in want) <= 1e-14
     # every row of a batch is computed as it would be alone
-    law = simulate_module._block_law(tables.p_at, tables.n_flat, np.array(levels), d)
+    law = simulate_module._block_law(tables.p_at, np.array(levels), d)
     for row, x in zip(law, levels):
-        alone = simulate_module._block_law(tables.p_at, tables.n_flat, np.array([x]), d)[0]
+        alone = simulate_module._block_law(tables.p_at, np.array([x]), d)[0]
         assert np.array_equal(row[: alone.shape[0]], alone) and not row[alone.shape[0] :].any()
 
 
 def _table_outcomes(table, x):
-    """{(rise, high, excursions): probability} that row x of a block table
-    gives a uniform: cell c with probability keep / width and its alias
-    with probability (1 - keep) / width, keep = bound - (c - x width)."""
+    """{(rise, high): probability} that row x of a block table gives a
+    uniform: cell c with probability keep / width and its alias with
+    probability (1 - keep) / width, keep = bound - (c - x width)."""
     law = {}
     for c in range(x * table.width, (x + 1) * table.width):
         keep = table.bound[c] - (c - x * table.width)
         for entry, pr in ((2 * c + 1, keep), (2 * c, 1.0 - keep)):
-            e = 0 if table.excursions is None else int(table.excursions[entry])
-            key = (int(table.rise[entry]), int(table.high[entry]), e)
+            key = (int(table.rise[entry]), int(table.high[entry]))
             law[key] = law.get(key, 0.0) + pr / table.width
     return law
 
 
 @pytest.mark.parametrize("spec, top, levels", _BLOCK_CHAINS, ids=_BLOCK_IDS)
 def test_block_tables_rebuild_the_block_law(spec, top, levels):
-    tables = simulate_module._walk_tables(spec, top)
+    tables = _stepped_tables(spec, top)
     table = simulate_module._block_table(tables, max(levels))
     assert table.moves == simulate_module._BLOCK_MOVES and table.rows >= max(levels)
     assert table.width & (table.width - 1) == 0
     keep = table.bound - np.tile(np.arange(table.width), table.rows + 1)
     assert np.all((keep >= 0.0) & (keep <= 1.0))
     for x in sorted(set(levels) | set(range(1, min(table.rows, 20) + 1))):
-        want = _dp_outcomes(tables.p_at, tables.n_flat, x, table.moves)
+        want = _dp_outcomes(tables.p_at, x, table.moves)
         got = _table_outcomes(table, x)
         assert max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)) <= 1e-15
 
@@ -691,17 +697,18 @@ def test_block_tables_grow_with_the_highest_level(monkeypatch):
     # a level past twice the rows is reached at once; the table stops below the top
     assert simulate_module._block_table(tables, 100).rows == 100
     assert simulate_module._block_table(tables, 999).rows == 999
-    # with a run, a cycle never stands above n_flat
-    run = simulate_module._walk_tables(mms(3, 2.1, 1.0), 1_000)
-    assert simulate_module._block_table(run, 3).rows == 3
+    # a chain with a run draws its cycles whole and builds no block table
+    run = mms(3, 2.1, 1.0)
+    simulate_cycles(run, SimConfig(seed=1, cycles=1_000))
+    assert run._walk_tables[1_000].blocks is None
     # past the cell cap the moves halve, down to one
     for cap, moves in ((1_000, 8), (300, 4), (10, 1)):
         monkeypatch.setattr(simulate_module, "_TABLE_CELLS", cap)
-        small = simulate_module._build_blocks(tables.p_at, None, 16, simulate_module._BLOCK_MOVES)
+        small = simulate_module._build_blocks(tables.p_at, 16, simulate_module._BLOCK_MOVES)
         assert small.moves == moves
         assert (small.rows + 1) * small.width <= cap or moves == 1
         for x in (1, 2, 16):
-            want = _dp_outcomes(tables.p_at, None, x, moves)
+            want = _dp_outcomes(tables.p_at, x, moves)
             got = _table_outcomes(small, x)
             assert max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)) <= 1e-15
 
@@ -728,7 +735,7 @@ def _alias_table(kind):
     """(bound, width, int32 rows, offsets) of a block or an event table; a
     chain passes its levels times the width, a network its held offsets."""
     if kind == "block":
-        table = simulate_module._block_table(simulate_module._walk_tables(mms(3, 2.1, 1.0), 1_000), 3)
+        table = simulate_module._block_table(_stepped_tables(mms(3, 2.1, 1.0), 1_000), 3)
         rows = np.arange(1, table.rows + 1, dtype=np.int32)
         return table.bound, table.width, rows, lambda at: at * table.width
     table = NetworkSpec(mu0=_MIXED.mu0, stations=_MIXED.stations, routing=_MIXED.routing)._event_table
@@ -844,6 +851,51 @@ def test_declared_runs_follow_the_exact_law(name, seed):
     assert np.max(np.abs(emp - exact)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cycles))
 
 
+# chains with a constant run: M/M/s below, near and above its critical load,
+# a dual, a capped one and a declared table
+_RUN_CHAINS = {
+    "mms2": mms(2, 1.4, 1.0),
+    "mms3": mms(3, 2.1, 1.0),
+    "mms8": mms(8, 5.6, 1.0),
+    "mms3-transient": mms(3, 4.5, 1.0),
+    "dual-mms3": mms(3, 2.1, 1.0).dual(),
+    "mms2-capped": mms(2, 1.4, 1.0, cap=30),
+    "table": _TABLE,
+    "mms2-near-critical": mms(2, 1.999, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", _RUN_CHAINS)
+def test_run_maxima_imply_the_exact_survival(name):
+    # the sampler gives P(Y >= n) = 1/S(n - 1) up to n_flat, and past it
+    # t h / (1 - P_ret (1 - h)) with h = h(n - a), the chance that one
+    # excursion above a = n_flat - 1 reaches n: each is the exact law
+    spec = _RUN_CHAINS[name]
+    top = min(spec.cap, 1_000) if spec.cap is not None else 1_000
+    tables = simulate_module._walk_tables(spec, top)
+    a, t, q = tables.n_flat - 1, tables.reach[-1], tables.q
+    log_r = math.log1p(-tables.p_at[-1]) - math.log(tables.p_at[-1])
+    n = np.arange(1, min(200, top + 1))
+    j = np.maximum(n - a, 1)
+    h = 1.0 / j if log_r == 0.0 else math.expm1(log_r) / np.expm1(j * log_r)
+    implied = np.where(n <= a + 1, tables.reach[np.minimum(n, a + 1) - 1], t * h / (h + q * (1.0 - h)))
+    want = CycleMaxDistribution(spec).survival(n - 1)
+    assert np.max(np.abs(implied / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", _RUN_CHAINS)
+def test_run_maxima_stay_in_the_dkw_band(name):
+    # Dvoretzky-Kiefer-Wolfowitz at alpha = 1e-6 on 2e5 cycles, escapes and
+    # capped cycles above every level below the top
+    spec, cycles = _RUN_CHAINS[name], 200_000
+    top = min(spec.cap, 1_000) if spec.cap is not None else 1_000
+    sample = simulate_cycles(spec, SimConfig(seed=61, cycles=cycles))
+    levels = np.arange(1, top)
+    exact = CycleMaxDistribution(spec).cdf(levels)
+    emp = np.searchsorted(np.sort(sample.maxima), levels, side="right") / cycles
+    assert np.max(np.abs(emp - exact)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cycles))
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -900,8 +952,10 @@ def test_excursion_maxima_solve_the_ruin_equations(p, low, top, count):
     # h(k) = P_k(reach m before low - 1) solves h(k) = p h(k + 1) + (1 - p) h(k - 1)
     # on low..m-1 with h(low - 1) = 0 and h(m) = 1; an excursion from low
     # peaks at m or above with probability h(low), and at top it escapes.
-    # The highest of E excursions stays below m with probability F = 1 - h,
-    # to the power E.
+    # A cycle that makes 1 + Geom(1 - q) of them, E = 1/q on average, stays
+    # below m with probability q (1 - h) / (h + q (1 - h)): one excursion
+    # with probability q, and each further one stays below with 1 - h.
+    q = 1.0 if count is None else 1.0 / count
     reach = [1.0]
     for m in range(low + 1, top + 1):
         size = m - low
@@ -917,20 +971,19 @@ def test_excursion_maxima_solve_the_ruin_equations(p, low, top, count):
             u = u[u >= 0.0]  # a uniform lies in [0, 1)
             reaches, far = 1.0 - u <= h, np.abs(1.0 - u - h) > 1e-9 * h
         else:
-            # the highest of E reaches m exactly when u is at least
-            # F(m - 1)^E = (1 - h)^E
-            edge = (1.0 - h) ** count
+            # the highest of them reaches m exactly when u is at least the
+            # chance that all stay below m, q (1 - h) / (h + q (1 - h))
+            edge = q * (1.0 - h) / (h + q * (1.0 - h))
             u = edge * np.array([1.0 - 1e-6, 1.0 + 1e-6])
             u = u[u < 1.0]
             reaches, far = u >= edge, np.abs(u - edge) > 1e-9 * edge
-        peaks = simulate_module._excursion_peaks(u, low - 1, top, p, count)
+        peaks = low - 1 + simulate_module._excursion_peaks(u, top - low + 1, p, q)
         assert np.all((peaks >= low) & (peaks <= top))
         assert np.array_equal((peaks >= m)[far], reaches[far])
     # the least 1 - u a draw can give escapes: the walk's peak is capped at top;
     # the least u gives the least peak
-    assert simulate_module._excursion_peaks(np.array([1.0 - 2.0**-53]), low - 1, top, p, count)[0] == top
-    if count is not None:
-        assert simulate_module._excursion_peaks(np.array([0.0]), low - 1, top, p, count)[0] == low
+    assert low - 1 + simulate_module._excursion_peaks(np.array([1.0 - 2.0**-53]), top - low + 1, p, q)[0] == top
+    assert low - 1 + simulate_module._excursion_peaks(np.array([0.0]), top - low + 1, p, q)[0] == low
 
 
 @pytest.mark.parametrize(
@@ -942,7 +995,7 @@ def test_block_sizer_is_total(rho):
     sample = simulate_cycles(mm1(rho, 1.0), SimConfig(seed=5, cycles=300, escape_horizon=2_000))
     assert sample.cycles == 300
     u = np.concatenate((np.linspace(0.0, 1.0, 1_001)[:-1], [1.0 - 2.0**-53]))
-    peaks = simulate_module._excursion_peaks(u, 0, 2_000, rho / (1 + rho))
+    peaks = simulate_module._excursion_peaks(u, 2_000, rho / (1 + rho))
     assert np.all((peaks >= 1) & (peaks <= 2_000)) and np.all(np.diff(peaks) >= 0)
 
 
@@ -996,25 +1049,19 @@ def test_convergence_table_needs_a_normaliser():
         verify_as_convergence(mm1(1.0, 1.0), [100], reps=10, cfg=SimConfig(seed=2))
 
 
-def _jump_counts(spec, cycles, horizon, seed, n_flat=None):
+def _jump_counts(spec, cycles, horizon, seed):
     # one jump per pass, with up-step odds from the rates; returns the mean
-    # jump count of a cycle and its standard error.  With n_flat it counts
-    # what the budget charges instead: the jumps from levels below n_flat
-    # plus the entries to n_flat, each of which starts an excursion (a cycle
-    # starts in one when n_flat = 1).
+    # jump count of a cycle and its standard error
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
-    flat = top if n_flat is None else n_flat
-    p_up = np.array(_rate_up_probabilities(spec, top, n_flat))
+    p_up = np.array(_rate_up_probabilities(spec, top, None))
     rng = np.random.default_rng(seed)
     state = np.ones(cycles, dtype=np.int64)
-    jumps = np.full(cycles, float(n_flat == 1))
+    jumps = np.zeros(cycles)
     live = np.arange(cycles)
     while live.size:
         at = state[live]
         up = rng.random(live.size) < p_up[at]
-        jumps[live] += at < flat
-        if n_flat is not None:
-            jumps[live] += up & (at == flat - 1)
+        jumps[live] += 1.0
         state[live] = at + np.where(up, 1, -1)
         live = live[(state[live] > 0) & (state[live] < top)]
     return jumps.mean(), jumps.std(ddof=1) / math.sqrt(cycles)
@@ -1080,14 +1127,19 @@ def test_excursions_are_charged_one_jump_each():
 def test_charged_jumps_match_a_simulated_count(spec, horizon):
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
     tables = simulate_module._walk_tables(spec, top)
-    mean, err = _jump_counts(spec, 20_000, horizon, 43, tables.n_flat)
     want = math.exp(tables.log_jumps)
-    assert abs(mean - want) <= 3.0 * err + 1e-12 * want
+    if tables.n_flat is None:
+        mean, err = _jump_counts(spec, 20_000, horizon, 43)
+        assert abs(mean - want) <= 3.0 * err + 1e-12 * want
+    else:  # a cycle with a constant run is one uniform, and is charged one jump
+        rng = Recording(np.random.default_rng(43))
+        _simulate_batch(spec, 20_000, rng, horizon)
+        assert sum(u.size for u in rng.draws) / 20_000 == want == 1.0
 
 
 def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
-    builds, growths = [], []
-    jumps, grow = simulate_module._log_expected_jumps, _LawTables.grow
+    builds, growths, windows = [], [], []
+    jumps, grow, window = simulate_module._log_expected_jumps, _LawTables.grow, _LawTables.window
 
     def counted(*args):
         builds.append(args)
@@ -1099,24 +1151,40 @@ def test_walk_tables_are_built_once_per_spec_and_top(monkeypatch):
         if len(tables.log_w) > before:
             growths.append((before, len(tables.log_w)))
 
+    def read(tables, spec, lo, hi):
+        windows.append((lo, hi))
+        return window(tables, spec, lo, hi)
+
     monkeypatch.setattr(simulate_module, "_log_expected_jumps", counted)
     monkeypatch.setattr(_LawTables, "grow", growing)
-    spec = mms(3, 2.1, 1.0)  # a varying head and a constant run, so every table is built
+    monkeypatch.setattr(_LawTables, "window", read)
+
+    def calls(spec, rng):
+        for _ in range(20):
+            simulate_cycle(spec, rng)
+        simulate_cycles(spec, SimConfig(seed=5, cycles=100))
+        sample_maxima(spec, 10, 10, SimConfig(seed=5), mode="jump")
+
+    # a varying head below a constant run: the tables read its levels 0..2
+    # of the spec's one weight table, grown once, and charge no expected jumps
+    spec = mms(3, 2.1, 1.0)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        simulate_cycle(spec, rng)
-    simulate_cycles(spec, SimConfig(seed=5, cycles=100))
-    sample_maxima(spec, 10, 10, SimConfig(seed=5), mode="jump")
-    # one build, charged on levels 0..999 of the spec's one weight table, grown once
-    log_w = spec._law_tables.log_w
-    assert len(builds) == 1 and growths == [(0, 1_000)]
-    assert np.shares_memory(builds[0][0], log_w)
+    calls(spec, rng)
+    assert builds == [] and windows == [(0, 3)] and growths == [(0, 64)]
     tables = spec._walk_tables[1_000]
     assert tables.n_flat == 3 and tables.p_list is not None and tables.p_at.size == 4
-    assert not tables.p_at.flags.writeable
+    assert tables.reach.size == 3 and not tables.p_at.flags.writeable
     simulate_cycle(spec, rng, 200)  # another horizon builds its own tables, from the weights held
+    assert windows == [(0, 3)] * 2 and set(spec._walk_tables) == {200, 1_000} and growths == [(0, 64)]
+    # without a run: one build, charged on levels 0..999 of the weights, grown once
+    spec = mminf(2.0, 1.0)
+    calls(spec, rng)
+    log_w = spec._law_tables.log_w
+    assert len(builds) == 1 and growths[1:] == [(0, 1_000)] and windows[2:] == [(0, 1_000)]
+    assert np.shares_memory(builds[0][0], log_w)
+    simulate_cycle(spec, rng, 200)
     assert len(builds) == 2 and set(spec._walk_tables) == {200, 1_000}
-    assert growths == [(0, 1_000)] and np.shares_memory(builds[1][0], log_w)
+    assert growths[1:] == [(0, 1_000)] and np.shares_memory(builds[1][0], log_w)
 
 
 @pytest.mark.parametrize("k", [10, 10**3, 10**7])
@@ -1292,8 +1360,8 @@ def test_int32_cycle_state_has_headroom():
     # least one jump a cycle, so it runs fewer than _MAX_JUMPS cycles (slots).
     # A block table of more than one move and an event table hold at most
     # _TABLE_CELLS cells; a block table of one move a row per level and at
-    # most 2 x 2 x 2 outcomes (maximum, fall, excursions) a row.  Entry
-    # 2 c + 1 is the highest index a cell c reads.
+    # most 2 x 2 outcomes (maximum, fall) a row, within 8.  Entry 2 c + 1 is
+    # the highest index a cell c reads.
     cells = max(simulate_module._TABLE_CELLS, (_MAX_LEVELS + 1) * 8)
     assert max(_MAX_LEVELS, simulate_module._MAX_JUMPS, 2 * cells + 1) < 2**31
 
