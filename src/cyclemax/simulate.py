@@ -83,9 +83,6 @@ _BUCKETS = 1 << 12
 # Python, so one cycle is charged for its own jumps only.  A cycle of a
 # chain with a constant run is drawn whole, so it is charged as one jump.
 _MAX_JUMPS = 1e8
-# Most levels below a constant run compared one by one with a draw, at about
-# 6 us a slice each; a longer head is searched by buckets, at about 40 us.
-_HEAD_COMPARES = 8
 
 
 class _Escaped:
@@ -178,8 +175,7 @@ class _WalkTables:
     0..n_flat with a run and on 0..top-1 without; ``log_jumps`` is the log
     of a cycle's charge: 0 with a run, else its expected jumps.  With a run
     (a = n_flat - 1), ``reach`` holds P(Y >= j) = 1/S(j-1) for j = 1..n_flat,
-    ``q`` = 1 - P_ret = 1/(w(a) S(a)), and ``buckets`` is a bucket index of
-    reach[:a] from just below t where a > _HEAD_COMPARES.  Without one,
+    and ``q`` = 1 - P_ret = 1/(w(a) S(a)).  Without one,
     ``p_list`` holds p_at's head as Python floats for the Python-stepped
     walk, extended on demand, and ``blocks`` is the latest ``_BlockTable``
     (``_block_table`` grows it with the highest level reached).
@@ -190,7 +186,6 @@ class _WalkTables:
     n_flat: int | None
     reach: np.ndarray | None = None
     q: float = 1.0
-    buckets: tuple | None = None
     p_list: list = field(default_factory=list)
     blocks: _BlockTable | None = None
 
@@ -224,8 +219,6 @@ def _walk_tables(spec: BirthDeathSpec, top: int) -> _WalkTables:
         return tables
     log_s = np.logaddexp.accumulate(-log_w)  # log S(j), j = 0..a
     tables = spec._walk_tables[top] = _WalkTables(0.0, p_at, n_flat, np.exp(-log_s), math.exp(-(log_w[-1] + log_s[-1])))
-    if n_flat - 1 > _HEAD_COMPARES:
-        tables.buckets = _bucket_index(tables.reach[:-1], np.nextafter(tables.reach[-1], 0.0), 1.0)
     return tables
 
 
@@ -500,15 +493,16 @@ def _run_maxima(tables: _WalkTables, n_cycles: int, rng: np.random.Generator, to
 
     With a = n_flat - 1, t = P(Y >= n_flat) = 1/S(a).  From u >= t the
     maximum is the count of levels j <= a with P(Y >= j) above u, compared
-    one by one or searched by buckets.  From u < t, where that count is a
-    (each P(Y >= j) is at least t, above the index's lowest key), it is
-    a + J for the highest of the cycle's excursions above a, from u / t
-    (``_excursion_peaks``): by the strong Markov property at a, another
-    follows each with P_ret = S(a-1)/S(a) = 1 - q, the chance to step up
-    from a before falling to 0.  M/M/1 (a = 0, t = q = 1) reads u alone.
+    one by one.  From u < t, where that count is a (each P(Y >= j) is at
+    least t), it is a + J for the highest of the cycle's excursions above a,
+    from u / t (``_excursion_peaks``): by the strong Markov property at a,
+    another follows each with P_ret = S(a-1)/S(a) = 1 - q, the chance to
+    step up from a before falling to 0.  The draws from u >= t enter the
+    inverse as 0, so on a recurrent run no lane meets a NaN or an infinity,
+    and their J is then dropped.  M/M/1 (a = 0, t = q = 1) reads u alone.
     """
     a, t, p = tables.n_flat - 1, float(tables.reach[-1]), float(tables.p_at[-1])
-    head = tables.reach[1:a].tolist() if tables.buckets is None else None
+    head = tables.reach[1:a].tolist()
     peak = np.empty(n_cycles, dtype=np.int64)
     u = peak.view(np.float64)
     rng.random(out=u)
@@ -518,10 +512,11 @@ def _run_maxima(tables: _WalkTables, n_cycles: int, rng: np.random.Generator, to
             peak[lo : lo + _SLICE] = _excursion_peaks(s_u, top, p).astype(np.int64)
             continue
         # P(Y >= 1) = 1 lies above every u
-        stepped = _bucket_counts(tables.buckets, s_u) if head is None else sum((s_u < h for h in head), 1)
+        stepped = sum((s_u < h for h in head), 1)
         run = s_u < t
         s_u *= 1.0 / t if t >= 2.0**-1022 else 0.0  # u / t, read as 0 where t is not normal
         np.minimum(s_u, 1.0 - 2.0**-53, out=s_u)  # u / t < 1, also where it rounds up
+        s_u *= run
         s_u = _excursion_peaks(s_u, top - a, p, tables.q)
         s_u *= run
         peak[lo : lo + _SLICE] = s_u.astype(np.int64)
@@ -644,56 +639,46 @@ def _inversion_table(dist: CycleMaxDistribution, k: int, g_min: float) -> np.nda
     return h
 
 
-def _bucket_index(h: np.ndarray, lo: float, hi: float) -> tuple:
-    """The index (shift, base, counts, steps, padded) of a non-increasing
-    table h for ``_bucket_counts`` on keys in [lo, hi], lo >= 0: an indexed
-    search (Chen and Asau, 1974).  The int64 bit pattern of a non-negative
-    double rises with it, so its top bits, past ``shift``, split [lo,
-    min(h[0], hi)] into at most _BUCKETS buckets from ``base``, each a fixed
-    share of a binade.  ``counts`` holds the table values above each
-    bucket's upper edge, ``steps`` the first step of a binary search over
-    the most values a bucket holds, and ``padded`` is h padded for it.
+def _bucket_search(h: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The count of table values above each key, written to the int64 array
+    out: for a non-increasing table h and keys g >= 0, the same values as
+    np.searchsorted(-h, -g, "left").  out may share g's memory: the keys are
+    searched in slices of _SLICE, and each slice is written once it is read.
+
+    An indexed search (Chen and Asau, 1974).  The int64 bit pattern of a
+    non-negative double rises with it, so its top bits split [min g, min(h[0],
+    max g)] into at most _BUCKETS buckets, each a fixed share of a binade.
+    One search of the bucket edges bounds each bucket's answer by the counts
+    at its two edges.  Each key then takes its bucket's lower count and
+    closes the gap, at most the widest bucket's, by a branch-free binary
+    search: one pass when no two table values share a bucket, as on
+    geometric tails.  Keys above the last bucket share its answer, which
+    is 0 there.
     """
-    lo_bits = int(np.float64(lo).view(np.int64))
-    hi_bits = max(int(np.float64(min(h[0], hi)).view(np.int64)), lo_bits)
+    lo = int(g.min().view(np.int64))
+    hi = max(int(np.float64(min(h[0], g.max())).view(np.int64)), lo)
     shift = 0
-    while (hi_bits >> shift) - (lo_bits >> shift) >= _BUCKETS:
+    while (hi >> shift) - (lo >> shift) >= _BUCKETS:
         shift += 1
-    base = lo_bits >> shift
-    n_buckets = (hi_bits >> shift) - base + 1
+    base = lo >> shift
+    n_buckets = (hi >> shift) - base + 1
     edges = ((base + np.arange(n_buckets + 1, dtype=np.int64)) << shift).view(np.float64)
     counts = np.searchsorted(-h, -edges, side="left")  # table values above each edge
     width = int((counts[:-1] - counts[1:]).max())
-    steps = 1 << (width.bit_length() - 1) if width else 0
-    return shift, base, counts[1:], steps, np.concatenate((h, np.full(steps, -1.0)))  # never above a key
-
-
-def _bucket_counts(index: tuple, keys: np.ndarray) -> np.ndarray:
-    """The int64 count of table values above each key (``_bucket_index``):
-    its bucket's lower count, raised by a branch-free binary search of at
-    most the widest bucket, one pass when no two values share a bucket, as
-    on geometric tails.  Keys above the last bucket share its answer, 0; a
-    key below lo gets its count too where every table value lies above lo."""
-    shift, base, counts, steps, padded = index
-    at = keys.view(np.int64) >> shift
-    at -= base
-    at = counts.take(at, mode="clip")
-    while steps > 1:
-        at += (padded.take(at + (steps - 1)) > keys) * steps
-        steps >>= 1
-    if steps:  # the last pass, and the only one when no bucket holds two values
-        at += padded.take(at) > keys
-    return at
-
-
-def _bucket_search(h: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The count of table values above each key, np.searchsorted(-h, -g,
-    "left") for a non-increasing table h and keys g >= 0, written to the
-    int64 array out, which may share g's memory: the keys are searched in
-    slices of _SLICE, and each slice is written once it is read."""
-    index = _bucket_index(h, float(g.min()), float(g.max()))
+    first_steps = 1 << (width.bit_length() - 1) if width else 0
+    padded = np.concatenate((h, np.full(first_steps, -1.0)))  # never above a key
     for lo in range(0, g.size, _SLICE):
-        out[lo : lo + _SLICE] = _bucket_counts(index, g[lo : lo + _SLICE])
+        keys = g[lo : lo + _SLICE]
+        at = keys.view(np.int64) >> shift
+        at -= base
+        at = counts[1:].take(at, mode="clip")  # keys above the last bucket share its answer
+        steps = first_steps
+        while steps > 1:
+            at += (padded.take(at + (steps - 1)) > keys) * steps
+            steps >>= 1
+        if steps:  # the last pass, and the only one when no bucket holds two values
+            at += padded.take(at) > keys
+        out[lo : lo + _SLICE] = at
     return out
 
 

@@ -56,7 +56,7 @@ _CHAINS = [
     # up-step odds 3, 2/3, 2, 1/4 below 5 and 0.7 from 5 on
     (BirthDeathSpec(TableSequence([1.0, 3.0, 2.0, 4.0, 1.0], 0.7), TableSequence([1.0], 0.5), 1.0, 1.0),
      1_000, False),
-    # a head of 19 levels below the run, counted by the bucketed search
+    # a head of 19 levels below the run, each compared with a cycle's draw
     (mms(20, 15.0, 1.0), 1_000, False),
 ]
 _CHAIN_IDS = ["mm1-0.95", "mm1-critical", "mm1-transient", "mms3", "mminf", "mm1-capped", "table-transient",
@@ -896,6 +896,41 @@ def test_run_maxima_stay_in_the_dkw_band(name):
     assert np.max(np.abs(emp - exact)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cycles))
 
 
+class _Log1pLanes:
+    """numpy, whose log1p counts the lanes it meets and those of them that
+    are NaN, infinite or at most -1."""
+
+    def __init__(self):
+        self.lanes = self.bad = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log1p(self, x, out=None):
+        self.lanes += x.size
+        self.bad += int(np.count_nonzero(~(np.isfinite(x) & (x > -1.0))))
+        return np.log1p(x, out=out)
+
+
+@pytest.mark.parametrize(
+    "spec, recurrent",
+    [(mm1(0.7, 1.0), True), (mms(2, 1.4, 1.0), True), (mms(3, 2.1, 1.0), True), (mms(8, 5.6, 1.0), True),
+     (mms(2, 1.999, 1.0), True), (mms(20, 15.0, 1.0), True), (_TABLE, True),
+     (mms(3, 2.1, 1.0).dual(), False), (mms(3, 4.5, 1.0), False), (mm1(1.5, 1.0), False)],
+    ids=["mm1-0.7", "mms2", "mms3", "mms8", "mms2-near-critical", "mms20", "table", "dual-mms3",
+         "mms3-transient", "mm1-transient"],
+)
+def test_run_maxima_meet_no_nan_below_an_escape(monkeypatch, spec, recurrent):
+    # log1p slows by 3-4x on lanes that are NaN or infinite: on a recurrent
+    # run no lane meets one, and on a transient run only a cycle that
+    # escapes does, where J is unbounded
+    count = _Log1pLanes()
+    monkeypatch.setattr(simulate_module, "np", count)
+    maxima, escaped = _simulate_batch(spec, 10**5, np.random.default_rng(67), 1_000)
+    assert count.lanes == 10**5 and len(maxima) + escaped == 10**5
+    assert count.bad == 0 if recurrent else 0 < count.bad <= escaped
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -1121,8 +1156,9 @@ def test_excursions_are_charged_one_jump_each():
 @pytest.mark.parametrize(
     "spec, horizon",
     [(mm1(0.95, 1.0), 1_000), (mms(3, 2.1, 1.0), 1_000), (mms(2, 1.9, 1.0), 1_000),
-     (mminf(2.0, 1.0), 1_000), (mms(3, 4.5, 1.0, cap=40), 1_000), _CHAINS[-1][:2]],
-    ids=["mm1-0.95", "mms3", "mms2", "mminf", "mms3-capped", "table"],
+     (mminf(2.0, 1.0), 1_000), (mms(3, 4.5, 1.0, cap=40), 1_000), _CHAINS[_CHAIN_IDS.index("table")][:2],
+     _CHAINS[_CHAIN_IDS.index("mms20")][:2]],
+    ids=["mm1-0.95", "mms3", "mms2", "mminf", "mms3-capped", "table", "mms20"],
 )
 def test_charged_jumps_match_a_simulated_count(spec, horizon):
     top = min(spec.cap, horizon) if spec.cap is not None else horizon
